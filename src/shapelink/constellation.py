@@ -217,7 +217,7 @@ def gmi_estimate(
     if estimator == "gauss_hermite":
         if order < 4:
             raise ValueError("gauss_hermite order must be >= 4")
-        return _gmi_gauss_hermite(points, bits, noise_var, order)
+        return _gh_forward(points, bits, noise_var, order)[0]
     if estimator == "monte_carlo":
         return _gmi_monte_carlo(points, bits, noise_var, samples, seed)
     raise ValueError(f"unknown estimator {estimator!r}")
@@ -236,16 +236,38 @@ def _points_and_bits(c):
     return points, bits
 
 
-def _score_rows(logq, tx_bits, c0):
-    # sum over bits of ln(S_all) - ln(S_same), per row; stable via row shift
-    shift = logq.max(axis=-1, keepdims=True)
-    p = np.exp(logq - shift)
-    s_all = p.sum(axis=-1)
+def _squared_distances(y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # |y_n - c_j|^2 as (n, M) real squares, without a complex temporary
+    d2 = y.real[:, None] - points.real[None, :]
+    np.square(d2, out=d2)
+    d_im = y.imag[:, None] - points.imag[None, :]
+    np.square(d_im, out=d_im)
+    d2 += d_im
+    return d2
+
+
+def _coset_sums(d2, tx_bits, c0, noise_var):
+    """Gaussian metric sums of a block of received samples.
+
+    ``d2`` (n, M) holds the squared distances of each sample to every
+    point and is overwritten with the row-shifted metrics
+    p = exp(-(d2 - min_j d2) / noise_var).  Returns p, S_all = sum_j p and
+    S_same (n, m), the sum of p over the points that share the transmitted
+    label's bit k.  The shift cancels in every ratio of these sums.
+    """
+    d2 -= d2.min(axis=1, keepdims=True)
+    d2 *= -1.0 / noise_var
+    p = np.exp(d2, out=d2)
+    s_all = p.sum(axis=1)
     s0 = p @ c0
     s_same = np.where(tx_bits == 0, s0, s_all[:, None] - s0)
-    s_same = np.maximum(s_same, _TINY)
-    m = tx_bits.shape[1]
-    return m * np.log(s_all) - np.log(s_same).sum(axis=-1)
+    np.maximum(s_same, _TINY, out=s_same)
+    return p, s_all, s_same
+
+
+def _row_loss(s_all, s_same):
+    # sum over bits of ln(S_all) - ln(S_same), per row
+    return s_same.shape[1] * np.log(s_all) - np.log(s_same).sum(axis=1)
 
 
 def _gh_nodes(noise_var: float, order: int):
@@ -255,17 +277,27 @@ def _gh_nodes(noise_var: float, order: int):
     return nodes, weights
 
 
-def _gmi_gauss_hermite(points, bits, noise_var, order) -> float:
+def _gh_forward(points, bits, noise_var, order):
+    """Gauss-Hermite GMI (bit/2D) of raw points at total noise variance
+    ``noise_var``, and the intermediates of its analytic gradient.
+
+    The one Gauss-Hermite pass: :func:`gmi_estimate` and the shaping
+    objective and gradient all run it.  Rows pair transmitted point i with
+    quadrature node q, i-major.  Returns ``(value, (y, tx_bits, weights,
+    p, s_all, s_same))`` with ``y`` (M*Q,) the received samples,
+    ``tx_bits`` (M*Q, m) their transmitted labels, ``weights`` (Q,) the
+    node weights and the rest as in :func:`_coset_sums`.
+    """
     big_m, m = bits.shape
     nodes, weights = _gh_nodes(noise_var, order)
-    y = points[:, None] + nodes[None, :]  # (M, Q)
-    d2 = np.abs(y[:, :, None] - points[None, None, :]) ** 2
-    logq = (-d2 / noise_var).reshape(big_m * nodes.size, big_m)
+    y = (points[:, None] + nodes[None, :]).ravel()
     tx_bits = np.repeat(bits, nodes.size, axis=0)
-    score = _score_rows(logq, tx_bits, _coset_zero_matrix(bits))
-    score = score.reshape(big_m, nodes.size)
-    loss = float((score @ weights).mean()) / math.log(2.0)
-    return m - loss
+    p, s_all, s_same = _coset_sums(
+        _squared_distances(y, points), tx_bits, _coset_zero_matrix(bits), noise_var
+    )
+    loss = _row_loss(s_all, s_same).reshape(big_m, nodes.size) @ weights
+    value = m - float(loss.mean()) / math.log(2.0)
+    return value, (y, tx_bits, weights, p, s_all, s_same)
 
 
 def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
@@ -280,8 +312,8 @@ def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
         idx = rng.integers(0, big_m, size=n)
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = points[idx] + noise * math.sqrt(noise_var / 2.0)
-        logq = -(np.abs(y[:, None] - points[None, :]) ** 2) / noise_var
-        total += float(_score_rows(logq, bits[idx], c0).sum())
+        _, s_all, s_same = _coset_sums(_squared_distances(y, points), bits[idx], c0, noise_var)
+        total += float(_row_loss(s_all, s_same).sum())
         done += n
     return m - total / (samples * math.log(2.0))
 

@@ -43,6 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from . import channel as ch
 from . import constellation as cst
 from . import dsp, fec, linkbudget
@@ -563,8 +564,10 @@ def _receiver_chain(wave, spans, c, cfg, dsp_cfg, use_dbp: bool):
     if use_dbp:
         comp = dsp.dbp(wave, spans, steps_per_span=cfg.dbp_steps_per_span)
     else:
-        total_d = cfg.span_count * sum(
-            seg.dispersion_ps_nm_km * seg.length_m / 1e3 for seg in spans[0].segments
+        total_d = sum(
+            seg.dispersion_ps_nm_km * seg.length_m / 1e3
+            for span in spans
+            for seg in span.segments
         )
         comp = dsp.cd_compensate(wave, total_d)
     sym = dsp.decimate(dsp.matched_filter(comp, rolloff=cfg.rrc_rolloff))
@@ -670,15 +673,6 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("artifact")
-    except Exception:
-        return "unknown"
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
@@ -735,7 +729,7 @@ def run_experiment(
             "mode": cfg.mode,
             "seed": cfg.seed,
             "config_sha256": _config_hash(cfg),
-            "package_version": _package_version(),
+            "package_version": __version__,
             "wall_time_s": round(time.time() - started, 3),
             "status": status,
             "error": error,

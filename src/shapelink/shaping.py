@@ -3,8 +3,10 @@
 Three-stage procedure:
 
 1. :func:`optimize_awgn` - maximize GMI at the design SNR (default 12 dB)
-   by fixed-step gradient ascent with backtracking, renormalizing to unit
-   average power after every step.  Labels never move; only coordinates do.
+   by a quasi-Newton ascent: L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989)
+   over the 128 raw coordinates x of the objective f(normalized(x)), with
+   an Armijo backtracking line search, so every accepted step strictly
+   improves the unit-power design.  Labels never move; only coordinates do.
 2. :func:`optimize_papr` - same ascent on the penalized objective
    GMI - weight * smoothmax(papr_i, papr_q), trading a little mutual
    information for lower per-dimension peak power.
@@ -13,7 +15,9 @@ Three-stage procedure:
 
 The inner objective is the Gauss-Hermite GMI from :mod:`.constellation`
 (order 10 by default).  Its gradient is computed analytically below in
-softmax form; central finite differences over the 128 real coordinates are
+softmax form, from the same forward pass as the value, so a line-search
+candidate that is accepted already carries the gradient of the next
+iteration; central finite differences over the 128 real coordinates are
 kept as an independent verification path (and as the fallback for the
 Monte Carlo estimator, whose seeded objective is deterministic but has no
 closed-form gradient here).
@@ -21,6 +25,7 @@ closed-form gradient here).
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -28,8 +33,7 @@ import numpy as np
 
 from .constellation import (
     Constellation,
-    _coset_zero_matrix,
-    _gh_nodes,
+    _gh_forward,
     _points_and_bits,
     normalized,
 )
@@ -47,20 +51,20 @@ __all__ = [
     "papr_smooth_gradient",
 ]
 
-_TINY = 1e-300
-
-
 @dataclass(frozen=True)
 class ShapingConfig:
     """Shaping stage configuration.
 
     ``gmi_estimator`` selects the inner objective: "gauss_hermite" (order
     ``gh_order`` >= 4) or "monte_carlo" (``mc_samples`` >= 1e5, fixed
-    ``mc_seed``).  ``step_size`` is the fixed ascent step on the unit-power
-    coordinate scale; backtracking halves it up to ``max_backtracks`` times
-    per iteration.  The ascent stops after ``max_iterations`` or when one
-    accepted step improves the objective by less than ``improvement_tol``
-    bit.
+    ``mc_seed``).  The ascent is L-BFGS with an Armijo backtracking line
+    search.  ``step_size`` is the length, on the unit-power coordinate
+    scale, of the first trial step along a plain gradient direction (the
+    first iteration, and the retry after a curvature step fails); L-BFGS
+    directions are first tried at their own unit step.  Backtracking halves
+    the step up to ``max_backtracks`` times per iteration.  The ascent stops
+    after ``max_iterations`` accepted steps or when one accepted step
+    improves the objective by less than ``improvement_tol`` bit.
 
     ``init_jitter`` perturbs the starting point by seeded complex Gaussian
     noise of that RMS amplitude before the climb.  Gradient flow preserves
@@ -125,8 +129,8 @@ class ShapingResult:
     ``converged`` is True only when the stop was triggered by the
     improvement tolerance; a line-search failure or hitting max_iterations
     returns the best-so-far with ``converged`` False.  ``history`` holds the
-    objective after the initial point and each accepted step (monotone
-    nondecreasing by construction).
+    objective after the initial point and each accepted step (strictly
+    increasing by construction), so ``iterations == len(history) - 1``.
     """
 
     constellation: object
@@ -147,24 +151,13 @@ def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float, order: 
     takes the noise variance directly, so it is a plain smooth function of
     the coordinates, suitable for gradient checks.
     """
-    big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var, order)
-    y = points[:, None] + nodes[None, :]
-    logq = -(np.abs(y[:, :, None] - points[None, None, :]) ** 2) / noise_var
-    shift = logq.max(axis=-1, keepdims=True)
-    p = np.exp(logq - shift)
-    s_all = p.sum(axis=-1)
-    s0 = np.einsum("iqj,jk->iqk", p, _coset_zero_matrix(bits))
-    s_same = np.where(bits[:, None, :] == 0, s0, s_all[..., None] - s0)
-    s_same = np.maximum(s_same, _TINY)
-    loss = m * np.log(s_all) - np.log(s_same).sum(axis=-1)
-    return m - float((loss @ weights).mean()) / math.log(2.0)
+    return _gh_forward(points, bits, noise_var, order)[0]
 
 
 def gh_gmi_value_and_gradient(
     points: np.ndarray, bits: np.ndarray, noise_var: float, order: int
 ):
-    """GMI and its analytic gradient d GMI / d c_r.
+    """GMI and its analytic gradient d GMI / d c_r, from one forward pass.
 
     The gradient is returned as a complex array: real part = derivative
     with respect to Re(c_r), imaginary part = derivative with respect to
@@ -173,31 +166,29 @@ def gh_gmi_value_and_gradient(
     splits into the metric channel (every q contains c_r as a candidate
     point) and the observation channel (y = c_r + noise when r transmits);
     rows of G sum to zero, which collapses the observation channel onto
-    the constellation points.
+    the constellation points.  The label sum splits by bit value,
+    sum_k [b_ik = b_jk] / S_k = sum_k b_ik b_jk / S_k
+    + sum_k (1 - b_ik)(1 - b_jk) / S_k, which is two matrix products.
     """
+    value, (y, tx_bits, weights, p, s_all, s_same) = _gh_forward(
+        points, bits, noise_var, order
+    )
     big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var, order)
-    y = points[:, None] + nodes[None, :]  # (M, Q)
-    logq = -(np.abs(y[:, :, None] - points[None, None, :]) ** 2) / noise_var
-    shift = logq.max(axis=-1, keepdims=True)
-    p = np.exp(logq - shift)  # (M, Q, M)
-    s_all = p.sum(axis=-1)  # (M, Q)
-    s0 = np.einsum("iqj,jk->iqk", p, _coset_zero_matrix(bits))
-    s_same = np.where(bits[:, None, :] == 0, s0, s_all[..., None] - s0)
-    s_same = np.maximum(s_same, _TINY)
-    loss = m * np.log(s_all) - np.log(s_same).sum(axis=-1)
-    value = m - float((loss @ weights).mean()) / math.log(2.0)
+    inv = 1.0 / s_same
+    ones = bits.astype(np.float64)
+    g = (tx_bits * inv) @ ones.T
+    g += ((1 - tx_bits) * inv) @ (1.0 - ones).T
+    np.subtract((m / s_all)[:, None], g, out=g)
+    g *= p  # G(i,n,j), rows (i, n)
 
-    g = (m / s_all)[..., None] * p
-    for k in range(m):
-        t_k = bits[:, k][:, None] == bits[:, k][None, :]  # (M, M) tx i vs point j
-        g -= t_k[:, None, :] * (p / s_same[:, :, k][..., None])
-
-    wy = y * weights[None, :]
-    a1 = np.einsum("iq,iqr->r", wy, g)
-    sg = np.einsum("q,iqr->r", weights, g)
-    b2 = np.einsum("q,rqj,j->r", weights, g, points)
-    d_loss = (2.0 / noise_var) * (a1 - points * sg + b2)
+    w_rows = np.tile(weights, big_m)
+    wy = w_rows * y
+    a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
+    gc = g @ np.stack([points.real, points.imag], axis=1)
+    b2 = weights @ gc.reshape(big_m, weights.size, 2)
+    d_loss = (2.0 / noise_var) * (
+        a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
+    )
     grad = -d_loss / (big_m * math.log(2.0))
     return value, grad
 
@@ -256,7 +247,20 @@ def papr_smooth_gradient(points: np.ndarray, sharpness: float = 30.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+#: curvature pairs kept by the L-BFGS two-loop recursion
+_MEMORY = 8
+#: Armijo sufficient-increase fraction of the predicted first-order gain
+_ARMIJO = 1e-4
+
+
 def _make_objective(bits, noise_var, weight, cfg: ShapingConfig):
+    """Objective on unit-power points as three callables.
+
+    ``value(pts)`` scores a point.  ``trial(pts)`` scores a line-search
+    candidate and returns ``(value, gradient)``, the gradient being None
+    where it is not a by-product of the value.  ``gradient(pts)``
+    completes an accepted candidate that came without one.
+    """
     if cfg.gmi_estimator == "gauss_hermite":
 
         def value(pts):
@@ -265,13 +269,14 @@ def _make_objective(bits, noise_var, weight, cfg: ShapingConfig):
                 v -= weight * papr_smooth(pts, cfg.papr_sharpness)
             return v
 
-        def gradient(pts):
-            _, g = gh_gmi_value_and_gradient(pts, bits, noise_var, cfg.gh_order)
+        def trial(pts):
+            v, g = gh_gmi_value_and_gradient(pts, bits, noise_var, cfg.gh_order)
             if weight:
+                v -= weight * papr_smooth(pts, cfg.papr_sharpness)
                 g = g - weight * papr_smooth_gradient(pts, cfg.papr_sharpness)
-            return g
+            return v, g
 
-        return value, gradient
+        return value, trial, lambda pts: trial(pts)[1]
 
     from .constellation import _gmi_monte_carlo
 
@@ -285,58 +290,117 @@ def _make_objective(bits, noise_var, weight, cfg: ShapingConfig):
         # no closed form for the seeded MC objective; fall back to FD
         return finite_difference_gradient(value, pts, cfg.fd_step)
 
-    return value, gradient
+    return value, lambda pts: (value(pts), None), gradient
 
 
-def _climb(start: np.ndarray, value, gradient, cfg: ShapingConfig):
-    pts = start
-    best = value(pts)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # inner product over the 2M real coordinates
+    return float(np.vdot(a, b).real)
+
+
+def _raw_gradient(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of f(normalized(x)) with respect to x, given the gradient
+    ``g`` of f at normalized(x): the component along x is removed (f is
+    scale invariant) and the rest divided by the RMS amplitude of x."""
+    scale = math.sqrt(_dot(x, x) / x.size)
+    u = x / scale
+    return (g - (_dot(g, u) / x.size) * u) / scale
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """Two-loop recursion: the inverse-curvature estimate applied to g."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * _dot(s, q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = pairs[-1]
+    q *= _dot(s, y) / _dot(y, y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * _dot(y, q)) * s
+    return q
+
+
+def _climb(start: np.ndarray, trial, gradient, cfg: ShapingConfig):
+    """Monotone L-BFGS ascent of f(normalized(x)) over the raw coordinates x.
+
+    Candidates are accepted only on a strict Armijo increase, so the
+    history of accepted values is strictly increasing.  The first trial
+    along a plain gradient direction (the first iteration, or after a
+    failed curvature step) has length ``cfg.step_size``; an L-BFGS
+    direction is tried at unit step.  Each failed trial halves the step,
+    at most ``cfg.max_backtracks`` times.
+    """
+    x = start
+    best, g_pts = trial(normalized(x))
+    g = _raw_gradient(g_pts if g_pts is not None else gradient(normalized(x)), x)
     history = [best]
+    pairs = collections.deque(maxlen=_MEMORY)
     converged = False
-    for _ in range(cfg.max_iterations):
-        grad = gradient(pts)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
+    while True:
+        d = _lbfgs_direction(g, pairs) if pairs else g
+        slope = _dot(g, d)
+        if slope <= 0.0:
+            pairs.clear()
+            d, slope = g, _dot(g, g)
+        if slope == 0.0:
             converged = True
             break
-        step = cfg.step_size
+        step = 1.0 if pairs else cfg.step_size / math.sqrt(slope)
         accepted = False
         for _ in range(cfg.max_backtracks):
-            cand = normalized(pts + step * grad)
-            cand_val = value(cand)
-            if cand_val > best:
+            cand = x + step * d
+            cand_val, cand_g = trial(normalized(cand))
+            if cand_val > best and cand_val - best >= _ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            # line search exhausted; a fixed point only counts as converged
-            # when the last accepted step was already below tolerance
+            if pairs:
+                # the curvature model misled; retry along the gradient
+                pairs.clear()
+                continue
+            # a fixed point only counts as converged when the last
+            # accepted step was already below tolerance
             last = history[-1] - history[-2] if len(history) > 1 else math.inf
-            converged = last < cfg.improvement_tol or gnorm < 1e-7
+            converged = last < cfg.improvement_tol or math.sqrt(slope) < 1e-7
             break
         improvement = cand_val - best
-        pts, best = cand, cand_val
+        s = cand - x
+        x, best = cand, cand_val
         history.append(best)
         if improvement < cfg.improvement_tol:
             converged = True
             break
-    return pts, np.asarray(history), converged
+        if len(history) > cfg.max_iterations:
+            break
+        if cand_g is None:
+            cand_g = gradient(normalized(x))
+        g_new = _raw_gradient(cand_g, x)
+        y = g - g_new
+        g = g_new
+        sy = _dot(s, y)
+        # keep only pairs of positive curvature (of -f), as L-BFGS needs
+        if sy > 1e-12 * math.sqrt(_dot(s, s) * _dot(y, y)):
+            pairs.append((s, y, 1.0 / sy))
+    return normalized(x), np.asarray(history), converged
 
 
 def _ascend(points0: np.ndarray, bits: np.ndarray, cfg: ShapingConfig, weight: float):
     noise_var = 10.0 ** (-cfg.target_snr_db / 10.0)
-    value, gradient = _make_objective(bits, noise_var, weight, cfg)
+    value, trial, gradient = _make_objective(bits, noise_var, weight, cfg)
     clean = normalized(points0)
     start = clean
     if cfg.init_jitter > 0.0:
         rng = np.random.default_rng(cfg.jitter_seed)
         kick = rng.standard_normal(clean.size) + 1.0j * rng.standard_normal(clean.size)
         start = normalized(clean + cfg.init_jitter * kick)
-    pts, history, converged = _climb(start, value, gradient, cfg)
+    pts, history, converged = _climb(start, trial, gradient, cfg)
     if cfg.init_jitter > 0.0 and history[-1] < value(clean):
         # the kick landed in a worse basin; keep the exact monotone
         # guarantee against the caller's input by climbing unperturbed
-        pts, history, converged = _climb(clean, value, gradient, cfg)
+        pts, history, converged = _climb(clean, trial, gradient, cfg)
     return pts, history, converged
 
 

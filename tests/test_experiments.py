@@ -10,7 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shapelink import cli, constellation as cst, experiments as ex, fec
+import shapelink
+from shapelink import channel as ch
+from shapelink import cli, constellation as cst, dsp, experiments as ex, fec
 from shapelink.errors import ConfigurationError
 
 
@@ -234,7 +236,7 @@ def test_manifest_written_on_success(tmp_path):
     assert len(man["config_sha256"]) == 64
     assert man["wall_time_s"] >= 0
     assert "gap_sweep.csv" in man["outputs"]
-    assert man["package_version"]
+    assert man["package_version"] == shapelink.__version__
 
 
 def test_manifest_written_on_runtime_failure_with_no_partial_csv(tmp_path):
@@ -377,6 +379,25 @@ def test_awgn_e2e_infeasible_rate_fails_gate(tmp_path):
 
 # ---------------------------------------------------------------------------
 # fiber_e2e mode
+
+
+def test_cdc_receiver_compensates_heterogeneous_spans():
+    # lossless linear spans of different lengths and dispersions: CDC must
+    # undo the summed dispersion of the span list it is handed, whatever
+    # the configured span count
+    c = cst.load_builtin("square64")
+    frame, _ = dsp.random_symbols(c, 1024, seed=7)
+    wave = dsp.rrc_shape(frame, 2, 0.01)
+    spans = [
+        ch.SpanSpec(segments=(ch.FiberSegment(km * 1e3, 0.0, d, 80.0, 0.0),))
+        for km, d in ((80.0, 17.0), (40.0, 4.0), (100.0, 20.5))
+    ]
+    link = ch.propagate_link(wave, spans, seed=None, max_step_m=1e5)
+    cfg = ex.ExperimentConfig(mode="fiber_e2e")
+    got = ex._receiver_chain(link, spans, c, cfg, ex._dsp_config(cfg), use_dbp=False)
+    want = dsp.decimate(dsp.matched_filter(wave, rolloff=cfg.rrc_rolloff))
+    rel = np.max(np.abs(got.symbols - want.symbols)) / np.max(np.abs(want.symbols))
+    assert rel < 1e-9
 
 
 def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):
