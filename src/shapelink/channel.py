@@ -4,9 +4,11 @@ The signal lives in :class:`WaveformFrame` objects, dual-polarization
 complex baseband at ``sample_rate``.  Propagation over a
 :class:`FiberSegment` uses the symmetric split-step Fourier method with
 loss folded into the linear half-steps and a Manakov (8/9) Kerr rotation
-at the step midpoint; a :class:`SpanSpec` chains segments and ends in a
-lumped amplifier whose ASE is set by its noise figure.  WDM helpers shift
-channels onto a fixed grid and impose a spectral tilt.
+at the step midpoint.  Adjacent linear half-steps are merged into one
+full-step operator, so a step costs two FFTs rather than four.  A
+:class:`SpanSpec` chains segments and ends in a lumped amplifier whose
+ASE is set by its noise figure.  WDM helpers shift channels onto a fixed
+grid and impose a spectral tilt.
 
 Conventions: optical power is the sum over both polarizations of the
 time-averaged |field|^2, in watts.  Spectra follow the numpy FFT sign
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import c as _C0, h as _PLANCK
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInputError
 
 __all__ = [
     "WaveformFrame",
@@ -101,15 +103,32 @@ class WaveformFrame:
 
 
 def with_power(frame: WaveformFrame, power_dbm: float) -> WaveformFrame:
-    """Rescale the field to the requested total power."""
+    """Rescale the field to the requested total power.
+
+    An all-zero frame has no power to rescale and raises
+    :class:`DegenerateInputError`.
+    """
+    power = frame.power
+    if power == 0.0:
+        raise DegenerateInputError("cannot rescale an all-zero frame")
     target = 10.0 ** (power_dbm / 10.0) * 1e-3
-    scale = math.sqrt(target / frame.power)
+    scale = math.sqrt(target / power)
     return frame.with_samples(frame.samples * scale)
 
 
 # ---------------------------------------------------------------------------
 # fiber and span descriptions
 # ---------------------------------------------------------------------------
+
+
+def _beta2(dispersion_si: float, wavelength_nm: float) -> float:
+    """beta2 = -D lambda^2 / (2 pi c) for D in SI units.
+
+    D in s/m^2 gives beta2 in s^2/m; an accumulated D*L in s/m gives the
+    accumulated beta2*L in s^2.
+    """
+    lam = wavelength_nm * 1e-9
+    return -dispersion_si * lam**2 / (2.0 * math.pi * _C0)
 
 
 @dataclass(frozen=True)
@@ -150,9 +169,7 @@ class FiberSegment:
     @property
     def beta2_s2_m(self) -> float:
         """GVD parameter beta2 = -D lambda^2 / (2 pi c), s^2/m."""
-        lam = self.reference_wavelength_nm * 1e-9
-        d_si = self.dispersion_ps_nm_km * 1e-6  # s/m^2
-        return -d_si * lam**2 / (2.0 * math.pi * _C0)
+        return _beta2(self.dispersion_ps_nm_km * 1e-6, self.reference_wavelength_nm)
 
     @property
     def gamma_per_w_m(self) -> float:
@@ -250,31 +267,40 @@ def _ssfm_core(
     """Symmetric split-step engine shared by forward propagation and DBP.
 
     ``gamma_eff`` already includes the Manakov 8/9; negative
-    ``alpha_power_per_m`` turns loss into gain (back-propagation).  The
-    per-step sequence is linear half (dispersion + loss), full Kerr phase
-    on the midpoint field, linear half again; with all three parameters
-    negated and the same step count this is its own exact algebraic
-    inverse (the phase operator preserves the modulus it reads).
+    ``alpha_power_per_m`` turns loss into gain (back-propagation).  Each
+    step is linear half (dispersion + loss), full Kerr phase on the
+    midpoint field, linear half again.  The two linear halves that meet
+    between consecutive steps are merged into one full-step operator, so
+    the field is transformed once on entry and once on exit and each step
+    costs one inverse and one forward FFT:
+
+        fft, half, [ifft, Kerr, fft, full] x (steps - 1), ifft, Kerr, fft,
+        half, ifft
+
+    The sequence is palindromic, so with all three parameters negated and
+    the same step count it is its own exact algebraic inverse (the phase
+    operator preserves the modulus it reads).  With ``gamma_eff`` zero the
+    per-step transform pair is skipped and only the operators multiply.
     """
     h = length_m / steps
     f = np.fft.fftfreq(samples.shape[1], d=1.0 / sample_rate)
-    half_op = np.exp(2j * math.pi**2 * beta2_s2_m * (h / 2.0) * f**2) * math.exp(
-        -alpha_power_per_m * h / 4.0
-    )
-    a = np.array(samples)
-    for _ in range(steps):
-        a = np.fft.ifft(np.fft.fft(a, axis=1) * half_op, axis=1)
+    phase = 2.0 * math.pi**2 * beta2_s2_m * h * f**2
+    half_op = np.exp(0.5j * phase) * math.exp(-alpha_power_per_m * h / 4.0)
+    full_op = np.exp(1j * phase) * math.exp(-alpha_power_per_m * h / 2.0)
+    spec = np.fft.fft(samples, axis=1) * half_op
+    for k in range(steps):
         if gamma_eff:
+            a = np.fft.ifft(spec, axis=1)
             a *= np.exp(1j * gamma_eff * h * np.sum(np.abs(a) ** 2, axis=0))
-        a = np.fft.ifft(np.fft.fft(a, axis=1) * half_op, axis=1)
-    return a
+            spec = np.fft.fft(a, axis=1)
+        spec *= full_op if k < steps - 1 else half_op
+    return np.fft.ifft(spec, axis=1)
 
 
 def ssfm_propagate(
     frame: WaveformFrame,
     seg: FiberSegment,
     max_step_m: float = 1000.0,
-    scheme: str = "symmetric",
 ) -> WaveformFrame:
     """Propagate through one fiber segment (symmetric split-step).
 
@@ -282,8 +308,6 @@ def ssfm_propagate(
     nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h rotates both
     polarizations at the midpoint.  Uniform steps of length_m / ceil(L/h).
     """
-    if scheme != "symmetric":
-        raise ValueError("only the symmetric scheme is implemented")
     if max_step_m <= 0:
         raise ValueError("max_step_m must be positive")
     steps = int(math.ceil(seg.length_m / max_step_m))
@@ -527,10 +551,7 @@ def write_waveform(frame: WaveformFrame, path) -> None:
         fh.write(
             _HEADER.pack(_MAGIC, _VERSION, frame.n_samples, frame.sample_rate, frame.center_frequency)
         )
-        inter = np.empty((2, frame.n_samples, 2), dtype="<f8")
-        inter[:, :, 0] = frame.samples.real
-        inter[:, :, 1] = frame.samples.imag
-        fh.write(inter.tobytes())
+        fh.write(frame.samples.astype("<c16").tobytes())
 
 
 def read_waveform(path, symbol_rate: float | None = None) -> WaveformFrame:
@@ -551,8 +572,7 @@ def read_waveform(path, symbol_rate: float | None = None) -> WaveformFrame:
         raw = fh.read(2 * n * 2 * 8)
         if len(raw) != 2 * n * 2 * 8:
             raise ConfigurationError("truncated waveform payload")
-    inter = np.frombuffer(raw, dtype="<f8").reshape(2, n, 2)
-    samples = inter[:, :, 0] + 1j * inter[:, :, 1]
+    samples = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(2, n)
     return WaveformFrame(
         samples=samples,
         sample_rate=fs,

@@ -39,6 +39,7 @@ __all__ = [
     "save_constellation",
     "gmi_estimate",
     "gap_to_capacity",
+    "gap_from_gmi",
     "gmi_from_llrs",
     "bitwise_llrs",
     "papr",
@@ -375,8 +376,14 @@ def gap_to_capacity(c, snr_db: float, **estimator_kw) -> float:
     Defined as 2 * (log2(1 + SNR) - GMI_2D); both polarizations carry the
     same constellation, hence the factor 2.
     """
+    return gap_from_gmi(gmi_estimate(c, snr_db, **estimator_kw), snr_db)
+
+
+def gap_from_gmi(gmi_2d: float, snr_db: float) -> float:
+    """Gap to the Gaussian capacity at ``snr_db`` of a known 2D GMI, bit per
+    4D symbol: 2 * (log2(1 + SNR) - ``gmi_2d``)."""
     cap = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
-    return 2.0 * (cap - gmi_estimate(c, snr_db, **estimator_kw))
+    return 2.0 * (cap - gmi_2d)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SpanSpec, WaveformFrame, _ssfm_core
+from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core
 from .constellation import Constellation, bitwise_llrs
 from .errors import AlignmentError, ConfigurationError, EstimationFailure
 
@@ -292,9 +292,6 @@ def decimate(frame: WaveformFrame, phase: int = 0) -> SymbolFrame:
 # ---------------------------------------------------------------------------
 # linear compensation
 
-_C_M_S = 299_792_458.0
-
-
 def cd_compensate(
     frame: WaveformFrame, total_dispersion_ps_nm: float, wavelength_nm: float = 1550.0
 ) -> WaveformFrame:
@@ -304,9 +301,7 @@ def cd_compensate(
     undone; the operator is the exact inverse of the split-step linear
     stage, so compensating a linear-only fiber is an identity round trip.
     """
-    lam = wavelength_nm * 1e-9
-    dl_si = total_dispersion_ps_nm * 1e-3  # ps/nm -> s/m
-    beta2_l = -dl_si * lam**2 / (2.0 * math.pi * _C_M_S)  # s^2
+    beta2_l = _beta2(total_dispersion_ps_nm * 1e-3, wavelength_nm)  # s^2
     f = np.fft.fftfreq(frame.n_samples, d=1.0 / frame.sample_rate)
     op = np.exp(-2j * math.pi**2 * beta2_l * f**2)
     out = np.fft.ifft(np.fft.fft(frame.samples, axis=1) * op, axis=1)
@@ -535,18 +530,23 @@ def vv_cpe(
 def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> WaveformFrame:
     """Digitally back-propagate through the link, spans in reverse order.
 
-    Each span's amplifier gain is divided out (power-targeted spans are
-    treated as transparent, since the receiver cannot know the realized
-    gain), then every segment is run backwards with negated dispersion
-    and nonlinearity and loss turned into gain.  Step counts are
+    Each span's amplifier gain is divided out, then every segment is run
+    backwards with negated dispersion and nonlinearity and loss turned
+    into gain.  Step counts are
     allocated to segments proportionally to length, at least one each.
     With the forward fine-step counts reproduced exactly and a noiseless
     channel this inverts :func:`shapelink.channel.propagate_link` to
     numerical precision; at a few steps per span it is the conventional
     low-complexity nonlinearity compensator.
+
+    Spans with ``output_power_target_dbm`` raise
+    :class:`ConfigurationError`: their realized gain depends on the
+    signal and is not known to the receiver.
     """
     if steps_per_span < 1:
         raise ValueError("steps_per_span must be at least 1")
+    if any(span.output_power_target_dbm is not None for span in spans):
+        raise ConfigurationError("dbp cannot undo power-targeted spans (gain unknown)")
     a = np.array(frame.samples)
     for span in reversed(spans):
         gain_db = span.amp_gain_db if span.amp_gain_db is not None else span.loss_db

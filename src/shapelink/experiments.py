@@ -439,7 +439,7 @@ def _run_shape(cfg: ExperimentConfig, out_dir: str):
         cfg.design_snr_db,
         gmi0,
         gmi1,
-        cst.gap_to_capacity(shaped, cfg.design_snr_db),
+        cst.gap_from_gmi(gmi1, cfg.design_snr_db),
         papr_i,
         papr_q,
         result.iterations,
@@ -530,7 +530,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
         else:
             ber_post = 0.0 if feasible else float("nan")
         gate = fec.post_fec_gate(ber_post, cfg.ber_threshold) if math.isfinite(ber_post) else False
-        gap_4d = 2.0 * (math.log2(1.0 + 10.0 ** (float(snr_db) / 10.0)) - gmi_2d)
+        gap_4d = cst.gap_from_gmi(gmi_2d, float(snr_db))
         rows.append(
             (
                 float(snr_db),

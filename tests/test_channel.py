@@ -1,12 +1,17 @@
 """Fiber propagation, amplifier ASE, WDM, and waveform serialization."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.constants import h as PLANCK, c as C0
 
 from shapelink.channel import (
+    _ssfm_core,
     FiberSegment,
     SpanSpec,
     WaveformFrame,
@@ -25,7 +30,7 @@ from shapelink.channel import (
     with_power,
     write_waveform,
 )
-from shapelink.errors import ConfigurationError
+from shapelink.errors import ConfigurationError, DegenerateInputError
 
 
 def _noise_frame(seed, n=4096, fs=70e9, rs=35e9, power_w=1e-3):
@@ -65,6 +70,12 @@ def test_power_accounting():
     assert f.power_dbm == pytest.approx(10 * math.log10(2.0), abs=1e-9)
     g = with_power(f, -2.9)
     assert g.power_dbm == pytest.approx(-2.9, abs=1e-9)
+
+
+def test_with_power_rejects_silent_frame():
+    silent = WaveformFrame(samples=np.zeros((2, 16), complex), sample_rate=70e9)
+    with pytest.raises(DegenerateInputError):
+        with_power(silent, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +144,61 @@ def test_step_halving_second_order():
     order2 = math.log2(errs[1] / errs[2])
     assert order1 > 1.8
     assert order2 > 1.8
+
+
+def _four_fft_reference(samples, fs, length_m, steps, beta2, alpha, gamma_eff):
+    """Textbook symmetric split-step: FFT pair around each linear half step."""
+    h = length_m / steps
+    f = np.fft.fftfreq(samples.shape[1], d=1.0 / fs)
+    half = np.exp(1j * math.pi**2 * beta2 * h * f**2) * math.exp(-alpha * h / 4.0)
+    a = np.array(samples)
+    for _ in range(steps):
+        a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
+        a = a * np.exp(1j * gamma_eff * h * np.sum(np.abs(a) ** 2, axis=0))
+        a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
+    return a
+
+
+def _core_args(seg, steps):
+    return (seg.length_m, steps, seg.beta2_s2_m, seg.alpha_per_m, seg.gamma_per_w_m * 8 / 9)
+
+
+def test_merged_half_steps_match_four_fft_reference():
+    f = _noise_frame(20, n=4096, power_w=10e-3)
+    seg = FiberSegment(20e3, 0.2, 17.0, 80.0)
+    args = _core_args(seg, 10)
+    out = _ssfm_core(f.samples, f.sample_rate, *args)
+    ref = _four_fft_reference(f.samples, f.sample_rate, *args)
+    # the Kerr term must matter, or the comparison says nothing about it
+    linear = _ssfm_core(f.samples, f.sample_rate, *args[:-1], 0.0)
+    assert np.linalg.norm(linear - ref) / np.linalg.norm(ref) > 1e-3
+    assert np.linalg.norm(out - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_segment_uses_two_transforms_per_step(monkeypatch, steps):
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counted(*a, _real=real, **kw):
+            calls.append(1)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    f = _noise_frame(21, n=256)
+    seg = FiberSegment(7e3, 0.2, 17.0, 80.0)
+    ssfm_propagate(f, seg, max_step_m=seg.length_m / steps)
+    assert len(calls) == 2 * steps + 2
+
+
+def test_core_negated_parameters_invert_exactly():
+    f = _noise_frame(22, n=4096, power_w=10e-3)
+    seg = FiberSegment(30e3, 0.2, 17.0, 80.0)
+    length, steps, beta2, alpha, gamma = _core_args(seg, 3)
+    fwd = _ssfm_core(f.samples, f.sample_rate, length, steps, beta2, alpha, gamma)
+    back = _ssfm_core(fwd, f.sample_rate, length, steps, -beta2, -alpha, -gamma)
+    assert np.linalg.norm(back - f.samples) / np.linalg.norm(f.samples) <= 1e-12
 
 
 def test_step_overflow_rejected():
@@ -359,6 +425,44 @@ def test_waveform_round_trip(tmp_path):
     # default symbol rate convention: half the sample rate
     again = read_waveform(path)
     assert again.symbol_rate == pytest.approx(f.sample_rate / 2)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _frames(draw):
+    n = draw(st.integers(1, 40))
+    parts = draw(arrays(np.float64, (2, n, 2), elements=_finite, fill=st.nothing()))
+    fs = draw(st.floats(1.0, 1e15))
+    return WaveformFrame(
+        samples=parts.view(np.complex128)[..., 0],
+        sample_rate=fs,
+        symbol_rate=fs / 2.0,
+        center_frequency=draw(_finite),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frames())
+@example(
+    WaveformFrame(
+        samples=np.array([[complex(0.0, -0.0)], [complex(-0.0, 5e-324)]]),
+        sample_rate=2.0,
+        symbol_rate=1.0,
+        center_frequency=-0.0,
+    )
+)
+def test_waveform_round_trip_is_bit_exact(frame):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.bin"
+        write_waveform(frame, path)
+        back = read_waveform(path)
+    # byte comparison: signed zeros and subnormals must survive too
+    assert back.samples.tobytes() == frame.samples.tobytes()
+    assert back.sample_rate == frame.sample_rate
+    assert back.symbol_rate == frame.symbol_rate
+    assert back.center_frequency == frame.center_frequency
 
 
 def test_waveform_reader_rejects_garbage(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 import shapelink.channel as ch
 import shapelink.constellation as cn
 import shapelink.dsp as dsp
-from shapelink.errors import AlignmentError, EstimationFailure
+from shapelink.errors import AlignmentError, ConfigurationError, EstimationFailure
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +458,16 @@ def test_dbp_four_steps_beats_cdc_on_nonlinear_link():
     coarse = dsp.dbp(rx, spans, steps_per_span=4)
     cdc = dsp.cd_compensate(rx, dl_total)
     assert dsp.evm_db(coarse, wf) < dsp.evm_db(cdc, wf) - 3.0
+
+
+def test_dbp_rejects_power_targeted_spans(square):
+    frame, _ = dsp.random_symbols(square, 256, seed=16)
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    targeted = ch.SpanSpec(
+        segments=ch.hybrid_span().segments, output_power_target_dbm=0.0
+    )
+    with pytest.raises(ConfigurationError):
+        dsp.dbp(wf, [ch.hybrid_span(), targeted], steps_per_span=4)
 
 
 # ---------------------------------------------------------------------------
