@@ -529,24 +529,23 @@ _MAGIC = b"WFRM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQdd")  # magic, version, N, sample_rate, center_frequency
 
-_FORMAT_DOC = """
-Little-endian binary layout:
-
-    bytes 0..3    magic "WFRM"
-    bytes 4..7    version (uint32, currently 1)
-    bytes 8..15   N, samples per polarization (uint64)
-    bytes 16..23  sample_rate, Hz (float64)
-    bytes 24..31  center_frequency, Hz (float64)
-    then          2 polarizations x N samples, float64 I/Q interleaved,
-                  polarization-major
-
-The header does not carry the symbol rate; the reader takes it as a
-parameter (default sample_rate / 2, i.e. two samples per symbol).
-"""
-
 
 def write_waveform(frame: WaveformFrame, path) -> None:
-    """Serialize to the binary interchange format."""
+    """Serialize to the little-endian binary interchange format.
+
+    ::
+
+        bytes 0..3    magic "WFRM"
+        bytes 4..7    version (uint32, currently 1)
+        bytes 8..15   N, samples per polarization (uint64)
+        bytes 16..23  sample_rate, Hz (float64)
+        bytes 24..31  center_frequency, Hz (float64)
+        then          2 polarizations x N samples, float64 I/Q interleaved,
+                      polarization-major
+
+    The header does not carry the symbol rate; :func:`read_waveform` takes
+    it as a parameter.
+    """
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(_MAGIC, _VERSION, frame.n_samples, frame.sample_rate, frame.center_frequency)
@@ -557,8 +556,8 @@ def write_waveform(frame: WaveformFrame, path) -> None:
 def read_waveform(path, symbol_rate: float | None = None) -> WaveformFrame:
     """Read the binary interchange format.
 
-    ``symbol_rate`` defaults to sample_rate / 2 because the header has no
-    field for it (see the format notes).
+    ``symbol_rate`` defaults to sample_rate / 2 (two samples per symbol)
+    because the header has no field for it (see :func:`write_waveform`).
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)

@@ -247,6 +247,13 @@ def _squared_distances(y: np.ndarray, points: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _shifted_metrics(d2, noise_var):
+    # overwrite squared distances with exp(-(d2 - min_j d2) / noise_var)
+    d2 -= d2.min(axis=1, keepdims=True)
+    d2 *= -1.0 / noise_var
+    return np.exp(d2, out=d2)
+
+
 def _coset_sums(d2, tx_bits, c0, noise_var):
     """Gaussian metric sums of a block of received samples.
 
@@ -256,9 +263,7 @@ def _coset_sums(d2, tx_bits, c0, noise_var):
     S_same (n, m), the sum of p over the points that share the transmitted
     label's bit k.  The shift cancels in every ratio of these sums.
     """
-    d2 -= d2.min(axis=1, keepdims=True)
-    d2 *= -1.0 / noise_var
-    p = np.exp(d2, out=d2)
+    p = _shifted_metrics(d2, noise_var)
     s_all = p.sum(axis=1)
     s0 = p @ c0
     s_same = np.where(tx_bits == 0, s0, s_all[:, None] - s0)
@@ -327,6 +332,11 @@ def bitwise_llrs(
     Positive LLR means bit 0 is more likely.  ``noise_variance`` is the total
     (2D) complex noise variance.  ``max_log`` replaces the full sums with
     maxima.  Returns an (n, m) array aligned to label bit order.
+
+    Works on real squared distances (no complex temporaries).  The full
+    metric shifts each row by its nearest point, exponentiates in place
+    and takes both coset sums from one ``p @ [c0 | c1]`` product; max-log
+    takes the coset minima of the same distances.
     """
     points, bits = _points_and_bits(c)
     if noise_variance <= 0:
@@ -335,22 +345,20 @@ def bitwise_llrs(
     m = bits.shape[1]
     out = np.empty((symbols.size, m))
     c0 = _coset_zero_matrix(bits)
-    c1 = 1.0 - c0
+    cosets = np.hstack([c0, 1.0 - c0])
     chunk = 1 << 17
     for start in range(0, symbols.size, chunk):
-        y = symbols[start : start + chunk]
-        logq = -(np.abs(y[:, None] - points[None, :]) ** 2) / noise_variance
+        d2 = _squared_distances(symbols[start : start + chunk], points)
         if max_log:
-            big_neg = -1e30
-            l0 = np.max(logq[:, :, None] + np.where(c0, 0.0, big_neg)[None, :, :], axis=1)
-            l1 = np.max(logq[:, :, None] + np.where(c1, 0.0, big_neg)[None, :, :], axis=1)
-            out[start : start + chunk] = l0 - l1
+            for k in range(m):
+                zero = bits[:, k] == 0
+                gap = d2[:, ~zero].min(axis=1) - d2[:, zero].min(axis=1)
+                out[start : start + chunk, k] = gap / noise_variance
         else:
-            shift = logq.max(axis=-1, keepdims=True)
-            p = np.exp(logq - shift)
-            s0 = np.maximum(p @ c0, _TINY)
-            s1 = np.maximum(p @ c1, _TINY)
-            out[start : start + chunk] = np.log(s0) - np.log(s1)
+            s = _shifted_metrics(d2, noise_variance) @ cosets
+            np.maximum(s, _TINY, out=s)
+            np.log(s, out=s)
+            np.subtract(s[:, :m], s[:, m:], out=out[start : start + chunk])
     return out
 
 
@@ -485,21 +493,20 @@ def add_ring_markers(c, ring_gain: float = 1.15):
 # File format
 # ---------------------------------------------------------------------------
 
-_FORMAT_DOC = """
-Text format, one point per line: `<6-bit label> <I> <Q>` with I/Q in decimal.
-Lines starting with `#` are comments.  Header comments record metadata:
-
-    # design_snr_db: 12.0
-    # marker_indices: 3 17 42 60
-
-The point set must be unit average power; the reader validates every
-Constellation invariant.
-"""
-
 
 def save_constellation(c: Constellation, path) -> None:
-    """Write ``c`` in the text interchange format (17 significant digits,
-    enough for an exact round trip)."""
+    """Write ``c`` in the text interchange format.
+
+    One point per line, ``<6-bit label> <I> <Q>``, with I and Q in decimal
+    at 17 significant digits (enough for an exact round trip).  Lines
+    starting with ``#`` are comments; header comments carry the metadata::
+
+        # design_snr_db: 12.0
+        # marker_indices: 3 17 42 60
+
+    The point set is at unit average power; :func:`load_constellation`
+    validates every :class:`Constellation` invariant on reading.
+    """
     lines = ["# shapelink constellation, 64 points, unit average power"]
     if c.design_snr_db is not None:
         lines.append(f"# design_snr_db: {c.design_snr_db!r}")

@@ -29,13 +29,14 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core
-from .constellation import Constellation, bitwise_llrs
+from .constellation import Constellation, _squared_distances, bitwise_llrs
 from .errors import AlignmentError, ConfigurationError, EstimationFailure
 
 __all__ = [
@@ -312,8 +313,21 @@ def cd_compensate(
 # adaptive equalization
 
 
-def _nearest_radius_sq(radii_sq: np.ndarray, power: float) -> float:
-    return float(radii_sq[np.argmin(np.abs(radii_sq - power))])
+def _nearest_radius_sq(radii_sq: list, power: float) -> float:
+    """Entry of the ascending list ``radii_sq`` nearest to ``power``.
+
+    A bisection between the two neighbours; a tie goes to the smaller
+    one, so for every finite power the equalizer keeps (below its 1e4
+    divergence limit, where the float distances to distinct radii stay
+    distinct) this is the entry ``argmin(|radii_sq - power|)`` picks.
+    """
+    i = bisect.bisect_left(radii_sq, power)
+    if i == 0:
+        return radii_sq[0]
+    if i == len(radii_sq):
+        return radii_sq[-1]
+    lo, hi = radii_sq[i - 1], radii_sq[i]
+    return lo if power - lo <= hi - power else hi
 
 
 def rde_equalize(
@@ -330,6 +344,10 @@ def rde_equalize(
     no delay.  The input is first scaled to unit per-polarization power,
     matching the unit-power constellation.
 
+    Per symbol the butterfly is one ``(2, 2K) @ (2K,)`` product of the
+    stacked taps with the stacked x/y input window, and the update one
+    rank-1 step with the window's precomputed conjugate.
+
     If the output power of a recent block exceeds 10x the input power the
     run is flagged as diverged and restarted from scratch with the step
     halved.  Returns the symbol-rate output, plus an
@@ -345,43 +363,41 @@ def rde_equalize(
     # unit average power per polarization (the radius set assumes it)
     a *= math.sqrt(1.0 / np.mean(np.abs(a) ** 2))
 
-    radii_sq = np.asarray(c.radius_set()) ** 2
+    radii_sq = (np.asarray(c.radius_set()) ** 2).tolist()
     n_sym = a.shape[1] // 2
     pad = np.pad(a, ((0, 0), (half, half)))
-    win_x = np.lib.stride_tricks.sliding_window_view(pad[0], k)[::2][:n_sym]
-    win_y = np.lib.stride_tricks.sliding_window_view(pad[1], k)[::2][:n_sym]
+    # row n: the x window then the y window of symbol n
+    win = np.concatenate(
+        [np.lib.stride_tricks.sliding_window_view(pad[p], k)[::2][:n_sym] for p in range(2)],
+        axis=1,
+    )
+    win_conj = win.conj()
 
     check_every = 128
     max_restarts = 12
     restarts = 0
     mu = cfg.equalizer_step
+    grad = np.empty((2, 1), dtype=np.complex128)
 
     while True:
         w = np.zeros((2, 2, k), dtype=np.complex128)
         w[0, 0, half] = 1.0
         w[1, 1, half] = 1.0
-        out = np.empty((2, n_sym), dtype=np.complex128)
+        taps = w.reshape(2, 2 * k)  # a view: [out_pol, x taps | y taps]
+        out = np.empty((n_sym, 2), dtype=np.complex128)
         diverged = False
         block_acc = 0.0
 
         for p in range(cfg.equalizer_passes):
             for n in range(n_sym):
-                ux = win_x[n]
-                uy = win_y[n]
-                yx = np.dot(w[0, 0], ux) + np.dot(w[0, 1], uy)
-                yy = np.dot(w[1, 0], ux) + np.dot(w[1, 1], uy)
+                y = out[n]
+                np.matmul(taps, win[n], out=y)
+                yx, yy = y.tolist()
                 px = yx.real * yx.real + yx.imag * yx.imag
                 py = yy.real * yy.real + yy.imag * yy.imag
-                ex = _nearest_radius_sq(radii_sq, px) - px
-                ey = _nearest_radius_sq(radii_sq, py) - py
-                gx = mu * ex * yx
-                gy = mu * ey * yy
-                w[0, 0] += gx * ux.conj()
-                w[0, 1] += gx * uy.conj()
-                w[1, 0] += gy * ux.conj()
-                w[1, 1] += gy * uy.conj()
-                out[0, n] = yx
-                out[1, n] = yy
+                grad[0, 0] = mu * (_nearest_radius_sq(radii_sq, px) - px) * yx
+                grad[1, 0] = mu * (_nearest_radius_sq(radii_sq, py) - py) * yy
+                taps += grad * win_conj[n]
                 block_acc += px + py
                 # catch runaway outputs before they overflow to inf/nan,
                 # where the block average comparison would go silent
@@ -402,7 +418,7 @@ def rde_equalize(
             raise EstimationFailure("equalizer diverged at the minimum step size")
         mu *= 0.5
 
-    result = SymbolFrame(symbols=out, symbol_rate=frame.symbol_rate, alignment=None)
+    result = SymbolFrame(symbols=out.T, symbol_rate=frame.symbol_rate, alignment=None)
     if return_state:
         return result, EqualizerState(taps=w, restarts=restarts, step_used=mu)
     return result
@@ -592,8 +608,7 @@ def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
     chunk = 1 << 16
     acc = 0.0
     for start in range(0, flat.size, chunk):
-        y = flat[start : start + chunk]
-        d2 = np.abs(y[:, None] - c.points[None, :]) ** 2
+        d2 = _squared_distances(flat[start : start + chunk], c.points)
         acc += float(d2.min(axis=1).sum())
     return float(max(acc / flat.size, 1e-12))
 

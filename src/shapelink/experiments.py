@@ -476,16 +476,15 @@ def _run_gap_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1):
     return columns, rows, []
 
 
-def _coded_ber(cfg, llr_magnitudes, rng) -> float:
-    """Measured post-decode error ratio on the configured code.
+def _coded_ber(enc, llr_magnitudes, rng) -> float:
+    """Measured post-decode error ratio on the encoder's code.
 
     Random information words are encoded, the codeword bits impressed as
     signs on the measured LLR magnitudes (the channel is symmetric under
     the bit labeling, so this is equivalent to remapping and
     retransmitting), and the result decoded.
     """
-    h = fec.load_alist(cfg.fec_matrix)
-    enc = fec.systematic_encoder(h)
+    h = enc.h
     flat = llr_magnitudes.reshape(-1)
     n_cw = flat.size // h.cols
     if n_cw == 0:
@@ -506,6 +505,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
         raise ConfigurationError("sweep range is empty")
     rates = [Fraction(r) for r in cfg.fec_rates]
     m = c.bit_matrix.shape[1]
+    enc = fec.systematic_encoder(fec.load_alist(cfg.fec_matrix)) if cfg.fec_matrix else None
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for snr_db in snrs:
@@ -525,8 +525,8 @@ def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
         # ber_post_fec is what enters the outer code: measured through the
         # configured inner code, or the ideal-inner-code model (error free
         # at a feasible rate) when no matrix is given
-        if cfg.fec_matrix:
-            ber_post = _coded_ber(cfg, np.abs(llrs), rng)
+        if enc is not None:
+            ber_post = _coded_ber(enc, np.abs(llrs), rng)
         else:
             ber_post = 0.0 if feasible else float("nan")
         gate = fec.post_fec_gate(ber_post, cfg.ber_threshold) if math.isfinite(ber_post) else False

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "ParityCheckMatrix",
-    "RatePlan",
     "DecodeResult",
     "SystematicEncoder",
     "ldpc_decode",
@@ -288,12 +287,16 @@ class SystematicEncoder:
     remaining ``parity_positions`` are solved from the checks.  ``rank``
     may be below the row count for redundant matrices, in which case the
     information length exceeds cols - rows.
+
+    Parity bits come from one float64 (BLAS) product of the information
+    bits with the 0/1 solver, reduced mod 2.  Every partial sum is an
+    integer of at most k, so the product is exact while k < 2**53.
     """
 
     h: ParityCheckMatrix
     info_positions: np.ndarray
     parity_positions: np.ndarray
-    _solver: np.ndarray  # (n_parity, k) over GF(2)
+    _solver_t: np.ndarray  # (k, n_parity) float64 0/1, GF(2) solver transposed
 
     @property
     def k(self) -> int:
@@ -310,7 +313,7 @@ class SystematicEncoder:
             raise ValueError(f"expected {self.k} information bits")
         out = np.zeros((info.shape[0], self.h.cols), dtype=np.uint8)
         out[:, self.info_positions] = info
-        out[:, self.parity_positions] = (info @ self._solver.T) % 2
+        out[:, self.parity_positions] = np.fmod(info.astype(np.float64) @ self._solver_t, 2.0)
         return out[0] if np.asarray(info_bits).ndim == 1 else out
 
 
@@ -336,9 +339,9 @@ def systematic_encoder(h: ParityCheckMatrix) -> SystematicEncoder:
     pivots = np.array(pivot_cols, dtype=np.int64)
     info = np.setdiff1d(np.arange(cols), pivots)
     # reduced rows: pivot_bit = sum of that row's info-column bits
-    solver = m[: pivots.size][:, info]
+    solver_t = np.ascontiguousarray(m[: pivots.size][:, info].T, dtype=np.float64)
     return SystematicEncoder(
-        h=h, info_positions=info, parity_positions=pivots, _solver=solver
+        h=h, info_positions=info, parity_positions=pivots, _solver_t=solver_t
     )
 
 
@@ -410,23 +413,6 @@ def hamming74() -> ParityCheckMatrix:
 
 # ---------------------------------------------------------------------------
 # rate and throughput arithmetic
-
-
-@dataclass(frozen=True)
-class RatePlan:
-    """Code-rate bookkeeping for one channel."""
-
-    code_rate: Fraction
-    bch_overhead: float = 0.005
-    bch_ber_threshold: float = 3e-4
-    symbol_rate: float = 35e9
-    bits_per_4d_symbol: float = 12.0
-
-    def __post_init__(self):
-        if not 0 < self.code_rate < 1:
-            raise ValueError("code_rate must be in (0, 1)")
-        if self.bch_overhead < 0:
-            raise ValueError("bch_overhead must be nonnegative")
 
 
 def select_rate(

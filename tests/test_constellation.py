@@ -152,6 +152,37 @@ def test_max_log_llrs_close_at_high_snr():
     assert np.median(np.abs(full - approx)) < 0.05 * np.median(np.abs(full))
 
 
+def _reference_llrs(c, y, nu, max_log):
+    # the plain formula: complex distances, log-metrics shifted by the row
+    # maximum, per-coset sums (or maxima) over an explicit label mask
+    points, bits = c.points, c.bit_matrix
+    logq = -(np.abs(y[:, None] - points[None, :]) ** 2) / nu
+    zero = (bits == 0)[None, :, :]
+    if max_log:
+        l0 = np.max(np.where(zero, logq[:, :, None], -np.inf), axis=1)
+        l1 = np.max(np.where(zero, -np.inf, logq[:, :, None]), axis=1)
+        return l0 - l1
+    p = np.exp(logq - logq.max(axis=1, keepdims=True))
+    s0 = np.maximum(p @ zero[0], 1e-300)
+    s1 = np.maximum(p @ ~zero[0], 1e-300)
+    return np.log(s0) - np.log(s1)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("max_log", [False, True])
+def test_llr_kernel_matches_reference_formula(name, max_log):
+    c = load_builtin(name)
+    rng = np.random.default_rng(21)
+    for snr_db in (0.0, 11.0, 20.0, 30.0):
+        nu = 10 ** (-snr_db / 10)
+        idx = rng.integers(0, 64, 3000)
+        noise = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+        y = c.points[idx] + noise * math.sqrt(nu / 2)
+        want = _reference_llrs(c, y, nu, max_log)
+        got = bitwise_llrs(c, y, nu, max_log=max_log)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # PAPR
 # ---------------------------------------------------------------------------

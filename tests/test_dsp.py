@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shapelink.channel as ch
 import shapelink.constellation as cn
@@ -264,6 +265,103 @@ def test_rde_divergence_restarts(square):
     assert np.all(np.isfinite(eq.symbols))
 
 
+def _reference_rde(frame, c, cfg=dsp.DEFAULT_DSP_CONFIG):
+    """The per-symbol equalizer written out plainly: four dot products and a
+    full argmin over the radius set per symbol, same checks and restarts."""
+    k = cfg.equalizer_taps
+    half = (k - 1) // 2
+    a = np.array(frame.samples)
+    a *= math.sqrt(1.0 / np.mean(np.abs(a) ** 2))
+    radii_sq = np.asarray(c.radius_set()) ** 2
+    n_sym = a.shape[1] // 2
+    pad = np.pad(a, ((0, 0), (half, half)))
+    win_x = np.lib.stride_tricks.sliding_window_view(pad[0], k)[::2][:n_sym]
+    win_y = np.lib.stride_tricks.sliding_window_view(pad[1], k)[::2][:n_sym]
+
+    def nearest(power):
+        return float(radii_sq[np.argmin(np.abs(radii_sq - power))])
+
+    restarts = 0
+    mu = cfg.equalizer_step
+    while True:
+        w = np.zeros((2, 2, k), dtype=np.complex128)
+        w[0, 0, half] = 1.0
+        w[1, 1, half] = 1.0
+        out = np.empty((2, n_sym), dtype=np.complex128)
+        diverged = False
+        block_acc = 0.0
+        for _ in range(cfg.equalizer_passes):
+            for n in range(n_sym):
+                ux = win_x[n]
+                uy = win_y[n]
+                yx = np.dot(w[0, 0], ux) + np.dot(w[0, 1], uy)
+                yy = np.dot(w[1, 0], ux) + np.dot(w[1, 1], uy)
+                px = yx.real * yx.real + yx.imag * yx.imag
+                py = yy.real * yy.real + yy.imag * yy.imag
+                gx = mu * (nearest(px) - px) * yx
+                gy = mu * (nearest(py) - py) * yy
+                w[0, 0] += gx * ux.conj()
+                w[0, 1] += gx * uy.conj()
+                w[1, 0] += gy * ux.conj()
+                w[1, 1] += gy * uy.conj()
+                out[0, n] = yx
+                out[1, n] = yy
+                block_acc += px + py
+                if px + py > 1e4:
+                    diverged = True
+                    break
+                if (n + 1) % 128 == 0:
+                    if not math.isfinite(block_acc) or block_acc / 256 > 10.0:
+                        diverged = True
+                        break
+                    block_acc = 0.0
+            if diverged:
+                break
+        if not diverged:
+            return out, w, restarts, mu
+        restarts += 1
+        mu *= 0.5
+
+
+@pytest.mark.parametrize("case", ["jones", "divergence"])
+def test_rde_matches_per_symbol_reference(square, case):
+    if case == "jones":
+        _, mf = _matched_2sps(square, 4096, seed=9)
+        wf = ch.apply_jones_rotation(mf, math.pi / 2.0)
+        cfg = dsp.DEFAULT_DSP_CONFIG
+    else:
+        _, wf = _matched_2sps(square, 2048, seed=11)
+        cfg = dsp.DspConfig(equalizer_step=0.5)
+    eq, state = dsp.rde_equalize(wf, square, cfg, return_state=True)
+    out, taps, restarts, mu = _reference_rde(wf, square, cfg)
+    assert state.restarts == restarts
+    assert state.step_used == mu
+    if case == "divergence":
+        assert restarts >= 1
+    assert np.linalg.norm(eq.symbols - out) / np.linalg.norm(out) <= 1e-12
+    assert np.linalg.norm(state.taps - taps) / np.linalg.norm(taps) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["square64", "awgn12", "papr12", "system12"]),
+    st.floats(min_value=0.0, max_value=1e4),
+)
+def test_nearest_radius_bisect_matches_argmin(name, power):
+    radii_sq = np.asarray(cn.load_builtin(name).radius_set()) ** 2
+    want = float(radii_sq[np.argmin(np.abs(radii_sq - power))])
+    assert dsp._nearest_radius_sq(radii_sq.tolist(), power) == want
+
+
+@pytest.mark.parametrize("name", ["square64", "system12"])
+def test_nearest_radius_ties_and_hits(name):
+    radii_sq = (np.asarray(cn.load_builtin(name).radius_set()) ** 2).tolist()
+    for lo, hi in zip(radii_sq, radii_sq[1:]):
+        for power in (lo, hi, 0.5 * (lo + hi), np.nextafter(0.5 * (lo + hi), hi)):
+            want = radii_sq[int(np.argmin(np.abs(np.asarray(radii_sq) - power)))]
+            assert dsp._nearest_radius_sq(radii_sq, power) == want
+
+
 def test_rde_rejects_wrong_rate(square):
     frame, _ = dsp.random_symbols(square, 256, seed=1)
     wf = dsp.rrc_shape(frame, 4, 0.01)
@@ -508,6 +606,18 @@ def test_llr_demap_auto_noise_variance(system12):
     rx = frame.with_symbols(frame.symbols + noise)
     out = dsp.llr_demap(rx, system12)
     assert 0.85 * nv < out.noise_variance < 1.15 * nv
+
+
+def test_auto_noise_variance_without_markers_is_nearest_point_residual(square):
+    # square64 has no markers: the estimate is the mean squared distance to
+    # the nearest point, here written with complex distances
+    frame, _ = dsp.random_symbols(square, 70_000, seed=31)
+    rng = np.random.default_rng(37)
+    noise = (rng.standard_normal((2, 70_000)) + 1j * rng.standard_normal((2, 70_000))) * 0.05
+    y = (frame.symbols + noise).ravel()
+    want = np.mean(np.min(np.abs(y[:, None] - square.points[None, :]) ** 2, axis=1))
+    got = dsp.llr_demap(frame.with_symbols(frame.symbols + noise), square).noise_variance
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_llr_demap_gmi_cross_validation(square):

@@ -360,6 +360,34 @@ def test_awgn_e2e_with_parity_matrix_measures_post_decode_ber(tmp_path):
     assert row["gate_pass"]
 
 
+def test_awgn_e2e_builds_the_code_once_per_sweep(tmp_path, monkeypatch):
+    h = fec.make_regular_ldpc(240, row_weight=6, col_weight=3, seed=1)
+    alist = tmp_path / "r12.alist"
+    fec.save_alist(h, str(alist))
+    calls = {"load_alist": 0, "systematic_encoder": 0}
+    for name in calls:
+        real = getattr(fec, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(fec, name, counted)
+    cfg = ex.ExperimentConfig(
+        mode="awgn_e2e",
+        output_dir=str(tmp_path),
+        source="square64",
+        snr_start_db=12.0,
+        snr_stop_db=14.0,
+        symbols=2400,
+        fec_matrix=str(alist),
+        fec_rates=("1/2",),
+    )
+    rep = ex.run_experiment(cfg)
+    assert len(rep.rows) == 3
+    assert calls == {"load_alist": 1, "systematic_encoder": 1}
+
+
 def test_awgn_e2e_infeasible_rate_fails_gate(tmp_path):
     cfg = ex.ExperimentConfig(
         mode="awgn_e2e",

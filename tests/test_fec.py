@@ -134,6 +134,24 @@ def test_encoder_valid_on_random_regular_code():
     assert not h.syndrome(cws).any()
 
 
+def test_float_encoder_matches_uint8_product():
+    # the float64 BLAS product must reproduce the GF(2) uint8 product
+    # (info @ S.T) % 2 bit for bit; uint8 sums wrap modulo 256, which keeps
+    # their parity, so the uint8 form is a valid reference at k = 600
+    h = fec.make_regular_ldpc(1200, 6, 3, seed=2)
+    enc = fec.systematic_encoder(h)
+    solver = enc._solver_t.T.astype(np.uint8)
+    assert set(np.unique(enc._solver_t)) <= {0.0, 1.0}
+    info = np.random.default_rng(4).integers(0, 2, size=(81, enc.k)).astype(np.uint8)
+    want = np.zeros((81, h.cols), dtype=np.uint8)
+    want[:, enc.info_positions] = info
+    want[:, enc.parity_positions] = (info @ solver.T) % 2
+    got = enc.encode(info)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert not h.syndrome(got).any()
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -351,12 +369,3 @@ def test_ber_rejects_length_mismatch():
         fec.ber_measure(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError):
         fec.ber_measure(np.array([], dtype=np.uint8), np.array([], dtype=np.uint8))
-
-
-def test_rate_plan_validation():
-    plan = fec.RatePlan(code_rate=Fraction(3, 4))
-    assert plan.bch_overhead == 0.005
-    with pytest.raises(ValueError):
-        fec.RatePlan(code_rate=Fraction(7, 6))
-    with pytest.raises(ValueError):
-        fec.RatePlan(code_rate=Fraction(1, 2), bch_overhead=-0.1)
