@@ -453,40 +453,29 @@ def _marker_ring(points: np.ndarray, markers: np.ndarray, target: float) -> np.n
     return ring
 
 
-def add_ring_markers(c, ring_gain: float = 1.15):
-    """Move the four outermost points onto a common marker ring.
+def add_ring_markers(c: Constellation, ring_gain: float = 1.15) -> Constellation:
+    """Return ``c`` with its four outermost points moved onto a marker ring.
 
-    The ring radius is ``ring_gain`` times the largest non-marker radius
-    (measured before the move), or the current outermost radius if that is
-    already larger, so markers only ever move outward.  Marker angles are
-    snapped to the nearest exactly quarter-turn-symmetric set (identity
-    for square QAM corners), which makes the ring's 4th power carry a
-    single label-independent constant.  The whole constellation is then
-    renormalized to unit power, which scales every point uniformly.  The
-    four marker indices are recorded on the result.
+    The ring radius is ``ring_gain`` (finite, > 1) times the largest
+    non-marker radius (measured before the move), or the current outermost
+    radius if that is already larger, so markers only ever move outward.
+    Marker angles are snapped to the nearest exactly quarter-turn-symmetric
+    set (identity for square QAM corners), which makes the ring's 4th power
+    carry a single label-independent constant.  The whole constellation is
+    then renormalized to unit power, which scales every point uniformly.
+    Labels and ``design_snr_db`` are kept; the four marker indices replace
+    any that ``c`` carried.
     """
-    if ring_gain <= 1.0:
-        raise ValueError("ring_gain must be > 1")
-    if isinstance(c, Constellation):
-        points = np.array(c.points)
-        if len(points) < 4:
-            raise ValueError("need at least 4 points")
-        markers = _marker_candidates(points)
-        target = _marker_target(points, markers, ring_gain)
-        points[markers] = _marker_ring(points, markers, target)
-        return Constellation(
-            points=normalized(points),
-            labels=c.labels,
-            marker_indices=frozenset(int(i) for i in markers),
-            design_snr_db=c.design_snr_db,
-        )
-    points = np.array(np.asarray(c, dtype=np.complex128))
-    if points.size < 4:
-        raise ValueError("need at least 4 points")
+    if not 1.0 < ring_gain < math.inf:
+        raise ValueError("ring_gain must be finite and > 1")
+    points = np.array(c.points)
     markers = _marker_candidates(points)
     target = _marker_target(points, markers, ring_gain)
     points[markers] = _marker_ring(points, markers, target)
-    return normalized(points), markers
+    return c.replace(
+        points=normalized(points),
+        marker_indices=frozenset(int(i) for i in markers),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +529,7 @@ def load_constellation(path) -> Constellation:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected '<label> <I> <Q>'")
             labels.append(parts[0])
-            pts.append(float(parts[1]) + 1j * float(parts[2]))
+            pts.append(complex(float(parts[1]), float(parts[2])))
     return Constellation(
         points=np.asarray(pts),
         labels=tuple(labels),

@@ -302,6 +302,14 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.append("channel.max_step_m: must be positive")
     if not 0.0 < cfg.rrc_rolloff < 1.0:
         d.append("dsp.rrc_rolloff: must be in (0, 1)")
+    if cfg.equalizer_taps < 1 or cfg.equalizer_taps % 2 == 0:
+        d.append("dsp.equalizer_taps: must be a positive odd number")
+    if not cfg.equalizer_step > 0:
+        d.append("dsp.equalizer_step: must be positive")
+    if cfg.equalizer_passes < 1:
+        d.append("dsp.equalizer_passes: must be at least 1")
+    if cfg.cpe_block_length < 1:
+        d.append("dsp.cpe_block_length: must be at least 1")
     if cfg.dbp_steps_per_span < 1:
         d.append("dsp.dbp_steps_per_span: must be at least 1")
     if cfg.fec_matrix and not os.path.isfile(cfg.fec_matrix):
@@ -324,10 +332,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.append("band.stop_nm: must exceed start_nm")
     if cfg.shape_iterations < 1:
         d.append("shape.iterations: must be at least 1")
-    if cfg.papr_weight < 0:
+    if not cfg.papr_weight >= 0:
         d.append("shape.papr_weight: must be nonnegative")
-    if cfg.ring_gain < 1.0:
-        d.append("shape.ring_gain: must be at least 1")
+    if not 1.0 < cfg.ring_gain < math.inf:
+        d.append("shape.ring_gain: must be finite and above 1")
     return d
 
 

@@ -13,14 +13,13 @@ Three-stage procedure:
 3. :func:`constellation.add_ring_markers` - move the four outermost points
    onto a distinct outer ring for blind phase estimation.
 
-The inner objective is the Gauss-Hermite GMI from :mod:`.constellation`
-(order 10 by default).  Its gradient is computed analytically below in
-softmax form, from the same forward pass as the value, so a line-search
-candidate that is accepted already carries the gradient of the next
-iteration; central finite differences over the 128 real coordinates are
-kept as an independent verification path (and as the fallback for the
-Monte Carlo estimator, whose seeded objective is deterministic but has no
-closed-form gradient here).
+The objective is the Gauss-Hermite GMI from :mod:`.constellation` (order
+10).  Its gradient is computed analytically below in softmax form, from the
+same forward pass as the value, so a line-search candidate that is accepted
+already carries the gradient of the next iteration.  Central finite
+differences over the 128 real coordinates
+(:func:`finite_difference_gradient`) are kept as the independent reference
+the gradient tests check against.
 """
 
 from __future__ import annotations
@@ -55,56 +54,41 @@ __all__ = [
 class ShapingConfig:
     """Shaping stage configuration.
 
-    ``gmi_estimator`` selects the inner objective: "gauss_hermite" (order
-    ``gh_order`` >= 4) or "monte_carlo" (``mc_samples`` >= 1e5, fixed
-    ``mc_seed``).  The ascent is L-BFGS with an Armijo backtracking line
-    search.  ``step_size`` is the length, on the unit-power coordinate
-    scale, of the first trial step along a plain gradient direction (the
-    first iteration, and the retry after a curvature step fails); L-BFGS
-    directions are first tried at their own unit step.  Backtracking halves
-    the step up to ``max_backtracks`` times per iteration.  The ascent stops
-    after ``max_iterations`` accepted steps or when one accepted step
-    improves the objective by less than ``improvement_tol`` bit.
+    The objective is the order-10 Gauss-Hermite GMI at ``target_snr_db``,
+    minus ``papr_penalty_weight`` times a smooth max of the per-dimension
+    PAPRs.  The ascent is L-BFGS with an Armijo backtracking line search.
+    ``step_size`` is the length, on the unit-power coordinate scale, of the
+    first trial step along a plain gradient direction (the first iteration,
+    and the retry after a curvature step fails); L-BFGS directions are first
+    tried at their own unit step.  Backtracking halves the step up to 20
+    times per iteration.  The ascent stops after ``max_iterations`` accepted
+    steps or when one accepted step improves the objective by less than
+    ``improvement_tol`` bit.
 
-    ``init_jitter`` perturbs the starting point by seeded complex Gaussian
-    noise of that RMS amplitude before the climb.  Gradient flow preserves
-    whatever point-group symmetry the initial layout has, so a perfectly
-    symmetric start (square QAM) gets trapped on a symmetric submanifold
-    well short of the reachable optimum; a small asymmetric kick escapes
-    it.  If the jittered climb somehow ends below the initial objective,
-    the ascent silently reruns from the unperturbed start, so the monotone
-    guarantee versus the input is kept exactly.  Set 0 to disable.
+    ``init_jitter`` perturbs the starting point by complex Gaussian noise of
+    that RMS amplitude, drawn from ``jitter_seed``, before the climb.
+    Gradient flow preserves whatever point-group symmetry the initial layout
+    has, so a perfectly symmetric start (square QAM) gets trapped on a
+    symmetric submanifold well short of the reachable optimum; a small
+    asymmetric kick escapes it.  If the jittered climb somehow ends below
+    the initial objective, the ascent silently reruns from the unperturbed
+    start, so the monotone guarantee versus the input is kept exactly.  Set
+    0 to disable.
     """
 
     target_snr_db: float = 12.0
     papr_penalty_weight: float = 0.0
     max_iterations: int = 2000
     step_size: float = 0.2
-    gmi_estimator: str = "gauss_hermite"
-    gh_order: int = 10
-    mc_samples: int = 100_000
-    mc_seed: int = 0
-    ring_gain: float = 1.15
     improvement_tol: float = 1e-5
-    max_backtracks: int = 20
-    papr_sharpness: float = 30.0
-    fd_step: float = 1e-4
     init_jitter: float = 0.02
     jitter_seed: int = 0
 
     def __post_init__(self):
-        if self.gmi_estimator not in ("gauss_hermite", "monte_carlo"):
-            raise ValueError(f"unknown gmi_estimator {self.gmi_estimator!r}")
-        if self.gh_order < 4:
-            raise ValueError("gauss_hermite order must be >= 4")
-        if self.gmi_estimator == "monte_carlo" and self.mc_samples < 100_000:
-            raise ValueError("monte_carlo estimator needs >= 1e5 samples")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.papr_penalty_weight < 0:
             raise ValueError("papr_penalty_weight must be >= 0")
-        if self.ring_gain < 1.0:
-            raise ValueError("ring_gain must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.init_jitter < 0:
@@ -251,46 +235,36 @@ def papr_smooth_gradient(points: np.ndarray, sharpness: float = 30.0) -> np.ndar
 _MEMORY = 8
 #: Armijo sufficient-increase fraction of the predicted first-order gain
 _ARMIJO = 1e-4
+#: step halvings tried per iteration before the line search gives up
+_MAX_BACKTRACKS = 20
+#: Gauss-Hermite quadrature order of the GMI objective
+_GH_ORDER = 10
+#: sharpness of the log-sum-exp stand-in for max(papr_i, papr_q)
+_PAPR_SHARPNESS = 30.0
 
 
-def _make_objective(bits, noise_var, weight, cfg: ShapingConfig):
-    """Objective on unit-power points as three callables.
+def _make_objective(bits, noise_var, cfg: ShapingConfig):
+    """Objective on unit-power points as two callables.
 
     ``value(pts)`` scores a point.  ``trial(pts)`` scores a line-search
-    candidate and returns ``(value, gradient)``, the gradient being None
-    where it is not a by-product of the value.  ``gradient(pts)``
-    completes an accepted candidate that came without one.
+    candidate and returns ``(value, gradient)`` from one forward pass.
     """
-    if cfg.gmi_estimator == "gauss_hermite":
-
-        def value(pts):
-            v = gh_gmi_value(pts, bits, noise_var, cfg.gh_order)
-            if weight:
-                v -= weight * papr_smooth(pts, cfg.papr_sharpness)
-            return v
-
-        def trial(pts):
-            v, g = gh_gmi_value_and_gradient(pts, bits, noise_var, cfg.gh_order)
-            if weight:
-                v -= weight * papr_smooth(pts, cfg.papr_sharpness)
-                g = g - weight * papr_smooth_gradient(pts, cfg.papr_sharpness)
-            return v, g
-
-        return value, trial, lambda pts: trial(pts)[1]
-
-    from .constellation import _gmi_monte_carlo
+    weight = cfg.papr_penalty_weight
 
     def value(pts):
-        v = _gmi_monte_carlo(pts, bits, noise_var, cfg.mc_samples, cfg.mc_seed)
+        v = gh_gmi_value(pts, bits, noise_var, _GH_ORDER)
         if weight:
-            v -= weight * papr_smooth(pts, cfg.papr_sharpness)
+            v -= weight * papr_smooth(pts, _PAPR_SHARPNESS)
         return v
 
-    def gradient(pts):
-        # no closed form for the seeded MC objective; fall back to FD
-        return finite_difference_gradient(value, pts, cfg.fd_step)
+    def trial(pts):
+        v, g = gh_gmi_value_and_gradient(pts, bits, noise_var, _GH_ORDER)
+        if weight:
+            v -= weight * papr_smooth(pts, _PAPR_SHARPNESS)
+            g = g - weight * papr_smooth_gradient(pts, _PAPR_SHARPNESS)
+        return v, g
 
-    return value, lambda pts: (value(pts), None), gradient
+    return value, trial
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -322,7 +296,7 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _climb(start: np.ndarray, trial, gradient, cfg: ShapingConfig):
+def _climb(start: np.ndarray, trial, cfg: ShapingConfig):
     """Monotone L-BFGS ascent of f(normalized(x)) over the raw coordinates x.
 
     Candidates are accepted only on a strict Armijo increase, so the
@@ -330,11 +304,11 @@ def _climb(start: np.ndarray, trial, gradient, cfg: ShapingConfig):
     along a plain gradient direction (the first iteration, or after a
     failed curvature step) has length ``cfg.step_size``; an L-BFGS
     direction is tried at unit step.  Each failed trial halves the step,
-    at most ``cfg.max_backtracks`` times.
+    at most ``_MAX_BACKTRACKS`` times.
     """
     x = start
     best, g_pts = trial(normalized(x))
-    g = _raw_gradient(g_pts if g_pts is not None else gradient(normalized(x)), x)
+    g = _raw_gradient(g_pts, x)
     history = [best]
     pairs = collections.deque(maxlen=_MEMORY)
     converged = False
@@ -349,7 +323,7 @@ def _climb(start: np.ndarray, trial, gradient, cfg: ShapingConfig):
             break
         step = 1.0 if pairs else cfg.step_size / math.sqrt(slope)
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = x + step * d
             cand_val, cand_g = trial(normalized(cand))
             if cand_val > best and cand_val - best >= _ARMIJO * step * slope:
@@ -375,8 +349,6 @@ def _climb(start: np.ndarray, trial, gradient, cfg: ShapingConfig):
             break
         if len(history) > cfg.max_iterations:
             break
-        if cand_g is None:
-            cand_g = gradient(normalized(x))
         g_new = _raw_gradient(cand_g, x)
         y = g - g_new
         g = g_new
@@ -387,26 +359,26 @@ def _climb(start: np.ndarray, trial, gradient, cfg: ShapingConfig):
     return normalized(x), np.asarray(history), converged
 
 
-def _ascend(points0: np.ndarray, bits: np.ndarray, cfg: ShapingConfig, weight: float):
+def _ascend(points0: np.ndarray, bits: np.ndarray, cfg: ShapingConfig):
     noise_var = 10.0 ** (-cfg.target_snr_db / 10.0)
-    value, trial, gradient = _make_objective(bits, noise_var, weight, cfg)
+    value, trial = _make_objective(bits, noise_var, cfg)
     clean = normalized(points0)
     start = clean
     if cfg.init_jitter > 0.0:
         rng = np.random.default_rng(cfg.jitter_seed)
         kick = rng.standard_normal(clean.size) + 1.0j * rng.standard_normal(clean.size)
         start = normalized(clean + cfg.init_jitter * kick)
-    pts, history, converged = _climb(start, trial, gradient, cfg)
+    pts, history, converged = _climb(start, trial, cfg)
     if cfg.init_jitter > 0.0 and history[-1] < value(clean):
         # the kick landed in a worse basin; keep the exact monotone
         # guarantee against the caller's input by climbing unperturbed
-        pts, history, converged = _climb(clean, trial, gradient, cfg)
+        pts, history, converged = _climb(clean, trial, cfg)
     return pts, history, converged
 
 
-def _optimize(initial, cfg: ShapingConfig, weight: float) -> ShapingResult:
+def _optimize(initial, cfg: ShapingConfig) -> ShapingResult:
     points, bits = _points_and_bits(initial)
-    pts, history, converged = _ascend(points, bits, cfg, weight)
+    pts, history, converged = _ascend(points, bits, cfg)
     if isinstance(initial, Constellation):
         out = Constellation(
             points=pts,
@@ -433,7 +405,7 @@ def optimize_awgn(initial, cfg: ShapingConfig = ShapingConfig()) -> ShapingResul
     """
     if cfg.papr_penalty_weight != 0.0:
         raise ValueError("optimize_awgn requires papr_penalty_weight = 0")
-    return _optimize(initial, cfg, weight=0.0)
+    return _optimize(initial, cfg)
 
 
 def optimize_papr(initial, cfg: ShapingConfig = None) -> ShapingResult:
@@ -446,4 +418,4 @@ def optimize_papr(initial, cfg: ShapingConfig = None) -> ShapingResult:
     """
     if cfg is None:
         cfg = DEFAULT_PAPR_CONFIG
-    return _optimize(initial, cfg, weight=cfg.papr_penalty_weight)
+    return _optimize(initial, cfg)

@@ -1,9 +1,13 @@
 """Constellation container, GMI estimators, PAPR, markers, file format."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapelink.constellation import (
     Constellation,
@@ -247,9 +251,10 @@ def test_ring_markers_tie_break_is_deterministic():
     np.testing.assert_array_equal(a.points, b.points)
 
 
-def test_ring_markers_requires_four_points():
-    with pytest.raises(ValueError):
-        add_ring_markers(np.array([1.0 + 0j, -1.0 + 0j, 1j]), 1.2)
+@pytest.mark.parametrize("gain", [0.9, 1.0, math.inf, math.nan])
+def test_ring_markers_reject_gain_not_finite_above_one(gain):
+    with pytest.raises(ValueError, match="ring_gain"):
+        add_ring_markers(square64(), gain)
 
 
 def test_non_marker_points_only_rescaled():
@@ -272,6 +277,47 @@ def test_save_load_round_trip_exact(tmp_path):
     save_constellation(c, path)
     back = load_constellation(path)
     np.testing.assert_array_equal(back.points, c.points)
+    assert back.labels == c.labels
+    assert back.marker_indices == c.marker_indices
+    assert back.design_snr_db == c.design_snr_db
+
+
+def _square64_with_signed_zero() -> Constellation:
+    # one point turned onto the positive imaginary axis at its own radius
+    # (so the power is unchanged), with real part -0.0
+    base = square64()
+    pts = np.array(base.points)
+    pts[0] = complex(-0.0, abs(pts[0]))
+    return base.replace(points=pts)
+
+
+@st.composite
+def _constellations(draw):
+    base = square64()
+    # kicks well below half the gap between square64's outer radii, so the
+    # four outermost points stay distinct and markers stay valid
+    kick = draw(arrays(np.float64, (64, 2), elements=st.floats(-0.03, 0.03)))
+    order = draw(st.permutations(range(64)))
+    c = Constellation(
+        points=normalized(base.points + kick.view(np.complex128)[:, 0]),
+        labels=tuple(base.labels[i] for i in order),
+        design_snr_db=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    if draw(st.booleans()):
+        c = add_ring_markers(c, draw(st.floats(1.0, 2.0, exclude_min=True)))
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constellations())
+@example(_square64_with_signed_zero())
+def test_constellation_text_round_trip_is_bit_exact(c):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.txt"
+        save_constellation(c, path)
+        back = load_constellation(path)
+    # byte comparison: signed zeros must survive too
+    assert back.points.tobytes() == c.points.tobytes()
     assert back.labels == c.labels
     assert back.marker_indices == c.marker_indices
     assert back.design_snr_db == c.design_snr_db

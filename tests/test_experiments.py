@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shapelink
 from shapelink import channel as ch
@@ -154,6 +155,52 @@ def test_validate_accepts_constellation_from_file(tmp_path):
     path = tmp_path / "c.txt"
     cst.save_constellation(cst.load_builtin("square64"), str(path))
     assert ex.validate_config(ex.ExperimentConfig(source=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("ring_gain", 1.0, "shape.ring_gain"),
+        ("ring_gain", math.inf, "shape.ring_gain"),
+        ("ring_gain", math.nan, "shape.ring_gain"),
+        ("papr_weight", math.nan, "shape.papr_weight"),
+        ("equalizer_taps", 18, "dsp.equalizer_taps"),
+        ("equalizer_step", 0.0, "dsp.equalizer_step"),
+        ("equalizer_passes", 0, "dsp.equalizer_passes"),
+        ("cpe_block_length", 0, "dsp.cpe_block_length"),
+    ],
+)
+def test_validate_applies_the_library_conditions(field, value, key):
+    diags = ex.validate_config(ex.ExperimentConfig(**{field: value}))
+    assert [d.split(":", 1)[0] for d in diags] == [key]
+
+
+_any_float = st.floats(-2.0, 3.0) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dsp_values=st.fixed_dictionaries({
+        "rrc_rolloff": _any_float,
+        "equalizer_taps": st.integers(-3, 41),
+        "equalizer_step": st.floats(-1e-3, 1e-2) | st.floats(),
+        "equalizer_passes": st.integers(-1, 4),
+        "cpe_block_length": st.integers(-1, 128),
+        "dbp_steps_per_span": st.integers(-1, 8),
+    }),
+    shape_values=st.fixed_dictionaries({
+        "shape_iterations": st.integers(-1, 500),
+        "papr_weight": _any_float,
+        "add_markers": st.booleans(),
+        "ring_gain": st.floats(0.5, 2.0) | st.floats(),
+    }),
+)
+def test_validated_dsp_and_shape_sections_run(dsp_values, shape_values):
+    cfg = ex.ExperimentConfig(**dsp_values, **shape_values)
+    if any(d.startswith(("dsp.", "shape.")) for d in ex.validate_config(cfg)):
+        return
+    ex._dsp_config(cfg)
+    cst.add_ring_markers(cst.square64(), cfg.ring_gain)
 
 
 # ---------------------------------------------------------------------------

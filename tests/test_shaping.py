@@ -119,17 +119,9 @@ def test_papr_smooth_gradient_matches_finite_differences():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ShapingConfig(gmi_estimator="exact")
-    with pytest.raises(ValueError):
-        ShapingConfig(gh_order=2)
-    with pytest.raises(ValueError):
-        ShapingConfig(gmi_estimator="monte_carlo", mc_samples=1000)
-    with pytest.raises(ValueError):
         ShapingConfig(step_size=0.0)
     with pytest.raises(ValueError):
         ShapingConfig(papr_penalty_weight=-0.1)
-    with pytest.raises(ValueError):
-        ShapingConfig(ring_gain=0.9)
     with pytest.raises(ValueError):
         ShapingConfig(init_jitter=-1.0)
 
@@ -161,28 +153,6 @@ def test_jitter_fallback_never_regresses():
     cfg = ShapingConfig(max_iterations=3, step_size=0.05, init_jitter=5.0)
     res = optimize_awgn(square64(), cfg)
     assert gmi_estimate(res.constellation, 12.0) >= gmi_estimate(square64(), 12.0)
-
-
-def test_monte_carlo_objective_path_runs(monkeypatch):
-    cfg = ShapingConfig(
-        gmi_estimator="monte_carlo",
-        mc_samples=100_000,
-        mc_seed=4,
-        max_iterations=2,
-        step_size=0.4,
-    )
-    fd_calls = []
-
-    def counted(*args, **kwargs):
-        fd_calls.append(1)
-        return finite_difference_gradient(*args, **kwargs)
-
-    monkeypatch.setattr(shaping, "finite_difference_gradient", counted)
-    res = optimize_awgn(square64(), cfg)
-    assert len(res.history) >= 1
-    # 256 MC evaluations each: only at accepted points that another
-    # iteration follows, so at most one per allowed iteration
-    assert len(fd_calls) <= cfg.max_iterations
 
 
 def test_import_leaves_scipy_optimize_unloaded():
