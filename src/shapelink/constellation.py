@@ -468,12 +468,15 @@ def add_ring_markers(c: Constellation, ring_gain: float = 1.15) -> Constellation
     """
     if not 1.0 < ring_gain < math.inf:
         raise ValueError("ring_gain must be finite and > 1")
-    points = np.array(c.points)
-    markers = _marker_candidates(points)
+    markers = _marker_candidates(c.points)
+    # move with the outermost point at radius 1 (so the target is at most
+    # ring_gain) and renormalize with the ring at radius 1 (so no squared
+    # radius overflows): every finite ring_gain gives finite points
+    points = c.points / np.abs(c.points).max()
     target = _marker_target(points, markers, ring_gain)
     points[markers] = _marker_ring(points, markers, target)
     return c.replace(
-        points=normalized(points),
+        points=normalized(points / target),
         marker_indices=frozenset(int(i) for i in markers),
     )
 

@@ -251,6 +251,16 @@ def test_ring_markers_tie_break_is_deterministic():
     np.testing.assert_array_equal(a.points, b.points)
 
 
+@pytest.mark.parametrize("gain", [5.050525516683189e153, 1e200, np.finfo(float).max])
+def test_ring_markers_accept_any_finite_gain(gain):
+    # ring radii whose squares overflow must still give a unit-power set
+    c = add_ring_markers(square64(), gain)
+    mk = sorted(c.marker_indices)
+    radii = np.abs(c.points)
+    assert radii[mk].min() > np.delete(radii, mk).max()
+    assert np.mean(radii**2) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("gain", [0.9, 1.0, math.inf, math.nan])
 def test_ring_markers_reject_gain_not_finite_above_one(gain):
     with pytest.raises(ValueError, match="ring_gain"):
