@@ -1,4 +1,4 @@
-"""Geometric constellation shaping and coherent WDM link simulation.
+"""Geometric constellation shaping and coherent single-channel link simulation.
 
 Subsystems
 ----------
@@ -9,7 +9,7 @@ shaping
     Gradient-ascent GMI shaping with optional PAPR penalty.
 channel
     Waveform frames, split-step fiber propagation, amplifier/ASE model,
-    hybrid spans, WDM multiplexing, transmitter impairments.
+    hybrid spans, transmitter impairments.
 dsp
     RRC shaping/matched filtering, CD compensation, radius-directed
     equalization, frequency offset and carrier phase recovery, digital

@@ -1,14 +1,16 @@
-"""Waveform-level physical layer: fiber propagation, amplification, WDM.
+"""Waveform-level physical layer: fiber propagation and amplification.
 
 The signal lives in :class:`WaveformFrame` objects, dual-polarization
 complex baseband at ``sample_rate``.  Propagation over a
 :class:`FiberSegment` uses the symmetric split-step Fourier method with
 loss folded into the linear half-steps and a Manakov (8/9) Kerr rotation
 at the step midpoint.  Adjacent linear half-steps are merged into one
-full-step operator, so a step costs two FFTs rather than four.  A
-:class:`SpanSpec` chains segments and ends in a lumped amplifier whose
-ASE is set by its noise figure.  WDM helpers shift channels onto a fixed
-grid and impose a spectral tilt.
+full-step operator, so a step costs two FFTs rather than four.  Steps
+are uniform within a segment.  By default their count bounds the Kerr
+phase per step (the nonlinear-phase rotation rule of Sinkin et al., JLT
+21(1), 2003); an explicit maximum step length sets ceil(L / h) steps
+instead.  A :class:`SpanSpec` chains segments and ends in a lumped
+amplifier whose ASE is set by its noise figure.
 
 Conventions: optical power is the sum over both polarizations of the
 time-averaged |field|^2, in watts.  Spectra follow the numpy FFT sign
@@ -31,12 +33,9 @@ __all__ = [
     "WaveformFrame",
     "FiberSegment",
     "SpanSpec",
-    "WdmGrid",
     "ssfm_propagate",
     "amplify",
     "propagate_link",
-    "wdm_mux",
-    "apply_spectral_tilt",
     "hybrid_span",
     "with_power",
     "add_transmitter_noise",
@@ -229,27 +228,6 @@ def hybrid_span(
     )
 
 
-@dataclass(frozen=True)
-class WdmGrid:
-    """Uniform frequency grid: ``channel_count`` slots ``spacing`` Hz apart
-    centered on ``center`` (absolute optical frequency, Hz)."""
-
-    channel_count: int
-    spacing: float
-    center: float = 193.4e12
-
-    def __post_init__(self):
-        if self.channel_count < 1:
-            raise ValueError("channel_count must be >= 1")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-
-    def offsets(self) -> np.ndarray:
-        """Baseband offset of each slot from the grid center, Hz."""
-        k = np.arange(self.channel_count, dtype=np.float64)
-        return (k - (self.channel_count - 1) / 2.0) * self.spacing
-
-
 # ---------------------------------------------------------------------------
 # split-step propagation
 # ---------------------------------------------------------------------------
@@ -297,22 +275,38 @@ def _ssfm_core(
     return np.fft.ifft(spec, axis=1)
 
 
+_MAX_STEPS = 10**7
+_PHI_MAX_RAD = 2e-3  # Kerr phase per step when no step length is given
+
+
 def ssfm_propagate(
     frame: WaveformFrame,
     seg: FiberSegment,
-    max_step_m: float = 1000.0,
+    max_step_m: float | None = None,
 ) -> WaveformFrame:
     """Propagate through one fiber segment (symmetric split-step).
 
     Loss and dispersion ride in the linear half-steps, the Manakov
     nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h rotates both
-    polarizations at the midpoint.  Uniform steps of length_m / ceil(L/h).
+    polarizations at the midpoint.  Steps are uniform.  With
+    ``max_step_m`` None there are max(1, ceil(gamma_eff P_in L_eff /
+    phi_max)) of them: P_in is the frame's power at entry, L_eff =
+    (1 - exp(-alpha L)) / alpha (L when lossless) and phi_max = 2e-3 rad,
+    so a step adds at most phi_max of mean Kerr phase.  An explicit
+    ``max_step_m`` gives ceil(L / max_step_m) steps.
     """
-    if max_step_m <= 0:
-        raise ValueError("max_step_m must be positive")
-    steps = int(math.ceil(seg.length_m / max_step_m))
-    if steps > 10**7:
-        raise ConfigurationError(f"{steps} split steps exceed the 1e7 limit")
+    gamma_eff = seg.gamma_per_w_m * (8.0 / 9.0)
+    if max_step_m is None:
+        alpha = seg.alpha_per_m
+        l_eff = -math.expm1(-alpha * seg.length_m) / alpha if alpha else seg.length_m
+        n = gamma_eff * frame.power * l_eff / _PHI_MAX_RAD
+    elif 0 < max_step_m < math.inf:
+        n = seg.length_m / max_step_m
+    else:
+        raise ValueError("max_step_m must be positive and finite")
+    if not n <= _MAX_STEPS:
+        raise ConfigurationError(f"{n:.4g} split steps exceed the 1e7 limit")
+    steps = max(1, math.ceil(n))
     a = _ssfm_core(
         frame.samples,
         frame.sample_rate,
@@ -320,7 +314,7 @@ def ssfm_propagate(
         steps,
         seg.beta2_s2_m,
         seg.alpha_per_m,
-        seg.gamma_per_w_m * (8.0 / 9.0),
+        gamma_eff,
     )
     return frame.with_samples(a)
 
@@ -372,14 +366,17 @@ def propagate_link(
     frame: WaveformFrame,
     spans,
     seed: int | None,
-    max_step_m: float = 1000.0,
+    max_step_m: float | None = None,
 ) -> WaveformFrame:
     """Run the frame through consecutive spans (fiber segments + amplifier).
 
     Transparent spans (amp_gain_db None, no power target) recover the
     exact span loss so the launch power repeats at every span output.
     ``seed`` None makes the whole link noiseless; otherwise per-span noise
-    seeds are derived deterministically from ``seed``.
+    seeds are derived deterministically from ``seed``.  Each segment is
+    split as :func:`ssfm_propagate` says: by default into steps of at most
+    2e-3 rad of Kerr phase at the power entering it, with ``max_step_m``
+    set into ceil(L / max_step_m) uniform steps.
     """
     spans = tuple(spans)
     if not spans:
@@ -407,67 +404,6 @@ def propagate_link(
             gain_tilt_db=span.gain_tilt_db,
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# WDM
-# ---------------------------------------------------------------------------
-
-
-def wdm_mux(channels, grid: WdmGrid) -> WaveformFrame:
-    """Shift each channel to its grid slot and sum the fields.
-
-    All inputs must share the sample grid (rate and length).  The result
-    is centered on ``grid.center``; each channel's occupied band
-    (symbol_rate-wide, roll-off margin included in the spacing) must stay
-    inside the composite sample rate and clear of its neighbors.
-    """
-    channels = list(channels)
-    if len(channels) != grid.channel_count:
-        raise ConfigurationError("channel list does not match grid size")
-    fs = channels[0].sample_rate
-    n = channels[0].n_samples
-    for ch in channels:
-        if ch.sample_rate != fs or ch.n_samples != n:
-            raise ConfigurationError("channels must share one sample grid")
-    rs = max(ch.symbol_rate for ch in channels)
-    if grid.spacing < rs:
-        raise ConfigurationError("grid spacing below the symbol rate overlaps bands")
-    span = (grid.channel_count - 1) * grid.spacing + rs
-    if span > fs:
-        raise ConfigurationError("aggregate band exceeds the sample rate")
-    t = np.arange(n) / fs
-    total = np.zeros((2, n), dtype=np.complex128)
-    for ch, df in zip(channels, grid.offsets()):
-        total += ch.samples * np.exp(2j * math.pi * df * t)
-    return WaveformFrame(
-        samples=total,
-        sample_rate=fs,
-        symbol_rate=channels[0].symbol_rate,
-        center_frequency=grid.center,
-    )
-
-
-def apply_spectral_tilt(channels, tilt_db: float):
-    """Linear-in-dB power tilt from the first to the last channel.
-
-    The endpoint convention: last-channel power is ``tilt_db`` dB relative
-    to the first (negative tilts fall with channel index).  The list's
-    total power is renormalized to the pre-tilt total.  A single channel
-    passes through unchanged.
-    """
-    channels = list(channels)
-    if not channels:
-        raise ValueError("need at least one channel")
-    if len(channels) == 1 or tilt_db == 0.0:
-        return channels
-    count = len(channels)
-    before = sum(ch.power for ch in channels)
-    gains = 10.0 ** (tilt_db * np.arange(count) / (count - 1) / 20.0)
-    tilted = [ch.with_samples(ch.samples * g) for ch, g in zip(channels, gains)]
-    after = sum(ch.power for ch in tilted)
-    fix = math.sqrt(before / after)
-    return [ch.with_samples(ch.samples * fix) for ch in tilted]
 
 
 # ---------------------------------------------------------------------------

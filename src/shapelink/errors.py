@@ -11,7 +11,7 @@ class ShapelinkError(Exception):
 
 class ConfigurationError(ShapelinkError):
     """A configuration is structurally valid but physically inconsistent
-    (e.g. spectral overlap in a WDM grid, split-step count overflow)."""
+    (e.g. split-step count overflow, a malformed waveform file)."""
 
 
 class EstimationFailure(ShapelinkError):

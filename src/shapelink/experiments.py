@@ -71,7 +71,9 @@ class ExperimentConfig:
 
     ``transmitter_snr_db`` may be infinite to disable transmitter noise;
     ``linewidth_hz`` 0 disables laser phase noise (and with it the
-    carrier-phase stage of the fiber receiver).
+    carrier-phase stage of the fiber receiver).  ``max_step_m`` None sizes
+    the split steps by nonlinear phase; a length forces uniform steps of
+    at most that length.
     """
 
     mode: str = "gap_sweep"
@@ -95,7 +97,7 @@ class ExperimentConfig:
     symbols: int = 16384
     transmitter_snr_db: float = 20.0
     linewidth_hz: float = 0.0
-    max_step_m: float = 1000.0
+    max_step_m: float | None = None
     # dsp
     rrc_rolloff: float = 0.01
     equalizer_taps: int = 19
@@ -269,8 +271,16 @@ def _is_builtin(name: str) -> bool:
     return name in cst.builtin_names()
 
 
+# float keys whose documented meaning includes +inf
+_INF_MEANS = {"transmitter_snr_db"}
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
-    """All invariant violations, as ``section.key: message`` strings."""
+    """All invariant violations, as ``section.key: message`` strings.
+
+    A float key reports at most one violation; NaN and infinities are
+    violations except +inf on the keys of ``_INF_MEANS``.
+    """
     d = []
     if cfg.mode not in MODES:
         d.append(f"experiment.mode: unknown mode {cfg.mode!r}; choose from {', '.join(MODES)}")
@@ -298,7 +308,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.append("channel.symbols: must be at least 64")
     if cfg.linewidth_hz < 0:
         d.append("channel.linewidth_hz: must be nonnegative")
-    if cfg.max_step_m <= 0:
+    if cfg.max_step_m is not None and cfg.max_step_m <= 0:
         d.append("channel.max_step_m: must be positive")
     if not 0.0 < cfg.rrc_rolloff < 1.0:
         d.append("dsp.rrc_rolloff: must be in (0, 1)")
@@ -334,8 +344,16 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.append("shape.iterations: must be at least 1")
     if not cfg.papr_weight >= 0:
         d.append("shape.papr_weight: must be nonnegative")
-    if not 1.0 < cfg.ring_gain < math.inf:
-        d.append("shape.ring_gain: must be finite and above 1")
+    if not cfg.ring_gain > 1.0:
+        d.append("shape.ring_gain: must be above 1")
+    named = {x.split(":", 1)[0] for x in d}
+    for section, keys in _SCHEMA.items():
+        for key in (k for k, kind in keys.items() if kind is float):
+            value = getattr(cfg, _FIELD_MAP.get((section, key), key))
+            if value is None or f"{section}.{key}" in named:
+                continue
+            if not (math.isfinite(value) or (value == math.inf and key in _INF_MEANS)):
+                d.append(f"{section}.{key}: must be finite")
     return d
 
 

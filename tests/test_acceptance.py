@@ -152,7 +152,7 @@ def test_criterion_05_dbp_inverts_and_beats_cdc():
         sym_ref, idx = dsp.random_symbols(c, 4096, seed=seed)
         bits = c.bit_matrix[idx].reshape(-1, 6)
         launch = ch.with_power(dsp.rrc_shape(sym_ref, 4, 0.01), -0.5)
-        noisy = ch.propagate_link(launch, spans, seed=seed + 1000, max_step_m=1000.0)
+        noisy = ch.propagate_link(launch, spans, seed=seed + 1000)
         gmi = {}
         for name, comp in (
             ("cdc", dsp.cd_compensate(noisy, dl_total)),
@@ -198,7 +198,6 @@ def _fiber_cfg(tmp, power_dbm, **kw):
         launch_power_dbm=power_dbm,
         symbols=8192,
         oversampling=4,
-        max_step_m=1000.0,
     )
     base.update(kw)
     return ex.ExperimentConfig(**base)

@@ -1,4 +1,4 @@
-"""Fiber propagation, amplifier ASE, WDM, and waveform serialization."""
+"""Fiber propagation, amplifier ASE, impairments, and waveform serialization."""
 
 import math
 import tempfile
@@ -15,17 +15,14 @@ from shapelink.channel import (
     FiberSegment,
     SpanSpec,
     WaveformFrame,
-    WdmGrid,
     add_transmitter_noise,
     amplify,
     apply_frequency_shift,
     apply_jones_rotation,
-    apply_spectral_tilt,
     hybrid_span,
     propagate_link,
     read_waveform,
     ssfm_propagate,
-    wdm_mux,
     wiener_phase_walk,
     with_power,
     write_waveform,
@@ -208,6 +205,53 @@ def test_step_overflow_rejected():
         ssfm_propagate(f, seg, max_step_m=0.01)
 
 
+def _spy_steps(monkeypatch):
+    """Record the step count of every segment the engine runs."""
+    steps = []
+
+    def spy(samples, sample_rate, length_m, n, *rest):
+        steps.append(n)
+        return _ssfm_core(samples, sample_rate, length_m, n, *rest)
+
+    monkeypatch.setattr("shapelink.channel._ssfm_core", spy)
+    return steps
+
+
+# default: at -0.5 dBm the 40 km large-area segment picks up 0.0122 rad of
+# Kerr phase and the 30 km standard segment, entered 5.92 dB lower, 0.0048
+# rad; an explicit 1 km step keeps ceil(L / h)
+@pytest.mark.parametrize("max_step_m, want", [(None, [7, 3]), (1000.0, [40, 30])])
+def test_hybrid_span_step_counts(monkeypatch, max_step_m, want):
+    steps = _spy_steps(monkeypatch)
+    frame = with_power(_noise_frame(30, n=256), -0.5)
+    propagate_link(frame, [hybrid_span()], seed=None, max_step_m=max_step_m)
+    assert steps == want
+
+
+def test_default_steps_linear_and_lossless_segments(monkeypatch):
+    steps = _spy_steps(monkeypatch)
+    f = _noise_frame(31, n=256, power_w=3e-3)
+    ssfm_propagate(f, FiberSegment(80e3, 0.2, 17.0, 80.0, nonlinear_index_n2=0.0))
+    # lossless: L_eff is L, so (8/9) gamma P L / 2e-3 = 87.8 steps
+    ssfm_propagate(f, FiberSegment(50e3, 0.0, 17.0, 80.0))
+    assert steps == [1, 88]
+
+
+def test_default_step_overflow_rejected():
+    f = _noise_frame(32, n=64, power_w=1e4)
+    with pytest.raises(ConfigurationError):
+        ssfm_propagate(f, FiberSegment(1e6, 0.0, 17.0, 80.0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_step_length_must_be_positive_and_finite(bad):
+    f = _noise_frame(33, n=64)
+    with pytest.raises(ValueError, match="max_step_m"):
+        ssfm_propagate(f, FiberSegment(1e3, 0.2, 17.0, 80.0), max_step_m=bad)
+    with pytest.raises(ValueError, match="max_step_m"):
+        propagate_link(f, [hybrid_span()], seed=None, max_step_m=bad)
+
+
 # ---------------------------------------------------------------------------
 # amplifier
 # ---------------------------------------------------------------------------
@@ -305,78 +349,6 @@ def test_link_noise_reproducible():
     a = propagate_link(f, spans, seed=42, max_step_m=7e3)
     b = propagate_link(f, spans, seed=42, max_step_m=7e3)
     np.testing.assert_array_equal(a.samples, b.samples)
-
-
-# ---------------------------------------------------------------------------
-# WDM
-# ---------------------------------------------------------------------------
-
-
-def _bandlimited_frame(seed, n, fs, bw, power_w=1e-3):
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    spec = np.fft.fft(s, axis=1)
-    freqs = np.fft.fftfreq(n, 1 / fs)
-    spec[:, np.abs(freqs) > bw / 2] = 0
-    s = np.fft.ifft(spec, axis=1)
-    f = WaveformFrame(samples=s, sample_rate=fs, symbol_rate=35e9)
-    return f.with_samples(f.samples * math.sqrt(power_w / f.power))
-
-
-def test_single_channel_mux_is_identity():
-    f = _bandlimited_frame(9, 4096, 140e9, 35.35e9)
-    grid = WdmGrid(channel_count=1, spacing=35.5e9)
-    out = wdm_mux([f], grid)
-    np.testing.assert_allclose(out.samples, f.samples, atol=1e-15)
-
-
-def test_two_channel_spectra_disjoint_and_power_adds():
-    # fs/n = 12.5 MHz divides 17.75 GHz: the shifts are FFT-bin aligned, so
-    # the periodic spectra stay exactly disjoint
-    fs, n = 204.8e9, 1 << 14
-    a = _bandlimited_frame(10, n, fs, 35.35e9)
-    b = _bandlimited_frame(11, n, fs, 35.35e9)
-    grid = WdmGrid(channel_count=2, spacing=35.5e9)
-    out = wdm_mux([a, b], grid)
-    assert out.power == pytest.approx(a.power + b.power, rel=1e-6)
-    # spectral mask: energy in the guard gap around 0 Hz stays tiny
-    spec = np.abs(np.fft.fft(out.samples[0])) ** 2
-    freqs = np.fft.fftfreq(n, 1 / fs)
-    gap = spec[np.abs(freqs) < 0.05e9].sum()
-    band = spec[(np.abs(freqs) > 0.2e9) & (np.abs(freqs) < 35e9)].sum()
-    assert gap < 1e-6 * band
-
-
-def test_mux_rejects_overlap_and_overflow():
-    f = _bandlimited_frame(12, 2048, 140e9, 30e9)
-    with pytest.raises(ConfigurationError):
-        wdm_mux([f, f], WdmGrid(channel_count=2, spacing=30e9))  # below symbol rate
-    many = [f] * 4
-    with pytest.raises(ConfigurationError):
-        wdm_mux(many, WdmGrid(channel_count=4, spacing=40e9))  # 155 GHz > fs
-
-
-def test_tilt_two_channels_exact_and_power_preserved():
-    a = _noise_frame(13)
-    b = _noise_frame(14)
-    out = apply_spectral_tilt([a, b], -2.0)
-    before = a.power + b.power
-    assert sum(ch.power for ch in out) == pytest.approx(before, rel=1e-12)
-    diff_db = 10 * math.log10(out[0].power / out[1].power)
-    assert diff_db == pytest.approx(2.0, abs=1e-9)
-
-
-def test_tilt_endpoint_ratio_306_channels():
-    chans = [_noise_frame(s, n=64) for s in range(306)]
-    out = apply_spectral_tilt(chans, -2.0)
-    ratio = out[0].power / out[-1].power
-    assert ratio == pytest.approx(10 ** 0.2, rel=1e-9)
-
-
-def test_tilt_zero_is_identity():
-    a = _noise_frame(15)
-    out = apply_spectral_tilt([a, a], 0.0)
-    np.testing.assert_array_equal(out[0].samples, a.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shapelink
 from shapelink import channel as ch
@@ -173,6 +174,61 @@ def test_validate_accepts_constellation_from_file(tmp_path):
 def test_validate_applies_the_library_conditions(field, value, key):
     diags = ex.validate_config(ex.ExperimentConfig(**{field: value}))
     assert [d.split(":", 1)[0] for d in diags] == [key]
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("papr_weight", math.inf, "shape.papr_weight"),
+        ("snr_step_db", math.nan, "sweep.snr_step_db"),
+        ("max_step_m", math.inf, "channel.max_step_m"),
+        ("max_step_m", math.nan, "channel.max_step_m"),
+        ("transmitter_snr_db", -math.inf, "channel.transmitter_snr_db"),
+        ("transmitter_snr_db", math.nan, "channel.transmitter_snr_db"),
+    ],
+)
+def test_validate_rejects_non_finite_floats(field, value, key):
+    diags = ex.validate_config(ex.ExperimentConfig(**{field: value}))
+    assert diags == [f"{key}: must be finite"]
+
+
+_FLOAT_KEYS = [
+    (section, key) for section, keys in ex._SCHEMA.items()
+    for key, kind in keys.items() if kind is float
+]
+
+# every mode at a size that runs in well under a second
+_SMALL_RUNS = {
+    "shape": dict(source="square64", shape_iterations=3),
+    "gap_sweep": dict(snr_start_db=10.0, snr_stop_db=11.0),
+    "awgn_e2e": dict(source="square64", snr_start_db=10.0, snr_stop_db=11.0, symbols=512),
+    "fiber_e2e": dict(source="square64", span_count=1, symbols=256, oversampling=2),
+    "linkbudget": dict(band_channels=3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(_FLOAT_KEYS),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    mode=st.sampled_from(ex.MODES),
+)
+@example(key=("channel", "transmitter_snr_db"), value=math.inf, mode="fiber_e2e")
+@example(key=("shape", "papr_weight"), value=math.inf, mode="shape")
+@example(key=("sweep", "snr_step_db"), value=math.nan, mode="gap_sweep")
+@example(key=("channel", "max_step_m"), value=math.inf, mode="fiber_e2e")
+@example(key=("channel", "max_step_m"), value=math.nan, mode="fiber_e2e")
+def test_non_finite_float_is_named_or_runs(key, value, mode):
+    section, name = key
+    field = ex._FIELD_MAP.get(key, name)
+    with tempfile.TemporaryDirectory() as out:
+        cfg = ex.ExperimentConfig(mode=mode, output_dir=out, **{**_SMALL_RUNS[mode], field: value})
+        if any(d.startswith(f"{section}.{name}:") for d in ex.validate_config(cfg)):
+            return
+        rep = ex.run_experiment(cfg)
+    if mode == "shape":  # a design is never worse than its input
+        row = dict(zip(rep.columns, rep.rows[0]))
+        assert row["gmi_shaped_2d"] >= row["gmi_initial_2d"]
 
 
 _any_float = st.floats(-2.0, 3.0) | st.floats()
@@ -507,6 +563,35 @@ def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):
     man = json.load(open(rep.manifest_path, encoding="utf-8"))
     assert man["status"] == "ok"
     assert "fiber_e2e.csv" in man["outputs"]
+
+
+def _small_link_cfg(out, **kw):
+    return ex.ExperimentConfig(
+        mode="fiber_e2e", output_dir=str(out), source="square64", span_count=2, **kw
+    )
+
+
+def test_explicit_max_step_reproduces_uniform_step_csv(tmp_path):
+    # written by the uniform-step engine before steps were sized by
+    # nonlinear phase; an explicit max_step_m must keep every byte
+    pinned = (
+        "snr_pre_dbp,snr_post_dbp,gmi_pre,gmi_post,ber_pre_fec,ber_post_fec\n"
+        "19.8682211,19.9128539,5.75828615,5.76364026,0.00846354167,0.00846354167\n"
+    )
+    cfg = _small_link_cfg(tmp_path, symbols=1024, oversampling=2, max_step_m=1000.0)
+    ex.run_experiment(cfg)
+    assert (tmp_path / "fiber_e2e.csv").read_bytes() == pinned.encode("utf-8")
+
+
+@pytest.mark.parametrize("power", [-3.0, 0.0, 3.0])
+def test_default_steps_match_fine_uniform_steps(tmp_path, power):
+    rows = [
+        ex.run_experiment(
+            _small_link_cfg(tmp_path / str(h), symbols=2048, launch_power_dbm=power, max_step_m=h)
+        ).rows[0]
+        for h in (None, 100.0)
+    ]
+    assert abs(rows[0][1] - rows[1][1]) <= 0.01, f"post-DBP SNR {rows[0][1]} vs {rows[1][1]}"
 
 
 # ---------------------------------------------------------------------------
