@@ -9,8 +9,9 @@ full-step operator, so a step costs two FFTs rather than four.  Steps
 are uniform within a segment.  By default their count bounds the Kerr
 phase per step (the nonlinear-phase rotation rule of Sinkin et al., JLT
 21(1), 2003); an explicit maximum step length sets ceil(L / h) steps
-instead.  A :class:`SpanSpec` chains segments and ends in a lumped
-amplifier whose ASE is set by its noise figure.
+instead.  A :class:`SpanSpec` chains segments and ends in a transparent
+lumped amplifier: its gain equals the span loss, so the launch power
+repeats at every span output, and its ASE is set by its noise figure.
 
 Conventions: optical power is the sum over both polarizations of the
 time-averaged |field|^2, in watts.  Spectra follow the numpy FFT sign
@@ -83,10 +84,6 @@ class WaveformFrame:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def oversampling(self) -> float:
-        return self.sample_rate / self.symbol_rate
 
     @property
     def power(self) -> float:
@@ -179,27 +176,19 @@ class FiberSegment:
 
 @dataclass(frozen=True)
 class SpanSpec:
-    """Fiber segments followed by one lumped amplifier.
+    """Fiber segments followed by one transparent lumped amplifier.
 
-    ``amp_gain_db`` None means transparent operation: the amplifier gain
-    exactly offsets the summed segment loss.  ``output_power_target_dbm``,
-    when set, solves the gain to hit that total output power instead.
-    ``gain_tilt_db`` applies a linear-in-dB amplitude tilt across the
-    sampled band at the amplifier (0 = flat).
+    The amplifier gain exactly offsets the summed segment loss
+    (:attr:`loss_db`); ``amp_noise_figure_db`` sets its ASE.
     """
 
     segments: tuple
-    amp_gain_db: float | None = None
     amp_noise_figure_db: float = 1.4
-    gain_tilt_db: float = 0.0
-    output_power_target_dbm: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("span needs at least one segment")
-        if self.amp_gain_db is not None and self.amp_gain_db < 0:
-            raise ValueError("amplifier gain must be >= 0")
 
     @property
     def loss_db(self) -> float:
@@ -210,19 +199,15 @@ class SpanSpec:
         return sum(seg.length_m for seg in self.segments)
 
 
-def hybrid_span(
-    noise_figure_db: float = 1.4,
-    d_large_area: float = 20.5,
-    d_standard: float = 17.0,
-    n2: float = 2.6e-20,
-) -> SpanSpec:
+def hybrid_span(noise_figure_db: float = 1.4, n2: float = 2.6e-20) -> SpanSpec:
     """The 70 km two-fiber span used throughout: 40 km of large-area
-    low-loss fiber (0.148 dB/km, 149 um^2) plus 30 km of standard fiber
-    (0.16 dB/km, 81 um^2), total loss 10.72 dB, transparent amplifier."""
+    low-loss fiber (0.148 dB/km, 20.5 ps/nm/km, 149 um^2) plus 30 km of
+    standard fiber (0.16 dB/km, 17 ps/nm/km, 81 um^2), total loss
+    10.72 dB, transparent amplifier."""
     return SpanSpec(
         segments=(
-            FiberSegment(40e3, 0.148, d_large_area, 149.0, n2),
-            FiberSegment(30e3, 0.16, d_standard, 81.0, n2),
+            FiberSegment(40e3, 0.148, 20.5, 149.0, n2),
+            FiberSegment(30e3, 0.16, 17.0, 81.0, n2),
         ),
         amp_noise_figure_db=noise_figure_db,
     )
@@ -329,24 +314,17 @@ def amplify(
     gain_db: float,
     noise_figure_db: float,
     seed: int | None,
-    gain_tilt_db: float = 0.0,
 ) -> WaveformFrame:
     """Flat gain plus lumped ASE.
 
     The field is scaled by 10^(gain/20); each polarization then receives
     circular complex Gaussian noise of PSD (F G - 1) h nu / 2 over the
     simulation bandwidth (= sample_rate), nu being the optical carrier.
-    ``seed`` None skips the noise entirely (noiseless instrument).  A
-    nonzero ``gain_tilt_db`` applies a linear-in-dB tilt across the
-    sampled band after the flat gain.
+    ``seed`` None skips the noise entirely (noiseless instrument).
     """
     if gain_db < 0:
         raise ValueError("gain must be >= 0 dB")
     a = frame.samples * 10.0 ** (gain_db / 20.0)
-    if gain_tilt_db:
-        f = np.fft.fftfreq(frame.n_samples, d=1.0 / frame.sample_rate)
-        tilt = 10.0 ** (gain_tilt_db / 20.0 * (f / frame.sample_rate))
-        a = np.fft.ifft(np.fft.fft(a, axis=1) * tilt, axis=1)
     if seed is not None:
         f_lin = 10.0 ** (noise_figure_db / 10.0)
         g_lin = 10.0 ** (gain_db / 10.0)
@@ -370,8 +348,8 @@ def propagate_link(
 ) -> WaveformFrame:
     """Run the frame through consecutive spans (fiber segments + amplifier).
 
-    Transparent spans (amp_gain_db None, no power target) recover the
-    exact span loss so the launch power repeats at every span output.
+    Every amplifier recovers its span's exact loss, so the launch power
+    repeats at every span output.
     ``seed`` None makes the whole link noiseless; otherwise per-span noise
     seeds are derived deterministically from ``seed``.  Each segment is
     split as :func:`ssfm_propagate` says: by default into steps of at most
@@ -389,19 +367,11 @@ def propagate_link(
     for span, span_seed in zip(spans, span_seeds):
         for seg in span.segments:
             out = ssfm_propagate(out, seg, max_step_m=max_step_m)
-        if span.output_power_target_dbm is not None:
-            gain_db = span.output_power_target_dbm - out.power_dbm
-            gain_db = max(gain_db, 0.0)
-        elif span.amp_gain_db is not None:
-            gain_db = span.amp_gain_db
-        else:
-            gain_db = span.loss_db
         out = amplify(
             out,
-            gain_db,
+            span.loss_db,
             span.amp_noise_figure_db,
             None if span_seed is None else int(span_seed),
-            gain_tilt_db=span.gain_tilt_db,
         )
     return out
 

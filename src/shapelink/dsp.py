@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core
+from .channel import _MAX_STEPS, SpanSpec, WaveformFrame, _beta2, _ssfm_core
 from .constellation import Constellation, _squared_distances, bitwise_llrs
 from .errors import AlignmentError, ConfigurationError, EstimationFailure
 
@@ -67,12 +67,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DspConfig:
-    """Receiver-chain parameters.
+    """Parameters of the adaptive receiver stages.
 
     Parameters
     ----------
-    rrc_rolloff : float
-        Root-raised-cosine roll-off, in (0, 1].
     equalizer_taps : int
         Butterfly FIR length per branch; must be odd (center spike).
     equalizer_step : float
@@ -82,24 +80,14 @@ class DspConfig:
         the returned symbols come from the final pass.
     cpe_block_length : int
         Symbols per carrier-phase-estimation block.
-    dbp_steps_per_span : int
-        Split-step count per span for digital back-propagation.
-    demap_noise_variance : float or None
-        Total complex noise variance handed to the demapper; None selects
-        blind estimation from marker-ring radial residuals.
     """
 
-    rrc_rolloff: float = 0.01
     equalizer_taps: int = 19
     equalizer_step: float = 1e-3
     equalizer_passes: int = 2
     cpe_block_length: int = 64
-    dbp_steps_per_span: int = 4
-    demap_noise_variance: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.rrc_rolloff <= 1.0:
-            raise ValueError("rrc_rolloff must be in (0, 1]")
         if self.equalizer_taps < 1 or self.equalizer_taps % 2 == 0:
             raise ValueError("equalizer_taps must be a positive odd integer")
         if self.equalizer_step <= 0:
@@ -108,10 +96,6 @@ class DspConfig:
             raise ValueError("equalizer_passes must be at least 1")
         if self.cpe_block_length < 1:
             raise ValueError("cpe_block_length must be at least 1")
-        if self.dbp_steps_per_span < 1:
-            raise ValueError("dbp_steps_per_span must be at least 1")
-        if self.demap_noise_variance is not None and self.demap_noise_variance <= 0:
-            raise ValueError("demap_noise_variance must be positive or None")
 
 
 DEFAULT_DSP_CONFIG = DspConfig()
@@ -122,13 +106,10 @@ class SymbolFrame:
     """Dual-polarization symbol-rate frame.
 
     ``symbols`` is a (2, M) complex array at one sample per symbol.
-    ``alignment`` is the offset of symbol 0 into the transmitted sequence,
-    or None when unknown (e.g. after blind stages).
     """
 
     symbols: np.ndarray
     symbol_rate: float = 35e9
-    alignment: int | None = None
 
     def __post_init__(self):
         sym = np.ascontiguousarray(self.symbols, dtype=np.complex128)
@@ -204,7 +185,7 @@ def random_symbols(c: Constellation, count: int, seed: int) -> tuple[SymbolFrame
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(c.points), size=(2, count))
-    return SymbolFrame(symbols=c.points[idx], alignment=0), idx
+    return SymbolFrame(symbols=c.points[idx]), idx
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +267,6 @@ def decimate(frame: WaveformFrame, phase: int = 0) -> SymbolFrame:
     return SymbolFrame(
         symbols=math.sqrt(step) * frame.samples[:, phase::step],
         symbol_rate=frame.symbol_rate,
-        alignment=None,
     )
 
 
@@ -418,7 +398,7 @@ def rde_equalize(
             raise EstimationFailure("equalizer diverged at the minimum step size")
         mu *= 0.5
 
-    result = SymbolFrame(symbols=out.T, symbol_rate=frame.symbol_rate, alignment=None)
+    result = SymbolFrame(symbols=out.T, symbol_rate=frame.symbol_rate)
     if return_state:
         return result, EqualizerState(taps=w, restarts=restarts, step_used=mu)
     return result
@@ -546,30 +526,23 @@ def vv_cpe(
 def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> WaveformFrame:
     """Digitally back-propagate through the link, spans in reverse order.
 
-    Each span's amplifier gain is divided out, then every segment is run
-    backwards with negated dispersion and nonlinearity and loss turned
-    into gain.  Step counts are
-    allocated to segments proportionally to length, at least one each.
-    With the forward fine-step counts reproduced exactly and a noiseless
-    channel this inverts :func:`shapelink.channel.propagate_link` to
-    numerical precision; at a few steps per span it is the conventional
+    Each span's transparent amplifier gain (its loss) is divided out,
+    then every segment is run backwards with negated dispersion and
+    nonlinearity and loss turned into gain.  Step counts are allocated to
+    segments proportionally to length, at least one each.  With the
+    forward fine-step counts reproduced exactly and a noiseless channel
+    this inverts :func:`shapelink.channel.propagate_link` to numerical
+    precision; at a few steps per span it is the conventional
     low-complexity nonlinearity compensator.
-
-    Spans with ``output_power_target_dbm`` raise
-    :class:`ConfigurationError`: their realized gain depends on the
-    signal and is not known to the receiver.
     """
     if steps_per_span < 1:
         raise ValueError("steps_per_span must be at least 1")
-    if any(span.output_power_target_dbm is not None for span in spans):
-        raise ConfigurationError("dbp cannot undo power-targeted spans (gain unknown)")
     a = np.array(frame.samples)
     for span in reversed(spans):
-        gain_db = span.amp_gain_db if span.amp_gain_db is not None else span.loss_db
-        a /= 10.0 ** (gain_db / 20.0)
+        a /= 10.0 ** (span.loss_db / 20.0)
         for seg in reversed(span.segments):
             steps = max(1, math.ceil(steps_per_span * seg.length_m / span.length_m))
-            if steps > 10**7:
+            if steps > _MAX_STEPS:
                 raise ConfigurationError(f"{steps} split steps exceed the 1e7 limit")
             a = _ssfm_core(
                 a,

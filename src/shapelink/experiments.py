@@ -100,9 +100,6 @@ class ExperimentConfig:
     max_step_m: float | None = None
     # dsp
     rrc_rolloff: float = 0.01
-    equalizer_taps: int = 19
-    equalizer_step: float = 1e-3
-    equalizer_passes: int = 2
     cpe_block_length: int = 64
     dbp_steps_per_span: int = 4
     # fec
@@ -163,9 +160,6 @@ _SCHEMA = {
     },
     "dsp": {
         "rrc_rolloff": float,
-        "equalizer_taps": int,
-        "equalizer_step": float,
-        "equalizer_passes": int,
         "cpe_block_length": int,
         "dbp_steps_per_span": int,
     },
@@ -225,10 +219,11 @@ def parse_config(path) -> tuple:
 
     Returns ``(config, diagnostics)``; ``config`` is None when the file
     cannot be parsed at all.  Unknown sections or keys and values of the
-    wrong type are reported as ``section.key: message`` diagnostics.
+    wrong type are reported as ``section.key: message`` diagnostics.  A
+    ``;`` after whitespace starts a comment, also at the end of a value.
     """
     diags = []
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -312,12 +307,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.append("channel.max_step_m: must be positive")
     if not 0.0 < cfg.rrc_rolloff < 1.0:
         d.append("dsp.rrc_rolloff: must be in (0, 1)")
-    if cfg.equalizer_taps < 1 or cfg.equalizer_taps % 2 == 0:
-        d.append("dsp.equalizer_taps: must be a positive odd number")
-    if not cfg.equalizer_step > 0:
-        d.append("dsp.equalizer_step: must be positive")
-    if cfg.equalizer_passes < 1:
-        d.append("dsp.equalizer_passes: must be at least 1")
     if cfg.cpe_block_length < 1:
         d.append("dsp.cpe_block_length: must be at least 1")
     if cfg.dbp_steps_per_span < 1:
@@ -401,14 +390,7 @@ def _gmi_kwargs(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def _dsp_config(cfg: ExperimentConfig) -> dsp.DspConfig:
-    return dsp.DspConfig(
-        rrc_rolloff=cfg.rrc_rolloff,
-        equalizer_taps=cfg.equalizer_taps,
-        equalizer_step=cfg.equalizer_step,
-        equalizer_passes=cfg.equalizer_passes,
-        cpe_block_length=cfg.cpe_block_length,
-        dbp_steps_per_span=cfg.dbp_steps_per_span,
-    )
+    return dsp.DspConfig(cpe_block_length=cfg.cpe_block_length)
 
 
 def _aligned(rx: dsp.SymbolFrame, ref: dsp.SymbolFrame) -> dsp.SymbolFrame:

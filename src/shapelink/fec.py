@@ -48,9 +48,9 @@ class ParityCheckMatrix:
 
     ``row_cols[r]`` holds the sorted column positions of the ones in
     check r.  Duplicate entries within a row are invalid (they would
-    cancel over GF(2)); every column must participate in at least one
-    check, and there must be more columns than rows (a code with
-    nonzero-rate systematic form).
+    cancel over GF(2)); every check must involve at least one column,
+    every column must participate in at least one check, and there must
+    be more columns than rows (a code with nonzero-rate systematic form).
     """
 
     rows: int
@@ -66,9 +66,11 @@ class ParityCheckMatrix:
         canon = []
         for r, entries in enumerate(self.row_cols):
             entries = tuple(int(c) for c in entries)
+            if not entries:
+                raise ValueError(f"row {r} is an empty check")
             if len(set(entries)) != len(entries):
                 raise ValueError(f"duplicate column in row {r}")
-            if entries and not all(0 <= c < self.cols for c in entries):
+            if not all(0 <= c < self.cols for c in entries):
                 raise ValueError(f"column index out of range in row {r}")
             seen[list(entries)] = True
             canon.append(tuple(sorted(entries)))
@@ -93,8 +95,7 @@ class ParityCheckMatrix:
             raise ValueError("bit length must equal cols")
         out = np.zeros((bits.shape[0], self.rows), dtype=np.uint8)
         for r, entries in enumerate(self.row_cols):
-            if entries:
-                out[:, r] = bits[:, list(entries)].sum(axis=1) % 2
+            out[:, r] = bits[:, list(entries)].sum(axis=1) % 2
         return out
 
 
@@ -112,7 +113,7 @@ def save_alist(h: ParityCheckMatrix, path) -> None:
     row_cols = [np.asarray(r) + 1 for r in map(list, h.row_cols)]
     lines = [
         f"{h.cols} {h.rows}",
-        f"{max(len(c) for c in col_rows)} {max((len(r) for r in row_cols), default=0)}",
+        f"{max(len(c) for c in col_rows)} {max(len(r) for r in row_cols)}",
         " ".join(str(len(c)) for c in col_rows),
         " ".join(str(len(r)) for r in row_cols),
     ]
@@ -173,7 +174,7 @@ class DecodeResult:
 
 
 def _edge_layout(h: ParityCheckMatrix):
-    edge_col = np.concatenate([np.array(r, dtype=np.int64) for r in h.row_cols if r])
+    edge_col = np.concatenate([np.array(r, dtype=np.int64) for r in h.row_cols])
     degrees = np.array([len(r) for r in h.row_cols])
     max_deg = degrees.max()
     row_edge = np.full((h.rows, max_deg), -1, dtype=np.int64)

@@ -163,14 +163,12 @@ class BandModel:
 
     ``wavelength_grid`` in nm, ascending; ``nf_curve`` is the effective
     noise figure at each wavelength in dB; ``per_channel_power_dbm``
-    the launch power at each wavelength.  ``signal_tilt_db`` records
-    the end-to-end launch tilt the power list was built with.
+    the launch power at each wavelength.
     """
 
     wavelength_grid: tuple
     nf_curve: tuple
     per_channel_power_dbm: tuple
-    signal_tilt_db: float = 0.0
 
     def __post_init__(self):
         grid = tuple(float(w) for w in self.wavelength_grid)
@@ -212,7 +210,6 @@ def default_band_model(
         wavelength_grid=tuple(grid),
         nf_curve=tuple(mean_nf_db + nf_tilt_db * x),
         per_channel_power_dbm=tuple(mean_power_dbm + signal_tilt_db * x),
-        signal_tilt_db=signal_tilt_db,
     )
 
 

@@ -335,14 +335,6 @@ def test_hybrid_span_has_paper_loss():
     assert span.length_m == pytest.approx(70e3)
 
 
-def test_power_target_solves_gain():
-    f = _noise_frame(7, power_w=1e-3)
-    seg = FiberSegment(50e3, 0.2, 17.0, 80.0, nonlinear_index_n2=0.0)
-    span = SpanSpec(segments=(seg,), output_power_target_dbm=3.0)
-    out = propagate_link(f, [span], seed=None, max_step_m=5e3)
-    assert out.power_dbm == pytest.approx(3.0, abs=1e-9)
-
-
 def test_link_noise_reproducible():
     f = _noise_frame(8)
     spans = [hybrid_span()] * 2

@@ -1,8 +1,10 @@
 """Config parsing/validation, run modes, CSV conventions, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -104,6 +106,31 @@ def test_parse_missing_file(tmp_path):
     assert len(diags) == 1
 
 
+def test_readme_sample_config_loads_at_the_defaults(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    cfg, diags = ex.parse_config(_write(tmp_path, block))
+    assert diags == []
+    assert ex.validate_config(cfg) == []
+    assert cfg == ex.ExperimentConfig()
+
+
+def test_removed_equalizer_keys_are_unknown(tmp_path, capsys):
+    path = _write(tmp_path, "[dsp]\nequalizer_taps = 19\n")
+    assert ex.parse_config(path)[1] == ["dsp.equalizer_taps: unknown key"]
+    assert cli.main(["validate", "--config", path]) == 1
+    assert "dsp.equalizer_taps: unknown key" in capsys.readouterr().out
+
+
+def test_schema_keys_and_config_fields_correspond():
+    keys = [(section, key) for section, kinds in ex._SCHEMA.items() for key in kinds]
+    fields = [ex._FIELD_MAP.get(k, k[1]) for k in keys]
+    assert set(ex._FIELD_MAP) <= set(keys)
+    assert len(set(fields)) == len(fields)
+    assert set(fields) == {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+
+
 def test_parse_accepts_inf_transmitter_snr(tmp_path):
     cfg, diags = ex.parse_config(
         _write(tmp_path, "[channel]\ntransmitter_snr_db = inf\n")
@@ -165,9 +192,6 @@ def test_validate_accepts_constellation_from_file(tmp_path):
         ("ring_gain", math.inf, "shape.ring_gain"),
         ("ring_gain", math.nan, "shape.ring_gain"),
         ("papr_weight", math.nan, "shape.papr_weight"),
-        ("equalizer_taps", 18, "dsp.equalizer_taps"),
-        ("equalizer_step", 0.0, "dsp.equalizer_step"),
-        ("equalizer_passes", 0, "dsp.equalizer_passes"),
         ("cpe_block_length", 0, "dsp.cpe_block_length"),
     ],
 )
@@ -238,9 +262,6 @@ _any_float = st.floats(-2.0, 3.0) | st.floats()
 @given(
     dsp_values=st.fixed_dictionaries({
         "rrc_rolloff": _any_float,
-        "equalizer_taps": st.integers(-3, 41),
-        "equalizer_step": st.floats(-1e-3, 1e-2) | st.floats(),
-        "equalizer_passes": st.integers(-1, 4),
         "cpe_block_length": st.integers(-1, 128),
         "dbp_steps_per_span": st.integers(-1, 8),
     }),

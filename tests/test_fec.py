@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapelink import fec
 
@@ -38,6 +41,11 @@ def test_matrix_requires_full_column_coverage():
         fec.ParityCheckMatrix(1, 3, ((0, 1),))
 
 
+def test_matrix_rejects_empty_check():
+    with pytest.raises(ValueError, match="row 1"):
+        fec.ParityCheckMatrix(rows=2, cols=3, row_cols=((0, 1, 2), ()))
+
+
 def test_matrix_dense_matches_rows():
     h = fec.hamming74()
     dense = h.to_dense()
@@ -67,6 +75,38 @@ def test_alist_round_trip(tmp_path):
         back = fec.load_alist(path)
         assert back.rows == h.rows and back.cols == h.cols
         assert back.row_cols == h.row_cols
+
+
+@st.composite
+def _row_lists(draw):
+    """(rows, cols, row_cols) meeting every matrix rule but the nonempty
+    check rule: each column in some check, no duplicates, cols > rows."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(rows + 1, rows + 10))
+    row_cols = [
+        draw(st.lists(st.integers(0, cols - 1), max_size=cols, unique=True))
+        for _ in range(rows)
+    ]
+    covered = set().union(*row_cols)
+    for c in range(cols):
+        if c not in covered:
+            row_cols[draw(st.integers(0, rows - 1))].append(c)
+    return rows, cols, tuple(map(tuple, row_cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_row_lists())
+def test_alist_round_trip_holds_for_every_valid_matrix(spec):
+    rows, cols, row_cols = spec
+    try:
+        h = fec.ParityCheckMatrix(rows, cols, row_cols)
+    except ValueError:
+        assert not all(row_cols)  # an empty check, which alist cannot carry
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.alist")
+        fec.save_alist(h, path)
+        assert fec.load_alist(path) == h
 
 
 def test_alist_rejects_truncated(tmp_path):
