@@ -22,13 +22,16 @@ the dispersion operator to exp(+i 2 pi^2 beta2 h f^2).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as _C0, h as _PLANCK
 
 from .errors import ConfigurationError, DegenerateInputError
+
+_C0 = 299_792_458.0  # speed of light in vacuum, m/s; exact by the 2019 SI definition
+_PLANCK = 6.62607015e-34  # Planck constant, J s; exact by the 2019 SI definition
 
 __all__ = [
     "WaveformFrame",
@@ -474,8 +477,9 @@ def read_waveform(path, symbol_rate: float | None = None) -> WaveformFrame:
             raise ConfigurationError("not a waveform file (bad magic)")
         if version != _VERSION:
             raise ConfigurationError(f"unsupported waveform version {version}")
-        raw = fh.read(2 * n * 2 * 8)
-        if len(raw) != 2 * n * 2 * 8:
+        size = 2 * n * 2 * 8  # checked against the file before it is read
+        raw = fh.read(size) if size <= os.fstat(fh.fileno()).st_size - _HEADER.size else b""
+        if len(raw) != size:
             raise ConfigurationError("truncated waveform payload")
     samples = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(2, n)
     return WaveformFrame(

@@ -65,9 +65,6 @@ def main(argv=None) -> int:
     forced = _FORCED_MODE.get(args.verb)
     if forced is not None:
         cfg = dataclasses.replace(cfg, mode=forced)
-    if args.seed is not None and args.seed < 0:
-        print("experiment.seed: must be nonnegative", file=sys.stderr)
-        return 1
 
     try:
         report = run_experiment(

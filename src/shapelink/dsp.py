@@ -537,18 +537,21 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     """
     if steps_per_span < 1:
         raise ValueError("steps_per_span must be at least 1")
+    counts = [
+        [steps_per_span * seg.length_m / span.length_m for seg in span.segments] for span in spans
+    ]
+    for n in (n for span_counts in counts for n in span_counts):
+        if not n <= _MAX_STEPS:
+            raise ConfigurationError(f"{n:.4g} split steps exceed the 1e7 limit")
     a = np.array(frame.samples)
-    for span in reversed(spans):
+    for span, span_counts in zip(reversed(spans), reversed(counts)):
         a /= 10.0 ** (span.loss_db / 20.0)
-        for seg in reversed(span.segments):
-            steps = max(1, math.ceil(steps_per_span * seg.length_m / span.length_m))
-            if steps > _MAX_STEPS:
-                raise ConfigurationError(f"{steps} split steps exceed the 1e7 limit")
+        for seg, n in zip(reversed(span.segments), reversed(span_counts)):
             a = _ssfm_core(
                 a,
                 frame.sample_rate,
                 seg.length_m,
-                steps,
+                max(1, math.ceil(n)),
                 -seg.beta2_s2_m,
                 -seg.alpha_per_m,
                 -seg.gamma_per_w_m * (8.0 / 9.0),

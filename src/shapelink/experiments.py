@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from . import channel as ch
 from . import constellation as cst
-from . import dsp, fec, linkbudget
+from . import dsp, fec, linkbudget, shaping
 from .errors import ConfigurationError
 
 __all__ = [
@@ -410,8 +410,6 @@ def _aligned(rx: dsp.SymbolFrame, ref: dsp.SymbolFrame) -> dsp.SymbolFrame:
 
 
 def _run_shape(cfg: ExperimentConfig, out_dir: str):
-    from . import shaping
-
     initial = _load_constellation(cfg)
     shape_cfg = shaping.ShapingConfig(
         target_snr_db=cfg.design_snr_db,
@@ -525,7 +523,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
         llrs = cst.bitwise_llrs(c, rx, noise_var)
         bits = c.bit_matrix[idx]
         gmi_2d = cst.gmi_from_llrs(llrs, bits)
-        ber_pre = float(np.mean((llrs < 0).astype(np.uint8) != bits))
+        ber_pre = fec.ber_measure(llrs < 0, bits)
         rate, feasible = fec.select_rate(2.0 * gmi_2d, rates, bits_per_4d=2.0 * m)
         net, _ = fec.net_throughput(
             [float(rate) * 2.0 * m], cfg.symbol_rate_hz, cfg.bch_overhead, pre_bch=True
@@ -592,7 +590,7 @@ def _symbol_metrics(sym, ref, c, tx_bits):
     llrs = llr_frame.llrs.reshape(-1, m)
     bits = tx_bits.reshape(-1, m)
     gmi_2d = cst.gmi_from_llrs(llrs, bits)
-    ber = float(np.mean((llrs < 0).astype(np.uint8) != bits))
+    ber = fec.ber_measure(llrs < 0, bits)
     return snr_db, gmi_2d, ber
 
 

@@ -15,7 +15,6 @@ LLR sign convention matches the demapper: positive means bit 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,7 +181,7 @@ def _edge_layout(h: ParityCheckMatrix):
     for r, d in enumerate(degrees):
         row_edge[r, :d] = np.arange(e, e + d)
         e += d
-    return edge_col, row_edge, degrees
+    return edge_col, row_edge
 
 
 def ldpc_decode(
@@ -210,7 +209,7 @@ def ldpc_decode(
         raise ValueError("max_iters must be at least 1")
     b = llrs.shape[0]
 
-    edge_col, row_edge, _ = _edge_layout(h)
+    edge_col, row_edge = _edge_layout(h)
     n_edges = edge_col.size
     pad = row_edge < 0
     live_slots = ~pad

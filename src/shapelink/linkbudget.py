@@ -10,7 +10,8 @@ launch power.
 Everything here is arithmetic on link parameters; the split-step
 simulator in :mod:`shapelink.channel` is the ground truth this module
 approximates, and the two are cross-checked against each other in the
-acceptance tests.
+acceptance tests.  The speed of light and Planck's constant come from
+:mod:`shapelink.channel`, which holds their exact 2019 SI values.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C0
-from scipy.constants import h as _PLANCK
 
-from .channel import SpanSpec
+from .channel import _C0, _PLANCK, SpanSpec
 from .errors import ModelDomainError
 
 __all__ = [

@@ -1,6 +1,7 @@
 """Fiber propagation, amplifier ASE, impairments, and waveform serialization."""
 
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.constants import h as PLANCK, c as C0
 
+from shapelink import linkbudget
 from shapelink.channel import (
+    _C0,
+    _PLANCK,
     _ssfm_core,
     FiberSegment,
     SpanSpec,
@@ -441,3 +445,19 @@ def test_waveform_reader_rejects_garbage(tmp_path):
     path2.write_bytes(data[: len(data) // 2])
     with pytest.raises(ConfigurationError):
         read_waveform(path2)
+
+
+@pytest.mark.parametrize("n", [2**40, 2**62])
+def test_waveform_reader_checks_sample_count_against_file(tmp_path, n):
+    # a bare 32-byte header claiming n samples: the reader must refuse before
+    # asking for 32 n bytes (MemoryError or OverflowError otherwise)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<4sIQdd", b"WFRM", 1, n, 70e9, 193.4e12))
+    with pytest.raises(ConfigurationError, match="truncated waveform payload"):
+        read_waveform(path)
+
+
+def test_si_constants_match_scipy():
+    assert _C0 == C0
+    assert _PLANCK == PLANCK
+    assert linkbudget._C0 is _C0

@@ -558,6 +558,24 @@ def test_dbp_shares_the_split_step_limit(square):
         dsp.dbp(wf, [span], steps_per_span=ch._MAX_STEPS + 1)
 
 
+@pytest.mark.parametrize("steps_per_span", [2 * 10**7, math.nan])
+def test_dbp_checks_every_segment_before_the_first_step(square, monkeypatch, steps_per_span):
+    # the 30 km segment runs first and alone stays under the limit; the
+    # 40 km segment's count must be rejected before any step is taken
+    calls = []
+
+    def stub(a, *args):
+        calls.append(args)
+        return a
+
+    monkeypatch.setattr(dsp, "_ssfm_core", stub)
+    frame, _ = dsp.random_symbols(square, 64, seed=16)
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    with pytest.raises(ConfigurationError, match="1e7 limit"):
+        dsp.dbp(wf, [ch.hybrid_span()], steps_per_span=steps_per_span)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # demapping
 

@@ -750,3 +750,42 @@ def test_module_entry_point_runs(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+_NUMPY_ONLY_RUN = """
+import os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import shapelink
+from shapelink import experiments as ex, fec
+
+loaded = [m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+out = sys.argv[1]
+alist = os.path.join(out, "r12.alist")
+fec.save_alist(fec.make_regular_ldpc(240, row_weight=6, col_weight=3, seed=1), alist)
+runs = [
+    dict(mode="shape", source="square64", shape_iterations=2),
+    dict(mode="gap_sweep", snr_start_db=10.0, snr_stop_db=11.0),
+    dict(mode="awgn_e2e", source="square64", snr_start_db=12.0, snr_stop_db=12.0,
+         symbols=2048, fec_matrix=alist, fec_rates=("1/2",)),
+    dict(mode="fiber_e2e", span_count=1, symbols=256),
+    dict(mode="fiber_e2e", span_count=1, symbols=256, linewidth_hz=100e3),
+    dict(mode="linkbudget"),
+]
+for i, kw in enumerate(runs):
+    rep = ex.run_experiment(ex.ExperimentConfig(output_dir=os.path.join(out, str(i)), **kw))
+    assert rep.rows, kw["mode"]
+print("ok")
+"""
+
+
+def test_every_mode_runs_without_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shapelink.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
