@@ -34,7 +34,7 @@ report("square", square)
 
 # stage 1: pure GMI ascent
 cfg = shaping.ShapingConfig(target_snr_db=SNR_DB, max_iterations=400)
-stage1 = shaping.optimize_awgn(square, cfg)
+stage1 = shaping.optimize(square, cfg)
 print(f"\nstage 1: {stage1.iterations} accepted steps, converged={stage1.converged}")
 report("shaped", stage1.constellation)
 cst.save_constellation(stage1.constellation, os.path.join(OUT, "shaped_awgn.txt"))
@@ -43,7 +43,7 @@ cst.save_constellation(stage1.constellation, os.path.join(OUT, "shaped_awgn.txt"
 heavy = shaping.ShapingConfig(
     target_snr_db=SNR_DB, papr_penalty_weight=0.5, max_iterations=400
 )
-stage2 = shaping.optimize_papr(stage1.constellation, heavy)
+stage2 = shaping.optimize(stage1.constellation, heavy)
 print(f"\nstage 2 (weight 0.5): {stage2.iterations} accepted steps, "
       f"converged={stage2.converged}")
 report("low-papr", stage2.constellation)
@@ -54,7 +54,7 @@ cst.save_constellation(stage2.constellation, os.path.join(OUT, "shaped_papr.txt"
 gentle = shaping.ShapingConfig(
     target_snr_db=SNR_DB, papr_penalty_weight=0.01, max_iterations=400
 )
-settled = shaping.optimize_papr(stage1.constellation, gentle)
+settled = shaping.optimize(stage1.constellation, gentle)
 marked = cst.add_ring_markers(settled.constellation, ring_gain=1.15)
 print(f"\nsystem design: gentle re-settle ({settled.iterations} steps), "
       f"markers at {sorted(marked.marker_indices)}")

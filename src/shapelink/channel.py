@@ -166,6 +166,12 @@ class FiberSegment:
         return self.attenuation_db_km / 1e3 * math.log(10.0) / 10.0
 
     @property
+    def effective_length_m(self) -> float:
+        """Nonlinear effective length (1 - exp(-alpha L)) / alpha, m; L when lossless."""
+        alpha = self.alpha_per_m
+        return -math.expm1(-alpha * self.length_m) / alpha if alpha else self.length_m
+
+    @property
     def beta2_s2_m(self) -> float:
         """GVD parameter beta2 = -D lambda^2 / (2 pi c), s^2/m."""
         return _beta2(self.dispersion_ps_nm_km * 1e-6, self.reference_wavelength_nm)
@@ -267,6 +273,14 @@ _MAX_STEPS = 10**7
 _PHI_MAX_RAD = 2e-3  # Kerr phase per step when no step length is given
 
 
+def _step_count(n: float) -> int:
+    """Whole split steps for a segment that needs ``n``: at least one, and
+    a :class:`ConfigurationError` above 1e7 (NaN included)."""
+    if not n <= _MAX_STEPS:
+        raise ConfigurationError(f"{n:.4g} split steps exceed the 1e7 limit")
+    return max(1, math.ceil(n))
+
+
 def ssfm_propagate(
     frame: WaveformFrame,
     seg: FiberSegment,
@@ -285,21 +299,16 @@ def ssfm_propagate(
     """
     gamma_eff = seg.gamma_per_w_m * (8.0 / 9.0)
     if max_step_m is None:
-        alpha = seg.alpha_per_m
-        l_eff = -math.expm1(-alpha * seg.length_m) / alpha if alpha else seg.length_m
-        n = gamma_eff * frame.power * l_eff / _PHI_MAX_RAD
+        n = gamma_eff * frame.power * seg.effective_length_m / _PHI_MAX_RAD
     elif 0 < max_step_m < math.inf:
         n = seg.length_m / max_step_m
     else:
         raise ValueError("max_step_m must be positive and finite")
-    if not n <= _MAX_STEPS:
-        raise ConfigurationError(f"{n:.4g} split steps exceed the 1e7 limit")
-    steps = max(1, math.ceil(n))
     a = _ssfm_core(
         frame.samples,
         frame.sample_rate,
         seg.length_m,
-        steps,
+        _step_count(n),
         seg.beta2_s2_m,
         seg.alpha_per_m,
         gamma_eff,

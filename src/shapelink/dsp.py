@@ -9,7 +9,7 @@ constellation's marker ring, and bitwise LLR demapping.
 
 All operations are pure functions of their inputs; the adaptive equalizer
 is sequential over samples by definition but deterministic for a fixed
-input frame and config.
+input frame and keyword values.
 
 Conventions
 -----------
@@ -35,13 +35,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import _MAX_STEPS, SpanSpec, WaveformFrame, _beta2, _ssfm_core
+from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core, _step_count
 from .constellation import Constellation, _squared_distances, bitwise_llrs
-from .errors import AlignmentError, ConfigurationError, EstimationFailure
+from .errors import AlignmentError, EstimationFailure
 
 __all__ = [
-    "DspConfig",
-    "DEFAULT_DSP_CONFIG",
     "SymbolFrame",
     "LlrFrame",
     "CpeResult",
@@ -62,43 +60,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# configuration and frame types
-
-
-@dataclass(frozen=True)
-class DspConfig:
-    """Parameters of the adaptive receiver stages.
-
-    Parameters
-    ----------
-    equalizer_taps : int
-        Butterfly FIR length per branch; must be odd (center spike).
-    equalizer_step : float
-        LMS step size of the radius-directed update.
-    equalizer_passes : int
-        Adaptation passes over the frame; taps persist between passes and
-        the returned symbols come from the final pass.
-    cpe_block_length : int
-        Symbols per carrier-phase-estimation block.
-    """
-
-    equalizer_taps: int = 19
-    equalizer_step: float = 1e-3
-    equalizer_passes: int = 2
-    cpe_block_length: int = 64
-
-    def __post_init__(self):
-        if self.equalizer_taps < 1 or self.equalizer_taps % 2 == 0:
-            raise ValueError("equalizer_taps must be a positive odd integer")
-        if self.equalizer_step <= 0:
-            raise ValueError("equalizer_step must be positive")
-        if self.equalizer_passes < 1:
-            raise ValueError("equalizer_passes must be at least 1")
-        if self.cpe_block_length < 1:
-            raise ValueError("cpe_block_length must be at least 1")
-
-
-DEFAULT_DSP_CONFIG = DspConfig()
+# frame types
 
 
 @dataclass(frozen=True)
@@ -313,7 +275,10 @@ def _nearest_radius_sq(radii_sq: list, power: float) -> float:
 def rde_equalize(
     frame: WaveformFrame,
     c: Constellation,
-    cfg: DspConfig = DEFAULT_DSP_CONFIG,
+    *,
+    taps: int = 19,
+    step: float = 1e-3,
+    passes: int = 2,
     return_state: bool = False,
 ):
     """Radius-directed 2x2 butterfly equalizer at two samples per symbol.
@@ -322,7 +287,11 @@ def rde_equalize(
     constellation's radius set, center-spike initialization, symmetric
     (centered) tap windows so the converged identity channel introduces
     no delay.  The input is first scaled to unit per-polarization power,
-    matching the unit-power constellation.
+    matching the unit-power constellation.  ``taps`` is the butterfly FIR
+    length per branch (positive and odd, for the center spike), ``step``
+    the LMS step size (positive and finite) and ``passes`` the number of
+    adaptation passes over the frame (at least 1); taps persist between
+    passes and the returned symbols come from the final pass.
 
     Per symbol the butterfly is one ``(2, 2K) @ (2K,)`` product of the
     stacked taps with the stacked x/y input window, and the update one
@@ -333,10 +302,17 @@ def rde_equalize(
     halved.  Returns the symbol-rate output, plus an
     :class:`EqualizerState` when ``return_state`` is true.
     """
+    # written so that NaN fails every check
+    if not (taps >= 1 and taps % 2 == 1):
+        raise ValueError("taps must be a positive odd integer")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not passes >= 1:
+        raise ValueError("passes must be at least 1")
     ratio = frame.sample_rate / frame.symbol_rate
     if abs(ratio - 2.0) > 1e-9:
         raise ValueError("rde_equalize expects exactly 2 samples per symbol")
-    k = cfg.equalizer_taps
+    k = taps
     half = (k - 1) // 2
 
     a = np.array(frame.samples)
@@ -356,28 +332,28 @@ def rde_equalize(
     check_every = 128
     max_restarts = 12
     restarts = 0
-    mu = cfg.equalizer_step
+    mu = step
     grad = np.empty((2, 1), dtype=np.complex128)
 
     while True:
         w = np.zeros((2, 2, k), dtype=np.complex128)
         w[0, 0, half] = 1.0
         w[1, 1, half] = 1.0
-        taps = w.reshape(2, 2 * k)  # a view: [out_pol, x taps | y taps]
+        stacked = w.reshape(2, 2 * k)  # a view: [out_pol, x taps | y taps]
         out = np.empty((n_sym, 2), dtype=np.complex128)
         diverged = False
         block_acc = 0.0
 
-        for p in range(cfg.equalizer_passes):
+        for _ in range(passes):
             for n in range(n_sym):
                 y = out[n]
-                np.matmul(taps, win[n], out=y)
+                np.matmul(stacked, win[n], out=y)
                 yx, yy = y.tolist()
                 px = yx.real * yx.real + yx.imag * yx.imag
                 py = yy.real * yy.real + yy.imag * yy.imag
                 grad[0, 0] = mu * (_nearest_radius_sq(radii_sq, px) - px) * yx
                 grad[1, 0] = mu * (_nearest_radius_sq(radii_sq, py) - py) * yy
-                taps += grad * win_conj[n]
+                stacked += grad * win_conj[n]
                 block_acc += px + py
                 # catch runaway outputs before they overflow to inf/nan,
                 # where the block average comparison would go silent
@@ -454,10 +430,9 @@ def _marker_threshold(c: Constellation) -> float:
     return 0.5 * (c.marker_radius() + float(others.max()))
 
 
-def vv_cpe(
-    frame: SymbolFrame, c: Constellation, cfg: DspConfig = DEFAULT_DSP_CONFIG
-) -> CpeResult:
-    """Block-wise 4th-power carrier phase estimation.
+def vv_cpe(frame: SymbolFrame, c: Constellation, block_length: int = 64) -> CpeResult:
+    """Block-wise 4th-power carrier phase estimation over blocks of
+    ``block_length`` symbols (at least 1).
 
     When the constellation carries ring markers, only symbols whose
     magnitude exceeds the midpoint between the marker radius and the
@@ -473,9 +448,11 @@ def vv_cpe(
     Blocks with no classified symbol inherit the previous estimate and
     are counted in ``empty_blocks``.
     """
+    if not block_length >= 1:
+        raise ValueError("block_length must be at least 1")
     s = frame.symbols
     m = s.shape[1]
-    b = cfg.cpe_block_length
+    b = block_length
     n_blocks = (m + b - 1) // b
 
     if c.marker_indices:
@@ -537,12 +514,11 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     """
     if steps_per_span < 1:
         raise ValueError("steps_per_span must be at least 1")
+    # every count is checked before the first step runs
     counts = [
-        [steps_per_span * seg.length_m / span.length_m for seg in span.segments] for span in spans
+        [_step_count(steps_per_span * seg.length_m / span.length_m) for seg in span.segments]
+        for span in spans
     ]
-    for n in (n for span_counts in counts for n in span_counts):
-        if not n <= _MAX_STEPS:
-            raise ConfigurationError(f"{n:.4g} split steps exceed the 1e7 limit")
     a = np.array(frame.samples)
     for span, span_counts in zip(reversed(spans), reversed(counts)):
         a /= 10.0 ** (span.loss_db / 20.0)
@@ -551,7 +527,7 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
                 a,
                 frame.sample_rate,
                 seg.length_m,
-                max(1, math.ceil(n)),
+                n,
                 -seg.beta2_s2_m,
                 -seg.alpha_per_m,
                 -seg.gamma_per_w_m * (8.0 / 9.0),

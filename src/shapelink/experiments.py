@@ -65,10 +65,18 @@ _DEFAULT_RATES = (
 )
 
 
+def _ini(section: str, default, key: str | None = None):
+    """A config field read from ``key`` (default: the field name) in ``[section]``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs, with desk-scale defaults.
 
+    Each field is read from the INI section its declaration names, under
+    its own name unless a ``key`` is given; the field's type sets how the
+    value is parsed (a ``tuple`` is a whitespace-separated list).
     ``transmitter_snr_db`` may be infinite to disable transmitter noise;
     ``linewidth_hz`` 0 disables laser phase noise (and with it the
     carrier-phase stage of the fiber receiver).  ``max_step_m`` None sizes
@@ -76,50 +84,43 @@ class ExperimentConfig:
     at most that length.
     """
 
-    mode: str = "gap_sweep"
-    seed: int = 0
-    output_dir: str = "runs"
-    # constellation
-    source: str = "system12"
-    design_snr_db: float = 11.0
-    # sweep
-    snr_start_db: float = 0.0
-    snr_stop_db: float = 20.0
-    snr_step_db: float = 1.0
-    estimator: str = "gh"
-    mc_symbols: int = 1_000_000
-    # channel
-    span_count: int = 9
-    launch_power_dbm: float = -0.5
-    symbol_rate_hz: float = 35e9
-    channel_spacing_hz: float = 50e9
-    oversampling: int = 4
-    symbols: int = 16384
-    transmitter_snr_db: float = 20.0
-    linewidth_hz: float = 0.0
-    max_step_m: float | None = None
-    # dsp
-    rrc_rolloff: float = 0.01
-    cpe_block_length: int = 64
-    dbp_steps_per_span: int = 4
-    # fec
-    fec_matrix: str = ""
-    fec_rates: tuple = _DEFAULT_RATES
-    bch_overhead: float = 0.005
-    ber_threshold: float = 3e-4
-    # band sweep
-    band_channels: int = 92
-    mean_nf_db: float = 1.4
-    nf_tilt_db: float = -5.7
-    signal_tilt_db: float = -2.0
-    band_start_nm: float = 1525.0
-    band_stop_nm: float = 1616.0
-    transceiver_snr_db: float = 20.0
-    # shaping
-    shape_iterations: int = 300
-    papr_weight: float = 0.0
-    add_markers: bool = False
-    ring_gain: float = 1.15
+    mode: str = _ini("experiment", "gap_sweep")
+    seed: int = _ini("experiment", 0)
+    output_dir: str = _ini("experiment", "runs", key="output")
+    source: str = _ini("constellation", "system12")
+    design_snr_db: float = _ini("constellation", 11.0)
+    snr_start_db: float = _ini("sweep", 0.0)
+    snr_stop_db: float = _ini("sweep", 20.0)
+    snr_step_db: float = _ini("sweep", 1.0)
+    estimator: str = _ini("sweep", "gh")
+    mc_symbols: int = _ini("sweep", 1_000_000)
+    span_count: int = _ini("channel", 9, key="spans")
+    launch_power_dbm: float = _ini("channel", -0.5)
+    symbol_rate_hz: float = _ini("channel", 35e9)
+    channel_spacing_hz: float = _ini("channel", 50e9)
+    oversampling: int = _ini("channel", 4)
+    symbols: int = _ini("channel", 16384)
+    transmitter_snr_db: float = _ini("channel", 20.0)
+    linewidth_hz: float = _ini("channel", 0.0)
+    max_step_m: float | None = _ini("channel", None)
+    rrc_rolloff: float = _ini("dsp", 0.01)
+    cpe_block_length: int = _ini("dsp", 64)
+    dbp_steps_per_span: int = _ini("dsp", 4)
+    fec_matrix: str = _ini("fec", "", key="matrix")
+    fec_rates: tuple = _ini("fec", _DEFAULT_RATES, key="rates")
+    bch_overhead: float = _ini("fec", 0.005)
+    ber_threshold: float = _ini("fec", 3e-4)
+    band_channels: int = _ini("band", 92, key="channels")
+    mean_nf_db: float = _ini("band", 1.4)
+    nf_tilt_db: float = _ini("band", -5.7)
+    signal_tilt_db: float = _ini("band", -2.0)
+    band_start_nm: float = _ini("band", 1525.0, key="start_nm")
+    band_stop_nm: float = _ini("band", 1616.0, key="stop_nm")
+    transceiver_snr_db: float = _ini("band", 20.0)
+    shape_iterations: int = _ini("shape", 300, key="iterations")
+    papr_weight: float = _ini("shape", 0.0)
+    add_markers: bool = _ini("shape", False)
+    ring_gain: float = _ini("shape", 1.15)
 
 
 @dataclass(frozen=True)
@@ -137,66 +138,17 @@ class MetricsReport:
 # config parsing
 
 
-_SCHEMA = {
-    "experiment": {"mode": str, "seed": int, "output": str},
-    "constellation": {"source": str, "design_snr_db": float},
-    "sweep": {
-        "snr_start_db": float,
-        "snr_stop_db": float,
-        "snr_step_db": float,
-        "estimator": str,
-        "mc_symbols": int,
-    },
-    "channel": {
-        "spans": int,
-        "launch_power_dbm": float,
-        "symbol_rate_hz": float,
-        "channel_spacing_hz": float,
-        "oversampling": int,
-        "symbols": int,
-        "transmitter_snr_db": float,
-        "linewidth_hz": float,
-        "max_step_m": float,
-    },
-    "dsp": {
-        "rrc_rolloff": float,
-        "cpe_block_length": int,
-        "dbp_steps_per_span": int,
-    },
-    "fec": {
-        "matrix": str,
-        "rates": str,
-        "bch_overhead": float,
-        "ber_threshold": float,
-    },
-    "band": {
-        "channels": int,
-        "mean_nf_db": float,
-        "nf_tilt_db": float,
-        "signal_tilt_db": float,
-        "start_nm": float,
-        "stop_nm": float,
-        "transceiver_snr_db": float,
-    },
-    "shape": {
-        "iterations": int,
-        "papr_weight": float,
-        "add_markers": bool,
-        "ring_gain": float,
-    },
+# how a value is parsed, by field annotation
+_KINDS = {
+    "str": str, "int": int, "float": float, "float | None": float, "bool": bool, "tuple": tuple,
 }
 
-# (section, key) -> ExperimentConfig field where names differ
-_FIELD_MAP = {
-    ("experiment", "output"): "output_dir",
-    ("channel", "spans"): "span_count",
-    ("fec", "matrix"): "fec_matrix",
-    ("fec", "rates"): "fec_rates",
-    ("band", "channels"): "band_channels",
-    ("band", "start_nm"): "band_start_nm",
-    ("band", "stop_nm"): "band_stop_nm",
-    ("shape", "iterations"): "shape_iterations",
+# (section, key) -> (ExperimentConfig field name, parse kind), in field order
+_INI_KEYS = {
+    (f.metadata["section"], f.metadata["key"] or f.name): (f.name, _KINDS[f.type])
+    for f in dataclasses.fields(ExperimentConfig)
 }
+_SECTIONS = {section for section, _ in _INI_KEYS}
 
 
 def _coerce(raw: str, kind):
@@ -211,6 +163,8 @@ def _coerce(raw: str, kind):
         return float(raw)  # accepts "inf"
     if kind is int:
         return int(raw, 10)
+    if kind is tuple:
+        return tuple(raw.split())
     return raw.strip()
 
 
@@ -218,12 +172,17 @@ def parse_config(path) -> tuple:
     """Read an INI experiment config.
 
     Returns ``(config, diagnostics)``; ``config`` is None when the file
-    cannot be parsed at all.  Unknown sections or keys and values of the
-    wrong type are reported as ``section.key: message`` diagnostics.  A
+    cannot be parsed at all.  Unknown sections (``[DEFAULT]`` too) or keys
+    and values of the wrong type are reported as ``section.key: message``
+    diagnostics, and none of their values is applied.  A
     ``;`` after whitespace starts a comment, also at the end of a value.
     """
     diags = []
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    # no header can name a section "\n", so a [DEFAULT] section is read as
+    # an ordinary (unknown) one instead of lending its keys to every other
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",), default_section="\n"
+    )
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -240,25 +199,20 @@ def parse_config(path) -> tuple:
 
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             diags.append(f"{section}: unknown section")
             continue
         for key, raw in parser.items(section):
-            kind = _SCHEMA[section].get(key)
-            if kind is None:
+            if (section, key) not in _INI_KEYS:
                 diags.append(f"{section}.{key}: unknown key")
                 continue
+            field_name, kind = _INI_KEYS[section, key]
             try:
-                val = _coerce(raw, kind)
+                values[field_name] = _coerce(raw, kind)
             except ValueError:
                 diags.append(
                     f"{section}.{key}: expected {kind.__name__}, got {raw!r}"
                 )
-                continue
-            field_name = _FIELD_MAP.get((section, key), key)
-            if field_name == "fec_rates":
-                val = tuple(val.split())
-            values[field_name] = val
     return ExperimentConfig(**values), diags
 
 
@@ -336,13 +290,12 @@ def validate_config(cfg: ExperimentConfig) -> list:
     if not cfg.ring_gain > 1.0:
         d.append("shape.ring_gain: must be above 1")
     named = {x.split(":", 1)[0] for x in d}
-    for section, keys in _SCHEMA.items():
-        for key in (k for k, kind in keys.items() if kind is float):
-            value = getattr(cfg, _FIELD_MAP.get((section, key), key))
-            if value is None or f"{section}.{key}" in named:
-                continue
-            if not (math.isfinite(value) or (value == math.inf and key in _INF_MEANS)):
-                d.append(f"{section}.{key}: must be finite")
+    for (section, key), (name, kind) in _INI_KEYS.items():
+        value = getattr(cfg, name)
+        if kind is not float or value is None or f"{section}.{key}" in named:
+            continue
+        if not (math.isfinite(value) or (value == math.inf and key in _INF_MEANS)):
+            d.append(f"{section}.{key}: must be finite")
     return d
 
 
@@ -389,10 +342,6 @@ def _gmi_kwargs(cfg: ExperimentConfig, seed: int) -> dict:
     return {"estimator": "gauss_hermite", "order": 10}
 
 
-def _dsp_config(cfg: ExperimentConfig) -> dsp.DspConfig:
-    return dsp.DspConfig(cpe_block_length=cfg.cpe_block_length)
-
-
 def _aligned(rx: dsp.SymbolFrame, ref: dsp.SymbolFrame) -> dsp.SymbolFrame:
     """Remove per-polarization complex gain by least squares against the
     transmitted symbols (experiment-report alignment, not blind DSP)."""
@@ -417,10 +366,7 @@ def _run_shape(cfg: ExperimentConfig, out_dir: str):
         max_iterations=cfg.shape_iterations,
         jitter_seed=cfg.seed,
     )
-    if cfg.papr_weight > 0:
-        result = shaping.optimize_papr(initial, shape_cfg)
-    else:
-        result = shaping.optimize_awgn(initial, shape_cfg)
+    result = shaping.optimize(initial, shape_cfg)
     shaped = result.constellation
     if cfg.add_markers:
         shaped = cst.add_ring_markers(shaped, ring_gain=cfg.ring_gain)
@@ -564,7 +510,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
     return columns, rows, []
 
 
-def _receiver_chain(wave, spans, c, cfg, dsp_cfg, use_dbp: bool):
+def _receiver_chain(wave, spans, c, cfg, use_dbp: bool):
     """Receive one waveform: dispersion handling, matched filter,
     decimation, optional carrier phase tracking."""
     if use_dbp:
@@ -578,7 +524,7 @@ def _receiver_chain(wave, spans, c, cfg, dsp_cfg, use_dbp: bool):
         comp = dsp.cd_compensate(wave, total_d)
     sym = dsp.decimate(dsp.matched_filter(comp, rolloff=cfg.rrc_rolloff))
     if cfg.linewidth_hz > 0:
-        sym = dsp.vv_cpe(sym, c, dsp_cfg).frame
+        sym = dsp.vv_cpe(sym, c, block_length=cfg.cpe_block_length).frame
     return sym
 
 
@@ -596,7 +542,6 @@ def _symbol_metrics(sym, ref, c, tx_bits):
 
 def _run_fiber_e2e(cfg: ExperimentConfig, out_dir: str):
     c = _load_constellation(cfg)
-    dsp_cfg = _dsp_config(cfg)
     ref, idx = dsp.random_symbols(c, cfg.symbols, seed=cfg.seed)
     tx_bits = c.bit_matrix[idx]
 
@@ -621,8 +566,8 @@ def _run_fiber_e2e(cfg: ExperimentConfig, out_dir: str):
     spans = [ch.hybrid_span()] * cfg.span_count
     link = ch.propagate_link(wave, spans, seed=cfg.seed + 3, max_step_m=cfg.max_step_m)
 
-    sym_cdc = _receiver_chain(link, spans, c, cfg, dsp_cfg, use_dbp=False)
-    sym_dbp = _receiver_chain(link, spans, c, cfg, dsp_cfg, use_dbp=True)
+    sym_cdc = _receiver_chain(link, spans, c, cfg, use_dbp=False)
+    sym_dbp = _receiver_chain(link, spans, c, cfg, use_dbp=True)
     snr_pre, gmi_pre, _ = _symbol_metrics(sym_cdc, ref, c, tx_bits)
     snr_post, gmi_post, ber_pre = _symbol_metrics(sym_dbp, ref, c, tx_bits)
     gate = fec.post_fec_gate(ber_pre, cfg.ber_threshold)

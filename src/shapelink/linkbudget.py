@@ -130,17 +130,12 @@ def gn_nli_estimate(
                 "closed-form interference estimate needs nonzero dispersion"
             )
         if gamma > 0.0:
-            if alpha > 0.0:
-                l_eff = (1.0 - math.exp(-alpha * seg.length_m)) / alpha
-                l_asym = 1.0 / alpha
-            else:
-                l_eff = seg.length_m
-                l_asym = seg.length_m
+            l_asym = 1.0 / alpha if alpha > 0.0 else seg.length_m
             density += (
                 (8.0 / 27.0)
                 * gamma**2
                 * (psd * remaining) ** 3
-                * l_eff**2
+                * seg.effective_length_m**2
                 * math.asinh(0.5 * math.pi**2 * beta2 * l_asym * band_hz**2)
                 / (math.pi * beta2 * l_asym)
             )

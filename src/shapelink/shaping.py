@@ -1,13 +1,14 @@
 """Gradient-ascent geometric shaping of 64-point constellations.
 
-Three-stage procedure:
+Three-stage procedure; stages 1 and 2 are one :func:`optimize` at two
+settings of ``papr_penalty_weight``:
 
-1. :func:`optimize_awgn` - maximize GMI at the design SNR (default 12 dB)
-   by a quasi-Newton ascent: L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989)
-   over the 128 raw coordinates x of the objective f(normalized(x)), with
-   an Armijo backtracking line search, so every accepted step strictly
+1. weight 0 - maximize GMI at the design SNR (default 12 dB) by a
+   quasi-Newton ascent: L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989) over
+   the 128 raw coordinates x of the objective f(normalized(x)), with an
+   Armijo backtracking line search, so every accepted step strictly
    improves the unit-power design.  Labels never move; only coordinates do.
-2. :func:`optimize_papr` - same ascent on the penalized objective
+2. weight > 0 - same ascent on the penalized objective
    GMI - weight * smoothmax(papr_i, papr_q), trading a little mutual
    information for lower per-dimension peak power.
 3. :func:`constellation.add_ring_markers` - move the four outermost points
@@ -40,9 +41,7 @@ from .constellation import (
 __all__ = [
     "ShapingConfig",
     "ShapingResult",
-    "DEFAULT_PAPR_CONFIG",
-    "optimize_awgn",
-    "optimize_papr",
+    "optimize",
     "gh_gmi_value",
     "gh_gmi_value_and_gradient",
     "finite_difference_gradient",
@@ -56,7 +55,11 @@ class ShapingConfig:
 
     The objective is the order-10 Gauss-Hermite GMI at ``target_snr_db``,
     minus ``papr_penalty_weight`` times a smooth max of the per-dimension
-    PAPRs.  The ascent is L-BFGS with an Armijo backtracking line search.
+    PAPRs.  With weight 0 the GMI term rewards growing the outer points, so
+    a run from square 64QAM can exceed the 49/21 peak-to-average ratio it
+    started with; a weight of 0.5 brings it near 1.8 per dimension, and
+    large weights drive both dimensions toward constant magnitude.  The
+    ascent is L-BFGS with an Armijo backtracking line search.
     ``step_size`` is the length, on the unit-power coordinate scale, of the
     first trial step along a plain gradient direction (the first iteration,
     and the retry after a curvature step fails); L-BFGS directions are first
@@ -85,23 +88,17 @@ class ShapingConfig:
     jitter_seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.papr_penalty_weight < 0:
-            raise ValueError("papr_penalty_weight must be >= 0")
+        # written so that NaN fails every check
+        if not math.isfinite(self.target_snr_db):
+            raise ValueError("target_snr_db must be finite")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not 0 <= self.papr_penalty_weight < math.inf:
+            raise ValueError("papr_penalty_weight must be >= 0 and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.init_jitter < 0:
-            raise ValueError("init_jitter must be >= 0")
-
-
-#: Shipped defaults for the PAPR stage.  The weight is deliberately on the
-#: heavy side: the GMI term otherwise rewards growing the outer points, so
-#: a default run from square 64QAM would EXCEED the 49/21 peak-to-average
-#: ratio it started with.  At 0.5 the default run lands near 1.8 per
-#: dimension.  Gentler trade-offs (see the builtin generation script) use
-#: small weights or a rising-weight continuation instead.
-DEFAULT_PAPR_CONFIG = ShapingConfig(papr_penalty_weight=0.5)
+        if not 0 <= self.init_jitter < math.inf:
+            raise ValueError("init_jitter must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -376,7 +373,14 @@ def _ascend(points0: np.ndarray, bits: np.ndarray, cfg: ShapingConfig):
     return pts, history, converged
 
 
-def _optimize(initial, cfg: ShapingConfig) -> ShapingResult:
+def optimize(initial, cfg: ShapingConfig = ShapingConfig()) -> ShapingResult:
+    """Maximize GMI - ``cfg.papr_penalty_weight`` * smoothmax PAPR.
+
+    Acceptance is monotone: the objective history never decreases, and the
+    returned design's objective at ``cfg.target_snr_db`` is >= the
+    initial one (with weight 0, its GMI).  Labels are carried through
+    unchanged.
+    """
     points, bits = _points_and_bits(initial)
     pts, history, converged = _ascend(points, bits, cfg)
     if isinstance(initial, Constellation):
@@ -394,28 +398,3 @@ def _optimize(initial, cfg: ShapingConfig) -> ShapingResult:
         iterations=len(history) - 1,
         history=history,
     )
-
-
-def optimize_awgn(initial, cfg: ShapingConfig = ShapingConfig()) -> ShapingResult:
-    """Stage 1: maximize GMI at the design SNR (no PAPR penalty).
-
-    Acceptance is monotone: the objective history never decreases, and the
-    returned constellation's GMI at ``cfg.target_snr_db`` is >= the
-    initial one.  Labels are carried through unchanged.
-    """
-    if cfg.papr_penalty_weight != 0.0:
-        raise ValueError("optimize_awgn requires papr_penalty_weight = 0")
-    return _optimize(initial, cfg)
-
-
-def optimize_papr(initial, cfg: ShapingConfig = None) -> ShapingResult:
-    """Stage 2: maximize GMI - weight * smoothmax PAPR.
-
-    With ``cfg.papr_penalty_weight == 0`` the penalty vanishes and this is
-    exactly :func:`optimize_awgn`; the shipped default
-    (:data:`DEFAULT_PAPR_CONFIG`) uses a small positive weight.  Large
-    weights drive both dimensions toward constant magnitude (PAPR -> 1).
-    """
-    if cfg is None:
-        cfg = DEFAULT_PAPR_CONFIG
-    return _optimize(initial, cfg)

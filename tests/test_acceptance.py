@@ -28,7 +28,7 @@ def _mc_gap(c, snr_db, seed=0):
 def shaped11():
     """Full GMI-shaping run from square 64QAM at the 11 dB design point."""
     cfg = shaping.ShapingConfig(target_snr_db=11.0)
-    return shaping.optimize_awgn(cst.load_builtin("square64"), cfg)
+    return shaping.optimize(cst.load_builtin("square64"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +53,13 @@ def test_criterion_01_gap_reproduction_square_and_shaped(shaped11):
 def test_criterion_02_shaping_monotone_and_idempotent(shaped11):
     square = cst.load_builtin("square64")
     cfg = shaping.ShapingConfig(target_snr_db=11.0, max_iterations=50)
-    short = shaping.optimize_awgn(square, cfg)
+    short = shaping.optimize(square, cfg)
     # exact: the accepted-step history never decreases, and the result is
     # never below the starting GMI
     assert np.all(np.diff(short.history) >= 0)
     assert cst.gmi_estimate(short.constellation, 11.0) >= cst.gmi_estimate(square, 11.0)
     # converged output is a fixed point to < 1e-3 bit/4D
-    again = shaping.optimize_awgn(
+    again = shaping.optimize(
         shaped11.constellation, shaping.ShapingConfig(target_snr_db=11.0)
     )
     g_first = cst.gmi_estimate(shaped11.constellation, 11.0)
@@ -77,7 +77,7 @@ def test_criterion_03_papr_oracle_and_reduction():
     # enumeration: per-dim levels {1,3,5,7}^2 -> peak 49, mean 21
     assert papr_i == pytest.approx(49.0 / 21.0, rel=1e-12)
     assert papr_q == pytest.approx(49.0 / 21.0, rel=1e-12)
-    res = shaping.optimize_papr(square)
+    res = shaping.optimize(square, shaping.ShapingConfig(papr_penalty_weight=0.5))
     low_i, low_q = cst.papr(res.constellation)
     assert low_i < 49.0 / 21.0
     assert low_q < 49.0 / 21.0

@@ -52,13 +52,31 @@ def _best_evm_db(out: np.ndarray, ref: np.ndarray) -> float:
 # config and frame validation
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        dsp.DspConfig(equalizer_taps=20)
-    with pytest.raises(ValueError):
-        dsp.DspConfig(equalizer_step=0.0)
-    with pytest.raises(ValueError):
-        dsp.DspConfig(cpe_block_length=0)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(taps=20),
+        dict(taps=0),
+        dict(taps=math.nan),
+        dict(step=0.0),
+        dict(step=math.nan),
+        dict(step=math.inf),
+        dict(passes=0),
+        dict(passes=math.nan),
+    ],
+)
+def test_config_validation(square, kwargs):
+    _, mf = _matched_2sps(square, 256, seed=1)
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        dsp.rde_equalize(mf, square, **kwargs)
+
+
+@pytest.mark.parametrize("block_length", [0, -1, math.nan])
+def test_cpe_block_length_validation(square, block_length):
+    frame, _ = dsp.random_symbols(square, 64, seed=1)
+    with pytest.raises(ValueError, match="block_length"):
+        dsp.vv_cpe(frame, square, block_length)
 
 
 def test_symbol_frame_validation():
@@ -250,17 +268,16 @@ def test_rde_suppresses_isi(square):
 
 def test_rde_divergence_restarts(square):
     frame, mf = _matched_2sps(square, 2048, seed=11)
-    cfg = dsp.DspConfig(equalizer_step=0.5)
-    eq, state = dsp.rde_equalize(mf, square, cfg, return_state=True)
+    eq, state = dsp.rde_equalize(mf, square, step=0.5, return_state=True)
     assert state.restarts >= 1
     assert state.step_used < 0.5
     assert np.all(np.isfinite(eq.symbols))
 
 
-def _reference_rde(frame, c, cfg=dsp.DEFAULT_DSP_CONFIG):
+def _reference_rde(frame, c, taps=19, step=1e-3, passes=2):
     """The per-symbol equalizer written out plainly: four dot products and a
     full argmin over the radius set per symbol, same checks and restarts."""
-    k = cfg.equalizer_taps
+    k = taps
     half = (k - 1) // 2
     a = np.array(frame.samples)
     a *= math.sqrt(1.0 / np.mean(np.abs(a) ** 2))
@@ -274,7 +291,7 @@ def _reference_rde(frame, c, cfg=dsp.DEFAULT_DSP_CONFIG):
         return float(radii_sq[np.argmin(np.abs(radii_sq - power))])
 
     restarts = 0
-    mu = cfg.equalizer_step
+    mu = step
     while True:
         w = np.zeros((2, 2, k), dtype=np.complex128)
         w[0, 0, half] = 1.0
@@ -282,7 +299,7 @@ def _reference_rde(frame, c, cfg=dsp.DEFAULT_DSP_CONFIG):
         out = np.empty((2, n_sym), dtype=np.complex128)
         diverged = False
         block_acc = 0.0
-        for _ in range(cfg.equalizer_passes):
+        for _ in range(passes):
             for n in range(n_sym):
                 ux = win_x[n]
                 uy = win_y[n]
@@ -315,17 +332,17 @@ def _reference_rde(frame, c, cfg=dsp.DEFAULT_DSP_CONFIG):
         mu *= 0.5
 
 
-@pytest.mark.parametrize("case", ["jones", "divergence"])
+@pytest.mark.parametrize("case", ["jones", "divergence", "short"])
 def test_rde_matches_per_symbol_reference(square, case):
-    if case == "jones":
+    if case == "divergence":
+        _, wf = _matched_2sps(square, 2048, seed=11)
+        kwargs = dict(step=0.5)
+    else:
         _, mf = _matched_2sps(square, 4096, seed=9)
         wf = ch.apply_jones_rotation(mf, math.pi / 2.0)
-        cfg = dsp.DEFAULT_DSP_CONFIG
-    else:
-        _, wf = _matched_2sps(square, 2048, seed=11)
-        cfg = dsp.DspConfig(equalizer_step=0.5)
-    eq, state = dsp.rde_equalize(wf, square, cfg, return_state=True)
-    out, taps, restarts, mu = _reference_rde(wf, square, cfg)
+        kwargs = dict(taps=7, passes=1) if case == "short" else {}
+    eq, state = dsp.rde_equalize(wf, square, return_state=True, **kwargs)
+    out, taps, restarts, mu = _reference_rde(wf, square, **kwargs)
     assert state.restarts == restarts
     assert state.step_used == mu
     if case == "divergence":

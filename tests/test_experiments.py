@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -124,11 +125,51 @@ def test_removed_equalizer_keys_are_unknown(tmp_path, capsys):
 
 
 def test_schema_keys_and_config_fields_correspond():
-    keys = [(section, key) for section, kinds in ex._SCHEMA.items() for key in kinds]
-    fields = [ex._FIELD_MAP.get(k, k[1]) for k in keys]
-    assert set(ex._FIELD_MAP) <= set(keys)
-    assert len(set(fields)) == len(fields)
-    assert set(fields) == {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+    fields = dataclasses.fields(ex.ExperimentConfig)
+    assert [name for name, _ in ex._INI_KEYS.values()] == [f.name for f in fields]
+    assert ex._SECTIONS == {
+        "experiment", "constellation", "sweep", "channel", "dsp", "fec", "band", "shape",
+    }
+
+
+def test_readme_ini_reference_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    documented, section = set(), None
+    for line in block.splitlines():
+        line = line.strip().lstrip(";").strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            documented.add((section, line.split("=", 1)[0].strip()))
+    assert set(ex._INI_KEYS) <= documented
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nmode = fiber_e2e\nspans = 3\n",
+        "[DEFAULT]\nspans = 3\n\n[channel]\nsymbols = 128\n",
+    ],
+)
+def test_default_section_is_unknown_and_applies_nothing(tmp_path, capsys, text):
+    path = _write(tmp_path, text)
+    cfg, diags = ex.parse_config(path)
+    assert diags == ["DEFAULT: unknown section"]
+    assert cfg.mode == "gap_sweep"
+    assert cfg.span_count == 9
+    assert cli.main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == "DEFAULT: unknown section\n"
+
+
+def test_package_version_is_declared_once():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with warnings.catch_warnings():  # setuptools flags [tool.setuptools] as beta
+        warnings.simplefilter("ignore")
+        meta = pyprojecttoml.read_configuration(os.path.join(root, "pyproject.toml"))
+    assert meta["project"]["version"] == shapelink.__version__
 
 
 def test_parse_accepts_inf_transmitter_snr(tmp_path):
@@ -216,10 +257,7 @@ def test_validate_rejects_non_finite_floats(field, value, key):
     assert diags == [f"{key}: must be finite"]
 
 
-_FLOAT_KEYS = [
-    (section, key) for section, keys in ex._SCHEMA.items()
-    for key, kind in keys.items() if kind is float
-]
+_FLOAT_KEYS = [key for key, (_, kind) in ex._INI_KEYS.items() if kind is float]
 
 # every mode at a size that runs in well under a second
 _SMALL_RUNS = {
@@ -244,7 +282,7 @@ _SMALL_RUNS = {
 @example(key=("channel", "max_step_m"), value=math.nan, mode="fiber_e2e")
 def test_non_finite_float_is_named_or_runs(key, value, mode):
     section, name = key
-    field = ex._FIELD_MAP.get(key, name)
+    field = ex._INI_KEYS[key][0]
     with tempfile.TemporaryDirectory() as out:
         cfg = ex.ExperimentConfig(mode=mode, output_dir=out, **{**_SMALL_RUNS[mode], field: value})
         if any(d.startswith(f"{section}.{name}:") for d in ex.validate_config(cfg)):
@@ -276,7 +314,7 @@ def test_validated_dsp_and_shape_sections_run(dsp_values, shape_values):
     cfg = ex.ExperimentConfig(**dsp_values, **shape_values)
     if any(d.startswith(("dsp.", "shape.")) for d in ex.validate_config(cfg)):
         return
-    ex._dsp_config(cfg)
+    dsp.vv_cpe(dsp.SymbolFrame(np.ones((2, 8), complex)), cst.square64(), cfg.cpe_block_length)
     cst.add_ring_markers(cst.square64(), cfg.ring_gain)
 
 
@@ -546,7 +584,7 @@ def test_cdc_receiver_compensates_heterogeneous_spans():
     ]
     link = ch.propagate_link(wave, spans, seed=None, max_step_m=1e5)
     cfg = ex.ExperimentConfig(mode="fiber_e2e")
-    got = ex._receiver_chain(link, spans, c, cfg, ex._dsp_config(cfg), use_dbp=False)
+    got = ex._receiver_chain(link, spans, c, cfg, use_dbp=False)
     want = dsp.decimate(dsp.matched_filter(wave, rolloff=cfg.rrc_rolloff))
     rel = np.max(np.abs(got.symbols - want.symbols)) / np.max(np.abs(want.symbols))
     assert rel < 1e-9

@@ -40,7 +40,7 @@ from shapelink.constellation import (
     save_constellation,
     square64,
 )
-from shapelink.shaping import ShapingConfig, optimize_awgn, optimize_papr
+from shapelink.shaping import ShapingConfig, optimize
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "shapelink" / "data"
 
@@ -66,7 +66,7 @@ def main():
     sq = square64()
     report("square64", sq)
 
-    awgn = optimize_awgn(sq, AWGN_CFG).constellation
+    awgn = optimize(sq, AWGN_CFG).constellation
     report("awgn12", awgn)
     save_constellation(awgn, DATA / "awgn12.txt")
 
@@ -78,7 +78,7 @@ def main():
             max_iterations=4000,
             init_jitter=0.0,
         )
-        cur = optimize_papr(cur, cfg).constellation
+        cur = optimize(cur, cfg).constellation
         if max(papr(cur)) < PAPR_TARGET:
             break
     else:
@@ -89,7 +89,7 @@ def main():
     sys_cfg = ShapingConfig(
         papr_penalty_weight=SYSTEM_WEIGHT, improvement_tol=1e-6, max_iterations=4000
     )
-    staged = optimize_papr(awgn, sys_cfg).constellation
+    staged = optimize(awgn, sys_cfg).constellation
     system = add_ring_markers(staged, RING_GAIN)
     report("system12", system)
     mk = sorted(system.marker_indices)
