@@ -22,6 +22,7 @@ how the expectation over noise is taken.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -118,13 +119,13 @@ class Constellation:
         """(64, 6) uint8 array of label bits; bit k is character k of the label."""
         return _bit_matrix(self.labels)
 
-    def radius_set(self, tol: float = 1e-6) -> np.ndarray:
-        """Distinct point radii (ascending), merged within ``tol`` (used by
+    def radius_set(self) -> np.ndarray:
+        """Distinct point radii (ascending), merged within 1e-6 (used by
         the radius-directed equalizer)."""
         radii = np.sort(np.abs(self.points))
         keep = [radii[0]]
         for r in radii[1:]:
-            if r - keep[-1] > tol:
+            if r - keep[-1] > 1e-6:
                 keep.append(r)
         return np.asarray(keep)
 
@@ -135,14 +136,7 @@ class Constellation:
         return float(np.abs(self.points[sorted(self.marker_indices)]).mean())
 
     def replace(self, **kw) -> "Constellation":
-        data = {
-            "points": self.points,
-            "labels": self.labels,
-            "marker_indices": self.marker_indices,
-            "design_snr_db": self.design_snr_db,
-        }
-        data.update(kw)
-        return Constellation(**data)
+        return dataclasses.replace(self, **kw)
 
 
 def _bit_matrix(labels) -> np.ndarray:

@@ -612,7 +612,11 @@ def evm_db(frame, reference) -> float:
     return float(10.0 * math.log10(p_err / p_ref))
 
 
-def snr_estimate(frame: SymbolFrame, reference: SymbolFrame, corr_threshold: float = 0.2) -> float:
+#: normalized correlation below which snr_estimate calls frames misaligned
+_SNR_MIN_CORRELATION = 0.2
+
+
+def snr_estimate(frame: SymbolFrame, reference: SymbolFrame) -> float:
     """Data-aided SNR in dB against an aligned reference frame.
 
     A per-polarization complex gain is fitted first (so the measure is
@@ -622,8 +626,8 @@ def snr_estimate(frame: SymbolFrame, reference: SymbolFrame, corr_threshold: flo
     Raises
     ------
     AlignmentError
-        If shapes differ or the normalized correlation falls below
-        ``corr_threshold`` (frames not sample-aligned).
+        If shapes differ or the normalized correlation falls below 0.2
+        (frames not sample-aligned).
     """
     a = _fields(frame)
     r = _fields(reference)
@@ -638,9 +642,9 @@ def snr_estimate(frame: SymbolFrame, reference: SymbolFrame, corr_threshold: flo
         if pr == 0.0 or pa == 0.0:
             raise AlignmentError("cannot align an all-zero polarization")
         rho = abs(cross) / math.sqrt(pr * pa)
-        if rho < corr_threshold:
+        if rho < _SNR_MIN_CORRELATION:
             raise AlignmentError(
-                f"correlation {rho:.3f} below threshold {corr_threshold}"
+                f"correlation {rho:.3f} below threshold {_SNR_MIN_CORRELATION}"
             )
         alpha = cross / pr
         p_ref += pr

@@ -339,7 +339,7 @@ def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
 def _gmi_kwargs(cfg: ExperimentConfig, seed: int) -> dict:
     if cfg.estimator == "mc":
         return {"estimator": "monte_carlo", "samples": cfg.mc_symbols, "seed": seed}
-    return {"estimator": "gauss_hermite", "order": 10}
+    return {"estimator": "gauss_hermite"}
 
 
 def _aligned(rx: dsp.SymbolFrame, ref: dsp.SymbolFrame) -> dsp.SymbolFrame:

@@ -1,10 +1,16 @@
 """Soft-decision LDPC decoding and throughput accounting.
 
+Each :class:`ParityCheckMatrix` builds one padded Tanner-graph layout
+when it is made (every check's columns, every column's edge slots); the
+syndrome, the dense form and the decoder all read it.
+
 The decoder is a flooding-schedule normalized min-sum (factor 0.75, up
 to 50 iterations by default) operating on batches of codewords at once;
-codewords whose syndrome reaches zero are frozen immediately.  Parity-
-check matrices travel in a plain-text adjacency format (see
-:func:`save_alist` / :func:`load_alist`) rather than being embedded.
+check-to-variable messages stay in the (batch, checks, row degree)
+layout across iterations, and codewords whose syndrome reaches zero are
+frozen immediately.  Parity-check matrices travel in a plain-text
+adjacency format (see :func:`save_alist` / :func:`load_alist`) rather
+than being embedded.
 
 The outer hard-decision code is modeled, not implemented: a pre-FEC BER
 threshold gate plus a fixed rate deduction (:func:`post_fec_gate`,
@@ -76,26 +82,41 @@ class ParityCheckMatrix:
         if not seen.all():
             raise ValueError("every column must appear in at least one check")
         object.__setattr__(self, "row_cols", tuple(canon))
+        # the Tanner-graph layout: _row_ix[r] lists check r's columns padded
+        # with `cols`, a column that always reads as zero; _col_slot[c] lists
+        # the flat _row_ix slots of column c's edges in row order, padded with
+        # _row_ix.size, a slot that always reads as zero
+        row_deg = np.array([len(r) for r in canon])
+        row_ix = np.full((self.rows, row_deg.max()), self.cols, dtype=np.intp)
+        row_ix[np.arange(row_deg.max()) < row_deg[:, None]] = np.concatenate(canon)
+        slots = np.flatnonzero(row_ix < self.cols)
+        slot_col = row_ix.ravel()[slots]
+        col_deg = np.bincount(slot_col, minlength=self.cols)
+        col_slot = np.full((self.cols, col_deg.max()), row_ix.size, dtype=np.intp)
+        col_slot[np.arange(col_deg.max()) < col_deg[:, None]] = slots[
+            np.argsort(slot_col, kind="stable")
+        ]
+        row_ix.flags.writeable = col_slot.flags.writeable = False
+        object.__setattr__(self, "_row_ix", row_ix)
+        object.__setattr__(self, "_col_slot", col_slot)
 
     @property
     def n_edges(self) -> int:
         return sum(len(r) for r in self.row_cols)
 
     def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for r, entries in enumerate(self.row_cols):
-            h[r, list(entries)] = 1
-        return h
+        h = np.zeros((self.rows, self.cols + 1), dtype=np.uint8)
+        h[np.arange(self.rows)[:, None], self._row_ix] = 1
+        return np.ascontiguousarray(h[:, :-1])
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """H x mod 2; accepts (cols,) or (batch, cols)."""
         bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
         if bits.shape[1] != self.cols:
             raise ValueError("bit length must equal cols")
-        out = np.zeros((bits.shape[0], self.rows), dtype=np.uint8)
-        for r, entries in enumerate(self.row_cols):
-            out[:, r] = bits[:, list(entries)].sum(axis=1) % 2
-        return out
+        padded = np.zeros((bits.shape[0], self.cols + 1), dtype=np.uint8)
+        padded[:, :-1] = bits
+        return np.bitwise_xor.reduce(padded[:, self._row_ix], axis=2) & 1
 
 
 def save_alist(h: ParityCheckMatrix, path) -> None:
@@ -172,23 +193,10 @@ class DecodeResult:
     syndrome_ok: np.ndarray
 
 
-def _edge_layout(h: ParityCheckMatrix):
-    edge_col = np.concatenate([np.array(r, dtype=np.int64) for r in h.row_cols])
-    degrees = np.array([len(r) for r in h.row_cols])
-    max_deg = degrees.max()
-    row_edge = np.full((h.rows, max_deg), -1, dtype=np.int64)
-    e = 0
-    for r, d in enumerate(degrees):
-        row_edge[r, :d] = np.arange(e, e + d)
-        e += d
-    return edge_col, row_edge
-
-
 def ldpc_decode(
     llrs: np.ndarray,
     h: ParityCheckMatrix,
     max_iters: int = 50,
-    normalization: float = 0.75,
 ) -> DecodeResult:
     """Normalized min-sum decoding, flooding schedule, batched.
 
@@ -208,29 +216,21 @@ def ldpc_decode(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     b = llrs.shape[0]
+    row_ix, col_slot = h._row_ix, h._col_slot
 
-    edge_col, row_edge = _edge_layout(h)
-    n_edges = edge_col.size
-    pad = row_edge < 0
-    live_slots = ~pad
-    # row_edge flattened over real slots visits every edge exactly once
-    slot_to_edge = row_edge[live_slots]
-    row_edge_safe = np.where(pad, 0, row_edge)
-    deg_ix = np.arange(row_edge.shape[1])
-
-    c2v = np.zeros((b, n_edges))
-    total = llrs.copy()
+    # the padding column is a bit known to be 0: its LLR of +inf never sets
+    # a check's smallest magnitude and never flips its sign
+    total = np.concatenate([llrs, np.full((b, 1), np.inf)], axis=1)
+    c2v = np.zeros((b,) + row_ix.shape)
     done = np.zeros(b, dtype=bool)
     iters = np.full(b, max_iters, dtype=np.int64)
     final_bits = np.zeros((b, h.cols), dtype=np.uint8)
-    clip = 1e3
+    scale, clip = 0.75, 1e3
 
     for it in range(1, max_iters + 1):
         act = np.flatnonzero(~done)
-        bits = (total[act] < 0).astype(np.uint8)
-        par = bits[:, edge_col][:, row_edge_safe]
-        par[:, pad] = 0
-        ok = ~np.any(par.sum(axis=2) % 2, axis=1)
+        bits = (total[act, :-1] < 0).astype(np.uint8)
+        ok = ~h.syndrome(bits).any(axis=1)
         hit = act[ok]
         if hit.size:
             final_bits[hit] = bits[ok]
@@ -240,33 +240,28 @@ def ldpc_decode(
             break
         act = np.flatnonzero(~done)
 
-        v2c = total[act][:, edge_col] - c2v[act]
-        ve = v2c[:, row_edge_safe]
-        av = np.abs(ve)
-        av[:, pad] = np.inf
-        arg1 = av.argmin(axis=2)
-        min1 = np.take_along_axis(av, arg1[..., None], axis=2)[..., 0]
-        av2 = av.copy()
-        np.put_along_axis(av2, arg1[..., None], np.inf, axis=2)
-        min2 = av2.min(axis=2)
-        sgn = np.where(ve < 0, -1.0, 1.0)
-        sgn[:, pad] = 1.0
-        row_sign = sgn.prod(axis=2)
-        excl_min = np.where(
-            deg_ix[None, None, :] == arg1[..., None], min2[..., None], min1[..., None]
-        )
-        msg = normalization * row_sign[..., None] * sgn * excl_min
+        v2c = total[act][:, row_ix] - c2v[act]
+        mag = np.abs(v2c)
+        # the layout is at least two slots wide: with one column per check,
+        # some column would sit outside every check, as cols > rows
+        least = np.partition(mag, 1, axis=2)
+        min1, min2 = least[..., :1], least[..., 1:2]
+        neg = v2c < 0
+        others_neg = np.bitwise_xor.reduce(neg, axis=2, keepdims=True) ^ neg
+        msg = np.where(others_neg, -scale, scale) * np.where(mag == min1, min2, min1)
         np.clip(msg, -clip, clip, out=msg)
-        upd = np.empty((act.size, n_edges))
-        upd[:, slot_to_edge] = msg[:, live_slots]
-        c2v[act] = upd
-        flat = (np.arange(act.size)[:, None] * h.cols + edge_col[None, :]).ravel()
-        acc = np.bincount(flat, weights=upd.ravel(), minlength=act.size * h.cols)
-        total[act] = llrs[act] + acc.reshape(act.size, h.cols)
+        c2v[act] = msg
+        # one trailing zero slot for col_slot's padding
+        slot_msg = np.concatenate([msg.reshape(act.size, -1), np.zeros((act.size, 1))], axis=1)
+        # one slot at a time, in row order: np.sum may reassociate the adds
+        acc = slot_msg[:, col_slot[:, 0]]
+        for slot in col_slot.T[1:]:
+            acc += slot_msg[:, slot]
+        total[act, :-1] = llrs[act] + acc
 
     undone = ~done
     if undone.any():
-        final_bits[undone] = (total[undone] < 0).astype(np.uint8)
+        final_bits[undone] = (total[undone, :-1] < 0).astype(np.uint8)
     if single:
         return DecodeResult(
             bits=final_bits[0], iterations=int(iters[0]), syndrome_ok=bool(done[0])

@@ -192,28 +192,32 @@ def finite_difference_gradient(fun, points: np.ndarray, step: float = 1e-4) -> n
 # ---------------------------------------------------------------------------
 
 
-def papr_smooth(points: np.ndarray, sharpness: float = 30.0) -> float:
+#: sharpness of the log-sum-exp stand-in for max(papr_i, papr_q)
+_PAPR_SHARPNESS = 30.0
+
+
+def papr_smooth(points: np.ndarray) -> float:
     """Differentiable stand-in for max(papr_i, papr_q).
 
     Log-sum-exp over the per-dimension normalized squared values
     Re(p)^2/mean(Re^2) and Im(p)^2/mean(Im^2); upper-bounds the true max
-    and converges to it as sharpness grows.  Reported PAPR always uses the
-    true max (:func:`constellation.papr`).
+    and converges to it as ``_PAPR_SHARPNESS`` grows.  Reported PAPR
+    always uses the true max (:func:`constellation.papr`).
     """
     a, b = points.real, points.imag
     u = np.concatenate([a**2 / np.mean(a**2), b**2 / np.mean(b**2)])
-    z = sharpness * u
+    z = _PAPR_SHARPNESS * u
     zmax = z.max()
-    return float(zmax + np.log(np.exp(z - zmax).sum())) / sharpness
+    return float(zmax + np.log(np.exp(z - zmax).sum())) / _PAPR_SHARPNESS
 
 
-def papr_smooth_gradient(points: np.ndarray, sharpness: float = 30.0) -> np.ndarray:
+def papr_smooth_gradient(points: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`papr_smooth` (same complex convention)."""
     a, b = points.real, points.imag
     big_m = points.size
     ma, mb = np.mean(a**2), np.mean(b**2)
     ua, ub = a**2 / ma, b**2 / mb
-    z = sharpness * np.concatenate([ua, ub])
+    z = _PAPR_SHARPNESS * np.concatenate([ua, ub])
     zmax = z.max()
     w = np.exp(z - zmax)
     w /= w.sum()
@@ -236,8 +240,6 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 20
 #: Gauss-Hermite quadrature order of the GMI objective
 _GH_ORDER = 10
-#: sharpness of the log-sum-exp stand-in for max(papr_i, papr_q)
-_PAPR_SHARPNESS = 30.0
 
 
 def _make_objective(bits, noise_var, cfg: ShapingConfig):
@@ -251,14 +253,14 @@ def _make_objective(bits, noise_var, cfg: ShapingConfig):
     def value(pts):
         v = gh_gmi_value(pts, bits, noise_var, _GH_ORDER)
         if weight:
-            v -= weight * papr_smooth(pts, _PAPR_SHARPNESS)
+            v -= weight * papr_smooth(pts)
         return v
 
     def trial(pts):
         v, g = gh_gmi_value_and_gradient(pts, bits, noise_var, _GH_ORDER)
         if weight:
-            v -= weight * papr_smooth(pts, _PAPR_SHARPNESS)
-            g = g - weight * papr_smooth_gradient(pts, _PAPR_SHARPNESS)
+            v -= weight * papr_smooth(pts)
+            g = g - weight * papr_smooth_gradient(pts)
         return v, g
 
     return value, trial

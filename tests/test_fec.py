@@ -107,6 +107,13 @@ def test_alist_round_trip_holds_for_every_valid_matrix(spec):
         path = os.path.join(tmp, "h.alist")
         fec.save_alist(h, path)
         assert fec.load_alist(path) == h
+    # the padded layout against a per-row loop
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    for r, entries in enumerate(row_cols):
+        dense[r, list(entries)] = 1
+    words = np.random.default_rng(rows * 16 + cols).integers(0, 2, size=(5, cols))
+    assert np.array_equal(h.to_dense(), dense)
+    assert np.array_equal(h.syndrome(words), words @ dense.T % 2)
 
 
 def test_alist_rejects_truncated(tmp_path):
@@ -263,6 +270,118 @@ def test_batched_decode_matches_single():
         assert np.array_equal(batch.bits[i], one.bits)
         assert batch.iterations[i] == one.iterations
         assert bool(batch.syndrome_ok[i]) == one.syndrome_ok
+
+
+def _reference_edge_layout(h):
+    edge_col = np.concatenate([np.array(r, dtype=np.int64) for r in h.row_cols])
+    degrees = np.array([len(r) for r in h.row_cols])
+    max_deg = degrees.max()
+    row_edge = np.full((h.rows, max_deg), -1, dtype=np.int64)
+    e = 0
+    for r, d in enumerate(degrees):
+        row_edge[r, :d] = np.arange(e, e + d)
+        e += d
+    return edge_col, row_edge
+
+
+def _reference_decode(llrs, h, max_iters=50, normalization=0.75):
+    """The per-edge decoder that the padded-layout decoder replaced, kept
+    verbatim as the reference its output must equal bit for bit."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    single = llrs.ndim == 1
+    llrs = np.atleast_2d(llrs)
+    b = llrs.shape[0]
+
+    edge_col, row_edge = _reference_edge_layout(h)
+    n_edges = edge_col.size
+    pad = row_edge < 0
+    live_slots = ~pad
+    # row_edge flattened over real slots visits every edge exactly once
+    slot_to_edge = row_edge[live_slots]
+    row_edge_safe = np.where(pad, 0, row_edge)
+    deg_ix = np.arange(row_edge.shape[1])
+
+    c2v = np.zeros((b, n_edges))
+    total = llrs.copy()
+    done = np.zeros(b, dtype=bool)
+    iters = np.full(b, max_iters, dtype=np.int64)
+    final_bits = np.zeros((b, h.cols), dtype=np.uint8)
+    clip = 1e3
+
+    for it in range(1, max_iters + 1):
+        act = np.flatnonzero(~done)
+        bits = (total[act] < 0).astype(np.uint8)
+        par = bits[:, edge_col][:, row_edge_safe]
+        par[:, pad] = 0
+        ok = ~np.any(par.sum(axis=2) % 2, axis=1)
+        hit = act[ok]
+        if hit.size:
+            final_bits[hit] = bits[ok]
+            iters[hit] = it
+            done[hit] = True
+        if done.all() or it == max_iters:
+            break
+        act = np.flatnonzero(~done)
+
+        v2c = total[act][:, edge_col] - c2v[act]
+        ve = v2c[:, row_edge_safe]
+        av = np.abs(ve)
+        av[:, pad] = np.inf
+        arg1 = av.argmin(axis=2)
+        min1 = np.take_along_axis(av, arg1[..., None], axis=2)[..., 0]
+        av2 = av.copy()
+        np.put_along_axis(av2, arg1[..., None], np.inf, axis=2)
+        min2 = av2.min(axis=2)
+        sgn = np.where(ve < 0, -1.0, 1.0)
+        sgn[:, pad] = 1.0
+        row_sign = sgn.prod(axis=2)
+        excl_min = np.where(
+            deg_ix[None, None, :] == arg1[..., None], min2[..., None], min1[..., None]
+        )
+        msg = normalization * row_sign[..., None] * sgn * excl_min
+        np.clip(msg, -clip, clip, out=msg)
+        upd = np.empty((act.size, n_edges))
+        upd[:, slot_to_edge] = msg[:, live_slots]
+        c2v[act] = upd
+        flat = (np.arange(act.size)[:, None] * h.cols + edge_col[None, :]).ravel()
+        acc = np.bincount(flat, weights=upd.ravel(), minlength=act.size * h.cols)
+        total[act] = llrs[act] + acc.reshape(act.size, h.cols)
+
+    undone = ~done
+    if undone.any():
+        final_bits[undone] = (total[undone] < 0).astype(np.uint8)
+    if single:
+        return fec.DecodeResult(
+            bits=final_bits[0], iterations=int(iters[0]), syndrome_ok=bool(done[0])
+        )
+    return fec.DecodeResult(bits=final_bits, iterations=iters, syndrome_ok=done)
+
+
+def test_decoder_matches_per_edge_reference_bit_for_bit():
+    codes = {n: fec.make_regular_ldpc(n, 6, 3, seed=seed) for n, seed in ((1200, 0), (240, 3))}
+    batches = []
+    for n, h in codes.items():
+        enc = fec.systematic_encoder(h)
+        rng = np.random.default_rng(n)
+        for sigma in (0.5, 0.7, 0.9, 1.1, 1.3):
+            cw = enc.encode(rng.integers(0, 2, size=(12, enc.k)).astype(np.uint8))
+            y = 1.0 - 2.0 * cw + sigma * rng.normal(size=cw.shape)
+            batches.append((h, 2.0 * y / sigma**2, 50))
+    # hamming74 has column degrees 1 to 4, so its column layout is padded
+    rng = np.random.default_rng(1)
+    for max_iters in (1, 2, 5, 50):
+        batches.append((fec.hamming74(), 3.0 * rng.normal(size=(40, 7)), max_iters))
+    batches.append((codes[240], 2.0 * rng.normal(size=240) + 1.0, 30))  # one (cols,) word
+    mean_iters = []
+    for h, llrs, max_iters in batches:
+        got = fec.ldpc_decode(llrs, h, max_iters)
+        want = _reference_decode(llrs, h, max_iters)
+        assert np.array_equal(got.bits, want.bits)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert np.array_equal(got.syndrome_ok, want.syndrome_ok)
+        mean_iters.append(np.mean(got.iterations))
+    # the noisy batches span quick convergence to the iteration cap
+    assert min(mean_iters[:10]) < 4 and max(mean_iters[:10]) == 50
 
 
 def test_min_sum_beats_hard_decision_at_3db():

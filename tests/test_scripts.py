@@ -1,10 +1,12 @@
-"""The builtin generator and the shaping demo still build their configs."""
+"""The builtin generator still builds its configs and the demos still run."""
 
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from shapelink.shaping import ShapingConfig
 
@@ -22,18 +24,26 @@ def test_builtin_generator_module_configs_build(monkeypatch):
     assert isinstance(module.AWGN_CFG, ShapingConfig)
 
 
-def test_shaping_demo_runs(tmp_path):
+@pytest.mark.parametrize(
+    "demo, out_dir, written",
+    [
+        (
+            "shape_constellation.py",
+            "out_shaping",
+            ["shaped_awgn.txt", "shaped_papr.txt", "shaped_system.txt"],
+        ),
+        ("fec_decoding.py", "out_fec", ["regular_1024.alist"]),
+    ],
+    ids=["shaping", "fec"],
+)
+def test_shaping_demo_runs(tmp_path, demo, out_dir, written):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "shape_constellation.py")],
+        [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path,
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert sorted(os.listdir(tmp_path / "out_shaping")) == [
-        "shaped_awgn.txt",
-        "shaped_papr.txt",
-        "shaped_system.txt",
-    ]
+    assert sorted(os.listdir(tmp_path / out_dir)) == written
