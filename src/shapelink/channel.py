@@ -22,8 +22,6 @@ the dispersion operator to exp(+i 2 pi^2 beta2 h f^2).
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,8 +45,6 @@ __all__ = [
     "apply_phase",
     "apply_frequency_shift",
     "apply_jones_rotation",
-    "write_waveform",
-    "read_waveform",
 ]
 
 
@@ -437,63 +433,3 @@ def apply_jones_rotation(frame: WaveformFrame, theta: float) -> WaveformFrame:
         dtype=np.complex128,
     )
     return frame.with_samples(j @ frame.samples)
-
-
-# ---------------------------------------------------------------------------
-# binary interchange format
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"WFRM"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQdd")  # magic, version, N, sample_rate, center_frequency
-
-
-def write_waveform(frame: WaveformFrame, path) -> None:
-    """Serialize to the little-endian binary interchange format.
-
-    ::
-
-        bytes 0..3    magic "WFRM"
-        bytes 4..7    version (uint32, currently 1)
-        bytes 8..15   N, samples per polarization (uint64)
-        bytes 16..23  sample_rate, Hz (float64)
-        bytes 24..31  center_frequency, Hz (float64)
-        then          2 polarizations x N samples, float64 I/Q interleaved,
-                      polarization-major
-
-    The header does not carry the symbol rate; :func:`read_waveform` takes
-    it as a parameter.
-    """
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(_MAGIC, _VERSION, frame.n_samples, frame.sample_rate, frame.center_frequency)
-        )
-        fh.write(frame.samples.astype("<c16").tobytes())
-
-
-def read_waveform(path, symbol_rate: float | None = None) -> WaveformFrame:
-    """Read the binary interchange format.
-
-    ``symbol_rate`` defaults to sample_rate / 2 (two samples per symbol)
-    because the header has no field for it (see :func:`write_waveform`).
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ConfigurationError("truncated waveform header")
-        magic, version, n, fs, fc = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ConfigurationError("not a waveform file (bad magic)")
-        if version != _VERSION:
-            raise ConfigurationError(f"unsupported waveform version {version}")
-        size = 2 * n * 2 * 8  # checked against the file before it is read
-        raw = fh.read(size) if size <= os.fstat(fh.fileno()).st_size - _HEADER.size else b""
-        if len(raw) != size:
-            raise ConfigurationError("truncated waveform payload")
-    samples = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(2, n)
-    return WaveformFrame(
-        samples=samples,
-        sample_rate=fs,
-        symbol_rate=fs / 2.0 if symbol_rate is None else symbol_rate,
-        center_frequency=fc,
-    )

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core, _step_count
 from .constellation import Constellation, _squared_distances, bitwise_llrs
-from .errors import AlignmentError, EstimationFailure
+from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
 __all__ = [
     "SymbolFrame",
@@ -548,9 +548,13 @@ def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
     radial noise (half the 2D variance) that upper half-Gaussian has the
     full radial second moment about the ring.  Without markers, or with
     too few classified symbols, falls back to nearest-point residuals,
-    which undershoot at low SNR.
+    which undershoot at low SNR.  An all-zero frame raises
+    :class:`DegenerateInputError`: it holds no signal, and its residual
+    would only be the distance from the origin to the nearest point.
     """
     flat = symbols.ravel()
+    if not flat.any():
+        raise DegenerateInputError("an all-zero frame has no blind noise estimate")
     if c.marker_indices:
         r = c.marker_radius()
         mags = np.abs(flat)
@@ -573,13 +577,14 @@ def llr_demap(
 ) -> LlrFrame:
     """Bitwise LLRs for both polarizations under a circular Gaussian metric.
 
-    ``noise_variance`` is the total (2D) variance; None estimates it
-    blindly from the marker ring.  Positive LLR favors bit 0.
+    ``noise_variance`` is the total (2D) variance, positive and finite;
+    None estimates it blindly from the marker ring.  Positive LLR favors
+    bit 0.
     """
     if noise_variance is None:
         noise_variance = _auto_noise_variance(frame.symbols, c)
-    elif noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
+    elif not 0 < noise_variance < math.inf:
+        raise ValueError("noise_variance must be positive and finite")
     m_bits = c.bit_matrix.shape[1]
     out = np.empty((2, frame.n_symbols, m_bits))
     for p in range(2):

@@ -11,7 +11,7 @@ class ShapelinkError(Exception):
 
 class ConfigurationError(ShapelinkError):
     """A configuration is structurally valid but physically inconsistent
-    (e.g. split-step count overflow, a malformed waveform file)."""
+    (e.g. split-step count overflow)."""
 
 
 class EstimationFailure(ShapelinkError):

@@ -16,11 +16,11 @@ settings of ``papr_penalty_weight``:
 
 The objective is the Gauss-Hermite GMI from :mod:`.constellation` (order
 10).  Its gradient is computed analytically below in softmax form, from the
-same forward pass as the value, so a line-search candidate that is accepted
-already carries the gradient of the next iteration.  Central finite
-differences over the 128 real coordinates
-(:func:`finite_difference_gradient`) are kept as the independent reference
-the gradient tests check against.
+same blocks of quadrature rows as the value (one pass over
+``constellation._gh_blocks``), so a line-search candidate that is accepted
+already carries the gradient of the next iteration.  The gradient tests
+check it against central finite differences over the 128 real
+coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ import numpy as np
 
 from .constellation import (
     Constellation,
-    _gh_forward,
+    _gh_blocks,
+    _gh_gmi,
+    _gh_nodes,
+    _gh_value,
     _points_and_bits,
     normalized,
 )
@@ -44,7 +47,6 @@ __all__ = [
     "optimize",
     "gh_gmi_value",
     "gh_gmi_value_and_gradient",
-    "finite_difference_gradient",
     "papr_smooth",
     "papr_smooth_gradient",
 ]
@@ -132,13 +134,14 @@ def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float, order: 
     takes the noise variance directly, so it is a plain smooth function of
     the coordinates, suitable for gradient checks.
     """
-    return _gh_forward(points, bits, noise_var, order)[0]
+    return _gh_gmi(points, bits, noise_var, order)
 
 
 def gh_gmi_value_and_gradient(
     points: np.ndarray, bits: np.ndarray, noise_var: float, order: int
 ):
-    """GMI and its analytic gradient d GMI / d c_r, from one forward pass.
+    """GMI and its analytic gradient d GMI / d c_r, from one pass over the
+    Gauss-Hermite blocks.
 
     The gradient is returned as a complex array: real part = derivative
     with respect to Re(c_r), imaginary part = derivative with respect to
@@ -150,18 +153,25 @@ def gh_gmi_value_and_gradient(
     the constellation points.  The label sum splits by bit value,
     sum_k [b_ik = b_jk] / S_k = sum_k b_ik b_jk / S_k
     + sum_k (1 - b_ik)(1 - b_jk) / S_k, which is two matrix products.
+    Each block fills its rows of G; the two contractions over all rows
+    then run once on the full G, so the sums keep one order.
     """
-    value, (y, tx_bits, weights, p, s_all, s_same) = _gh_forward(
-        points, bits, noise_var, order
-    )
     big_m, m = bits.shape
-    inv = 1.0 / s_same
+    nodes, weights = _gh_nodes(noise_var, order)
     ones = bits.astype(np.float64)
-    g = (tx_bits * inv) @ ones.T
-    g += ((1 - tx_bits) * inv) @ (1.0 - ones).T
-    np.subtract((m / s_all)[:, None], g, out=g)
-    g *= p  # G(i,n,j), rows (i, n)
+    g = np.empty((big_m * weights.size, big_m))  # G(i,n,j), rows (i, n)
+    losses = []
+    for rows, tx_bits, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var, order):
+        inv = 1.0 / s_same
+        gb = g[rows]
+        np.matmul(tx_bits * inv, ones.T, out=gb)
+        gb += ((1 - tx_bits) * inv) @ (1.0 - ones).T
+        np.subtract((m / s_all)[:, None], gb, out=gb)
+        gb *= p
+        losses.append(loss)
+    value = _gh_value(losses, weights, m)
 
+    y = (points[:, None] + nodes[None, :]).ravel()
     w_rows = np.tile(weights, big_m)
     wy = w_rows * y
     a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
@@ -172,19 +182,6 @@ def gh_gmi_value_and_gradient(
     )
     grad = -d_loss / (big_m * math.log(2.0))
     return value, grad
-
-
-def finite_difference_gradient(fun, points: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Central finite differences over the 2M real coordinates."""
-    grad = np.zeros(points.size, dtype=np.complex128)
-    for r in range(points.size):
-        for comp in (1.0, 1.0j):
-            plus = points.copy()
-            minus = points.copy()
-            plus[r] += step * comp
-            minus[r] -= step * comp
-            grad[r] += comp * (fun(plus) - fun(minus)) / (2.0 * step)
-    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,9 @@
-"""Fiber propagation, amplifier ASE, impairments, and waveform serialization."""
+"""Fiber propagation, amplifier ASE and impairments."""
 
 import math
-import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.constants import h as PLANCK, c as C0
 
 from shapelink import linkbudget
@@ -25,11 +20,9 @@ from shapelink.channel import (
     apply_jones_rotation,
     hybrid_span,
     propagate_link,
-    read_waveform,
     ssfm_propagate,
     wiener_phase_walk,
     with_power,
-    write_waveform,
 )
 from shapelink.errors import ConfigurationError, DegenerateInputError
 
@@ -374,87 +367,6 @@ def test_frequency_shift_and_jones_rotation():
     rot = apply_jones_rotation(f, math.pi / 2)
     np.testing.assert_allclose(rot.samples[0], f.samples[1], atol=1e-15)
     np.testing.assert_allclose(rot.samples[1], -f.samples[0], atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# binary format
-# ---------------------------------------------------------------------------
-
-
-def test_waveform_round_trip(tmp_path):
-    f = _noise_frame(18, n=777, fs=71e9, rs=35.5e9)
-    path = tmp_path / "w.bin"
-    write_waveform(f, path)
-    back = read_waveform(path, symbol_rate=35.5e9)
-    np.testing.assert_array_equal(back.samples, f.samples)
-    assert back.sample_rate == f.sample_rate
-    assert back.center_frequency == f.center_frequency
-    assert back.symbol_rate == 35.5e9
-    # default symbol rate convention: half the sample rate
-    again = read_waveform(path)
-    assert again.symbol_rate == pytest.approx(f.sample_rate / 2)
-
-
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _frames(draw):
-    n = draw(st.integers(1, 40))
-    parts = draw(arrays(np.float64, (2, n, 2), elements=_finite, fill=st.nothing()))
-    fs = draw(st.floats(1.0, 1e15))
-    return WaveformFrame(
-        samples=parts.view(np.complex128)[..., 0],
-        sample_rate=fs,
-        symbol_rate=fs / 2.0,
-        center_frequency=draw(_finite),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(_frames())
-@example(
-    WaveformFrame(
-        samples=np.array([[complex(0.0, -0.0)], [complex(-0.0, 5e-324)]]),
-        sample_rate=2.0,
-        symbol_rate=1.0,
-        center_frequency=-0.0,
-    )
-)
-def test_waveform_round_trip_is_bit_exact(frame):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "w.bin"
-        write_waveform(frame, path)
-        back = read_waveform(path)
-    # byte comparison: signed zeros and subnormals must survive too
-    assert back.samples.tobytes() == frame.samples.tobytes()
-    assert back.sample_rate == frame.sample_rate
-    assert back.symbol_rate == frame.symbol_rate
-    assert back.center_frequency == frame.center_frequency
-
-
-def test_waveform_reader_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 60)
-    with pytest.raises(ConfigurationError):
-        read_waveform(path)
-    path2 = tmp_path / "trunc.bin"
-    f = _noise_frame(19, n=64)
-    write_waveform(f, path2)
-    data = path2.read_bytes()
-    path2.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ConfigurationError):
-        read_waveform(path2)
-
-
-@pytest.mark.parametrize("n", [2**40, 2**62])
-def test_waveform_reader_checks_sample_count_against_file(tmp_path, n):
-    # a bare 32-byte header claiming n samples: the reader must refuse before
-    # asking for 32 n bytes (MemoryError or OverflowError otherwise)
-    path = tmp_path / "huge.bin"
-    path.write_bytes(struct.pack("<4sIQdd", b"WFRM", 1, n, 70e9, 193.4e12))
-    with pytest.raises(ConfigurationError, match="truncated waveform payload"):
-        read_waveform(path)
 
 
 def test_si_constants_match_scipy():

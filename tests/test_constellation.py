@@ -145,6 +145,19 @@ def test_llr_sign_convention_and_gmi_consistency():
     assert g == pytest.approx(gmi_estimate(c, snr_db), abs=5e-3)
 
 
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+def test_llrs_reject_bad_noise_variance(nu):
+    # NaN gave all-NaN LLRs and inf all-zero ones
+    with pytest.raises(ValueError, match="noise_variance"):
+        bitwise_llrs(square64(), np.array([0.1 + 0.2j]), nu)
+
+
+def test_gmi_from_llrs_rejects_zero_rows():
+    # the mean over no rows was nan, with two RuntimeWarnings
+    with pytest.raises(ValueError, match="zero LLR rows"):
+        gmi_from_llrs(np.empty((0, 6)), np.empty((0, 6), dtype=np.uint8))
+
+
 def test_max_log_llrs_close_at_high_snr():
     c = square64()
     rng = np.random.default_rng(5)

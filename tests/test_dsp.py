@@ -17,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 import shapelink.channel as ch
 import shapelink.constellation as cn
 import shapelink.dsp as dsp
-from shapelink.errors import AlignmentError, ConfigurationError, EstimationFailure
+from shapelink.errors import (
+    AlignmentError,
+    ConfigurationError,
+    DegenerateInputError,
+    EstimationFailure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -650,8 +655,20 @@ def test_noiseless_llr_sign_is_one_minus_twice_the_bit(name, snr_db, max_log):
 
 def test_llr_demap_explicit_vs_invalid(square):
     frame, _ = dsp.random_symbols(square, 16, seed=1)
-    with pytest.raises(ValueError):
-        dsp.llr_demap(frame, square, noise_variance=0.0)
+    # NaN gave all-NaN LLRs and inf all-zero ones
+    for nu in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_variance"):
+            dsp.llr_demap(frame, square, noise_variance=nu)
+
+
+@pytest.mark.parametrize("name", ["square64", "system12"])
+def test_auto_noise_variance_rejects_all_zero_frame(name):
+    # the nearest-point fallback read 0.0476 on square64 and gave |LLR|
+    # up to 12 for a frame that holds no signal
+    c = cn.load_builtin(name)
+    frame = dsp.SymbolFrame(symbols=np.zeros((2, 64), complex))
+    with pytest.raises(DegenerateInputError, match="all-zero"):
+        dsp.llr_demap(frame, c)
 
 
 def test_llr_demap_auto_noise_variance(system12):

@@ -33,8 +33,9 @@ def test_builtin_generator_module_configs_build(monkeypatch):
             ["shaped_awgn.txt", "shaped_papr.txt", "shaped_system.txt"],
         ),
         ("fec_decoding.py", "out_fec", ["regular_1024.alist"]),
+        ("capacity_gap_sweep.py", "out_gap_sweep", ["gap_sweep.csv", "manifest.json"]),
     ],
-    ids=["shaping", "fec"],
+    ids=["shaping", "fec", "gap_sweep"],
 )
 def test_shaping_demo_runs(tmp_path, demo, out_dir, written):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

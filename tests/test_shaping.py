@@ -12,7 +12,11 @@ import pytest
 from shapelink import shaping
 from shapelink.constellation import (
     Constellation,
+    _coset_sums,
+    _coset_zero_matrix,
     _gh_nodes,
+    _row_loss,
+    _squared_distances,
     builtin_names,
     gmi_estimate,
     load_builtin,
@@ -22,7 +26,6 @@ from shapelink.constellation import (
 )
 from shapelink.shaping import (
     ShapingConfig,
-    finite_difference_gradient,
     gh_gmi_value,
     gh_gmi_value_and_gradient,
     optimize,
@@ -38,6 +41,19 @@ def _random_points(rng, n=16):
 def _natural_bits(n):
     m = int(np.log2(n))
     return ((np.arange(n)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def finite_difference_gradient(fun, points: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """Central finite differences over the 2M real coordinates."""
+    grad = np.zeros(points.size, dtype=np.complex128)
+    for r in range(points.size):
+        for comp in (1.0, 1.0j):
+            plus = points.copy()
+            minus = points.copy()
+            plus[r] += step * comp
+            minus[r] -= step * comp
+            grad[r] += comp * (fun(plus) - fun(minus)) / (2.0 * step)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +106,73 @@ def test_gh_value_agrees_with_estimator():
         assert v == fused
         assert v == pytest.approx(gmi_estimate(c, snr_db), abs=1e-12)
         assert v == pytest.approx(_reference_gh_gmi(c.points, c.bit_matrix, nu, 10), abs=1e-12)
+
+
+def _full_grid_gh_forward(points, bits, noise_var, order):
+    # the unblocked kernel, kept verbatim: every (point, node) row of the
+    # (M*Q, M) distance tensor at once
+    big_m, m = bits.shape
+    nodes, weights = _gh_nodes(noise_var, order)
+    y = (points[:, None] + nodes[None, :]).ravel()
+    tx_bits = np.repeat(bits, nodes.size, axis=0)
+    p, s_all, s_same = _coset_sums(
+        _squared_distances(y, points), tx_bits, _coset_zero_matrix(bits), noise_var
+    )
+    loss = _row_loss(s_all, s_same).reshape(big_m, nodes.size) @ weights
+    value = m - float(loss.mean()) / math.log(2.0)
+    return value, (y, tx_bits, weights, p, s_all, s_same)
+
+
+def _full_grid_value_and_gradient(points, bits, noise_var, order):
+    value, (y, tx_bits, weights, p, s_all, s_same) = _full_grid_gh_forward(
+        points, bits, noise_var, order
+    )
+    big_m, m = bits.shape
+    inv = 1.0 / s_same
+    ones = bits.astype(np.float64)
+    g = (tx_bits * inv) @ ones.T
+    g += ((1 - tx_bits) * inv) @ (1.0 - ones).T
+    np.subtract((m / s_all)[:, None], g, out=g)
+    g *= p  # G(i,n,j), rows (i, n)
+
+    w_rows = np.tile(weights, big_m)
+    wy = w_rows * y
+    a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
+    gc = g @ np.stack([points.real, points.imag], axis=1)
+    b2 = weights @ gc.reshape(big_m, weights.size, 2)
+    d_loss = (2.0 / noise_var) * (
+        a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
+    )
+    grad = -d_loss / (big_m * math.log(2.0))
+    return value, grad
+
+
+def _bit_identity_cases():
+    for name in builtin_names():
+        c = load_builtin(name)
+        yield name, c, c.points, c.bit_matrix
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 16):
+        pts = _random_points(rng, n)
+        yield f"raw{n}", pts, pts, _natural_bits(n)
+
+
+def test_blocked_kernel_is_bit_identical_to_full_grid():
+    # blocks of transmitted points must reproduce the full-grid value,
+    # gradient and estimator bits, not just come close
+    for name, c, pts, bits in _bit_identity_cases():
+        for snr_db, order in itertools.product((0.0, 5.5, 11.0, 20.0), (4, 7, 10, 13)):
+            nu = 10 ** (-snr_db / 10)
+            want, want_grad = _full_grid_value_and_gradient(pts, bits, nu, order)
+            value, grad = gh_gmi_value_and_gradient(pts, bits, nu, order)
+            case = (name, snr_db, order)
+            assert value == want, case
+            assert np.array_equal(grad, want_grad), case
+            assert gh_gmi_value(pts, bits, nu, order) == want, case
+            # the estimator scales the noise by the measured point power
+            nu_est = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(pts) ** 2))
+            want_est = _full_grid_gh_forward(pts, bits, nu_est, order)[0]
+            assert gmi_estimate(c, snr_db, order=order) == want_est, case
 
 
 def test_papr_smooth_upper_bounds_true_max(monkeypatch):
