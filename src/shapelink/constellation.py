@@ -7,6 +7,9 @@ distinct 6-bit labels, normalized to unit average power.  The module provides
 * bit-interleaved GMI estimation over the complex AWGN channel, via
   Gauss-Hermite quadrature (deterministic, fast) or Monte Carlo (for
   reported figures),
+* bitwise LLR demapping; the LLRs, the Monte Carlo GMI and the blind
+  noise estimate of :mod:`shapelink.dsp` take every squared distance
+  |y - c|^2 from one kernel over blocks of received samples,
 * per-dimension peak-to-average power ratio,
 * :func:`add_ring_markers`, which moves the four outermost points onto a
   common outer ring so blind phase estimation can key on them.
@@ -115,10 +118,13 @@ class Constellation:
             if others.size and r_mark.min() <= others.max():
                 raise ValueError("marker radius must exceed all non-marker radii")
 
-    @property
+    @functools.cached_property
     def bit_matrix(self) -> np.ndarray:
-        """(64, 6) uint8 array of label bits; bit k is character k of the label."""
-        return _bit_matrix(self.labels)
+        """(64, 6) read-only uint8 array of label bits; bit k is character k
+        of the label.  Built once per instance."""
+        bits = _bit_matrix(self.labels)
+        bits.setflags(write=False)
+        return bits
 
     def radius_set(self) -> np.ndarray:
         """Distinct point radii (ascending), merged within 1e-6 (used by
@@ -199,7 +205,7 @@ def gmi_estimate(
     order : int
         Gauss-Hermite order per real dimension (default 10).
     samples, seed : int
-        Monte Carlo sample count and RNG seed.
+        Monte Carlo sample count (>= 1) and RNG seed.
 
     Returns
     -------
@@ -215,6 +221,8 @@ def gmi_estimate(
             raise ValueError("gauss_hermite order must be >= 4")
         return _gh_gmi(points, bits, noise_var, order)
     if estimator == "monte_carlo":
+        if not samples >= 1:
+            raise ValueError("monte_carlo samples must be >= 1")
         return _gmi_monte_carlo(points, bits, noise_var, samples, seed)
     raise ValueError(f"unknown estimator {estimator!r}")
 
@@ -232,18 +240,42 @@ def _points_and_bits(c):
     return points, bits
 
 
-def _squared_distances(y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # |y_n - c_j|^2 as (n, M) real squares, without a complex temporary
-    d2 = y.real[:, None] - points.real[None, :]
-    np.square(d2, out=d2)
-    d_im = y.imag[:, None] - points.imag[None, :]
-    np.square(d_im, out=d_im)
-    d2 += d_im
-    return d2
+#: received samples per distance block.  One block's (rows, 64) float64
+#: distances take 8 MB.  Keep it at least this large: numpy's large
+#: temporaries are mmapped by glibc, whose mmap and trim thresholds rise
+#: to the largest mmapped chunk freed, and these blocks are what raise
+#: them above a (2, 65536) complex FFT.  With 2048-row blocks every later
+#: FFT of that size page-faults afresh and a link pass takes ~45% longer.
+_ROW_BLOCK = 1 << 14
+
+
+def _distance_blocks(y: np.ndarray, points: np.ndarray):
+    """Squared distances of received samples to every point, offset by
+    |y|^2, ``_ROW_BLOCK`` samples at a time.
+
+    Yields ``(rows, e)`` per block: ``rows`` the block's slice of ``y``
+    and ``e`` (rows, M) = |y - c_j|^2 - |y|^2, built as
+    [Re y, Im y] @ [-2 Re c; -2 Im c] + |c|^2 with one small matrix
+    product.  The offset cancels in a row shift by min_j and in a
+    difference of two row minima; add |y|^2 back for the distance itself.
+    Every block is written into one array, so use ``e`` (which callers
+    may overwrite) before asking for the next block.
+    """
+    yr = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    proj = -2.0 * np.stack([points.real, points.imag])
+    c2 = points.real * points.real + points.imag * points.imag
+    block = np.empty((min(yr.shape[0], _ROW_BLOCK), points.size))
+    for start in range(0, yr.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        y_rows = yr[rows]
+        e = np.matmul(y_rows, proj, out=block[: y_rows.shape[0]])
+        e += c2
+        yield rows, e
 
 
 def _shifted_metrics(d2, noise_var):
-    # overwrite squared distances with exp(-(d2 - min_j d2) / noise_var)
+    # overwrite squared distances (or any per-row offset of them) with
+    # exp(-(d2 - min_j d2) / noise_var)
     d2 -= d2.min(axis=1, keepdims=True)
     d2 *= -1.0 / noise_var
     return np.exp(d2, out=d2)
@@ -253,8 +285,9 @@ def _coset_sums(d2, tx_bits, c0, noise_var):
     """Gaussian metric sums of a block of received samples.
 
     ``d2`` (n, M) holds the squared distances of each sample to every
-    point and is overwritten with the row-shifted metrics
-    p = exp(-(d2 - min_j d2) / noise_var).  Returns p, S_all = sum_j p and
+    point, or those less a per-row offset, and is overwritten with the
+    row-shifted metrics p = exp(-(d2 - min_j d2) / noise_var), which the
+    offset does not change.  Returns p, S_all = sum_j p and
     S_same (n, m), the sum of p over the points that share the transmitted
     label's bit k.  The shift cancels in every ratio of these sums.
     """
@@ -351,8 +384,9 @@ def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
         idx = rng.integers(0, big_m, size=n)
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = points[idx] + noise * math.sqrt(noise_var / 2.0)
-        _, s_all, s_same = _coset_sums(_squared_distances(y, points), bits[idx], c0, noise_var)
-        total += float(_row_loss(s_all, s_same).sum())
+        for rows, e in _distance_blocks(y, points):
+            _, s_all, s_same = _coset_sums(e, bits[idx[rows]], c0, noise_var)
+            total += float(_row_loss(s_all, s_same).sum())
         done += n
     return m - total / (samples * math.log(2.0))
 
@@ -366,32 +400,34 @@ def bitwise_llrs(
     (2D) complex noise variance.  ``max_log`` replaces the full sums with
     maxima.  Returns an (n, m) array aligned to label bit order.
 
-    Works on real squared distances (no complex temporaries).  The full
-    metric shifts each row by its nearest point, exponentiates in place
-    and takes both coset sums from one ``p @ [c0 | c1]`` product; max-log
-    takes the coset minima of the same distances.
+    Works on ``_ROW_BLOCK`` symbols at a time, on the squared distances
+    less |y|^2 of :func:`_distance_blocks`.  The full metric shifts each
+    row by its nearest point, exponentiates in place and takes both coset
+    sums from one ``p @ [c0 | c1]`` product; max-log takes the difference
+    of the coset minima.  |y|^2 cancels in both.
     """
     points, bits = _points_and_bits(c)
     if not 0 < noise_variance < math.inf:
         raise ValueError("noise_variance must be positive and finite")
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(symbols)):
+        raise ValueError("symbols must be finite")
     m = bits.shape[1]
     out = np.empty((symbols.size, m))
     c0 = _coset_zero_matrix(bits)
     cosets = np.hstack([c0, 1.0 - c0])
-    chunk = 1 << 17
-    for start in range(0, symbols.size, chunk):
-        d2 = _squared_distances(symbols[start : start + chunk], points)
+    # per bit, the point indices labeled 0 and 1 (integer take beats a mask)
+    coset_idx = [(np.flatnonzero(bits[:, k] == 0), np.flatnonzero(bits[:, k])) for k in range(m)]
+    for rows, e in _distance_blocks(symbols, points):
         if max_log:
-            for k in range(m):
-                zero = bits[:, k] == 0
-                gap = d2[:, ~zero].min(axis=1) - d2[:, zero].min(axis=1)
-                out[start : start + chunk, k] = gap / noise_variance
+            for k, (zero, one) in enumerate(coset_idx):
+                gap = e.take(one, axis=1).min(axis=1) - e.take(zero, axis=1).min(axis=1)
+                out[rows, k] = gap / noise_variance
         else:
-            s = _shifted_metrics(d2, noise_variance) @ cosets
+            s = _shifted_metrics(e, noise_variance) @ cosets
             np.maximum(s, _TINY, out=s)
             np.log(s, out=s)
-            np.subtract(s[:, :m], s[:, m:], out=out[start : start + chunk])
+            np.subtract(s[:, :m], s[:, m:], out=out[rows])
     return out
 
 
@@ -408,9 +444,16 @@ def gmi_from_llrs(llrs: np.ndarray, tx_bits: np.ndarray) -> float:
         raise ValueError("llrs and tx_bits must have matching shapes")
     if llrs.shape[0] == 0:
         raise ValueError("GMI of zero LLR rows is undefined")
-    sign = 1.0 - 2.0 * tx_bits
+    # x = -(1 - 2b) L; log(1 + exp(x)) = log1p(exp(-|x|)) + max(x, 0)
+    x = (2.0 * tx_bits - 1.0) * llrs
+    loss = np.maximum(x, 0.0)
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.log1p(x, out=x)
+    loss += x
     m = llrs.shape[1]
-    return m - float(np.logaddexp(0.0, -sign * llrs).mean(axis=0).sum()) / math.log(2.0)
+    return m - float(loss.mean(axis=0).sum()) / math.log(2.0)
 
 
 def gap_to_capacity(c, snr_db: float, **estimator_kw) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core, _step_count
-from .constellation import Constellation, _squared_distances, bitwise_llrs
+from .constellation import Constellation, _distance_blocks, bitwise_llrs
 from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
 __all__ = [
@@ -272,6 +272,21 @@ def _nearest_radius_sq(radii_sq: list, power: float) -> float:
     return lo if power - lo <= hi - power else hi
 
 
+#: symbols per block of stacked equalizer windows: 1024 x 2K complex
+_RDE_BLOCK = 1024
+
+
+def _windows(pad, k, n_sym):
+    """``(n, u, conj(u))`` for every symbol n, where u is the x window then
+    the y window of length ``k`` centered on sample 2n of ``pad`` (the
+    frame padded by k // 2 on both sides).  The stacked windows are built
+    ``_RDE_BLOCK`` symbols at a time, never for the whole frame."""
+    views = [np.lib.stride_tricks.sliding_window_view(pad[p], k)[::2][:n_sym] for p in range(2)]
+    for start in range(0, n_sym, _RDE_BLOCK):
+        win = np.concatenate([v[start : start + _RDE_BLOCK] for v in views], axis=1)
+        yield from zip(range(start, n_sym), win, win.conj())
+
+
 def rde_equalize(
     frame: WaveformFrame,
     c: Constellation,
@@ -295,7 +310,8 @@ def rde_equalize(
 
     Per symbol the butterfly is one ``(2, 2K) @ (2K,)`` product of the
     stacked taps with the stacked x/y input window, and the update one
-    rank-1 step with the window's precomputed conjugate.
+    rank-1 step with the window's conjugate, both precomputed
+    ``_RDE_BLOCK`` symbols at a time.
 
     If the output power of a recent block exceeds 10x the input power the
     run is flagged as diverged and restarted from scratch with the step
@@ -322,12 +338,6 @@ def rde_equalize(
     radii_sq = (np.asarray(c.radius_set()) ** 2).tolist()
     n_sym = a.shape[1] // 2
     pad = np.pad(a, ((0, 0), (half, half)))
-    # row n: the x window then the y window of symbol n
-    win = np.concatenate(
-        [np.lib.stride_tricks.sliding_window_view(pad[p], k)[::2][:n_sym] for p in range(2)],
-        axis=1,
-    )
-    win_conj = win.conj()
 
     check_every = 128
     max_restarts = 12
@@ -345,15 +355,15 @@ def rde_equalize(
         block_acc = 0.0
 
         for _ in range(passes):
-            for n in range(n_sym):
+            for n, u, u_conj in _windows(pad, k, n_sym):
                 y = out[n]
-                np.matmul(stacked, win[n], out=y)
+                np.matmul(stacked, u, out=y)
                 yx, yy = y.tolist()
                 px = yx.real * yx.real + yx.imag * yx.imag
                 py = yy.real * yy.real + yy.imag * yy.imag
                 grad[0, 0] = mu * (_nearest_radius_sq(radii_sq, px) - px) * yx
                 grad[1, 0] = mu * (_nearest_radius_sq(radii_sq, py) - py) * yy
-                stacked += grad * win_conj[n]
+                stacked += grad * u_conj
                 block_acc += px + py
                 # catch runaway outputs before they overflow to inf/nan,
                 # where the block average comparison would go silent
@@ -561,11 +571,12 @@ def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
         sel = mags[mags >= r]
         if sel.size >= 8:
             return float(max(2.0 * np.mean((sel - r) ** 2), 1e-12))
-    chunk = 1 << 16
     acc = 0.0
-    for start in range(0, flat.size, chunk):
-        d2 = _squared_distances(flat[start : start + chunk], c.points)
-        acc += float(d2.min(axis=1).sum())
+    for rows, e in _distance_blocks(flat, c.points):
+        y = flat[rows]
+        nearest = e.min(axis=1)
+        nearest += y.real * y.real + y.imag * y.imag
+        acc += float(nearest.sum())
     return float(max(acc / flat.size, 1e-12))
 
 

@@ -24,6 +24,7 @@ from shapelink.constellation import (
     save_constellation,
     square64,
 )
+from shapelink.dsp import _auto_noise_variance
 from shapelink.errors import DegenerateInputError
 
 
@@ -53,6 +54,19 @@ def test_square64_gray_labels_adjacent_levels_differ_in_one_bit():
         rows = bits[sel][order]
         flips = (rows[1:] != rows[:-1]).sum(axis=1)
         assert (flips == 1).all()
+
+
+def test_bit_matrix_is_built_once_and_read_only():
+    c = load_builtin("system12")
+    bits = c.bit_matrix
+    assert bits is c.bit_matrix
+    assert bits.dtype == np.uint8 and not bits.flags.writeable
+    assert ["".join(map(str, row)) for row in bits] == list(c.labels)
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1
+    # a replaced labeling gets its own matrix
+    swapped = c.replace(labels=c.labels[1:] + c.labels[:1])
+    assert np.array_equal(swapped.bit_matrix, np.roll(bits, -1, axis=0))
 
 
 def test_wrong_point_count_rejected():
@@ -98,6 +112,22 @@ def test_monte_carlo_matches_gauss_hermite():
     gh = gmi_estimate(c, 11.0)
     mc = gmi_estimate(c, 11.0, estimator="monte_carlo", samples=200_000, seed=3)
     assert mc == pytest.approx(gh, abs=5e-3)
+
+
+def test_monte_carlo_gmi_is_pinned():
+    # 300001 samples cross both the RNG chunk (2**17) and the distance
+    # block (2**14).  Pinned from the kernel on |y - c|^2 itself: the
+    # seeded draw order is the same, so only rounding may differ
+    for name, want in (("square64", 3.471981638130892), ("system12", 3.5921661822776603)):
+        got = gmi_estimate(load_builtin(name), 11.0, estimator="monte_carlo", samples=300_001, seed=5)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("samples", [-5, 0, math.nan])
+def test_monte_carlo_rejects_too_few_samples(samples):
+    # -5 gave a perfect 6.0 and 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="samples"):
+        gmi_estimate(square64(), 10.0, estimator="monte_carlo", samples=samples)
 
 
 def test_gmi_monotone_in_snr():
@@ -152,6 +182,13 @@ def test_llrs_reject_bad_noise_variance(nu):
         bitwise_llrs(square64(), np.array([0.1 + 0.2j]), nu)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
+def test_llrs_reject_non_finite_symbols(bad):
+    # a NaN or inf symbol gave all-NaN LLRs with a RuntimeWarning
+    with pytest.raises(ValueError, match="symbols must be finite"):
+        bitwise_llrs(square64(), np.array([0.1 + 0.2j, bad]), 0.1)
+
+
 def test_gmi_from_llrs_rejects_zero_rows():
     # the mean over no rows was nan, with two RuntimeWarnings
     with pytest.raises(ValueError, match="zero LLR rows"):
@@ -170,19 +207,23 @@ def test_max_log_llrs_close_at_high_snr():
 
 
 def _reference_llrs(c, y, nu, max_log):
-    # the plain formula: complex distances, log-metrics shifted by the row
-    # maximum, per-coset sums (or maxima) over an explicit label mask
-    points, bits = c.points, c.bit_matrix
-    logq = -(np.abs(y[:, None] - points[None, :]) ** 2) / nu
-    zero = (bits == 0)[None, :, :]
-    if max_log:
-        l0 = np.max(np.where(zero, logq[:, :, None], -np.inf), axis=1)
-        l1 = np.max(np.where(zero, -np.inf, logq[:, :, None]), axis=1)
-        return l0 - l1
-    p = np.exp(logq - logq.max(axis=1, keepdims=True))
-    s0 = np.maximum(p @ zero[0], 1e-300)
-    s1 = np.maximum(p @ ~zero[0], 1e-300)
-    return np.log(s0) - np.log(s1)
+    # the plain formula, one bit at a time: complex distances, metrics
+    # shifted by the row's nearest point, per-coset sums (or minima) over
+    # the points whose label bit k is 0, and those where it is 1
+    d2 = np.abs(y[:, None] - c.points[None, :]) ** 2
+    if not max_log:
+        p = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / nu)
+    out = np.empty((y.size, 6))
+    for k in range(6):
+        zero = np.flatnonzero(c.bit_matrix[:, k] == 0)
+        one = np.flatnonzero(c.bit_matrix[:, k] == 1)
+        if max_log:
+            out[:, k] = (d2[:, one].min(axis=1) - d2[:, zero].min(axis=1)) / nu
+        else:
+            s0 = np.maximum(p[:, zero].sum(axis=1), 1e-300)
+            s1 = np.maximum(p[:, one].sum(axis=1), 1e-300)
+            out[:, k] = np.log(s0) - np.log(s1)
+    return out
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -198,6 +239,26 @@ def test_llr_kernel_matches_reference_formula(name, max_log):
         want = _reference_llrs(c, y, nu, max_log)
         got = bitwise_llrs(c, y, nu, max_log=max_log)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 40000])
+def test_receiver_kernels_match_written_out_distances(n):
+    # the blocked kernels work on |y - c|^2 - |y|^2, 2**14 rows at a
+    # time; LLRs and the nearest-point noise estimate must match the
+    # formulas on |y - c|^2 itself on both sides of a block edge
+    # (markers dropped, so the noise estimate takes its nearest-point path)
+    rng = np.random.default_rng(n)
+    c = load_builtin("system12").replace(marker_indices=frozenset())
+    for snr_db in (0.0, 10.0, 20.0, 30.0):
+        nu = 10 ** (-snr_db / 10)
+        idx = rng.integers(0, 64, n)
+        y = c.points[idx] + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(nu / 2)
+        for max_log in (False, True):
+            want = _reference_llrs(c, y, nu, max_log)
+            got = bitwise_llrs(c, y, nu, max_log=max_log)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        nearest = np.mean(np.min(np.abs(y[:, None] - c.points[None, :]) ** 2, axis=1))
+        assert _auto_noise_variance(y, c) == pytest.approx(max(nearest, 1e-12), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ the quadrature GMI estimator for demapper quality).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,11 +335,16 @@ def _reference_rde(frame, c, taps=19, step=1e-3, passes=2):
         mu *= 0.5
 
 
-@pytest.mark.parametrize("case", ["jones", "divergence", "short"])
+@pytest.mark.parametrize("case", ["jones", "divergence", "short", "ragged"])
 def test_rde_matches_per_symbol_reference(square, case):
     if case == "divergence":
         _, wf = _matched_2sps(square, 2048, seed=11)
         kwargs = dict(step=0.5)
+    elif case == "ragged":
+        # 2500 symbols: two full blocks of equalizer windows and a short one
+        _, mf = _matched_2sps(square, 2500, seed=13)
+        wf = ch.apply_jones_rotation(mf, math.pi / 2.0)
+        kwargs = {}
     else:
         _, mf = _matched_2sps(square, 4096, seed=9)
         wf = ch.apply_jones_rotation(mf, math.pi / 2.0)
@@ -694,6 +700,28 @@ def test_auto_noise_variance_without_markers_is_nearest_point_residual(square):
     want = np.mean(np.min(np.abs(y[:, None] - square.points[None, :]) ** 2, axis=1))
     got = dsp.llr_demap(frame.with_symbols(frame.symbols + noise), square).noise_variance
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_receiver_kernels_hold_no_frame_sized_temporaries(square):
+    # traced peaks: the blind llr_demap built (32768, 64) and (16384, 64)
+    # float pairs (33.7 MB) and the RDE held (16384, 38) complex windows
+    # and their conjugate (23.1 MB); in blocks they take 12.5 and 5.1 MB
+    frame, _ = dsp.random_symbols(square, 16384, seed=3)
+    rng = np.random.default_rng(4)
+    noise = rng.standard_normal((2, 16384)) + 1j * rng.standard_normal((2, 16384))
+    rx = frame.with_symbols(frame.symbols + 0.05 * noise)
+    wf = dsp.matched_filter(dsp.rrc_shape(frame, 2, 0.01), 0.01)
+    tracemalloc.start()
+    try:
+        dsp.llr_demap(rx, square)
+        llr_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dsp.rde_equalize(wf, square, passes=1)
+        rde_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert llr_peak < 14e6
+    assert rde_peak < 8e6
 
 
 def test_llr_demap_gmi_cross_validation(square):

@@ -16,7 +16,6 @@ from shapelink.constellation import (
     _coset_zero_matrix,
     _gh_nodes,
     _row_loss,
-    _squared_distances,
     builtin_names,
     gmi_estimate,
     load_builtin,
@@ -106,6 +105,17 @@ def test_gh_value_agrees_with_estimator():
         assert v == fused
         assert v == pytest.approx(gmi_estimate(c, snr_db), abs=1e-12)
         assert v == pytest.approx(_reference_gh_gmi(c.points, c.bit_matrix, nu, 10), abs=1e-12)
+
+
+def _squared_distances(y, points):
+    # the full-grid kernel's distances, kept verbatim: |y_n - c_j|^2 as
+    # (n, M) real squares, without a complex temporary
+    d2 = y.real[:, None] - points.real[None, :]
+    np.square(d2, out=d2)
+    d_im = y.imag[:, None] - points.imag[None, :]
+    np.square(d_im, out=d_im)
+    d2 += d_im
+    return d2
 
 
 def _full_grid_gh_forward(points, bits, noise_var, order):
