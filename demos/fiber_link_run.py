@@ -8,7 +8,7 @@ digital back-propagation.  Prints measured SNR and demapper GMI next to
 the analytical budget so the three regimes (noise-limited, optimum,
 nonlinearity-limited) are visible on one table.
 
-Takes a few seconds (about 6 s on 2 cores): each power point is a full
+Takes a few seconds (about 4 s on 2 cores): each power point is a full
 split-step run, its steps sized by nonlinear phase.
 """
 

@@ -4,14 +4,18 @@ The signal lives in :class:`WaveformFrame` objects, dual-polarization
 complex baseband at ``sample_rate``.  Propagation over a
 :class:`FiberSegment` uses the symmetric split-step Fourier method with
 loss folded into the linear half-steps and a Manakov (8/9) Kerr rotation
-at the step midpoint.  Adjacent linear half-steps are merged into one
-full-step operator, so a step costs two FFTs rather than four.  Steps
-are uniform within a segment.  By default their count bounds the Kerr
-phase per step (the nonlinear-phase rotation rule of Sinkin et al., JLT
-21(1), 2003); an explicit maximum step length sets ceil(L / h) steps
-instead.  A :class:`SpanSpec` chains segments and ends in a transparent
-lumped amplifier: its gain equals the span loss, so the launch power
-repeats at every span output, and its ASE is set by its noise figure.
+at the step midpoint.  One engine runs a chain of segments, a span's
+fiber forward or a whole link backwards in DBP.  The field stays in the
+frequency domain between Kerr rotations, so a step costs two FFTs rather
+than four, and at a segment boundary the exit half-step, any gain and
+the next segment's entry half-step are one spectral multiply.  Each
+distinct half-step operator is built once per chain.  Steps are uniform
+within a segment.  By default their count bounds the Kerr phase per
+step (the nonlinear-phase rotation rule of Sinkin et al., JLT 21(1),
+2003); an explicit maximum step length sets ceil(L / h) steps instead.
+A :class:`SpanSpec` chains segments and ends in a transparent lumped
+amplifier: its gain equals the span loss, so the launch power repeats at
+every span output, and its ASE is set by its noise figure.
 
 Conventions: optical power is the sum over both polarizations of the
 time-averaged |field|^2, in watts.  Spectra follow the numpy FFT sign
@@ -22,7 +26,9 @@ the dispersion operator to exp(+i 2 pi^2 beta2 h f^2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,45 +229,85 @@ def hybrid_span(noise_figure_db: float = 1.4, n2: float = 2.6e-20) -> SpanSpec:
 # ---------------------------------------------------------------------------
 
 
-def _ssfm_core(
-    samples: np.ndarray,
-    sample_rate: float,
-    length_m: float,
-    steps: int,
-    beta2_s2_m: float,
-    alpha_power_per_m: float,
-    gamma_eff: float,
+class _Segment(NamedTuple):
+    """One stretch of a split-step run: ``steps`` uniform steps over
+    ``length_m``.  ``gamma_eff`` already includes the Manakov 8/9; negative
+    ``alpha_per_m`` turns loss into gain (back-propagation).  ``gain``
+    scales the field's amplitude where the segment begins."""
+
+    steps: int
+    length_m: float
+    beta2_s2_m: float
+    alpha_per_m: float
+    gamma_eff: float
+    gain: float = 1.0
+
+
+def _half_step(freqs: np.ndarray, h: float, beta2_s2_m: float, alpha_per_m: float) -> np.ndarray:
+    """Linear operator of half a step of length ``h``: dispersion and loss."""
+    phase = 2.0 * math.pi**2 * beta2_s2_m * h * freqs**2
+    return np.exp(0.5j * phase) * math.exp(-alpha_per_m * h / 4.0)
+
+
+def _split_step(
+    samples: np.ndarray, sample_rate: float, segments: Sequence[_Segment]
 ) -> np.ndarray:
     """Symmetric split-step engine shared by forward propagation and DBP.
 
-    ``gamma_eff`` already includes the Manakov 8/9; negative
-    ``alpha_power_per_m`` turns loss into gain (back-propagation).  Each
-    step is linear half (dispersion + loss), full Kerr phase on the
-    midpoint field, linear half again.  The two linear halves that meet
-    between consecutive steps are merged into one full-step operator, so
-    the field is transformed once on entry and once on exit and each step
-    costs one inverse and one forward FFT:
+    Runs the :class:`_Segment` sequence ``segments`` in order.  Each step
+    is linear half (dispersion + loss), full Kerr phase on the midpoint
+    field, linear half again.  The field stays in the frequency domain
+    between Kerr rotations: the two linear halves that meet between steps
+    multiply it back to back, and at a segment boundary the exit half of
+    one segment, the next one's gain and its entry half are a single
+    multiply.  The field is transformed once on entry and once on exit,
+    and each step costs one inverse and one forward FFT:
 
-        fft, half, [ifft, Kerr, fft, full] x (steps - 1), ifft, Kerr, fft,
-        half, ifft
+        fft, gain * half, [ifft, Kerr, fft, half, half] x (steps - 1),
+        ifft, Kerr, fft, half * next gain * next half, ..., half, ifft
 
-    The sequence is palindromic, so with all three parameters negated and
-    the same step count it is its own exact algebraic inverse (the phase
-    operator preserves the modulus it reads).  With ``gamma_eff`` zero the
-    per-step transform pair is skipped and only the operators multiply.
+    Each distinct half-step operator is built once per call.  Within a
+    segment the sequence is palindromic, so with all three parameters
+    negated and the same step count it is its own exact algebraic
+    inverse (the phase operator preserves the modulus it reads).  With
+    ``gamma_eff`` zero the per-step transform pair is skipped and only
+    the operators multiply.
     """
-    h = length_m / steps
-    f = np.fft.fftfreq(samples.shape[1], d=1.0 / sample_rate)
-    phase = 2.0 * math.pi**2 * beta2_s2_m * h * f**2
-    half_op = np.exp(0.5j * phase) * math.exp(-alpha_power_per_m * h / 4.0)
-    full_op = np.exp(1j * phase) * math.exp(-alpha_power_per_m * h / 2.0)
-    spec = np.fft.fft(samples, axis=1) * half_op
-    for k in range(steps):
-        if gamma_eff:
-            a = np.fft.ifft(spec, axis=1)
-            a *= np.exp(1j * gamma_eff * h * np.sum(np.abs(a) ** 2, axis=0))
-            spec = np.fft.fft(a, axis=1)
-        spec *= full_op if k < steps - 1 else half_op
+    if not segments:
+        raise ValueError("need at least one segment")
+    freqs = np.fft.fftfreq(samples.shape[1], d=1.0 / sample_rate)
+    halves = {}
+    mag = np.empty(samples.shape)
+    rot = np.empty(samples.shape[1], dtype=np.complex128)
+    spec = np.fft.fft(samples, axis=1)
+    exit_half = None
+    for seg in segments:
+        h = seg.length_m / seg.steps
+        key = (h, seg.beta2_s2_m, seg.alpha_per_m)
+        half = halves.get(key)
+        if half is None:
+            half = halves[key] = _half_step(freqs, *key)
+        entry = half if seg.gain == 1.0 else half * seg.gain
+        spec *= entry if exit_half is None else exit_half * entry
+        for k in range(seg.steps):
+            if k:
+                spec *= half
+                spec *= half
+            if seg.gamma_eff:
+                a = np.fft.ifft(spec, axis=1)
+                del spec
+                # Kerr rotation exp(i gamma h (|Ax|^2 + |Ay|^2)) as cos + i sin
+                np.abs(a, out=mag)
+                np.square(mag, out=mag)
+                phi = np.add(mag[0], mag[1], out=mag[0])
+                phi *= seg.gamma_eff * h
+                np.cos(phi, out=rot.real)
+                np.sin(phi, out=rot.imag)
+                a *= rot
+                spec = np.fft.fft(a, axis=1)
+                del a
+        exit_half = half
+    spec *= exit_half
     return np.fft.ifft(spec, axis=1)
 
 
@@ -279,37 +325,40 @@ def _step_count(n: float) -> int:
 
 def ssfm_propagate(
     frame: WaveformFrame,
-    seg: FiberSegment,
+    fiber: FiberSegment | Sequence[FiberSegment],
     max_step_m: float | None = None,
 ) -> WaveformFrame:
-    """Propagate through one fiber segment (symmetric split-step).
+    """Propagate through one fiber segment, or through a sequence of them
+    (a span's ``segments``) as one symmetric split-step chain.
 
     Loss and dispersion ride in the linear half-steps, the Manakov
     nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h rotates both
-    polarizations at the midpoint.  Steps are uniform.  With
-    ``max_step_m`` None there are max(1, ceil(gamma_eff P_in L_eff /
-    phi_max)) of them: P_in is the frame's power at entry, L_eff =
-    (1 - exp(-alpha L)) / alpha (L when lossless) and phi_max = 2e-3 rad,
-    so a step adds at most phi_max of mean Kerr phase.  An explicit
-    ``max_step_m`` gives ceil(L / max_step_m) steps.
+    polarizations at the midpoint.  Steps are uniform within a segment.
+    With ``max_step_m`` None a segment has max(1, ceil(gamma_eff P_in
+    L_eff / phi_max)) of them: L_eff = (1 - exp(-alpha L)) / alpha (L when
+    lossless), phi_max = 2e-3 rad, so a step adds at most phi_max of mean
+    Kerr phase.  P_in is the frame's power for the first segment and
+    exp(-sum alpha L) of it over the segments before for a later one:
+    every split-step operator is unitary apart from loss.  An explicit
+    ``max_step_m`` gives ceil(L / max_step_m) steps.  Every count is
+    checked before the first step runs.
     """
-    gamma_eff = seg.gamma_per_w_m * (8.0 / 9.0)
-    if max_step_m is None:
-        n = gamma_eff * frame.power * seg.effective_length_m / _PHI_MAX_RAD
-    elif 0 < max_step_m < math.inf:
-        n = seg.length_m / max_step_m
-    else:
+    segments = (fiber,) if isinstance(fiber, FiberSegment) else tuple(fiber)
+    if max_step_m is not None and not 0 < max_step_m < math.inf:
         raise ValueError("max_step_m must be positive and finite")
-    a = _ssfm_core(
-        frame.samples,
-        frame.sample_rate,
-        seg.length_m,
-        _step_count(n),
-        seg.beta2_s2_m,
-        seg.alpha_per_m,
-        gamma_eff,
-    )
-    return frame.with_samples(a)
+    power = frame.power
+    plan = []
+    for seg in segments:
+        gamma_eff = seg.gamma_per_w_m * (8.0 / 9.0)
+        if max_step_m is None:
+            n = gamma_eff * power * seg.effective_length_m / _PHI_MAX_RAD
+        else:
+            n = seg.length_m / max_step_m
+        plan.append(
+            _Segment(_step_count(n), seg.length_m, seg.beta2_s2_m, seg.alpha_per_m, gamma_eff)
+        )
+        power *= math.exp(-seg.alpha_per_m * seg.length_m)
+    return frame.with_samples(_split_step(frame.samples, frame.sample_rate, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +390,12 @@ def amplify(
         if var < 0:
             var = 0.0
         rng = np.random.default_rng(seed)
-        noise = rng.standard_normal((2, frame.n_samples)) + 1j * rng.standard_normal(
-            (2, frame.n_samples)
-        )
-        a = a + noise * math.sqrt(var / 2.0)
+        noise = np.empty(a.shape, dtype=np.complex128)
+        draw = np.empty(a.shape)
+        for part in (noise.real, noise.imag):  # all real parts are drawn first
+            part[...] = rng.standard_normal(out=draw)
+        noise *= math.sqrt(var / 2.0)
+        a += noise
     return frame.with_samples(a)
 
 
@@ -359,10 +410,12 @@ def propagate_link(
     Every amplifier recovers its span's exact loss, so the launch power
     repeats at every span output.
     ``seed`` None makes the whole link noiseless; otherwise per-span noise
-    seeds are derived deterministically from ``seed``.  Each segment is
-    split as :func:`ssfm_propagate` says: by default into steps of at most
-    2e-3 rad of Kerr phase at the power entering it, with ``max_step_m``
-    set into ceil(L / max_step_m) uniform steps.
+    seeds are derived deterministically from ``seed``.  Each span's fiber
+    runs as one :func:`ssfm_propagate` chain, its segments split as that
+    function says: by default into steps of at most 2e-3 rad of Kerr phase
+    at the power entering the segment, with ``max_step_m`` set into
+    ceil(L / max_step_m) uniform steps.  The ASE is added in the time
+    domain at every span output.
     """
     spans = tuple(spans)
     if not spans:
@@ -373,8 +426,7 @@ def propagate_link(
         span_seeds = list(np.random.SeedSequence(seed).generate_state(len(spans)))
     out = frame
     for span, span_seed in zip(spans, span_seeds):
-        for seg in span.segments:
-            out = ssfm_propagate(out, seg, max_step_m=max_step_m)
+        out = ssfm_propagate(out, span.segments, max_step_m=max_step_m)
         out = amplify(
             out,
             span.loss_db,

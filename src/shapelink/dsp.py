@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SpanSpec, WaveformFrame, _beta2, _ssfm_core, _step_count
+from .channel import SpanSpec, WaveformFrame, _beta2, _Segment, _split_step, _step_count
 from .constellation import Constellation, _distance_blocks, bitwise_llrs
 from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
@@ -513,10 +513,14 @@ def vv_cpe(frame: SymbolFrame, c: Constellation, block_length: int = 64) -> CpeR
 def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> WaveformFrame:
     """Digitally back-propagate through the link, spans in reverse order.
 
-    Each span's transparent amplifier gain (its loss) is divided out,
-    then every segment is run backwards with negated dispersion and
-    nonlinearity and loss turned into gain.  Step counts are allocated to
-    segments proportionally to length, at least one each.  With the
+    The whole reversed link runs as one split-step chain: every segment
+    backwards with negated dispersion and nonlinearity and loss turned
+    into gain, and each span's transparent amplifier gain (its loss)
+    divided out at the entry of its first reversed segment.  No boundary
+    sees the time domain, so the field is transformed once on entry and
+    once on exit besides the two FFTs of each step.  Step counts are
+    allocated to segments proportionally to length, at least one each,
+    and all of them are checked before the first step runs.  With the
     forward fine-step counts reproduced exactly and a noiseless channel
     this inverts :func:`shapelink.channel.propagate_link` to numerical
     precision; at a few steps per span it is the conventional
@@ -524,25 +528,23 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     """
     if steps_per_span < 1:
         raise ValueError("steps_per_span must be at least 1")
-    # every count is checked before the first step runs
-    counts = [
-        [_step_count(steps_per_span * seg.length_m / span.length_m) for seg in span.segments]
-        for span in spans
-    ]
-    a = np.array(frame.samples)
-    for span, span_counts in zip(reversed(spans), reversed(counts)):
-        a /= 10.0 ** (span.loss_db / 20.0)
-        for seg, n in zip(reversed(span.segments), reversed(span_counts)):
-            a = _ssfm_core(
-                a,
-                frame.sample_rate,
-                seg.length_m,
-                n,
-                -seg.beta2_s2_m,
-                -seg.alpha_per_m,
-                -seg.gamma_per_w_m * (8.0 / 9.0),
+    plan = []
+    for span in reversed(spans):
+        gain = 10.0 ** (-span.loss_db / 20.0)
+        for seg in reversed(span.segments):
+            n = _step_count(steps_per_span * seg.length_m / span.length_m)
+            plan.append(
+                _Segment(
+                    n,
+                    seg.length_m,
+                    -seg.beta2_s2_m,
+                    -seg.alpha_per_m,
+                    -seg.gamma_per_w_m * (8.0 / 9.0),
+                    gain,
+                )
             )
-    return frame.with_samples(a)
+            gain = 1.0
+    return frame.with_samples(_split_step(frame.samples, frame.sample_rate, plan))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.constants import h as PLANCK, c as C0
 
-from shapelink import linkbudget
+from shapelink import dsp, linkbudget
 from shapelink.channel import (
     _C0,
     _PLANCK,
-    _ssfm_core,
+    _Segment,
+    _half_step,
+    _split_step,
     FiberSegment,
     SpanSpec,
     WaveformFrame,
@@ -140,37 +142,85 @@ def test_step_halving_second_order():
     assert order2 > 1.8
 
 
-def _four_fft_reference(samples, fs, length_m, steps, beta2, alpha, gamma_eff):
-    """Textbook symmetric split-step: FFT pair around each linear half step."""
-    h = length_m / steps
+def _four_fft_reference(samples, fs, seg):
+    """Textbook symmetric split-step over one ``_Segment``: its gain in
+    the time domain, then an FFT pair around each linear half step."""
+    h = seg.length_m / seg.steps
     f = np.fft.fftfreq(samples.shape[1], d=1.0 / fs)
-    half = np.exp(1j * math.pi**2 * beta2 * h * f**2) * math.exp(-alpha * h / 4.0)
-    a = np.array(samples)
-    for _ in range(steps):
+    half = np.exp(1j * math.pi**2 * seg.beta2_s2_m * h * f**2)
+    half *= math.exp(-seg.alpha_per_m * h / 4.0)
+    a = np.array(samples) * seg.gain
+    for _ in range(seg.steps):
         a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
-        a = a * np.exp(1j * gamma_eff * h * np.sum(np.abs(a) ** 2, axis=0))
+        a = a * np.exp(1j * seg.gamma_eff * h * np.sum(np.abs(a) ** 2, axis=0))
         a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
     return a
 
 
-def _core_args(seg, steps):
-    return (seg.length_m, steps, seg.beta2_s2_m, seg.alpha_per_m, seg.gamma_per_w_m * 8 / 9)
+def _chain_reference(samples, fs, plan):
+    """Segment by segment, back in the time domain at every boundary."""
+    for seg in plan:
+        samples = _four_fft_reference(samples, fs, seg)
+    return samples
+
+
+def _segment(seg, steps, sign=1.0, gain=1.0):
+    return _Segment(
+        steps,
+        seg.length_m,
+        sign * seg.beta2_s2_m,
+        sign * seg.alpha_per_m,
+        sign * seg.gamma_per_w_m * 8 / 9,
+        gain,
+    )
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 def test_merged_half_steps_match_four_fft_reference():
     f = _noise_frame(20, n=4096, power_w=10e-3)
-    seg = FiberSegment(20e3, 0.2, 17.0, 80.0)
-    args = _core_args(seg, 10)
-    out = _ssfm_core(f.samples, f.sample_rate, *args)
-    ref = _four_fft_reference(f.samples, f.sample_rate, *args)
+    seg = _segment(FiberSegment(20e3, 0.2, 17.0, 80.0), 10)
+    out = _split_step(f.samples, f.sample_rate, [seg])
+    ref = _four_fft_reference(f.samples, f.sample_rate, seg)
     # the Kerr term must matter, or the comparison says nothing about it
-    linear = _ssfm_core(f.samples, f.sample_rate, *args[:-1], 0.0)
-    assert np.linalg.norm(linear - ref) / np.linalg.norm(ref) > 1e-3
-    assert np.linalg.norm(out - ref) / np.linalg.norm(ref) <= 1e-12
+    linear = _split_step(f.samples, f.sample_rate, [seg._replace(gamma_eff=0.0)])
+    assert _rel(linear, ref) > 1e-3
+    assert _rel(out, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("steps", [1, 2, 7])
-def test_segment_uses_two_transforms_per_step(monkeypatch, steps):
+def test_merged_span_matches_round_trip_reference():
+    # the 40 km segment's exit half, the 30 km segment's entry half and a
+    # gain meet in one multiply; the reference transforms back between them
+    f = with_power(_noise_frame(23, n=4096), 3.0)
+    big, small = hybrid_span().segments
+    plan = [_segment(big, 7), _segment(small, 3, gain=1.25)]
+    out = _split_step(f.samples, f.sample_rate, plan)
+    assert _rel(out, _chain_reference(f.samples, f.sample_rate, plan)) <= 1e-12
+    # a span through ssfm_propagate is that chain at its default counts
+    f = with_power(f, -0.5)
+    out = ssfm_propagate(f, [big, small]).samples
+    ref = _chain_reference(f.samples, f.sample_rate, [_segment(big, 7), _segment(small, 3)])
+    assert _rel(out, ref) <= 1e-12
+
+
+def test_merged_dbp_chain_matches_round_trip_reference():
+    f = with_power(_noise_frame(24, n=4096), 3.0)
+    spans = [hybrid_span()] * 3
+    out = dsp.dbp(f, spans, steps_per_span=4).samples
+    # written out: per span, its gain divided out in the time domain, then
+    # the 30 km segment (2 steps) and the 40 km segment (3 steps) backwards
+    big, small = hybrid_span().segments
+    backwards = [_segment(small, 2, -1.0), _segment(big, 3, -1.0)]
+    ref = f.samples
+    for span in spans:
+        ref = ref / 10.0 ** (span.loss_db / 20.0)
+        ref = _chain_reference(ref, f.sample_rate, backwards)
+    assert _rel(out, ref) <= 1e-12
+
+
+def _count_transforms(monkeypatch):
     calls = []
     for name in ("fft", "ifft"):
         real = getattr(np.fft, name)
@@ -180,19 +230,54 @@ def test_segment_uses_two_transforms_per_step(monkeypatch, steps):
             return _real(*a, **kw)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_segment_uses_two_transforms_per_step(monkeypatch, steps):
+    calls = _count_transforms(monkeypatch)
     f = _noise_frame(21, n=256)
     seg = FiberSegment(7e3, 0.2, 17.0, 80.0)
     ssfm_propagate(f, seg, max_step_m=seg.length_m / steps)
     assert len(calls) == 2 * steps + 2
 
 
+def test_chains_transform_only_at_their_ends(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    frame = with_power(_noise_frame(25, n=256), -0.5)
+    spans = [hybrid_span()] * 9
+    # 9 spans of 7 + 3 steps, one chain per span: 9 x (2 x 10 + 2)
+    propagate_link(frame, spans, seed=None)
+    assert len(calls) == 198
+    calls.clear()
+    # 3 + 2 steps per span, one chain for the whole link: 2 x 45 + 2
+    dsp.dbp(frame, spans, steps_per_span=4)
+    assert len(calls) == 92
+
+
+def test_half_step_operators_built_once_per_distinct_segment(monkeypatch):
+    builds = []
+
+    def counted(freqs, *key):
+        builds.append(key)
+        return _half_step(freqs, *key)
+
+    monkeypatch.setattr("shapelink.channel._half_step", counted)
+    frame = with_power(_noise_frame(26, n=256), -0.5)
+    spans = [hybrid_span()] * 3
+    propagate_link(frame, spans, seed=None)
+    assert len(builds) == 6  # one chain per span, two segments each
+    builds.clear()
+    dsp.dbp(frame, spans, steps_per_span=4)
+    assert len(builds) == 2
+
+
 def test_core_negated_parameters_invert_exactly():
     f = _noise_frame(22, n=4096, power_w=10e-3)
     seg = FiberSegment(30e3, 0.2, 17.0, 80.0)
-    length, steps, beta2, alpha, gamma = _core_args(seg, 3)
-    fwd = _ssfm_core(f.samples, f.sample_rate, length, steps, beta2, alpha, gamma)
-    back = _ssfm_core(fwd, f.sample_rate, length, steps, -beta2, -alpha, -gamma)
-    assert np.linalg.norm(back - f.samples) / np.linalg.norm(f.samples) <= 1e-12
+    fwd = _split_step(f.samples, f.sample_rate, [_segment(seg, 3)])
+    back = _split_step(fwd, f.sample_rate, [_segment(seg, 3, -1.0)])
+    assert _rel(back, f.samples) <= 1e-12
 
 
 def test_step_overflow_rejected():
@@ -203,14 +288,15 @@ def test_step_overflow_rejected():
 
 
 def _spy_steps(monkeypatch):
-    """Record the step count of every segment the engine runs."""
+    """Record the step count of every segment the engine runs, in order."""
     steps = []
 
-    def spy(samples, sample_rate, length_m, n, *rest):
-        steps.append(n)
-        return _ssfm_core(samples, sample_rate, length_m, n, *rest)
+    def spy(samples, sample_rate, segments):
+        steps.extend(seg.steps for seg in segments)
+        return _split_step(samples, sample_rate, segments)
 
-    monkeypatch.setattr("shapelink.channel._ssfm_core", spy)
+    monkeypatch.setattr("shapelink.channel._split_step", spy)
+    monkeypatch.setattr("shapelink.dsp._split_step", spy)
     return steps
 
 
@@ -225,6 +311,15 @@ def test_hybrid_span_step_counts(monkeypatch, max_step_m, want):
     assert steps == want
 
 
+def test_dbp_step_counts_per_span(monkeypatch):
+    steps = _spy_steps(monkeypatch)
+    frame = with_power(_noise_frame(34, n=256), -0.5)
+    # 4 steps over 70 km: ceil(2.29) = 3 on 40 km, ceil(1.71) = 2 on 30 km,
+    # run span by span from the last segment back
+    dsp.dbp(frame, [hybrid_span()] * 2, steps_per_span=4)
+    assert steps == [2, 3, 2, 3]
+
+
 def test_default_steps_linear_and_lossless_segments(monkeypatch):
     steps = _spy_steps(monkeypatch)
     f = _noise_frame(31, n=256, power_w=3e-3)
@@ -232,6 +327,11 @@ def test_default_steps_linear_and_lossless_segments(monkeypatch):
     # lossless: L_eff is L, so (8/9) gamma P L / 2e-3 = 87.8 steps
     ssfm_propagate(f, FiberSegment(50e3, 0.0, 17.0, 80.0))
     assert steps == [1, 88]
+
+
+def test_empty_chain_rejected():
+    with pytest.raises(ValueError, match="at least one segment"):
+        ssfm_propagate(_noise_frame(35, n=64), [])
 
 
 def test_default_step_overflow_rejected():
@@ -304,6 +404,16 @@ def test_independent_noise_adds_linearly():
     expected_ratio = (fg1 + fg2) / fg1
     ratio = np.mean(doubles) / np.mean(singles)
     assert ratio == pytest.approx(expected_ratio, rel=0.05)
+
+
+def test_ase_draws_match_the_two_array_expression():
+    f = _noise_frame(10)
+    out = amplify(f, 10.72, 1.4, seed=11)
+    psd = (10.0 ** (1.4 / 10.0) * 10.0 ** (10.72 / 10.0) - 1.0) * _PLANCK * f.center_frequency / 2.0
+    rng = np.random.default_rng(11)
+    noise = rng.standard_normal((2, f.n_samples)) + 1j * rng.standard_normal((2, f.n_samples))
+    ref = f.samples * 10.0 ** (10.72 / 20.0) + noise * math.sqrt(psd * f.sample_rate / 2.0)
+    np.testing.assert_array_equal(out.samples, ref)
 
 
 def test_amplifier_deterministic_given_seed():

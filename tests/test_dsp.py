@@ -583,6 +583,15 @@ def test_dbp_shares_the_split_step_limit(square):
         dsp.dbp(wf, [span], steps_per_span=ch._MAX_STEPS + 1)
 
 
+def test_dbp_rejects_zero_steps_and_no_spans(square):
+    frame, _ = dsp.random_symbols(square, 64, seed=16)
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    with pytest.raises(ValueError, match="steps_per_span"):
+        dsp.dbp(wf, [ch.hybrid_span()], steps_per_span=0)
+    with pytest.raises(ValueError, match="at least one segment"):
+        dsp.dbp(wf, [], steps_per_span=4)
+
+
 @pytest.mark.parametrize("steps_per_span", [2 * 10**7, math.nan])
 def test_dbp_checks_every_segment_before_the_first_step(square, monkeypatch, steps_per_span):
     # the 30 km segment runs first and alone stays under the limit; the
@@ -593,7 +602,7 @@ def test_dbp_checks_every_segment_before_the_first_step(square, monkeypatch, ste
         calls.append(args)
         return a
 
-    monkeypatch.setattr(dsp, "_ssfm_core", stub)
+    monkeypatch.setattr(dsp, "_split_step", stub)
     frame, _ = dsp.random_symbols(square, 64, seed=16)
     wf = dsp.rrc_shape(frame, 2, 0.01)
     with pytest.raises(ConfigurationError, match="1e7 limit"):

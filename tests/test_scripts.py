@@ -34,8 +34,13 @@ def test_builtin_generator_module_configs_build(monkeypatch):
         ),
         ("fec_decoding.py", "out_fec", ["regular_1024.alist"]),
         ("capacity_gap_sweep.py", "out_gap_sweep", ["gap_sweep.csv", "manifest.json"]),
+        (
+            "fiber_link_run.py",
+            "out_fiber",
+            ["p+0dBm", "p+2dBm", "p+4dBm", "p-2dBm", "p-4dBm"],
+        ),
     ],
-    ids=["shaping", "fec", "gap_sweep"],
+    ids=["shaping", "fec", "gap_sweep", "fiber"],
 )
 def test_shaping_demo_runs(tmp_path, demo, out_dir, written):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
