@@ -5,15 +5,18 @@ complex baseband at ``sample_rate``.  Propagation over a
 :class:`FiberSegment` uses the symmetric split-step Fourier method with
 loss folded into the linear half-steps and a Manakov (8/9) Kerr rotation
 at the step midpoint.  One engine runs a chain of segments, a span's
-fiber forward or a whole link backwards in DBP.  The field stays in the
-frequency domain between Kerr rotations, so a step costs two FFTs rather
-than four, and at a segment boundary the exit half-step, any gain and
-the next segment's entry half-step are one spectral multiply.  Each
-distinct half-step operator is built once per chain.  Steps are uniform
-within a segment.  By default their count bounds the Kerr phase per
-step (the nonlinear-phase rotation rule of Sinkin et al., JLT 21(1),
-2003); an explicit maximum step length sets ceil(L / h) steps instead.
-A :class:`SpanSpec` chains segments and ends in a transparent lumped
+fiber forward or a whole link backwards in DBP, and it alone maps a
+segment to its beta2, alpha and Manakov gamma, negated when it runs
+backwards; the dispersion compensator of :mod:`shapelink.dsp` reads the
+same per-segment beta2.  The field stays in the frequency domain between
+Kerr rotations, so a step costs two FFTs rather than four, and at a
+segment boundary the exit half-step, any gain and the next segment's
+entry half-step are one spectral multiply.  Each distinct half-step
+operator is built once per chain.  Steps are uniform within a segment.
+By default their count bounds the Kerr phase per step (the
+nonlinear-phase rotation rule of Sinkin et al., JLT 21(1), 2003); an
+explicit maximum step length sets ceil(L / h) steps instead.  A
+:class:`SpanSpec` chains segments and ends in a transparent lumped
 amplifier: its gain equals the span loss, so the launch power repeats at
 every span output, and its ASE is set by its noise figure.
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,16 +124,6 @@ def with_power(frame: WaveformFrame, power_dbm: float) -> WaveformFrame:
 # ---------------------------------------------------------------------------
 
 
-def _beta2(dispersion_si: float, wavelength_nm: float) -> float:
-    """beta2 = -D lambda^2 / (2 pi c) for D in SI units.
-
-    D in s/m^2 gives beta2 in s^2/m; an accumulated D*L in s/m gives the
-    accumulated beta2*L in s^2.
-    """
-    lam = wavelength_nm * 1e-9
-    return -dispersion_si * lam**2 / (2.0 * math.pi * _C0)
-
-
 @dataclass(frozen=True)
 class FiberSegment:
     """One homogeneous stretch of fiber.
@@ -175,8 +167,10 @@ class FiberSegment:
 
     @property
     def beta2_s2_m(self) -> float:
-        """GVD parameter beta2 = -D lambda^2 / (2 pi c), s^2/m."""
-        return _beta2(self.dispersion_ps_nm_km * 1e-6, self.reference_wavelength_nm)
+        """GVD parameter beta2 = -D lambda^2 / (2 pi c) at the reference
+        wavelength, s^2/m."""
+        lam = self.reference_wavelength_nm * 1e-9
+        return -self.dispersion_ps_nm_km * 1e-6 * lam**2 / (2.0 * math.pi * _C0)
 
     @property
     def gamma_per_w_m(self) -> float:
@@ -229,18 +223,8 @@ def hybrid_span(noise_figure_db: float = 1.4, n2: float = 2.6e-20) -> SpanSpec:
 # ---------------------------------------------------------------------------
 
 
-class _Segment(NamedTuple):
-    """One stretch of a split-step run: ``steps`` uniform steps over
-    ``length_m``.  ``gamma_eff`` already includes the Manakov 8/9; negative
-    ``alpha_per_m`` turns loss into gain (back-propagation).  ``gain``
-    scales the field's amplitude where the segment begins."""
-
-    steps: int
-    length_m: float
-    beta2_s2_m: float
-    alpha_per_m: float
-    gamma_eff: float
-    gain: float = 1.0
+#: Manakov average of the Kerr term over the Poincare sphere
+_MANAKOV = 8.0 / 9.0
 
 
 def _half_step(freqs: np.ndarray, h: float, beta2_s2_m: float, alpha_per_m: float) -> np.ndarray:
@@ -250,57 +234,65 @@ def _half_step(freqs: np.ndarray, h: float, beta2_s2_m: float, alpha_per_m: floa
 
 
 def _split_step(
-    samples: np.ndarray, sample_rate: float, segments: Sequence[_Segment]
+    samples: np.ndarray,
+    sample_rate: float,
+    plan: Sequence[tuple[FiberSegment, int, float]],
+    backward: bool = False,
 ) -> np.ndarray:
     """Symmetric split-step engine shared by forward propagation and DBP.
 
-    Runs the :class:`_Segment` sequence ``segments`` in order.  Each step
-    is linear half (dispersion + loss), full Kerr phase on the midpoint
-    field, linear half again.  The field stays in the frequency domain
-    between Kerr rotations: the two linear halves that meet between steps
-    multiply it back to back, and at a segment boundary the exit half of
-    one segment, the next one's gain and its entry half are a single
-    multiply.  The field is transformed once on entry and once on exit,
-    and each step costs one inverse and one forward FFT:
+    Runs the ``(segment, steps, gain)`` triples of ``plan`` in order:
+    ``steps`` uniform steps over the :class:`FiberSegment`, whose field
+    amplitude is scaled by ``gain`` where it begins.  A segment runs with
+    its beta2, its loss alpha and the Manakov (8/9) gamma; ``backward``
+    negates all three, which turns loss into gain (back-propagation).
+    Each step is linear half (dispersion + loss), full Kerr phase on the
+    midpoint field, linear half again.  The field stays in the frequency
+    domain between Kerr rotations: the two linear halves that meet
+    between steps multiply it back to back, and at a segment boundary the
+    exit half of one segment, the next one's gain and its entry half are
+    a single multiply.  The field is transformed once on entry and once
+    on exit, and each step costs one inverse and one forward FFT:
 
         fft, gain * half, [ifft, Kerr, fft, half, half] x (steps - 1),
         ifft, Kerr, fft, half * next gain * next half, ..., half, ifft
 
     Each distinct half-step operator is built once per call.  Within a
-    segment the sequence is palindromic, so with all three parameters
-    negated and the same step count it is its own exact algebraic
-    inverse (the phase operator preserves the modulus it reads).  With
-    ``gamma_eff`` zero the per-step transform pair is skipped and only
-    the operators multiply.
+    segment the sequence is palindromic, so run ``backward`` with the
+    same step count it is its own exact algebraic inverse (the phase
+    operator preserves the modulus it reads).  With gamma zero the
+    per-step transform pair is skipped and only the operators multiply.
     """
-    if not segments:
+    if not plan:
         raise ValueError("need at least one segment")
+    sign = -1.0 if backward else 1.0
     freqs = np.fft.fftfreq(samples.shape[1], d=1.0 / sample_rate)
     halves = {}
     mag = np.empty(samples.shape)
     rot = np.empty(samples.shape[1], dtype=np.complex128)
     spec = np.fft.fft(samples, axis=1)
     exit_half = None
-    for seg in segments:
-        h = seg.length_m / seg.steps
-        key = (h, seg.beta2_s2_m, seg.alpha_per_m)
+    for seg, steps, gain in plan:
+        h = seg.length_m / steps
+        key = (h, sign * seg.beta2_s2_m, sign * seg.alpha_per_m)
         half = halves.get(key)
         if half is None:
             half = halves[key] = _half_step(freqs, *key)
-        entry = half if seg.gain == 1.0 else half * seg.gain
+        gamma = sign * seg.gamma_per_w_m * _MANAKOV
+        entry = half if gain == 1.0 else half * gain
         spec *= entry if exit_half is None else exit_half * entry
-        for k in range(seg.steps):
+        for k in range(steps):
             if k:
                 spec *= half
                 spec *= half
-            if seg.gamma_eff:
+            if gamma:
                 a = np.fft.ifft(spec, axis=1)
                 del spec
                 # Kerr rotation exp(i gamma h (|Ax|^2 + |Ay|^2)) as cos + i sin
                 np.abs(a, out=mag)
                 np.square(mag, out=mag)
                 phi = np.add(mag[0], mag[1], out=mag[0])
-                phi *= seg.gamma_eff * h
+                phi *= gamma * h
                 np.cos(phi, out=rot.real)
                 np.sin(phi, out=rot.imag)
                 a *= rot
@@ -335,13 +327,13 @@ def ssfm_propagate(
     nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h rotates both
     polarizations at the midpoint.  Steps are uniform within a segment.
     With ``max_step_m`` None a segment has max(1, ceil(gamma_eff P_in
-    L_eff / phi_max)) of them: L_eff = (1 - exp(-alpha L)) / alpha (L when
-    lossless), phi_max = 2e-3 rad, so a step adds at most phi_max of mean
-    Kerr phase.  P_in is the frame's power for the first segment and
-    exp(-sum alpha L) of it over the segments before for a later one:
-    every split-step operator is unitary apart from loss.  An explicit
-    ``max_step_m`` gives ceil(L / max_step_m) steps.  Every count is
-    checked before the first step runs.
+    L_eff / phi_max)) of them: gamma_eff = (8/9) gamma, L_eff =
+    (1 - exp(-alpha L)) / alpha (L when lossless), phi_max = 2e-3 rad, so
+    a step adds at most phi_max of mean Kerr phase.  P_in is the frame's
+    power for the first segment and exp(-sum alpha L) of it over the
+    segments before for a later one: every split-step operator is unitary
+    apart from loss.  An explicit ``max_step_m`` gives ceil(L / max_step_m)
+    steps.  Every count is checked before the first step runs.
     """
     segments = (fiber,) if isinstance(fiber, FiberSegment) else tuple(fiber)
     if max_step_m is not None and not 0 < max_step_m < math.inf:
@@ -349,14 +341,11 @@ def ssfm_propagate(
     power = frame.power
     plan = []
     for seg in segments:
-        gamma_eff = seg.gamma_per_w_m * (8.0 / 9.0)
         if max_step_m is None:
-            n = gamma_eff * power * seg.effective_length_m / _PHI_MAX_RAD
+            n = seg.gamma_per_w_m * _MANAKOV * power * seg.effective_length_m / _PHI_MAX_RAD
         else:
             n = seg.length_m / max_step_m
-        plan.append(
-            _Segment(_step_count(n), seg.length_m, seg.beta2_s2_m, seg.alpha_per_m, gamma_eff)
-        )
+        plan.append((seg, _step_count(n), 1.0))
         power *= math.exp(-seg.alpha_per_m * seg.length_m)
     return frame.with_samples(_split_step(frame.samples, frame.sample_rate, plan))
 

@@ -187,7 +187,6 @@ def gmi_estimate(
     c,
     snr_db: float,
     estimator: str = "gauss_hermite",
-    order: int = 10,
     samples: int = 1_000_000,
     seed: int = 0,
 ) -> float:
@@ -201,9 +200,8 @@ def gmi_estimate(
     snr_db : float
         Es/N0 in dB for the unit-power constellation.
     estimator : {"gauss_hermite", "monte_carlo"}
-        Deterministic quadrature (order >= 4) or seeded Monte Carlo.
-    order : int
-        Gauss-Hermite order per real dimension (default 10).
+        Deterministic Gauss-Hermite quadrature, at the module's one order
+        of 10 nodes per real dimension, or seeded Monte Carlo.
     samples, seed : int
         Monte Carlo sample count (>= 1) and RNG seed.
 
@@ -217,9 +215,7 @@ def gmi_estimate(
         raise ValueError("snr_db must be finite")
     noise_var = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(points) ** 2))
     if estimator == "gauss_hermite":
-        if order < 4:
-            raise ValueError("gauss_hermite order must be >= 4")
-        return _gh_gmi(points, bits, noise_var, order)
+        return _gh_gmi(points, bits, noise_var)
     if estimator == "monte_carlo":
         if not samples >= 1:
             raise ValueError("monte_carlo samples must be >= 1")
@@ -304,17 +300,16 @@ def _row_loss(s_all, s_same):
     return s_same.shape[1] * np.log(s_all) - np.log(s_same).sum(axis=1)
 
 
-@functools.lru_cache(maxsize=16)
-def _hermgauss(order: int):
-    # nodes and weights of one order, computed once and shared read-only
-    t, w = hermgauss(order)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+#: Gauss-Hermite order per real dimension of every quadrature GMI
+_GH_ORDER = 10
+# its 1-D nodes and weights, built once and shared read-only
+_GH_T, _GH_W = hermgauss(_GH_ORDER)
+_GH_T.setflags(write=False)
+_GH_W.setflags(write=False)
 
 
-def _gh_nodes(noise_var: float, order: int):
-    t, w = _hermgauss(order)
+def _gh_nodes(noise_var: float):
+    t, w = _GH_T, _GH_W
     nodes = math.sqrt(noise_var) * (t[:, None] + 1j * t[None, :]).ravel()
     weights = (w[:, None] * w[None, :]).ravel() / math.pi
     return nodes, weights
@@ -327,12 +322,12 @@ def _gh_nodes(noise_var: float, order: int):
 _GH_BLOCK = 8
 
 
-def _gh_blocks(points, bits, noise_var, order):
+def _gh_blocks(points, bits, noise_var):
     """Gauss-Hermite rows of raw points at total noise variance
     ``noise_var``, ``_GH_BLOCK`` transmitted points at a time.
 
-    Rows pair transmitted point i with quadrature node q = a * order + b,
-    i-major, so the received sample is y = c_i + s (t_a + j t_b) with
+    Rows pair transmitted point i with quadrature node q = a * _GH_ORDER
+    + b, i-major, so the received sample is y = c_i + s (t_a + j t_b) with
     s = sqrt(noise_var) on the product grid of the 1-D nodes t.  Then
     |y - c_j|^2 = (Re c_i + s t_a - Re c_j)^2 + (Im c_i + s t_b - Im c_j)^2:
     each axis is squared once for all points, and one broadcast add gives
@@ -342,12 +337,11 @@ def _gh_blocks(points, bits, noise_var, order):
     :func:`_coset_sums`.
     """
     big_m = bits.shape[0]
-    t, _ = _hermgauss(order)
-    st = math.sqrt(noise_var) * t
+    st = math.sqrt(noise_var) * _GH_T
     dx = np.square((points.real[:, None] + st)[:, :, None] - points.real)
     dy = np.square((points.imag[:, None] + st)[:, :, None] - points.imag)
     c0 = _coset_zero_matrix(bits)
-    q = t.size * t.size
+    q = _GH_ORDER * _GH_ORDER
     for i in range(0, big_m, _GH_BLOCK):
         blk = slice(i, i + _GH_BLOCK)
         d2 = (dx[blk, :, None, :] + dy[blk, None, :, :]).reshape(-1, big_m)
@@ -364,12 +358,12 @@ def _gh_value(losses, weights, m: int) -> float:
     return m - float(loss.mean()) / math.log(2.0)
 
 
-def _gh_gmi(points, bits, noise_var, order) -> float:
+def _gh_gmi(points, bits, noise_var) -> float:
     """Gauss-Hermite GMI (bit/2D) of raw points at total noise variance
     ``noise_var``: the value :func:`gmi_estimate` and the shaping
     objective report."""
-    losses = [loss for *_, loss in _gh_blocks(points, bits, noise_var, order)]
-    return _gh_value(losses, _gh_nodes(noise_var, order)[1], bits.shape[1])
+    losses = [loss for *_, loss in _gh_blocks(points, bits, noise_var)]
+    return _gh_value(losses, _gh_nodes(noise_var)[1], bits.shape[1])
 
 
 def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:

@@ -1,11 +1,13 @@
 """Transmitter pulse shaping and the coherent receiver chain.
 
 The receiver stages mirror a conventional dual-polarization coherent DSP
-stack: matched filtering, chromatic dispersion compensation (or digital
-back-propagation), a radius-directed 2x2 butterfly equalizer at two
-samples per symbol, blind frequency offset estimation from the 4th-power
-spectrum, block-wise 4th-power carrier phase estimation keyed to the
-constellation's marker ring, and bitwise LLR demapping.
+stack: matched filtering, chromatic dispersion compensation or digital
+back-propagation (both undo a span list, reading each fiber segment's
+parameters from :mod:`shapelink.channel`), a radius-directed 2x2
+butterfly equalizer at two samples per symbol, blind frequency offset
+estimation from the 4th-power spectrum, block-wise 4th-power carrier
+phase estimation keyed to the constellation's marker ring, and bitwise
+LLR demapping.
 
 All operations are pure functions of their inputs; the adaptive equalizer
 is sequential over samples by definition but deterministic for a fixed
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SpanSpec, WaveformFrame, _beta2, _Segment, _split_step, _step_count
+from .channel import SpanSpec, WaveformFrame, _split_step, _step_count
 from .constellation import Constellation, _distance_blocks, bitwise_llrs
 from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
@@ -235,16 +237,16 @@ def decimate(frame: WaveformFrame, phase: int = 0) -> SymbolFrame:
 # ---------------------------------------------------------------------------
 # linear compensation
 
-def cd_compensate(
-    frame: WaveformFrame, total_dispersion_ps_nm: float, wavelength_nm: float = 1550.0
-) -> WaveformFrame:
-    """Remove accumulated chromatic dispersion with an all-pass spectral phase.
+def cd_compensate(frame: WaveformFrame, spans: list[SpanSpec]) -> WaveformFrame:
+    """Remove the chromatic dispersion of a link with an all-pass spectral phase.
 
-    ``total_dispersion_ps_nm`` is the accumulated D*L of the link being
-    undone; the operator is the exact inverse of the split-step linear
-    stage, so compensating a linear-only fiber is an identity round trip.
+    ``spans`` is the link being undone, as :func:`dbp` takes it: the
+    operator removes sum(beta2 L) over every segment of every span, each
+    segment's beta2 at its own reference wavelength.  It is the exact
+    inverse of the split-step linear stages, so compensating a
+    linear-only link is an identity round trip.
     """
-    beta2_l = _beta2(total_dispersion_ps_nm * 1e-3, wavelength_nm)  # s^2
+    beta2_l = sum(seg.beta2_s2_m * seg.length_m for span in spans for seg in span.segments)
     f = np.fft.fftfreq(frame.n_samples, d=1.0 / frame.sample_rate)
     op = np.exp(-2j * math.pi**2 * beta2_l * f**2)
     out = np.fft.ifft(np.fft.fft(frame.samples, axis=1) * op, axis=1)
@@ -514,8 +516,8 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     """Digitally back-propagate through the link, spans in reverse order.
 
     The whole reversed link runs as one split-step chain: every segment
-    backwards with negated dispersion and nonlinearity and loss turned
-    into gain, and each span's transparent amplifier gain (its loss)
+    backwards (the engine negates its dispersion and nonlinearity and
+    turns its loss into gain), and each span's transparent amplifier gain (its loss)
     divided out at the entry of its first reversed segment.  No boundary
     sees the time domain, so the field is transformed once on entry and
     once on exit besides the two FFTs of each step.  Step counts are
@@ -533,18 +535,11 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
         gain = 10.0 ** (-span.loss_db / 20.0)
         for seg in reversed(span.segments):
             n = _step_count(steps_per_span * seg.length_m / span.length_m)
-            plan.append(
-                _Segment(
-                    n,
-                    seg.length_m,
-                    -seg.beta2_s2_m,
-                    -seg.alpha_per_m,
-                    -seg.gamma_per_w_m * (8.0 / 9.0),
-                    gain,
-                )
-            )
+            plan.append((seg, n, gain))
             gain = 1.0
-    return frame.with_samples(_split_step(frame.samples, frame.sample_rate, plan))
+    return frame.with_samples(
+        _split_step(frame.samples, frame.sample_rate, plan, backward=True)
+    )
 
 
 # ---------------------------------------------------------------------------

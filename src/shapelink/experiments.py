@@ -336,9 +336,9 @@ def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
     return cfg.snr_start_db + cfg.snr_step_db * np.arange(count)
 
 
-def _gmi_kwargs(cfg: ExperimentConfig, seed: int) -> dict:
+def _gmi_kwargs(cfg: ExperimentConfig) -> dict:
     if cfg.estimator == "mc":
-        return {"estimator": "monte_carlo", "samples": cfg.mc_symbols, "seed": seed}
+        return {"estimator": "monte_carlo", "samples": cfg.mc_symbols, "seed": cfg.seed}
     return {"estimator": "gauss_hermite"}
 
 
@@ -408,12 +408,12 @@ _SWEEP_BUILTINS = (
 )
 
 
-def _run_gap_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1):
+def _run_gap_sweep(cfg: ExperimentConfig, workers: int = 1):
     snrs = _sweep_points(cfg)
     if snrs.size == 0:
         raise ConfigurationError("sweep range is empty")
     designs = [(col, cst.load_builtin(name)) for col, name in _SWEEP_BUILTINS]
-    kwargs = _gmi_kwargs(cfg, cfg.seed)
+    kwargs = _gmi_kwargs(cfg)
 
     def one(snr: float):
         return tuple(cst.gap_to_capacity(c, float(snr), **kwargs) for _, c in designs)
@@ -450,7 +450,7 @@ def _coded_ber(enc, llr_magnitudes, rng) -> float:
     return fec.ber_measure(res.bits, cw)
 
 
-def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
+def _run_awgn_e2e(cfg: ExperimentConfig):
     c = _load_constellation(cfg)
     snrs = _sweep_points(cfg)
     if snrs.size == 0:
@@ -510,18 +510,9 @@ def _run_awgn_e2e(cfg: ExperimentConfig, out_dir: str):
     return columns, rows, []
 
 
-def _receiver_chain(wave, spans, c, cfg, use_dbp: bool):
-    """Receive one waveform: dispersion handling, matched filter,
+def _receiver_chain(comp, c, cfg):
+    """Receive one dispersion-compensated waveform: matched filter,
     decimation, optional carrier phase tracking."""
-    if use_dbp:
-        comp = dsp.dbp(wave, spans, steps_per_span=cfg.dbp_steps_per_span)
-    else:
-        total_d = sum(
-            seg.dispersion_ps_nm_km * seg.length_m / 1e3
-            for span in spans
-            for seg in span.segments
-        )
-        comp = dsp.cd_compensate(wave, total_d)
     sym = dsp.decimate(dsp.matched_filter(comp, rolloff=cfg.rrc_rolloff))
     if cfg.linewidth_hz > 0:
         sym = dsp.vv_cpe(sym, c, block_length=cfg.cpe_block_length).frame
@@ -540,9 +531,10 @@ def _symbol_metrics(sym, ref, c, tx_bits):
     return snr_db, gmi_2d, ber
 
 
-def _run_fiber_e2e(cfg: ExperimentConfig, out_dir: str):
+def _run_fiber_e2e(cfg: ExperimentConfig):
     c = _load_constellation(cfg)
     ref, idx = dsp.random_symbols(c, cfg.symbols, seed=cfg.seed)
+    ref = dataclasses.replace(ref, symbol_rate=cfg.symbol_rate_hz)
     tx_bits = c.bit_matrix[idx]
 
     # transceiver impairment is symbol-referred (back-to-back SNR), so it
@@ -566,8 +558,10 @@ def _run_fiber_e2e(cfg: ExperimentConfig, out_dir: str):
     spans = [ch.hybrid_span()] * cfg.span_count
     link = ch.propagate_link(wave, spans, seed=cfg.seed + 3, max_step_m=cfg.max_step_m)
 
-    sym_cdc = _receiver_chain(link, spans, c, cfg, use_dbp=False)
-    sym_dbp = _receiver_chain(link, spans, c, cfg, use_dbp=True)
+    sym_cdc = _receiver_chain(dsp.cd_compensate(link, spans), c, cfg)
+    sym_dbp = _receiver_chain(
+        dsp.dbp(link, spans, steps_per_span=cfg.dbp_steps_per_span), c, cfg
+    )
     snr_pre, gmi_pre, _ = _symbol_metrics(sym_cdc, ref, c, tx_bits)
     snr_post, gmi_post, ber_pre = _symbol_metrics(sym_dbp, ref, c, tx_bits)
     gate = fec.post_fec_gate(ber_pre, cfg.ber_threshold)
@@ -585,7 +579,7 @@ def _run_fiber_e2e(cfg: ExperimentConfig, out_dir: str):
     return columns, rows, []
 
 
-def _run_linkbudget(cfg: ExperimentConfig, out_dir: str):
+def _run_linkbudget(cfg: ExperimentConfig):
     model = linkbudget.default_band_model(
         channels=cfg.band_channels,
         mean_nf_db=cfg.mean_nf_db,
@@ -659,13 +653,13 @@ def run_experiment(
         if cfg.mode == "shape":
             columns, rows, extra = _run_shape(cfg, out)
         elif cfg.mode == "gap_sweep":
-            columns, rows, extra = _run_gap_sweep(cfg, out, workers=workers)
+            columns, rows, extra = _run_gap_sweep(cfg, workers=workers)
         elif cfg.mode == "awgn_e2e":
-            columns, rows, extra = _run_awgn_e2e(cfg, out)
+            columns, rows, extra = _run_awgn_e2e(cfg)
         elif cfg.mode == "fiber_e2e":
-            columns, rows, extra = _run_fiber_e2e(cfg, out)
+            columns, rows, extra = _run_fiber_e2e(cfg)
         else:
-            columns, rows, extra = _run_linkbudget(cfg, out)
+            columns, rows, extra = _run_linkbudget(cfg)
         _write_csv(tmp_path, columns, rows)
         os.replace(tmp_path, csv_path)
         outputs = [csv_path] + extra

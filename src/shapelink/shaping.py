@@ -127,19 +127,17 @@ class ShapingResult:
 # ---------------------------------------------------------------------------
 
 
-def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float, order: int) -> float:
+def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float) -> float:
     """Gauss-Hermite GMI (bit/2D) of an arbitrary point set.
 
     Unlike :func:`constellation.gmi_estimate` this does not renormalize and
     takes the noise variance directly, so it is a plain smooth function of
     the coordinates, suitable for gradient checks.
     """
-    return _gh_gmi(points, bits, noise_var, order)
+    return _gh_gmi(points, bits, noise_var)
 
 
-def gh_gmi_value_and_gradient(
-    points: np.ndarray, bits: np.ndarray, noise_var: float, order: int
-):
+def gh_gmi_value_and_gradient(points: np.ndarray, bits: np.ndarray, noise_var: float):
     """GMI and its analytic gradient d GMI / d c_r, from one pass over the
     Gauss-Hermite blocks.
 
@@ -157,11 +155,11 @@ def gh_gmi_value_and_gradient(
     then run once on the full G, so the sums keep one order.
     """
     big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var, order)
+    nodes, weights = _gh_nodes(noise_var)
     ones = bits.astype(np.float64)
     g = np.empty((big_m * weights.size, big_m))  # G(i,n,j), rows (i, n)
     losses = []
-    for rows, tx_bits, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var, order):
+    for rows, tx_bits, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
         inv = 1.0 / s_same
         gb = g[rows]
         np.matmul(tx_bits * inv, ones.T, out=gb)
@@ -235,8 +233,6 @@ _MEMORY = 8
 _ARMIJO = 1e-4
 #: step halvings tried per iteration before the line search gives up
 _MAX_BACKTRACKS = 20
-#: Gauss-Hermite quadrature order of the GMI objective
-_GH_ORDER = 10
 
 
 def _make_objective(bits, noise_var, cfg: ShapingConfig):
@@ -248,13 +244,13 @@ def _make_objective(bits, noise_var, cfg: ShapingConfig):
     weight = cfg.papr_penalty_weight
 
     def value(pts):
-        v = gh_gmi_value(pts, bits, noise_var, _GH_ORDER)
+        v = gh_gmi_value(pts, bits, noise_var)
         if weight:
             v -= weight * papr_smooth(pts)
         return v
 
     def trial(pts):
-        v, g = gh_gmi_value_and_gradient(pts, bits, noise_var, _GH_ORDER)
+        v, g = gh_gmi_value_and_gradient(pts, bits, noise_var)
         if weight:
             v -= weight * papr_smooth(pts)
             g = g - weight * papr_smooth_gradient(pts)

@@ -1,5 +1,6 @@
 """Fiber propagation, amplifier ASE and impairments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from shapelink import dsp, linkbudget
 from shapelink.channel import (
     _C0,
     _PLANCK,
-    _Segment,
     _half_step,
     _split_step,
     FiberSegment,
@@ -142,37 +142,29 @@ def test_step_halving_second_order():
     assert order2 > 1.8
 
 
-def _four_fft_reference(samples, fs, seg):
-    """Textbook symmetric split-step over one ``_Segment``: its gain in
-    the time domain, then an FFT pair around each linear half step."""
-    h = seg.length_m / seg.steps
+def _four_fft_reference(samples, fs, seg, steps, gain=1.0, backward=False):
+    """Textbook symmetric split-step over one FiberSegment: its gain in
+    the time domain, then an FFT pair around each linear half step.
+    Backwards, dispersion, loss and the Manakov Kerr term change sign."""
+    sign = -1.0 if backward else 1.0
+    h = seg.length_m / steps
     f = np.fft.fftfreq(samples.shape[1], d=1.0 / fs)
-    half = np.exp(1j * math.pi**2 * seg.beta2_s2_m * h * f**2)
-    half *= math.exp(-seg.alpha_per_m * h / 4.0)
-    a = np.array(samples) * seg.gain
-    for _ in range(seg.steps):
+    half = np.exp(sign * 1j * math.pi**2 * seg.beta2_s2_m * h * f**2)
+    half *= math.exp(-sign * seg.alpha_per_m * h / 4.0)
+    kerr = sign * (8.0 / 9.0) * seg.gamma_per_w_m * h
+    a = np.array(samples) * gain
+    for _ in range(steps):
         a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
-        a = a * np.exp(1j * seg.gamma_eff * h * np.sum(np.abs(a) ** 2, axis=0))
+        a = a * np.exp(1j * kerr * np.sum(np.abs(a) ** 2, axis=0))
         a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
     return a
 
 
-def _chain_reference(samples, fs, plan):
+def _chain_reference(samples, fs, plan, backward=False):
     """Segment by segment, back in the time domain at every boundary."""
-    for seg in plan:
-        samples = _four_fft_reference(samples, fs, seg)
+    for seg, steps, gain in plan:
+        samples = _four_fft_reference(samples, fs, seg, steps, gain, backward)
     return samples
-
-
-def _segment(seg, steps, sign=1.0, gain=1.0):
-    return _Segment(
-        steps,
-        seg.length_m,
-        sign * seg.beta2_s2_m,
-        sign * seg.alpha_per_m,
-        sign * seg.gamma_per_w_m * 8 / 9,
-        gain,
-    )
 
 
 def _rel(a, b):
@@ -181,11 +173,12 @@ def _rel(a, b):
 
 def test_merged_half_steps_match_four_fft_reference():
     f = _noise_frame(20, n=4096, power_w=10e-3)
-    seg = _segment(FiberSegment(20e3, 0.2, 17.0, 80.0), 10)
-    out = _split_step(f.samples, f.sample_rate, [seg])
-    ref = _four_fft_reference(f.samples, f.sample_rate, seg)
+    seg = FiberSegment(20e3, 0.2, 17.0, 80.0)
+    out = _split_step(f.samples, f.sample_rate, [(seg, 10, 1.0)])
+    ref = _four_fft_reference(f.samples, f.sample_rate, seg, 10)
     # the Kerr term must matter, or the comparison says nothing about it
-    linear = _split_step(f.samples, f.sample_rate, [seg._replace(gamma_eff=0.0)])
+    linear_seg = dataclasses.replace(seg, nonlinear_index_n2=0.0)
+    linear = _split_step(f.samples, f.sample_rate, [(linear_seg, 10, 1.0)])
     assert _rel(linear, ref) > 1e-3
     assert _rel(out, ref) <= 1e-12
 
@@ -195,13 +188,13 @@ def test_merged_span_matches_round_trip_reference():
     # gain meet in one multiply; the reference transforms back between them
     f = with_power(_noise_frame(23, n=4096), 3.0)
     big, small = hybrid_span().segments
-    plan = [_segment(big, 7), _segment(small, 3, gain=1.25)]
+    plan = [(big, 7, 1.0), (small, 3, 1.25)]
     out = _split_step(f.samples, f.sample_rate, plan)
     assert _rel(out, _chain_reference(f.samples, f.sample_rate, plan)) <= 1e-12
     # a span through ssfm_propagate is that chain at its default counts
     f = with_power(f, -0.5)
     out = ssfm_propagate(f, [big, small]).samples
-    ref = _chain_reference(f.samples, f.sample_rate, [_segment(big, 7), _segment(small, 3)])
+    ref = _chain_reference(f.samples, f.sample_rate, [(big, 7, 1.0), (small, 3, 1.0)])
     assert _rel(out, ref) <= 1e-12
 
 
@@ -212,11 +205,11 @@ def test_merged_dbp_chain_matches_round_trip_reference():
     # written out: per span, its gain divided out in the time domain, then
     # the 30 km segment (2 steps) and the 40 km segment (3 steps) backwards
     big, small = hybrid_span().segments
-    backwards = [_segment(small, 2, -1.0), _segment(big, 3, -1.0)]
+    backwards = [(small, 2, 1.0), (big, 3, 1.0)]
     ref = f.samples
     for span in spans:
         ref = ref / 10.0 ** (span.loss_db / 20.0)
-        ref = _chain_reference(ref, f.sample_rate, backwards)
+        ref = _chain_reference(ref, f.sample_rate, backwards, backward=True)
     assert _rel(out, ref) <= 1e-12
 
 
@@ -275,8 +268,8 @@ def test_half_step_operators_built_once_per_distinct_segment(monkeypatch):
 def test_core_negated_parameters_invert_exactly():
     f = _noise_frame(22, n=4096, power_w=10e-3)
     seg = FiberSegment(30e3, 0.2, 17.0, 80.0)
-    fwd = _split_step(f.samples, f.sample_rate, [_segment(seg, 3)])
-    back = _split_step(fwd, f.sample_rate, [_segment(seg, 3, -1.0)])
+    fwd = _split_step(f.samples, f.sample_rate, [(seg, 3, 1.0)])
+    back = _split_step(fwd, f.sample_rate, [(seg, 3, 1.0)], backward=True)
     assert _rel(back, f.samples) <= 1e-12
 
 
@@ -291,9 +284,9 @@ def _spy_steps(monkeypatch):
     """Record the step count of every segment the engine runs, in order."""
     steps = []
 
-    def spy(samples, sample_rate, segments):
-        steps.extend(seg.steps for seg in segments)
-        return _split_step(samples, sample_rate, segments)
+    def spy(samples, sample_rate, plan, backward=False):
+        steps.extend(n for _, n, _ in plan)
+        return _split_step(samples, sample_rate, plan, backward)
 
     monkeypatch.setattr("shapelink.channel._split_step", spy)
     monkeypatch.setattr("shapelink.dsp._split_step", spy)

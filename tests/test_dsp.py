@@ -179,10 +179,23 @@ def test_decimate_phase_and_rate(square):
 # chromatic dispersion
 
 
+def _linear_span(length_m, dispersion_ps_nm_km, wavelength_nm=1550.0):
+    # one lossless, Kerr-free segment
+    seg = ch.FiberSegment(
+        length_m=length_m,
+        attenuation_db_km=0.0,
+        dispersion_ps_nm_km=dispersion_ps_nm_km,
+        effective_area_um2=80.0,
+        nonlinear_index_n2=0.0,
+        reference_wavelength_nm=wavelength_nm,
+    )
+    return ch.SpanSpec(segments=(seg,))
+
+
 def test_cd_compensate_identity_at_zero(square):
     frame, _ = dsp.random_symbols(square, 512, seed=3)
     wf = dsp.rrc_shape(frame, 2, 0.01)
-    out = dsp.cd_compensate(wf, 0.0)
+    out = dsp.cd_compensate(wf, [_linear_span(80e3, 0.0)])
     np.testing.assert_allclose(out.samples, wf.samples, rtol=0, atol=1e-12)
 
 
@@ -191,23 +204,29 @@ def test_cd_compensate_inverts_linear_fiber(square, dl_ps_nm):
     frame, _ = dsp.random_symbols(square, 2048, seed=5)
     wf = dsp.rrc_shape(frame, 2, 0.01)
     length = 80_000.0
-    seg = ch.FiberSegment(
-        length_m=length,
-        attenuation_db_km=0.0,
-        dispersion_ps_nm_km=dl_ps_nm / (length / 1000.0),
-        effective_area_um2=80.0,
-        nonlinear_index_n2=0.0,
-    )
-    prop = ch.ssfm_propagate(wf, seg, max_step_m=length)
-    out = dsp.cd_compensate(prop, dl_ps_nm)
+    span = _linear_span(length, dl_ps_nm / (length / 1000.0))
+    prop = ch.ssfm_propagate(wf, span.segments, max_step_m=length)
+    out = dsp.cd_compensate(prop, [span])
     rel = np.max(np.abs(out.samples - wf.samples)) / np.max(np.abs(wf.samples))
     assert rel < 1e-9
+
+
+def test_cd_compensate_reads_each_segment_reference_wavelength(square):
+    # D is given at 1310 nm: the fiber and the compensator must both take
+    # beta2 there, not at 1550 nm
+    frame, _ = dsp.random_symbols(square, 2048, seed=5)
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    span = _linear_span(80e3, 17.0, wavelength_nm=1310.0)
+    prop = ch.ssfm_propagate(wf, span.segments, max_step_m=80e3)
+    out = dsp.cd_compensate(prop, [span])
+    rel = np.max(np.abs(out.samples - wf.samples)) / np.max(np.abs(wf.samples))
+    assert rel <= 1e-9
 
 
 def test_cd_compensate_unitary(square):
     frame, _ = dsp.random_symbols(square, 512, seed=6)
     wf = dsp.rrc_shape(frame, 2, 0.01)
-    out = dsp.cd_compensate(wf, 12345.0)
+    out = dsp.cd_compensate(wf, [_linear_span(100e3, 123.45)])  # 12345 ps/nm
     assert abs(out.power - wf.power) < 1e-12 * wf.power
 
 
@@ -548,7 +567,7 @@ def test_dbp_linear_reduces_to_cdc(square):
     span = ch.SpanSpec(segments=(seg,))
     rx = ch.propagate_link(wf, [span], seed=None, max_step_m=1000.0)
     via_dbp = dsp.dbp(rx, [span], steps_per_span=4)
-    via_cdc = dsp.cd_compensate(rx, 18.0 * 70.0)
+    via_cdc = dsp.cd_compensate(rx, [span])
     rel = np.max(np.abs(via_dbp.samples - via_cdc.samples)) / np.max(
         np.abs(via_cdc.samples)
     )
@@ -565,13 +584,8 @@ def test_dbp_fine_steps_invert_noiseless_link():
 
 def test_dbp_four_steps_beats_cdc_on_nonlinear_link():
     wf, rx, spans = _nonlinear_link(power_dbm=6.0, n_spans=2, seed=None)
-    dl_total = sum(
-        seg.dispersion_ps_nm_km * seg.length_m / 1000.0
-        for span in spans
-        for seg in span.segments
-    )
     coarse = dsp.dbp(rx, spans, steps_per_span=4)
-    cdc = dsp.cd_compensate(rx, dl_total)
+    cdc = dsp.cd_compensate(rx, spans)
     assert dsp.evm_db(coarse, wf) < dsp.evm_db(cdc, wf) - 3.0
 
 
@@ -598,7 +612,7 @@ def test_dbp_checks_every_segment_before_the_first_step(square, monkeypatch, ste
     # 40 km segment's count must be rejected before any step is taken
     calls = []
 
-    def stub(a, *args):
+    def stub(a, *args, **kwargs):
         calls.append(args)
         return a
 

@@ -584,10 +584,30 @@ def test_cdc_receiver_compensates_heterogeneous_spans():
     ]
     link = ch.propagate_link(wave, spans, seed=None, max_step_m=1e5)
     cfg = ex.ExperimentConfig(mode="fiber_e2e")
-    got = ex._receiver_chain(link, spans, c, cfg, use_dbp=False)
+    got = ex._receiver_chain(dsp.cd_compensate(link, spans), c, cfg)
     want = dsp.decimate(dsp.matched_filter(wave, rolloff=cfg.rrc_rolloff))
     rel = np.max(np.abs(got.symbols - want.symbols)) / np.max(np.abs(want.symbols))
     assert rel < 1e-9
+
+
+def test_fiber_e2e_transmits_at_the_configured_symbol_rate(tmp_path, monkeypatch):
+    launched = []
+    propagate = ch.propagate_link
+
+    def spy(frame, *args, **kwargs):
+        launched.append((frame.sample_rate, frame.symbol_rate))
+        return propagate(frame, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "propagate_link", spy)
+    cfg = ex.ExperimentConfig(
+        mode="fiber_e2e",
+        output_dir=str(tmp_path),
+        span_count=1,
+        symbols=1024,
+        symbol_rate_hz=32e9,
+    )
+    ex.run_experiment(cfg)
+    assert launched == [(cfg.oversampling * 32e9, 32e9)]
 
 
 def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):

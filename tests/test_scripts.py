@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,13 +44,33 @@ def test_builtin_generator_module_configs_build(monkeypatch):
     ids=["shaping", "fec", "gap_sweep", "fiber"],
 )
 def test_shaping_demo_runs(tmp_path, demo, out_dir, written):
+    proc = _run_demo(tmp_path, demo)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / out_dir)) == written
+
+
+@pytest.mark.parametrize(
+    "demo, closing",
+    [
+        ("dsp_pipeline.py", r"marker tracking residual: [\d.]+ rad worst case \(no cycle slips, .*"),
+        ("band_budget.py", r"snr spread across the band: [\d.]+ \.\. [\d.]+ dB"),
+    ],
+    ids=["dsp_pipeline", "band_budget"],
+)
+def test_printing_demo_runs(tmp_path, demo, closing):
+    # these demos only print; their last line is the verdict
+    proc = _run_demo(tmp_path, demo)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(closing, proc.stdout.splitlines()[-1])
+    assert os.listdir(tmp_path) == []
+
+
+def _run_demo(cwd, demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path,
+        cwd=cwd,
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(os.listdir(tmp_path / out_dir)) == written

@@ -67,8 +67,8 @@ def test_analytic_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(10):
         pts = _random_points(rng)
-        _, grad = gh_gmi_value_and_gradient(pts, bits, nu, order=10)
-        fd = finite_difference_gradient(lambda p: gh_gmi_value(p, bits, nu, 10), pts, step=1e-5)
+        _, grad = gh_gmi_value_and_gradient(pts, bits, nu)
+        fd = finite_difference_gradient(lambda p: gh_gmi_value(p, bits, nu), pts, step=1e-5)
         worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
     assert worst < 1e-4
 
@@ -78,16 +78,16 @@ def test_analytic_gradient_matches_finite_differences_64_points():
     rng = np.random.default_rng(3)
     pts = normalized(c.points + 0.05 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)))
     nu = 10 ** (-11.0 / 10)
-    _, grad = gh_gmi_value_and_gradient(pts, c.bit_matrix, nu, order=10)
-    fd = finite_difference_gradient(lambda p: gh_gmi_value(p, c.bit_matrix, nu, 10), pts, step=1e-5)
+    _, grad = gh_gmi_value_and_gradient(pts, c.bit_matrix, nu)
+    fd = finite_difference_gradient(lambda p: gh_gmi_value(p, c.bit_matrix, nu), pts, step=1e-5)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
 
 
-def _reference_gh_gmi(points, bits, noise_var, order):
+def _reference_gh_gmi(points, bits, noise_var):
     # the GH GMI written out over the full (point, node, point) metric
     # tensor, with no row shift and no matrix-product coset sums
     m = bits.shape[1]
-    nodes, weights = _gh_nodes(noise_var, order)
+    nodes, weights = _gh_nodes(noise_var)
     y = points[:, None] + nodes[None, :]
     q = np.exp(-np.abs(y[:, :, None] - points[None, None, :]) ** 2 / noise_var)
     same = bits[:, None, :] == bits[None, :, :]  # (tx i, point j, bit k)
@@ -100,11 +100,11 @@ def test_gh_value_agrees_with_estimator():
     for name, snr_db in itertools.product(builtin_names(), (0.0, 11.0, 20.0)):
         c = load_builtin(name)
         nu = 10 ** (-snr_db / 10)
-        v = gh_gmi_value(np.asarray(c.points), c.bit_matrix, nu, 10)
-        fused, _ = gh_gmi_value_and_gradient(np.asarray(c.points), c.bit_matrix, nu, 10)
+        v = gh_gmi_value(np.asarray(c.points), c.bit_matrix, nu)
+        fused, _ = gh_gmi_value_and_gradient(np.asarray(c.points), c.bit_matrix, nu)
         assert v == fused
         assert v == pytest.approx(gmi_estimate(c, snr_db), abs=1e-12)
-        assert v == pytest.approx(_reference_gh_gmi(c.points, c.bit_matrix, nu, 10), abs=1e-12)
+        assert v == pytest.approx(_reference_gh_gmi(c.points, c.bit_matrix, nu), abs=1e-12)
 
 
 def _squared_distances(y, points):
@@ -118,11 +118,11 @@ def _squared_distances(y, points):
     return d2
 
 
-def _full_grid_gh_forward(points, bits, noise_var, order):
+def _full_grid_gh_forward(points, bits, noise_var):
     # the unblocked kernel, kept verbatim: every (point, node) row of the
     # (M*Q, M) distance tensor at once
     big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var, order)
+    nodes, weights = _gh_nodes(noise_var)
     y = (points[:, None] + nodes[None, :]).ravel()
     tx_bits = np.repeat(bits, nodes.size, axis=0)
     p, s_all, s_same = _coset_sums(
@@ -133,9 +133,9 @@ def _full_grid_gh_forward(points, bits, noise_var, order):
     return value, (y, tx_bits, weights, p, s_all, s_same)
 
 
-def _full_grid_value_and_gradient(points, bits, noise_var, order):
+def _full_grid_value_and_gradient(points, bits, noise_var):
     value, (y, tx_bits, weights, p, s_all, s_same) = _full_grid_gh_forward(
-        points, bits, noise_var, order
+        points, bits, noise_var
     )
     big_m, m = bits.shape
     inv = 1.0 / s_same
@@ -171,18 +171,18 @@ def test_blocked_kernel_is_bit_identical_to_full_grid():
     # blocks of transmitted points must reproduce the full-grid value,
     # gradient and estimator bits, not just come close
     for name, c, pts, bits in _bit_identity_cases():
-        for snr_db, order in itertools.product((0.0, 5.5, 11.0, 20.0), (4, 7, 10, 13)):
+        for snr_db in (0.0, 5.5, 11.0, 20.0):
             nu = 10 ** (-snr_db / 10)
-            want, want_grad = _full_grid_value_and_gradient(pts, bits, nu, order)
-            value, grad = gh_gmi_value_and_gradient(pts, bits, nu, order)
-            case = (name, snr_db, order)
+            want, want_grad = _full_grid_value_and_gradient(pts, bits, nu)
+            value, grad = gh_gmi_value_and_gradient(pts, bits, nu)
+            case = (name, snr_db)
             assert value == want, case
             assert np.array_equal(grad, want_grad), case
-            assert gh_gmi_value(pts, bits, nu, order) == want, case
+            assert gh_gmi_value(pts, bits, nu) == want, case
             # the estimator scales the noise by the measured point power
             nu_est = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(pts) ** 2))
-            want_est = _full_grid_gh_forward(pts, bits, nu_est, order)[0]
-            assert gmi_estimate(c, snr_db, order=order) == want_est, case
+            want_est = _full_grid_gh_forward(pts, bits, nu_est)[0]
+            assert gmi_estimate(c, snr_db) == want_est, case
 
 
 def test_papr_smooth_upper_bounds_true_max(monkeypatch):
@@ -309,7 +309,7 @@ def test_toy_8point_reaches_grid_optimum():
     mags = np.arange(0.1, 1.9, 0.1)
     for combo in itertools.combinations(mags, 4):
         pts = normalized(np.array([m * s for m in combo for s in (1.0, -1.0)], dtype=complex))
-        best = max(best, gh_gmi_value(pts, bits, nu, 10))
+        best = max(best, gh_gmi_value(pts, bits, nu))
 
     start = normalized(np.array([m * s for m in (0.25, 0.5, 0.75, 1.0) for s in (1.0, -1.0)], dtype=complex))
     cfg = ShapingConfig(
@@ -320,7 +320,7 @@ def test_toy_8point_reaches_grid_optimum():
         init_jitter=0.0,  # keep the problem on the real axis
     )
     res = optimize(start, cfg)
-    found = gh_gmi_value(res.constellation, bits, nu, 10)
+    found = gh_gmi_value(res.constellation, bits, nu)
     assert found >= best - 0.02
     # negligible imaginary drift: a real start has a real gradient up to
     # floating-point roundoff in the quadrature sums
