@@ -270,29 +270,29 @@ def _distance_blocks(y: np.ndarray, points: np.ndarray):
 
 
 def _shifted_metrics(d2, noise_var):
-    # overwrite squared distances (or any per-row offset of them) with
-    # exp(-(d2 - min_j d2) / noise_var)
-    d2 -= d2.min(axis=1, keepdims=True)
+    # overwrite squared distances (or any offset of them that is constant
+    # along the last axis) with exp(-(d2 - min d2) / noise_var), the
+    # minimum taken over the candidate points of the last axis
+    d2 -= d2.min(axis=-1, keepdims=True)
     d2 *= -1.0 / noise_var
     return np.exp(d2, out=d2)
 
 
-def _coset_sums(d2, tx_bits, c0, noise_var):
-    """Gaussian metric sums of a block of received samples.
+def _coset_sums(p, tx_bits, c0):
+    """Sums of a block of Gaussian metrics.
 
-    ``d2`` (n, M) holds the squared distances of each sample to every
-    point, or those less a per-row offset, and is overwritten with the
-    row-shifted metrics p = exp(-(d2 - min_j d2) / noise_var), which the
-    offset does not change.  Returns p, S_all = sum_j p and
-    S_same (n, m), the sum of p over the points that share the transmitted
-    label's bit k.  The shift cancels in every ratio of these sums.
+    ``p`` (n, M) holds each received sample's metrics to every point, up
+    to a positive factor per row (:func:`_shifted_metrics` for distance
+    blocks, the per-axis product of :func:`_gh_blocks`).  Returns
+    S_all = sum_j p and S_same (n, m), the sum of p over the points that
+    share the transmitted label's bit k, floored at ``_TINY``.  The row
+    factor cancels in every ratio of these sums.
     """
-    p = _shifted_metrics(d2, noise_var)
     s_all = p.sum(axis=1)
     s0 = p @ c0
     s_same = np.where(tx_bits == 0, s0, s_all[:, None] - s0)
     np.maximum(s_same, _TINY, out=s_same)
-    return p, s_all, s_same
+    return s_all, s_same
 
 
 def _row_loss(s_all, s_same):
@@ -316,10 +316,18 @@ def _gh_nodes(noise_var: float):
 
 
 #: transmitted points per Gauss-Hermite block: at order 10 a block's
-#: (800, 64) distances take 400 kB and stay in cache.  Some BLAS builds
+#: (800, 64) metrics take 400 kB and stay in cache.  Some BLAS builds
 #: take another matrix-product path for blocks of 1 to 3 points, which
 #: changes the last bits of the coset sums.
 _GH_BLOCK = 8
+
+
+def _axis_metrics(coord, st, noise_var):
+    # (M, Q1, M) exp(-(d - min_j d) / noise_var) of the one-axis squared
+    # distances d = (coord_i + st_a - coord_j)^2, built in one array
+    d = (coord[:, None] + st)[:, :, None] - coord
+    np.square(d, out=d)
+    return _shifted_metrics(d, noise_var)
 
 
 def _gh_blocks(points, bits, noise_var):
@@ -329,24 +337,37 @@ def _gh_blocks(points, bits, noise_var):
     Rows pair transmitted point i with quadrature node q = a * _GH_ORDER
     + b, i-major, so the received sample is y = c_i + s (t_a + j t_b) with
     s = sqrt(noise_var) on the product grid of the 1-D nodes t.  Then
-    |y - c_j|^2 = (Re c_i + s t_a - Re c_j)^2 + (Im c_i + s t_b - Im c_j)^2:
-    each axis is squared once for all points, and one broadcast add gives
-    a block's distances.  Yields ``(rows, tx_bits, p, s_all, s_same, loss)``
-    per block: ``rows`` the block's slice of the M*Q rows, ``tx_bits`` its
-    transmitted labels, ``loss`` its :func:`_row_loss` and the rest as in
-    :func:`_coset_sums`.
+    |y - c_j|^2 = dx + dy with dx = (Re c_i + s t_a - Re c_j)^2 and
+    dy = (Im c_i + s t_b - Im c_j)^2, so the Gaussian metric is the
+    product exp(-dx / noise_var) exp(-dy / noise_var).  Each axis is
+    shifted by its minimum over the candidates j and exponentiated once
+    per call, (M, _GH_ORDER, M) values each, and one broadcast multiply
+    gives a block's metrics.
+
+    The row shift is then min dx + min dy rather than the row minimum;
+    it cancels in every ratio of coset sums.  The largest metric of a row
+    is at least that of c_i itself, exp(-(t_a^2 + t_b^2)), since
+    |y - c_i|^2 = s^2 (t_a^2 + t_b^2) and the shift is >= 0: at order 10
+    every row has a metric >= exp(-2 t_max^2) ~ 5.6e-11.  So no coset sum
+    underflows, and since every S_same contains c_i, the ``_TINY`` floor
+    of :func:`_coset_sums` never binds here.
+
+    Yields ``(rows, tx_bits, p, s_all, s_same, loss)`` per block: ``rows``
+    the block's slice of the M*Q rows, ``tx_bits`` its transmitted
+    labels, ``p`` its (rows, M) metrics, ``loss`` its :func:`_row_loss`
+    and the sums as in :func:`_coset_sums`.
     """
     big_m = bits.shape[0]
     st = math.sqrt(noise_var) * _GH_T
-    dx = np.square((points.real[:, None] + st)[:, :, None] - points.real)
-    dy = np.square((points.imag[:, None] + st)[:, :, None] - points.imag)
+    ex = _axis_metrics(points.real, st, noise_var)
+    ey = _axis_metrics(points.imag, st, noise_var)
     c0 = _coset_zero_matrix(bits)
     q = _GH_ORDER * _GH_ORDER
     for i in range(0, big_m, _GH_BLOCK):
         blk = slice(i, i + _GH_BLOCK)
-        d2 = (dx[blk, :, None, :] + dy[blk, None, :, :]).reshape(-1, big_m)
+        p = (ex[blk, :, None, :] * ey[blk, None, :, :]).reshape(-1, big_m)
         tx_bits = np.repeat(bits[blk], q, axis=0)
-        p, s_all, s_same = _coset_sums(d2, tx_bits, c0, noise_var)
+        s_all, s_same = _coset_sums(p, tx_bits, c0)
         rows = slice(i * q, i * q + tx_bits.shape[0])
         yield rows, tx_bits, p, s_all, s_same, _row_loss(s_all, s_same)
 
@@ -379,7 +400,8 @@ def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = points[idx] + noise * math.sqrt(noise_var / 2.0)
         for rows, e in _distance_blocks(y, points):
-            _, s_all, s_same = _coset_sums(e, bits[idx[rows]], c0, noise_var)
+            p = _shifted_metrics(e, noise_var)
+            s_all, s_same = _coset_sums(p, bits[idx[rows]], c0)
             total += float(_row_loss(s_all, s_same).sum())
         done += n
     return m - total / (samples * math.log(2.0))
@@ -398,7 +420,10 @@ def bitwise_llrs(
     less |y|^2 of :func:`_distance_blocks`.  The full metric shifts each
     row by its nearest point, exponentiates in place and takes both coset
     sums from one ``p @ [c0 | c1]`` product; max-log takes the difference
-    of the coset minima.  |y|^2 cancels in both.
+    of the coset minima.  |y|^2 cancels in both.  A coset sum that falls
+    below ``_TINY`` after the row shift (a coset more than ~690
+    ``noise_variance`` farther than the nearest point) is recomputed in
+    log form from its own coset minimum, so full-sum LLRs do not clip.
     """
     points, bits = _points_and_bits(c)
     if not 0 < noise_variance < math.inf:
@@ -419,10 +444,35 @@ def bitwise_llrs(
                 out[rows, k] = gap / noise_variance
         else:
             s = _shifted_metrics(e, noise_variance) @ cosets
+            # a reduction, not a mask, on the common path where none underflow
+            low = s < _TINY if s.min() < _TINY else None
             np.maximum(s, _TINY, out=s)
             np.log(s, out=s)
+            if low is not None:
+                _relog_low_sums(s, low, symbols[rows], points, cosets, noise_variance)
             np.subtract(s[:, :m], s[:, m:], out=out[rows])
     return out
+
+
+def _relog_low_sums(log_s, low, y, points, cosets, noise_var):
+    """Overwrite the log coset sums of ``log_s`` (n, 2m) flagged in ``low``
+    with log-sum-exps taken from each coset's own minimum.
+
+    ``log_s`` holds log sums of metrics shifted by each row's nearest
+    point; the flagged sums underflowed there.  Distances of the flagged
+    rows are computed afresh, and each flagged sum becomes
+    -(min_c - min_all) / noise_var + log sum_{j in c} exp(-(d_j - min_c) /
+    noise_var), the same sum in the same shifted frame.
+    """
+    r = np.flatnonzero(low.any(axis=1))
+    d2 = np.abs(y[r, None] - points) ** 2
+    nearest = d2.min(axis=1)
+    for k in np.flatnonzero(low.any(axis=0)):
+        sel = low[r, k]
+        dk = d2[sel][:, cosets[:, k] > 0]
+        dmin = dk.min(axis=1)
+        lse = np.log(np.exp((dmin[:, None] - dk) / noise_var).sum(axis=1))
+        log_s[r[sel], k] = lse - (dmin - nearest[sel]) / noise_var
 
 
 def gmi_from_llrs(llrs: np.ndarray, tx_bits: np.ndarray) -> float:

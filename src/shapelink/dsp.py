@@ -244,8 +244,11 @@ def cd_compensate(frame: WaveformFrame, spans: list[SpanSpec]) -> WaveformFrame:
     operator removes sum(beta2 L) over every segment of every span, each
     segment's beta2 at its own reference wavelength.  It is the exact
     inverse of the split-step linear stages, so compensating a
-    linear-only link is an identity round trip.
+    linear-only link is an identity round trip.  An empty ``spans``
+    raises ``ValueError``, as it does for :func:`dbp`.
     """
+    if not spans:
+        raise ValueError("need at least one span")
     beta2_l = sum(seg.beta2_s2_m * seg.length_m for span in spans for seg in span.segments)
     f = np.fft.fftfreq(frame.n_samples, d=1.0 / frame.sample_rate)
     op = np.exp(-2j * math.pi**2 * beta2_l * f**2)

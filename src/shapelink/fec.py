@@ -284,8 +284,9 @@ class SystematicEncoder:
     information length exceeds cols - rows.
 
     Parity bits come from one float64 (BLAS) product of the information
-    bits with the 0/1 solver, reduced mod 2.  Every partial sum is an
-    integer of at most k, so the product is exact while k < 2**53.
+    bits with the 0/1 solver; its parity is the low bit of the integer
+    sum.  Every partial sum is an integer of at most k, so the product is
+    exact while k < 2**53.
     """
 
     h: ParityCheckMatrix
@@ -308,7 +309,7 @@ class SystematicEncoder:
             raise ValueError(f"expected {self.k} information bits")
         out = np.zeros((info.shape[0], self.h.cols), dtype=np.uint8)
         out[:, self.info_positions] = info
-        out[:, self.parity_positions] = np.fmod(info.astype(np.float64) @ self._solver_t, 2.0)
+        out[:, self.parity_positions] = (info.astype(np.float64) @ self._solver_t).astype(np.int64) & 1
         return out[0] if np.asarray(info_bits).ndim == 1 else out
 
 

@@ -150,21 +150,26 @@ def gh_gmi_value_and_gradient(points: np.ndarray, bits: np.ndarray, noise_var: f
     rows of G sum to zero, which collapses the observation channel onto
     the constellation points.  The label sum splits by bit value,
     sum_k [b_ik = b_jk] / S_k = sum_k b_ik b_jk / S_k
-    + sum_k (1 - b_ik)(1 - b_jk) / S_k, which is two matrix products.
+    + sum_k (1 - b_ik)(1 - b_jk) / S_k, so a block's G is one matrix
+    product, [-b_i / S, -(1 - b_i) / S, m / S_all] @ [b^T; 1 - b^T; 1],
+    times q.  The metrics q carry the row shift of
+    :func:`constellation._gh_blocks`, which cancels in every ratio.
     Each block fills its rows of G; the two contractions over all rows
     then run once on the full G, so the sums keep one order.
     """
     big_m, m = bits.shape
     nodes, weights = _gh_nodes(noise_var)
-    ones = bits.astype(np.float64)
+    b = bits.T.astype(np.float64)
+    labels = np.vstack([b, 1.0 - b, np.ones((1, big_m))])  # (2m+1, M)
     g = np.empty((big_m * weights.size, big_m))  # G(i,n,j), rows (i, n)
     losses = []
     for rows, tx_bits, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
-        inv = 1.0 / s_same
-        gb = g[rows]
-        np.matmul(tx_bits * inv, ones.T, out=gb)
-        gb += ((1 - tx_bits) * inv) @ (1.0 - ones).T
-        np.subtract((m / s_all)[:, None], gb, out=gb)
+        neg_inv = -1.0 / s_same
+        coef = np.empty((p.shape[0], 2 * m + 1))
+        np.multiply(tx_bits, neg_inv, out=coef[:, :m])
+        np.subtract(neg_inv, coef[:, :m], out=coef[:, m : 2 * m])
+        np.divide(m, s_all, out=coef[:, 2 * m])
+        gb = np.matmul(coef, labels, out=g[rows])
         gb *= p
         losses.append(loss)
     value = _gh_value(losses, weights, m)

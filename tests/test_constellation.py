@@ -207,12 +207,11 @@ def test_max_log_llrs_close_at_high_snr():
 
 
 def _reference_llrs(c, y, nu, max_log):
-    # the plain formula, one bit at a time: complex distances, metrics
-    # shifted by the row's nearest point, per-coset sums (or minima) over
-    # the points whose label bit k is 0, and those where it is 1
+    # the plain formula, one bit at a time: complex distances and, per
+    # coset of the points whose label bit k is 0 (and those where it is
+    # 1), the log-sum-exp of the metrics taken from the coset's own
+    # nearest point (or, for max-log, that nearest distance alone)
     d2 = np.abs(y[:, None] - c.points[None, :]) ** 2
-    if not max_log:
-        p = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / nu)
     out = np.empty((y.size, 6))
     for k in range(6):
         zero = np.flatnonzero(c.bit_matrix[:, k] == 0)
@@ -220,10 +219,14 @@ def _reference_llrs(c, y, nu, max_log):
         if max_log:
             out[:, k] = (d2[:, one].min(axis=1) - d2[:, zero].min(axis=1)) / nu
         else:
-            s0 = np.maximum(p[:, zero].sum(axis=1), 1e-300)
-            s1 = np.maximum(p[:, one].sum(axis=1), 1e-300)
-            out[:, k] = np.log(s0) - np.log(s1)
+            out[:, k] = _log_coset_sum(d2[:, zero], nu) - _log_coset_sum(d2[:, one], nu)
     return out
+
+
+def _log_coset_sum(d2, nu):
+    # log sum_j exp(-d2_j / nu), from the coset's own minimum
+    dmin = d2.min(axis=1)
+    return np.log(np.exp(-(d2 - dmin[:, None]) / nu).sum(axis=1)) - dmin / nu
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -239,6 +242,37 @@ def test_llr_kernel_matches_reference_formula(name, max_log):
         want = _reference_llrs(c, y, nu, max_log)
         got = bitwise_llrs(c, y, nu, max_log=max_log)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_full_sum_llrs_do_not_clip_far_from_a_coset():
+    # at noise variance 1e-3 the corner's far cosets lie ~1524 noise
+    # variances beyond its own point; shifted by the row's nearest point
+    # their sums underflow, and a floored sum read 690.78 for bit 0
+    c = square64()
+    nu = 1e-3
+    corner = c.points[np.argmax(np.abs(c.points))]
+    got = bitwise_llrs(c, np.array([corner]), nu)
+    want = _reference_llrs(c, np.array([corner]), nu, max_log=False)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert abs(got[0, 0]) == pytest.approx(1523.8095238, rel=1e-9)
+
+
+def test_recomputed_coset_sums_leave_other_rows_bit_identical():
+    # only the rows with an underflowed coset sum are recomputed; a
+    # block's other rows keep the one-product arithmetic bit for bit
+    c = square64()
+    nu = 1e-3
+    rng = np.random.default_rng(8)
+    # inner points (levels +-1, +-3): every coset lies within 381 noise
+    # variances of the nearest point, so no sum of these rows underflows
+    inner = np.flatnonzero(np.maximum(abs(c.points.real), abs(c.points.imag)) < 0.5)
+    noise = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    y = c.points[rng.choice(inner, 500)] + noise * math.sqrt(nu / 2)
+    corner = c.points[np.argmax(np.abs(c.points))]
+    alone = bitwise_llrs(c, y, nu)
+    mixed = bitwise_llrs(c, np.concatenate([y, [corner]]), nu)
+    assert np.array_equal(mixed[:-1], alone)
+    assert abs(mixed[-1, 0]) > 691.0
 
 
 @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 40000])

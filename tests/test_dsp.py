@@ -606,6 +606,17 @@ def test_dbp_rejects_zero_steps_and_no_spans(square):
         dsp.dbp(wf, [], steps_per_span=4)
 
 
+def test_both_receivers_reject_an_empty_link(square):
+    # an empty span list has no dispersion to undo; CDC must not return
+    # the frame as if it had compensated a link
+    frame, _ = dsp.random_symbols(square, 64, seed=16)
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    with pytest.raises(ValueError, match="at least one span"):
+        dsp.cd_compensate(wf, [])
+    with pytest.raises(ValueError, match="at least one"):
+        dsp.dbp(wf, [], steps_per_span=4)
+
+
 @pytest.mark.parametrize("steps_per_span", [2 * 10**7, math.nan])
 def test_dbp_checks_every_segment_before_the_first_step(square, monkeypatch, steps_per_span):
     # the 30 km segment runs first and alone stays under the limit; the

@@ -199,6 +199,16 @@ def test_float_encoder_matches_uint8_product():
     assert not h.syndrome(got).any()
 
 
+def test_encoder_parity_matches_fmod_form():
+    # the low bit of the integer-valued float64 product is its remainder
+    # mod 2, so the parity columns equal the np.fmod(..., 2.0) form
+    h = fec.make_regular_ldpc(1200, 6, 3, seed=2)
+    enc = fec.systematic_encoder(h)
+    info = np.random.default_rng(7).integers(0, 2, size=(81, enc.k)).astype(np.uint8)
+    want = np.fmod(info.astype(np.float64) @ enc._solver_t, 2.0).astype(np.uint8)
+    assert np.array_equal(enc.encode(info)[:, enc.parity_positions], want)
+
+
 # ---------------------------------------------------------------------------
 # decoding
 

@@ -12,10 +12,13 @@ import pytest
 from shapelink import shaping
 from shapelink.constellation import (
     Constellation,
+    _GH_T,
     _coset_sums,
     _coset_zero_matrix,
+    _gh_blocks,
     _gh_nodes,
     _row_loss,
+    _shifted_metrics,
     builtin_names,
     gmi_estimate,
     load_builtin,
@@ -107,44 +110,27 @@ def test_gh_value_agrees_with_estimator():
         assert v == pytest.approx(_reference_gh_gmi(c.points, c.bit_matrix, nu), abs=1e-12)
 
 
-def _squared_distances(y, points):
-    # the full-grid kernel's distances, kept verbatim: |y_n - c_j|^2 as
-    # (n, M) real squares, without a complex temporary
-    d2 = y.real[:, None] - points.real[None, :]
-    np.square(d2, out=d2)
-    d_im = y.imag[:, None] - points.imag[None, :]
-    np.square(d_im, out=d_im)
-    d2 += d_im
-    return d2
-
-
 def _full_grid_gh_forward(points, bits, noise_var):
-    # the unblocked kernel, kept verbatim: every (point, node) row of the
-    # (M*Q, M) distance tensor at once
+    # the unblocked kernel in its separable form: every (point, node) row
+    # of the (M*Q, M) metric tensor at once, as the product of the two
+    # per-axis exponentials
     big_m, m = bits.shape
     nodes, weights = _gh_nodes(noise_var)
     y = (points[:, None] + nodes[None, :]).ravel()
+    st = math.sqrt(noise_var) * _GH_T
+    ex = _shifted_metrics(np.square((points.real[:, None] + st)[:, :, None] - points.real), noise_var)
+    ey = _shifted_metrics(np.square((points.imag[:, None] + st)[:, :, None] - points.imag), noise_var)
+    p = (ex[:, :, None, :] * ey[:, None, :, :]).reshape(-1, big_m)
     tx_bits = np.repeat(bits, nodes.size, axis=0)
-    p, s_all, s_same = _coset_sums(
-        _squared_distances(y, points), tx_bits, _coset_zero_matrix(bits), noise_var
-    )
+    s_all, s_same = _coset_sums(p, tx_bits, _coset_zero_matrix(bits))
     loss = _row_loss(s_all, s_same).reshape(big_m, nodes.size) @ weights
     value = m - float(loss.mean()) / math.log(2.0)
     return value, (y, tx_bits, weights, p, s_all, s_same)
 
 
-def _full_grid_value_and_gradient(points, bits, noise_var):
-    value, (y, tx_bits, weights, p, s_all, s_same) = _full_grid_gh_forward(
-        points, bits, noise_var
-    )
-    big_m, m = bits.shape
-    inv = 1.0 / s_same
-    ones = bits.astype(np.float64)
-    g = (tx_bits * inv) @ ones.T
-    g += ((1 - tx_bits) * inv) @ (1.0 - ones).T
-    np.subtract((m / s_all)[:, None], g, out=g)
-    g *= p  # G(i,n,j), rows (i, n)
-
+def _gradient_from_g(points, y, weights, g, noise_var):
+    # the two contractions of the softmax ratios G(i,n,j), rows (i, n)
+    big_m = points.size
     w_rows = np.tile(weights, big_m)
     wy = w_rows * y
     a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
@@ -153,8 +139,47 @@ def _full_grid_value_and_gradient(points, bits, noise_var):
     d_loss = (2.0 / noise_var) * (
         a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
     )
-    grad = -d_loss / (big_m * math.log(2.0))
-    return value, grad
+    return -d_loss / (big_m * math.log(2.0))
+
+
+def _full_grid_value_and_gradient(points, bits, noise_var):
+    value, (y, tx_bits, weights, p, s_all, s_same) = _full_grid_gh_forward(
+        points, bits, noise_var
+    )
+    big_m, m = bits.shape
+    b = bits.T.astype(np.float64)
+    labels = np.vstack([b, 1.0 - b, np.ones((1, big_m))])
+    neg_inv = -1.0 / s_same
+    coef = np.empty((p.shape[0], 2 * m + 1))
+    np.multiply(tx_bits, neg_inv, out=coef[:, :m])
+    np.subtract(neg_inv, coef[:, :m], out=coef[:, m : 2 * m])
+    np.divide(m, s_all, out=coef[:, 2 * m])
+    g = coef @ labels
+    g *= p  # G(i,n,j), rows (i, n)
+    return value, _gradient_from_g(points, y, weights, g, noise_var)
+
+
+def _per_candidate_value_and_gradient(points, bits, noise_var):
+    # the former kernel, written out as an independent reference: the
+    # (M*Q, M) squared distances, each row shifted by its own minimum and
+    # exponentiated per (node pair, candidate), then two label products
+    big_m, m = bits.shape
+    nodes, weights = _gh_nodes(noise_var)
+    y = (points[:, None] + nodes[None, :]).ravel()
+    d2 = np.square(y.real[:, None] - points.real) + np.square(y.imag[:, None] - points.imag)
+    p = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / noise_var)
+    tx_bits = np.repeat(bits, nodes.size, axis=0)
+    s_all = p.sum(axis=1)
+    s0 = p @ (bits == 0).astype(np.float64)
+    s_same = np.maximum(np.where(tx_bits == 0, s0, s_all[:, None] - s0), 1e-300)
+    loss = m * np.log(s_all) - np.log(s_same).sum(axis=1)
+    value = m - float((loss.reshape(big_m, nodes.size) @ weights).mean()) / math.log(2.0)
+    inv = 1.0 / s_same
+    ones = bits.astype(np.float64)
+    g = (tx_bits * inv) @ ones.T
+    g += ((1 - tx_bits) * inv) @ (1.0 - ones).T
+    g = ((m / s_all)[:, None] - g) * p
+    return value, _gradient_from_g(points, y, weights, g, noise_var)
 
 
 def _bit_identity_cases():
@@ -183,6 +208,37 @@ def test_blocked_kernel_is_bit_identical_to_full_grid():
             nu_est = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(pts) ** 2))
             want_est = _full_grid_gh_forward(pts, bits, nu_est)[0]
             assert gmi_estimate(c, snr_db) == want_est, case
+
+
+def test_separable_metrics_match_per_candidate_exponential():
+    # the per-axis product shifts each row by min dx + min dy instead of
+    # its own minimum; value and gradient must stay within rounding of
+    # the per-candidate form from -5 to 40 dB
+    for name, c, pts, bits in _bit_identity_cases():
+        for snr_db in (-5.0, 0.0, 5.0, 11.0, 20.0, 30.0, 40.0):
+            nu = 10 ** (-snr_db / 10)
+            want, want_grad = _per_candidate_value_and_gradient(pts, bits, nu)
+            value, grad = gh_gmi_value_and_gradient(pts, bits, nu)
+            case = (name, snr_db)
+            assert abs(value - want) <= 1e-13, case
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12, case
+
+
+def test_gh_rows_keep_a_metric_above_the_shift_bound():
+    # each row's largest metric is at least that of its own transmitted
+    # point, exp(-(t_a^2 + t_b^2)) >= exp(-2 t_max^2), so no coset sum
+    # underflows at any SNR
+    bound = math.exp(-2.0 * float(np.max(_GH_T)) ** 2)
+    for name, c, pts, bits in _bit_identity_cases():
+        for snr_db in (-20.0, 0.0, 11.0, 30.0, 60.0):
+            nu = 10 ** (-snr_db / 10)
+            for _, _, p, _, s_same, _ in _gh_blocks(pts, bits, nu):
+                assert np.all(p.max(axis=1) >= bound), (name, snr_db)
+                assert np.all(s_same >= bound), (name, snr_db)
+    for name in builtin_names():
+        for snr_db in (-20.0, 60.0):
+            gmi = gmi_estimate(load_builtin(name), snr_db)
+            assert math.isfinite(gmi) and 0.0 <= gmi <= 6.0, (name, snr_db)
 
 
 def test_papr_smooth_upper_bounds_true_max(monkeypatch):
