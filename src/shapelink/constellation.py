@@ -178,9 +178,21 @@ def square64() -> Constellation:
 # ---------------------------------------------------------------------------
 
 
-def _coset_zero_matrix(bits: np.ndarray) -> np.ndarray:
-    # column k selects the points whose bit k is 0
-    return (bits == 0).astype(np.float64)
+def _coset_matrix(bits: np.ndarray) -> np.ndarray:
+    # (M, 2m) [c0 | c1]: column k selects the points whose bit k is 0,
+    # column m + k those whose bit k is 1
+    c0 = (bits == 0).astype(np.float64)
+    return np.hstack([c0, 1.0 - c0])
+
+
+def _label_agreement(bits: np.ndarray) -> np.ndarray:
+    """(M, M, m + 1) 0/1 matrix A[i, j, k] = [b_ik == b_jk], whose last
+    column is all ones: ``p @ A[i]`` gives the coset sums S_same (first m
+    columns) and S_all (last column) of rows that transmit point i."""
+    big_m, m = bits.shape
+    agree = np.ones((big_m, big_m, m + 1), dtype=bool)
+    np.equal(bits[:, None, :], bits[None, :, :], out=agree[:, :, :m])
+    return agree.astype(np.float64)
 
 
 def gmi_estimate(
@@ -278,25 +290,14 @@ def _shifted_metrics(d2, noise_var):
     return np.exp(d2, out=d2)
 
 
-def _coset_sums(p, tx_bits, c0):
-    """Sums of a block of Gaussian metrics.
-
-    ``p`` (n, M) holds each received sample's metrics to every point, up
-    to a positive factor per row (:func:`_shifted_metrics` for distance
-    blocks, the per-axis product of :func:`_gh_blocks`).  Returns
-    S_all = sum_j p and S_same (n, m), the sum of p over the points that
-    share the transmitted label's bit k, floored at ``_TINY``.  The row
-    factor cancels in every ratio of these sums.
-    """
-    s_all = p.sum(axis=1)
-    s0 = p @ c0
-    s_same = np.where(tx_bits == 0, s0, s_all[:, None] - s0)
-    np.maximum(s_same, _TINY, out=s_same)
-    return s_all, s_same
-
-
 def _row_loss(s_all, s_same):
-    # sum over bits of ln(S_all) - ln(S_same), per row
+    """Sum over bits of ln(S_all) - ln(S_same), per row.
+
+    S_all (n,) sums a row's Gaussian metrics over every point and S_same
+    (n, m) over the points that share the transmitted label's bit k.  The
+    metrics may carry any positive factor per row (a row shift), which
+    cancels here.
+    """
     return s_same.shape[1] * np.log(s_all) - np.log(s_same).sum(axis=1)
 
 
@@ -316,9 +317,9 @@ def _gh_nodes(noise_var: float):
 
 
 #: transmitted points per Gauss-Hermite block: at order 10 a block's
-#: (800, 64) metrics take 400 kB and stay in cache.  Some BLAS builds
-#: take another matrix-product path for blocks of 1 to 3 points, which
-#: changes the last bits of the coset sums.
+#: (800, 64) metrics take 400 kB and stay in cache.  The coset sums and
+#: the gradient's G fill are one matrix product per transmitted point, of
+#: the same shape whatever the block size, so the size changes no bit.
 _GH_BLOCK = 8
 
 
@@ -344,32 +345,40 @@ def _gh_blocks(points, bits, noise_var):
     per call, (M, _GH_ORDER, M) values each, and one broadcast multiply
     gives a block's metrics.
 
+    Every row of point i has the same transmitted label, so the points
+    that agree with it on bit k are fixed: the coset sums of a block are
+    one batched product of its (points, Q, M) metrics with the rows
+    ``A[blk]`` of :func:`_label_agreement`, S_same and S_all together.
+    Each sum adds only its own terms; no sum is a difference of two.
+
     The row shift is then min dx + min dy rather than the row minimum;
     it cancels in every ratio of coset sums.  The largest metric of a row
     is at least that of c_i itself, exp(-(t_a^2 + t_b^2)), since
     |y - c_i|^2 = s^2 (t_a^2 + t_b^2) and the shift is >= 0: at order 10
-    every row has a metric >= exp(-2 t_max^2) ~ 5.6e-11.  So no coset sum
-    underflows, and since every S_same contains c_i, the ``_TINY`` floor
-    of :func:`_coset_sums` never binds here.
+    every row has a metric >= exp(-2 t_max^2) ~ 5.6e-11.  Every S_same
+    contains c_i's own metric, so no coset sum underflows and none needs
+    the ``_TINY`` floor of the received-sample paths.
 
-    Yields ``(rows, tx_bits, p, s_all, s_same, loss)`` per block: ``rows``
-    the block's slice of the M*Q rows, ``tx_bits`` its transmitted
-    labels, ``p`` its (rows, M) metrics, ``loss`` its :func:`_row_loss`
-    and the sums as in :func:`_coset_sums`.
+    Yields ``(rows, agree, p, s_all, s_same, loss)`` per block: ``rows``
+    the block's slice of the M*Q rows, ``agree`` its (points, M, m + 1)
+    rows of the agreement matrix, ``p`` its (rows, M) metrics, ``s_all``
+    (rows,) and ``s_same`` (rows, m) its coset sums and ``loss`` its
+    :func:`_row_loss`.
     """
-    big_m = bits.shape[0]
+    big_m, m = bits.shape
     st = math.sqrt(noise_var) * _GH_T
     ex = _axis_metrics(points.real, st, noise_var)
     ey = _axis_metrics(points.imag, st, noise_var)
-    c0 = _coset_zero_matrix(bits)
+    agree_all = _label_agreement(bits)
     q = _GH_ORDER * _GH_ORDER
     for i in range(0, big_m, _GH_BLOCK):
         blk = slice(i, i + _GH_BLOCK)
-        p = (ex[blk, :, None, :] * ey[blk, None, :, :]).reshape(-1, big_m)
-        tx_bits = np.repeat(bits[blk], q, axis=0)
-        s_all, s_same = _coset_sums(p, tx_bits, c0)
-        rows = slice(i * q, i * q + tx_bits.shape[0])
-        yield rows, tx_bits, p, s_all, s_same, _row_loss(s_all, s_same)
+        agree = agree_all[blk]
+        p = (ex[blk, :, None, :] * ey[blk, None, :, :]).reshape(-1, q, big_m)
+        s = (p @ agree).reshape(-1, m + 1)
+        s_same, s_all = s[:, :m], s[:, m]
+        rows = slice(i * q, i * q + s.shape[0])
+        yield rows, agree, p.reshape(-1, big_m), s_all, s_same, _row_loss(s_all, s_same)
 
 
 def _gh_value(losses, weights, m: int) -> float:
@@ -390,7 +399,7 @@ def _gh_gmi(points, bits, noise_var) -> float:
 def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
     big_m, m = bits.shape
     rng = np.random.default_rng(seed)
-    c0 = _coset_zero_matrix(bits)
+    cosets = _coset_matrix(bits)
     chunk = 1 << 17
     total = 0.0
     done = 0
@@ -400,8 +409,12 @@ def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = points[idx] + noise * math.sqrt(noise_var / 2.0)
         for rows, e in _distance_blocks(y, points):
-            p = _shifted_metrics(e, noise_var)
-            s_all, s_same = _coset_sums(p, bits[idx[rows]], c0)
+            # both cosets of every bit from one product: S_all is
+            # S0 + S1 of any one bit, and no sum is a difference of two
+            s = _shifted_metrics(e, noise_var) @ cosets
+            s_same = np.where(bits[idx[rows]] == 0, s[:, :m], s[:, m:])
+            s_all = s[:, 0] + s[:, m]
+            np.maximum(s_same, _TINY, out=s_same)
             total += float(_row_loss(s_all, s_same).sum())
         done += n
     return m - total / (samples * math.log(2.0))
@@ -433,8 +446,7 @@ def bitwise_llrs(
         raise ValueError("symbols must be finite")
     m = bits.shape[1]
     out = np.empty((symbols.size, m))
-    c0 = _coset_zero_matrix(bits)
-    cosets = np.hstack([c0, 1.0 - c0])
+    cosets = _coset_matrix(bits)
     # per bit, the point indices labeled 0 and 1 (integer take beats a mask)
     coset_idx = [(np.flatnonzero(bits[:, k] == 0), np.flatnonzero(bits[:, k])) for k in range(m)]
     for rows, e in _distance_blocks(symbols, points):

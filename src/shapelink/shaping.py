@@ -127,13 +127,21 @@ class ShapingResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_noise_var(noise_var: float) -> None:
+    # written so that NaN fails the check
+    if not 0 < noise_var < math.inf:
+        raise ValueError("noise_var must be positive and finite")
+
+
 def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float) -> float:
     """Gauss-Hermite GMI (bit/2D) of an arbitrary point set.
 
     Unlike :func:`constellation.gmi_estimate` this does not renormalize and
     takes the noise variance directly, so it is a plain smooth function of
-    the coordinates, suitable for gradient checks.
+    the coordinates, suitable for gradient checks.  ``noise_var`` must be
+    positive and finite.
     """
+    _check_noise_var(noise_var)
     return _gh_gmi(points, bits, noise_var)
 
 
@@ -148,28 +156,34 @@ def gh_gmi_value_and_gradient(points: np.ndarray, bits: np.ndarray, noise_var: f
     splits into the metric channel (every q contains c_r as a candidate
     point) and the observation channel (y = c_r + noise when r transmits);
     rows of G sum to zero, which collapses the observation channel onto
-    the constellation points.  The label sum splits by bit value,
-    sum_k [b_ik = b_jk] / S_k = sum_k b_ik b_jk / S_k
-    + sum_k (1 - b_ik)(1 - b_jk) / S_k, so a block's G is one matrix
-    product, [-b_i / S, -(1 - b_i) / S, m / S_all] @ [b^T; 1 - b^T; 1],
-    times q.  The metrics q carry the row shift of
-    :func:`constellation._gh_blocks`, which cancels in every ratio.
-    Each block fills its rows of G; the two contractions over all rows
-    then run once on the full G, so the sums keep one order.
+    the constellation points.  Every row of transmitted point i carries
+    label b_i, so [same-bit] is the fixed agreement A[i, j, k] =
+    [b_ik = b_jk] of :func:`constellation._label_agreement`, whose last
+    column of ones carries the S_all term:
+    G(i,n,j) = q(i,n,j) sum_k coef(i,n,k) A[i,j,k] with
+    coef = [-1/S_same | m/S_all].  A block's G is then one batched
+    product, coef @ A[blk]^T, times q.
+    The metrics q carry the row shift of :func:`constellation._gh_blocks`,
+    which cancels in every ratio.  Each block fills its rows of G; the two
+    contractions over all rows then run once on the full G, so the sums
+    keep one order.  ``noise_var`` must be positive and finite.
     """
+    _check_noise_var(noise_var)
     big_m, m = bits.shape
     nodes, weights = _gh_nodes(noise_var)
-    b = bits.T.astype(np.float64)
-    labels = np.vstack([b, 1.0 - b, np.ones((1, big_m))])  # (2m+1, M)
-    g = np.empty((big_m * weights.size, big_m))  # G(i,n,j), rows (i, n)
+    q = weights.size
+    g = np.empty((big_m * q, big_m))  # G(i,n,j), rows (i, n)
     losses = []
-    for rows, tx_bits, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
-        neg_inv = -1.0 / s_same
-        coef = np.empty((p.shape[0], 2 * m + 1))
-        np.multiply(tx_bits, neg_inv, out=coef[:, :m])
-        np.subtract(neg_inv, coef[:, :m], out=coef[:, m : 2 * m])
-        np.divide(m, s_all, out=coef[:, 2 * m])
-        gb = np.matmul(coef, labels, out=g[rows])
+    for rows, agree, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
+        coef = np.empty((p.shape[0], m + 1))
+        np.divide(-1.0, s_same, out=coef[:, :m])
+        np.divide(m, s_all, out=coef[:, m])
+        gb = g[rows]
+        np.matmul(
+            coef.reshape(-1, q, m + 1),
+            np.ascontiguousarray(agree.transpose(0, 2, 1)),
+            out=gb.reshape(-1, q, big_m),
+        )
         gb *= p
         losses.append(loss)
     value = _gh_value(losses, weights, m)

@@ -74,3 +74,24 @@ def _run_demo(cwd, demo):
         text=True,
         env=env,
     )
+
+
+def test_seeded_output_hasher_prints_one_line_per_file(tmp_path):
+    # the two cheapest runs; each output file gives "<run>/<file> <sha256>"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "seeded_outputs.py"), "linkbudget", "gap_sweep_gh"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "linkbudget/linkbudget.csv",
+        "gap_sweep_gh/gap_sweep.csv",
+    ]
+    for line in lines:
+        assert re.fullmatch(r"\S+ [0-9a-f]{64}", line), line
+    assert os.listdir(tmp_path) == []

@@ -13,10 +13,9 @@ from shapelink import shaping
 from shapelink.constellation import (
     Constellation,
     _GH_T,
-    _coset_sums,
-    _coset_zero_matrix,
     _gh_blocks,
     _gh_nodes,
+    _label_agreement,
     _row_loss,
     _shifted_metrics,
     builtin_names,
@@ -120,12 +119,15 @@ def _full_grid_gh_forward(points, bits, noise_var):
     st = math.sqrt(noise_var) * _GH_T
     ex = _shifted_metrics(np.square((points.real[:, None] + st)[:, :, None] - points.real), noise_var)
     ey = _shifted_metrics(np.square((points.imag[:, None] + st)[:, :, None] - points.imag), noise_var)
-    p = (ex[:, :, None, :] * ey[:, None, :, :]).reshape(-1, big_m)
-    tx_bits = np.repeat(bits, nodes.size, axis=0)
-    s_all, s_same = _coset_sums(p, tx_bits, _coset_zero_matrix(bits))
+    p = (ex[:, :, None, :] * ey[:, None, :, :]).reshape(big_m, nodes.size, big_m)
+    # every row of point i shares its label: one product per point against
+    # the agreement rows A[i] gives S_same and S_all
+    agree = _label_agreement(bits)
+    s = (p @ agree).reshape(-1, m + 1)
+    s_same, s_all = s[:, :m], s[:, m]
     loss = _row_loss(s_all, s_same).reshape(big_m, nodes.size) @ weights
     value = m - float(loss.mean()) / math.log(2.0)
-    return value, (y, tx_bits, weights, p, s_all, s_same)
+    return value, (y, weights, agree, p, s_all, s_same)
 
 
 def _gradient_from_g(points, y, weights, g, noise_var):
@@ -143,19 +145,15 @@ def _gradient_from_g(points, y, weights, g, noise_var):
 
 
 def _full_grid_value_and_gradient(points, bits, noise_var):
-    value, (y, tx_bits, weights, p, s_all, s_same) = _full_grid_gh_forward(
+    value, (y, weights, agree, p, s_all, s_same) = _full_grid_gh_forward(
         points, bits, noise_var
     )
     big_m, m = bits.shape
-    b = bits.T.astype(np.float64)
-    labels = np.vstack([b, 1.0 - b, np.ones((1, big_m))])
-    neg_inv = -1.0 / s_same
-    coef = np.empty((p.shape[0], 2 * m + 1))
-    np.multiply(tx_bits, neg_inv, out=coef[:, :m])
-    np.subtract(neg_inv, coef[:, :m], out=coef[:, m : 2 * m])
-    np.divide(m, s_all, out=coef[:, 2 * m])
-    g = coef @ labels
-    g *= p  # G(i,n,j), rows (i, n)
+    coef = np.hstack([-1.0 / s_same, (m / s_all)[:, None]])
+    agree_t = np.ascontiguousarray(agree.transpose(0, 2, 1))
+    g = coef.reshape(big_m, weights.size, m + 1) @ agree_t
+    g *= p
+    g = g.reshape(-1, big_m)  # G(i,n,j), rows (i, n)
     return value, _gradient_from_g(points, y, weights, g, noise_var)
 
 
@@ -239,6 +237,38 @@ def test_gh_rows_keep_a_metric_above_the_shift_bound():
         for snr_db in (-20.0, 60.0):
             gmi = gmi_estimate(load_builtin(name), snr_db)
             assert math.isfinite(gmi) and 0.0 <= gmi <= 6.0, (name, snr_db)
+
+
+def test_gh_coset_sums_match_extended_precision_direct_sums():
+    # each row's S_same and S_all are sums of the row's own metrics over
+    # the points that share the transmitted bit, and over every point;
+    # a same-bit coset far below S_all must keep its relative accuracy
+    q = len(_GH_T) ** 2
+    for name in builtin_names():
+        c = load_builtin(name)
+        bits = c.bit_matrix
+        for snr_db in (-5.0, 0.0, 5.0, 11.0, 20.0, 30.0):
+            nu = 10 ** (-snr_db / 10)
+            worst = 0.0
+            for rows, _, p, s_all, s_same, _ in _gh_blocks(c.points, bits, nu):
+                tx = bits[np.arange(rows.start, rows.stop) // q]
+                p_ld = p.astype(np.longdouble)
+                want_all = p_ld.sum(axis=1)
+                worst = max(worst, float(np.max(np.abs(s_all - want_all) / want_all)))
+                for k in range(bits.shape[1]):
+                    same = bits[None, :, k] == tx[:, k, None]
+                    want = np.where(same, p_ld, 0).sum(axis=1)
+                    worst = max(worst, float(np.max(np.abs(s_same[:, k] - want) / want)))
+            assert worst <= 1e-14, (name, snr_db, worst)
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+def test_gh_objective_rejects_bad_noise_variance(nu):
+    c = square64()
+    with pytest.raises(ValueError, match="noise_var must be positive and finite"):
+        gh_gmi_value(c.points, c.bit_matrix, nu)
+    with pytest.raises(ValueError, match="noise_var must be positive and finite"):
+        gh_gmi_value_and_gradient(c.points, c.bit_matrix, nu)
 
 
 def test_papr_smooth_upper_bounds_true_max(monkeypatch):
