@@ -141,10 +141,10 @@ class FiberSegment:
     reference_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise ValueError("length must be positive")
-        if self.attenuation_db_km < 0:
-            raise ValueError("attenuation must be >= 0")
+        if not 0 < self.length_m < math.inf:
+            raise ValueError("length must be positive and finite")
+        if not 0 <= self.attenuation_db_km < math.inf:
+            raise ValueError("attenuation must be >= 0 and finite")
         if self.effective_area_um2 <= 0:
             raise ValueError("effective area must be positive")
         if self.nonlinear_index_n2 < 0:
@@ -204,15 +204,15 @@ class SpanSpec:
         return sum(seg.length_m for seg in self.segments)
 
 
-def hybrid_span(noise_figure_db: float = 1.4, n2: float = 2.6e-20) -> SpanSpec:
+def hybrid_span(noise_figure_db: float = 1.4) -> SpanSpec:
     """The 70 km two-fiber span used throughout: 40 km of large-area
     low-loss fiber (0.148 dB/km, 20.5 ps/nm/km, 149 um^2) plus 30 km of
     standard fiber (0.16 dB/km, 17 ps/nm/km, 81 um^2), total loss
     10.72 dB, transparent amplifier."""
     return SpanSpec(
         segments=(
-            FiberSegment(40e3, 0.148, 20.5, 149.0, n2),
-            FiberSegment(30e3, 0.16, 17.0, 81.0, n2),
+            FiberSegment(40e3, 0.148, 20.5, 149.0),
+            FiberSegment(30e3, 0.16, 17.0, 81.0),
         ),
         amp_noise_figure_db=noise_figure_db,
     )

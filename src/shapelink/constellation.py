@@ -5,11 +5,12 @@ distinct 6-bit labels, normalized to unit average power.  The module provides
 
 * builders (:func:`square64`, :func:`load_builtin`) and text-file I/O,
 * bit-interleaved GMI estimation over the complex AWGN channel, via
-  Gauss-Hermite quadrature (deterministic, fast) or Monte Carlo (for
-  reported figures),
-* bitwise LLR demapping; the LLRs, the Monte Carlo GMI and the blind
-  noise estimate of :mod:`shapelink.dsp` take every squared distance
-  |y - c|^2 from one kernel over blocks of received samples,
+  Gauss-Hermite quadrature (deterministic, fast) or seeded Monte Carlo
+  (for reported figures), the latter the mean of :func:`gmi_from_llrs`
+  over the LLRs of drawn samples,
+* full-sum bitwise LLR demapping; the LLRs and the blind noise estimate
+  of :mod:`shapelink.dsp` take every squared distance |y - c|^2 from one
+  kernel over blocks of received samples,
 * per-dimension peak-to-average power ratio,
 * :func:`add_ring_markers`, which moves the four outermost points onto a
   common outer ring so blind phase estimation can key on them.
@@ -231,7 +232,7 @@ def gmi_estimate(
     if estimator == "monte_carlo":
         if not samples >= 1:
             raise ValueError("monte_carlo samples must be >= 1")
-        return _gmi_monte_carlo(points, bits, noise_var, samples, seed)
+        return _gmi_monte_carlo(c, noise_var, samples, seed)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -363,7 +364,8 @@ def _gh_blocks(points, bits, noise_var):
     the block's slice of the M*Q rows, ``agree`` its (points, M, m + 1)
     rows of the agreement matrix, ``p`` its (rows, M) metrics, ``s_all``
     (rows,) and ``s_same`` (rows, m) its coset sums and ``loss`` its
-    :func:`_row_loss`.
+    :func:`_row_loss`.  Every block's metrics are written into one array,
+    so use ``p`` before asking for the next block.
     """
     big_m, m = bits.shape
     st = math.sqrt(noise_var) * _GH_T
@@ -371,10 +373,12 @@ def _gh_blocks(points, bits, noise_var):
     ey = _axis_metrics(points.imag, st, noise_var)
     agree_all = _label_agreement(bits)
     q = _GH_ORDER * _GH_ORDER
+    buf = np.empty((min(big_m, _GH_BLOCK), _GH_ORDER, _GH_ORDER, big_m))
     for i in range(0, big_m, _GH_BLOCK):
         blk = slice(i, i + _GH_BLOCK)
         agree = agree_all[blk]
-        p = (ex[blk, :, None, :] * ey[blk, None, :, :]).reshape(-1, q, big_m)
+        p = np.multiply(ex[blk, :, None, :], ey[blk, None, :, :], out=buf[: agree.shape[0]])
+        p = p.reshape(-1, q, big_m)
         s = (p @ agree).reshape(-1, m + 1)
         s_same, s_all = s[:, :m], s[:, m]
         rows = slice(i * q, i * q + s.shape[0])
@@ -396,47 +400,39 @@ def _gh_gmi(points, bits, noise_var) -> float:
     return _gh_value(losses, _gh_nodes(noise_var)[1], bits.shape[1])
 
 
-def _gmi_monte_carlo(points, bits, noise_var, samples, seed) -> float:
-    big_m, m = bits.shape
+def _gmi_monte_carlo(c, noise_var, samples, seed) -> float:
+    """Seeded Monte Carlo GMI (bit/2D) of ``c`` at total noise variance
+    ``noise_var``: the sample-weighted mean of :func:`gmi_from_llrs` over
+    the LLRs of :func:`bitwise_llrs`, drawn ``2**17`` samples at a time."""
+    points, bits = _points_and_bits(c)
     rng = np.random.default_rng(seed)
-    cosets = _coset_matrix(bits)
     chunk = 1 << 17
     total = 0.0
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
-        idx = rng.integers(0, big_m, size=n)
+        idx = rng.integers(0, bits.shape[0], size=n)
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = points[idx] + noise * math.sqrt(noise_var / 2.0)
-        for rows, e in _distance_blocks(y, points):
-            # both cosets of every bit from one product: S_all is
-            # S0 + S1 of any one bit, and no sum is a difference of two
-            s = _shifted_metrics(e, noise_var) @ cosets
-            s_same = np.where(bits[idx[rows]] == 0, s[:, :m], s[:, m:])
-            s_all = s[:, 0] + s[:, m]
-            np.maximum(s_same, _TINY, out=s_same)
-            total += float(_row_loss(s_all, s_same).sum())
+        total += n * gmi_from_llrs(bitwise_llrs(c, y, noise_var), bits[idx])
         done += n
-    return m - total / (samples * math.log(2.0))
+    return total / samples
 
 
-def bitwise_llrs(
-    c, symbols: np.ndarray, noise_variance: float, max_log: bool = False
-) -> np.ndarray:
+def bitwise_llrs(c, symbols: np.ndarray, noise_variance: float) -> np.ndarray:
     """Per-bit LLRs log(P(b=0)/P(b=1)) under a circular Gaussian metric.
 
     Positive LLR means bit 0 is more likely.  ``noise_variance`` is the total
-    (2D) complex noise variance.  ``max_log`` replaces the full sums with
-    maxima.  Returns an (n, m) array aligned to label bit order.
+    (2D) complex noise variance.  Returns an (n, m) array aligned to label
+    bit order.
 
     Works on ``_ROW_BLOCK`` symbols at a time, on the squared distances
-    less |y|^2 of :func:`_distance_blocks`.  The full metric shifts each
-    row by its nearest point, exponentiates in place and takes both coset
-    sums from one ``p @ [c0 | c1]`` product; max-log takes the difference
-    of the coset minima.  |y|^2 cancels in both.  A coset sum that falls
-    below ``_TINY`` after the row shift (a coset more than ~690
+    less |y|^2 of :func:`_distance_blocks`.  Each row is shifted by its
+    nearest point and exponentiated in place, and both coset sums come
+    from one ``p @ [c0 | c1]`` product; |y|^2 cancels.  A coset sum that
+    falls below ``_TINY`` after the row shift (a coset more than ~690
     ``noise_variance`` farther than the nearest point) is recomputed in
-    log form from its own coset minimum, so full-sum LLRs do not clip.
+    log form from its own coset minimum, so the LLRs do not clip.
     """
     points, bits = _points_and_bits(c)
     if not 0 < noise_variance < math.inf:
@@ -447,22 +443,15 @@ def bitwise_llrs(
     m = bits.shape[1]
     out = np.empty((symbols.size, m))
     cosets = _coset_matrix(bits)
-    # per bit, the point indices labeled 0 and 1 (integer take beats a mask)
-    coset_idx = [(np.flatnonzero(bits[:, k] == 0), np.flatnonzero(bits[:, k])) for k in range(m)]
     for rows, e in _distance_blocks(symbols, points):
-        if max_log:
-            for k, (zero, one) in enumerate(coset_idx):
-                gap = e.take(one, axis=1).min(axis=1) - e.take(zero, axis=1).min(axis=1)
-                out[rows, k] = gap / noise_variance
-        else:
-            s = _shifted_metrics(e, noise_variance) @ cosets
-            # a reduction, not a mask, on the common path where none underflow
-            low = s < _TINY if s.min() < _TINY else None
-            np.maximum(s, _TINY, out=s)
-            np.log(s, out=s)
-            if low is not None:
-                _relog_low_sums(s, low, symbols[rows], points, cosets, noise_variance)
-            np.subtract(s[:, :m], s[:, m:], out=out[rows])
+        s = _shifted_metrics(e, noise_variance) @ cosets
+        # a reduction, not a mask, on the common path where none underflow
+        low = s < _TINY if s.min() < _TINY else None
+        np.maximum(s, _TINY, out=s)
+        np.log(s, out=s)
+        if low is not None:
+            _relog_low_sums(s, low, symbols[rows], points, cosets, noise_variance)
+        np.subtract(s[:, :m], s[:, m:], out=out[rows])
     return out
 
 

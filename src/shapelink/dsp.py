@@ -21,8 +21,8 @@ Conventions
   never increases energy and passes flat in-band content untouched; and
   :func:`decimate` restores the rate-conversion gain ``sqrt(L)``, making
   matched-filter-plus-decimation the exact adjoint of the shaping
-  isometry.  shape -> matched -> decimate at the correct phase recovers
-  the symbols exactly (to rounding).
+  isometry.  shape -> matched -> decimate recovers the symbols exactly
+  (to rounding).
 - Frames are treated as periodic (FFT filtering), consistent with the
   channel module.
 - LLR sign convention: positive LLR means bit 0 is the more likely,
@@ -184,7 +184,7 @@ def rrc_shape(frame: SymbolFrame, oversampling: int, rolloff: float = 0.01) -> W
     ``sqrt(L * H_rc)`` on the FFT grid, so the shaping impulse response
     has unit energy and the cascade with :func:`matched_filter` and
     :func:`decimate` is a unit-gain Nyquist raised cosine (exact symbol
-    recovery at the right phase).
+    recovery).
     """
     if oversampling < 2:
         raise ValueError("oversampling must be at least 2")
@@ -213,8 +213,9 @@ def matched_filter(frame: WaveformFrame, rolloff: float = 0.01) -> WaveformFrame
     return frame.with_samples(out)
 
 
-def decimate(frame: WaveformFrame, phase: int = 0) -> SymbolFrame:
-    """Take one sample per symbol at the given phase, scaled by sqrt(L).
+def decimate(frame: WaveformFrame) -> SymbolFrame:
+    """Take one sample per symbol, the first of each symbol period, scaled
+    by sqrt(L).
 
     The sqrt(oversampling) gain restores the symbol-domain scale: the
     unit-energy shaping pulse spreads each symbol's energy over L
@@ -226,10 +227,8 @@ def decimate(frame: WaveformFrame, phase: int = 0) -> SymbolFrame:
     step = round(ratio)
     if abs(ratio - step) > 1e-9 or step < 1:
         raise ValueError("sample rate must be an integer multiple of the symbol rate")
-    if not 0 <= phase < step:
-        raise ValueError("phase must be in [0, oversampling)")
     return SymbolFrame(
-        symbols=math.sqrt(step) * frame.samples[:, phase::step],
+        symbols=math.sqrt(step) * frame.samples[:, ::step],
         symbol_rate=frame.symbol_rate,
     )
 
@@ -584,7 +583,6 @@ def llr_demap(
     frame: SymbolFrame,
     c: Constellation,
     noise_variance: float | None = None,
-    max_log: bool = False,
 ) -> LlrFrame:
     """Bitwise LLRs for both polarizations under a circular Gaussian metric.
 
@@ -599,7 +597,7 @@ def llr_demap(
     m_bits = c.bit_matrix.shape[1]
     out = np.empty((2, frame.n_symbols, m_bits))
     for p in range(2):
-        out[p] = bitwise_llrs(c, frame.symbols[p], noise_variance, max_log=max_log)
+        out[p] = bitwise_llrs(c, frame.symbols[p], noise_variance)
     return LlrFrame(llrs=out, noise_variance=float(noise_variance))
 
 
@@ -615,13 +613,16 @@ def evm_db(frame, reference) -> float:
     """Error vector magnitude in dB: 10 log10(P(frame - ref) / P(ref)).
 
     Raw difference, no gain alignment; use for inversion checks where the
-    scales are physically identical.
+    scales are physically identical.  An all-zero reference has no power
+    to compare against and raises :class:`DegenerateInputError`.
     """
     a = _fields(frame)
     r = _fields(reference)
     if a.shape != r.shape:
         raise AlignmentError("frames must have identical shapes")
     p_ref = np.mean(np.abs(r) ** 2)
+    if p_ref == 0.0:
+        raise DegenerateInputError("an all-zero reference has no EVM")
     p_err = np.mean(np.abs(a - r) ** 2)
     if p_err == 0.0:
         return -math.inf

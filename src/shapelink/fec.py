@@ -415,18 +415,17 @@ def select_rate(
     gmi_per_4d: float,
     available_rates,
     bits_per_4d: float = 12.0,
-    margin: float = 1.0,
 ) -> tuple[Fraction, bool]:
     """Largest code rate supported by the measured information rate.
 
     Returns ``(rate, feasible)`` where feasibility means
-    rate x bits_per_4d <= gmi_per_4d x margin; with no feasible entry
+    rate x bits_per_4d <= gmi_per_4d; with no feasible entry
     the lowest rate is returned flagged infeasible.
     """
     rates = sorted(Fraction(r) for r in available_rates)
     if not rates:
         raise ValueError("available_rates must be nonempty")
-    feasible = [r for r in rates if float(r) * bits_per_4d <= gmi_per_4d * margin]
+    feasible = [r for r in rates if float(r) * bits_per_4d <= gmi_per_4d]
     if feasible:
         return feasible[-1], True
     return rates[0], False

@@ -64,6 +64,8 @@ def ase_snr(
         raise ValueError("span_count must be at least 1")
     if bandwidth_hz <= 0 or frequency_hz <= 0:
         raise ValueError("bandwidth and frequency must be positive")
+    if not all(map(math.isfinite, (span_loss_db, nf_db, power_dbm))):
+        raise ValueError("span loss, noise figure and power must be finite")
     f_lin = 10.0 ** (nf_db / 10.0)
     g_lin = 10.0 ** (span_loss_db / 10.0)
     noise_w = span_count * f_lin * g_lin * _PLANCK * frequency_hz * bandwidth_hz
@@ -75,11 +77,14 @@ def combine_snr(contributions_db) -> float:
 
     Reciprocal addition on the linear scale: 1/SNR = sum of 1/SNR_i.
     Infinite entries contribute nothing; the result never exceeds the
-    smallest contribution and is capped at ``SNR_CAP_DB``.
+    smallest contribution and is capped at ``SNR_CAP_DB``.  A NaN entry
+    raises ``ValueError``.
     """
     values = list(contributions_db)
     if not values:
         raise ValueError("need at least one contribution")
+    if any(math.isnan(v) for v in values):
+        raise ValueError("contributions must not be NaN")
     inv = sum(10.0 ** (-v / 10.0) for v in values)
     if inv == 0.0:
         return SNR_CAP_DB
@@ -115,6 +120,8 @@ def gn_nli_estimate(
         raise ValueError("channel_count and span_count must be at least 1")
     if symbol_rate_hz <= 0 or spacing_hz <= 0:
         raise ValueError("symbol_rate and spacing must be positive")
+    if not math.isfinite(per_channel_power_dbm):
+        raise ValueError("per-channel power must be finite")
     power_w = _dbm_to_w(per_channel_power_dbm)
     band_hz = symbol_rate_hz + (channel_count - 1) * spacing_hz
     psd = power_w * channel_count / band_hz

@@ -195,31 +195,17 @@ def test_gmi_from_llrs_rejects_zero_rows():
         gmi_from_llrs(np.empty((0, 6)), np.empty((0, 6), dtype=np.uint8))
 
 
-def test_max_log_llrs_close_at_high_snr():
-    c = square64()
-    rng = np.random.default_rng(5)
-    nu = 10 ** (-22.0 / 10)
-    idx = rng.integers(0, 64, 500)
-    y = c.points[idx] + (rng.standard_normal(500) + 1j * rng.standard_normal(500)) * math.sqrt(nu / 2)
-    full = bitwise_llrs(c, y, nu)
-    approx = bitwise_llrs(c, y, nu, max_log=True)
-    assert np.median(np.abs(full - approx)) < 0.05 * np.median(np.abs(full))
-
-
-def _reference_llrs(c, y, nu, max_log):
+def _reference_llrs(c, y, nu):
     # the plain formula, one bit at a time: complex distances and, per
     # coset of the points whose label bit k is 0 (and those where it is
     # 1), the log-sum-exp of the metrics taken from the coset's own
-    # nearest point (or, for max-log, that nearest distance alone)
+    # nearest point
     d2 = np.abs(y[:, None] - c.points[None, :]) ** 2
     out = np.empty((y.size, 6))
     for k in range(6):
         zero = np.flatnonzero(c.bit_matrix[:, k] == 0)
         one = np.flatnonzero(c.bit_matrix[:, k] == 1)
-        if max_log:
-            out[:, k] = (d2[:, one].min(axis=1) - d2[:, zero].min(axis=1)) / nu
-        else:
-            out[:, k] = _log_coset_sum(d2[:, zero], nu) - _log_coset_sum(d2[:, one], nu)
+        out[:, k] = _log_coset_sum(d2[:, zero], nu) - _log_coset_sum(d2[:, one], nu)
     return out
 
 
@@ -230,8 +216,7 @@ def _log_coset_sum(d2, nu):
 
 
 @pytest.mark.parametrize("name", builtin_names())
-@pytest.mark.parametrize("max_log", [False, True])
-def test_llr_kernel_matches_reference_formula(name, max_log):
+def test_llr_kernel_matches_reference_formula(name):
     c = load_builtin(name)
     rng = np.random.default_rng(21)
     for snr_db in (0.0, 11.0, 20.0, 30.0):
@@ -239,8 +224,8 @@ def test_llr_kernel_matches_reference_formula(name, max_log):
         idx = rng.integers(0, 64, 3000)
         noise = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
         y = c.points[idx] + noise * math.sqrt(nu / 2)
-        want = _reference_llrs(c, y, nu, max_log)
-        got = bitwise_llrs(c, y, nu, max_log=max_log)
+        want = _reference_llrs(c, y, nu)
+        got = bitwise_llrs(c, y, nu)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -252,7 +237,7 @@ def test_full_sum_llrs_do_not_clip_far_from_a_coset():
     nu = 1e-3
     corner = c.points[np.argmax(np.abs(c.points))]
     got = bitwise_llrs(c, np.array([corner]), nu)
-    want = _reference_llrs(c, np.array([corner]), nu, max_log=False)
+    want = _reference_llrs(c, np.array([corner]), nu)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     assert abs(got[0, 0]) == pytest.approx(1523.8095238, rel=1e-9)
 
@@ -287,10 +272,8 @@ def test_receiver_kernels_match_written_out_distances(n):
         nu = 10 ** (-snr_db / 10)
         idx = rng.integers(0, 64, n)
         y = c.points[idx] + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(nu / 2)
-        for max_log in (False, True):
-            want = _reference_llrs(c, y, nu, max_log)
-            got = bitwise_llrs(c, y, nu, max_log=max_log)
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        want = _reference_llrs(c, y, nu)
+        np.testing.assert_allclose(bitwise_llrs(c, y, nu), want, rtol=1e-9, atol=1e-9)
         nearest = np.mean(np.min(np.abs(y[:, None] - c.points[None, :]) ** 2, axis=1))
         assert _auto_noise_variance(y, c) == pytest.approx(max(nearest, 1e-12), rel=1e-9)
 

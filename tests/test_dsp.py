@@ -165,11 +165,11 @@ def test_matched_filter_identity_on_bandlimited_noise():
 def test_decimate_phase_and_rate(square):
     frame, _ = dsp.random_symbols(square, 256, seed=2)
     wf = dsp.rrc_shape(frame, 4, 0.2)
-    out = dsp.decimate(wf, phase=1)
+    out = dsp.decimate(wf)
     assert out.n_symbols == 256
     assert out.symbol_rate == frame.symbol_rate
-    with pytest.raises(ValueError):
-        dsp.decimate(wf, phase=4)
+    # the first sample of each symbol period, times sqrt(4)
+    assert np.array_equal(out.symbols, 2.0 * wf.samples[:, ::4])
     odd = ch.WaveformFrame(samples=np.ones((2, 90), complex), sample_rate=87.5e9, symbol_rate=35e9)
     with pytest.raises(ValueError):
         dsp.decimate(odd)  # 2.5 samples per symbol
@@ -678,17 +678,14 @@ def test_llr_demap_is_bitwise_llrs_per_polarization(name, data):
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(_BUILTINS),
-    snr_db=st.floats(-20.0, 60.0),
-    max_log=st.booleans(),
+    snr_db=st.floats(12.0, 60.0),
 )
-def test_noiseless_llr_sign_is_one_minus_twice_the_bit(name, snr_db, max_log):
+def test_noiseless_llr_sign_is_one_minus_twice_the_bit(name, snr_db):
     # the full-sum LLR at a shaped point can favor the other label below
-    # ~10 dB (system12 does at 9.5 dB); the nearest-point max-log one never
-    if not max_log:
-        snr_db = max(snr_db, 12.0)
+    # ~10 dB (system12 does at 9.5 dB)
     c = cn.load_builtin(name)
     frame = dsp.SymbolFrame(symbols=np.stack([c.points, c.points[::-1]]))
-    out = dsp.llr_demap(frame, c, 10.0 ** (-snr_db / 10.0), max_log=max_log)
+    out = dsp.llr_demap(frame, c, 10.0 ** (-snr_db / 10.0))
     bits = np.stack([c.bit_matrix, c.bit_matrix[::-1]]).astype(int)
     assert np.array_equal(np.sign(out.llrs), 1 - 2 * bits)
 
@@ -709,6 +706,16 @@ def test_auto_noise_variance_rejects_all_zero_frame(name):
     frame = dsp.SymbolFrame(symbols=np.zeros((2, 64), complex))
     with pytest.raises(DegenerateInputError, match="all-zero"):
         dsp.llr_demap(frame, c)
+
+
+@pytest.mark.parametrize("frame_scale", [1.0, 0.0])
+def test_evm_rejects_all_zero_reference(square, frame_scale):
+    # an all-zero reference read +inf dB (-inf with an all-zero frame
+    # too) after a divide-by-zero RuntimeWarning
+    frame, _ = dsp.random_symbols(square, 16, seed=1)
+    zero = frame.with_symbols(np.zeros_like(frame.symbols))
+    with pytest.raises(DegenerateInputError, match="all-zero reference"):
+        dsp.evm_db(frame.with_symbols(frame_scale * frame.symbols), zero)
 
 
 def test_llr_demap_auto_noise_variance(system12):

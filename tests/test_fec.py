@@ -466,12 +466,6 @@ def test_select_rate_boundary_equality_feasible():
     assert ok
 
 
-def test_select_rate_margin_scales_requirement():
-    rates = [Fraction(1, 2), Fraction(3, 4)]
-    assert fec.select_rate(9.5, rates)[0] == Fraction(3, 4)
-    assert fec.select_rate(9.5, rates, margin=0.9)[0] == Fraction(1, 2)
-
-
 def test_select_rate_requires_rates():
     with pytest.raises(ValueError):
         fec.select_rate(5.0, [])

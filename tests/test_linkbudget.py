@@ -7,6 +7,7 @@ reciprocal combination of 18.9 dB with a 20 dB transceiver gives
 16.4050 dB.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -124,8 +125,8 @@ def test_gn_more_channels_more_interference():
 
 
 def test_gn_zero_kerr_caps():
-    span = hybrid_span(n2=0.0)
-    assert lb.gn_nli_estimate(span, 3.0) == 60.0
+    linear = [dataclasses.replace(seg, nonlinear_index_n2=0.0) for seg in hybrid_span().segments]
+    assert lb.gn_nli_estimate(SpanSpec(segments=linear), 3.0) == 60.0
 
 
 def test_gn_zero_dispersion_rejected():
@@ -160,6 +161,40 @@ def test_band_model_validation():
         lb.BandModel((1540.0, 1550.0), (1.4,), (0.0, 0.0))
     with pytest.raises(ValueError):
         lb.BandModel((), (), ())
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lb.combine_snr([20.0, _NAN]),
+        lambda: lb.ase_snr(90, 10.72, 1.4, _NAN, 35e9, 193.4e12),
+        lambda: lb.ase_snr(90, 10.72, _NAN, -2.9, 35e9, 193.4e12),
+        lambda: lb.ase_snr(90, _NAN, 1.4, -2.9, 35e9, 193.4e12),
+        lambda: lb.gn_nli_estimate(hybrid_span(), math.inf),
+        lambda: lb.gn_nli_estimate(hybrid_span(), _NAN),
+        lambda: lb.gn_nli_estimate(SpanSpec(segments=(FiberSegment(50e3, _NAN, 17.0, 80.0),)), 0.0),
+        lambda: lb.band_snr_profile(
+            lb.BandModel((1540.0, 1550.0), (1.4, _NAN), (0.0, 0.0)), 90, hybrid_span()
+        ),
+    ],
+    ids=[
+        "combine_nan",
+        "ase_power_nan",
+        "ase_nf_nan",
+        "ase_loss_nan",
+        "gn_power_inf",
+        "gn_power_nan",
+        "gn_segment_loss_nan",
+        "band_nf_nan",
+    ],
+)
+def test_non_finite_inputs_rejected(call):
+    # each of these read the 60 dB "noise-free" cap: min(60.0, nan) is 60.0
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_default_band_model_tilt_anchors():

@@ -79,13 +79,17 @@ def _run_demo(cwd, demo):
 def test_seeded_output_hasher_prints_one_line_per_file(tmp_path):
     # the two cheapest runs; each output file gives "<run>/<file> <sha256>"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "seeded_outputs.py"), "linkbudget", "gap_sweep_gh"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+
+    def hasher(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "seeded_outputs.py"), *args],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    proc = hasher("linkbudget", "gap_sweep_gh")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
@@ -95,3 +99,20 @@ def test_seeded_output_hasher_prints_one_line_per_file(tmp_path):
     for line in lines:
         assert re.fullmatch(r"\S+ [0-9a-f]{64}", line), line
     assert os.listdir(tmp_path) == []
+
+    # --check compares only the runs it hashes: the saved gap_sweep_gh
+    # line is ignored, and a changed linkbudget digest fails the check
+    saved = tmp_path / "saved.txt"
+    saved.write_text(proc.stdout)
+    check = hasher("--check", str(saved), "linkbudget")
+    assert check.returncode == 0, check.stderr
+    assert check.stdout == lines[0] + "\n"
+    name, digest = lines[0].split()
+    saved.write_text(f"{name} {'0' * 64}\n{lines[1]}\n")
+    check = hasher("--check", str(saved), "linkbudget")
+    assert check.returncode == 1
+    assert check.stderr.startswith(f"{name}: saved {'0' * 64}, now {digest}")
+    saved.write_text(lines[1] + "\n")
+    check = hasher("--check", str(saved), "linkbudget")
+    assert check.returncode == 1
+    assert check.stderr.startswith(f"{name}: saved -, now {digest}")

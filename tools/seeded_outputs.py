@@ -17,11 +17,15 @@ before and after and compares the lines.  The runs are:
 
 Every run writes to its own directory under a temporary directory, which
 is removed afterwards unless ``--out`` names a directory to keep.  The
-run manifests carry wall times, so they are not hashed.  Usage::
+run manifests carry wall times, so they are not hashed.  ``--check FILE``
+compares this run's lines with those saved in FILE for the same runs and
+exits 1 if any file's hash differs, is missing or is new.  Usage::
 
     python3 tools/seeded_outputs.py                  # every run
     python3 tools/seeded_outputs.py linkbudget gap_sweep_gh
     python3 tools/seeded_outputs.py --out /tmp/seeded
+    python3 tools/seeded_outputs.py > before.txt     # then, after a change:
+    python3 tools/seeded_outputs.py --check before.txt
 """
 
 import argparse
@@ -80,19 +84,39 @@ def hash_runs(names, root):
                 yield f"{name}/{os.path.basename(path)}", _sha256(path)
 
 
+def _read_hashes(path) -> dict:
+    # "<run>/<file> <sha256>" lines, as this tool prints them
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.split() for line in fh if line.strip())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("runs", nargs="*", help=f"runs to hash (default all): {' '.join(RUNS)}")
     parser.add_argument("--out", default=None, help="keep the outputs in this new directory")
+    parser.add_argument(
+        "--check", metavar="FILE", default=None,
+        help="compare with the lines saved in FILE; exit 1 on any difference",
+    )
     args = parser.parse_args(argv)
     unknown = [name for name in args.runs if name not in RUNS]
     if unknown:
         parser.error(f"unknown runs: {' '.join(unknown)}")
+    names = args.runs or list(RUNS)
+    saved = _read_hashes(args.check) if args.check is not None else None
+    got = {}
     with tempfile.TemporaryDirectory(prefix="seeded-") as tmp:
         root = args.out if args.out is not None else os.path.join(tmp, "runs")
-        for name, digest in hash_runs(args.runs or list(RUNS), root):
+        for name, digest in hash_runs(names, root):
             print(name, digest, flush=True)
-    return 0
+            got[name] = digest
+    if saved is None:
+        return 0
+    want = {key: digest for key, digest in saved.items() if key.split("/")[0] in names}
+    differ = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+    for key in differ:
+        print(f"{key}: saved {want.get(key, '-')}, now {got.get(key, '-')}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
