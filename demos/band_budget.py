@@ -1,36 +1,36 @@
 #!/usr/bin/env python3
 """Per-wavelength budget across the amplification band, then rates.
 
-Builds the 92-channel band model with its noise-figure and launch-power
-tilts, converts each channel's total SNR into a demapper information
-rate via the shipped shaped constellation's AWGN curve, picks a code
-rate per channel, and totals the net throughput.
+Runs the ``linkbudget`` experiment mode (the 92-channel band with its
+noise-figure and launch-power tilts) over 90 spans at -2.9 dBm mean
+launch power, writing its table to a temporary directory.  Converts
+each channel's total SNR into a demapper information rate via the
+shipped shaped constellation's AWGN curve, picks a code rate per
+channel, and totals the net throughput.
 """
 
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 
-from shapelink import channel as ch
 from shapelink import constellation as cst
-from shapelink import fec, linkbudget
+from shapelink import experiments, fec
 
 SPANS = 90
 RATES = ["1/2", "3/5", "2/3", "3/4", "4/5", "5/6", "8/9", "9/10"]
 
-model = linkbudget.default_band_model()
-span = ch.hybrid_span()
-profile = linkbudget.band_snr_profile(model, SPANS, span)
+with tempfile.TemporaryDirectory() as out:
+    cfg = experiments.ExperimentConfig(
+        mode="linkbudget", output_dir=out, span_count=SPANS, launch_power_dbm=-2.9
+    )
+    budget = experiments.run_experiment(cfg).rows
 
 system = cst.load_builtin("system12")
 rates = [Fraction(r) for r in RATES]
 
 rows = []
-for (wl, ase), power in zip(profile, model.per_channel_power_dbm):
-    nli = linkbudget.gn_nli_estimate(
-        span, power, channel_count=92, spacing_hz=50e9, span_count=SPANS
-    )
-    total = linkbudget.combine_snr([ase, nli, 20.0])
+for wl, ase, nli, total in budget:
     gmi_4d = 2.0 * cst.gmi_estimate(system, total)
     rate, feasible = fec.select_rate(gmi_4d, rates)
     rows.append((wl, ase, nli, total, gmi_4d, rate, feasible))
@@ -41,7 +41,7 @@ for wl, ase, nli, total, gmi, rate, ok in rows[:: max(1, len(rows) // 12)]:
     print(f"{wl:9.2f} {ase:6.2f} {nli:6.2f} {total:6.2f} {gmi:7.3f} {str(rate):>5s}{flag}")
 
 info_bits = [float(r[5]) * 12.0 for r in rows if r[6]]
-per, total_tbps = fec.net_throughput(info_bits, 35e9)
+per, total_tbps = fec.net_throughput(info_bits, cfg.symbol_rate_hz)
 print(f"\n{len(info_bits)} of {len(rows)} channels feasible")
 print(f"net per channel: {min(per):.1f} .. {max(per):.1f} Gb/s")
 print(f"band total: {total_tbps:.3f} Tb/s over {SPANS} spans")

@@ -37,7 +37,7 @@ for power in POWERS_DBM:
     predicted = linkbudget.combine_snr([
         linkbudget.ase_snr(9, span.loss_db, 1.4, power, 35e9, 193.4e12),
         linkbudget.gn_nli_estimate(span, power, span_count=9),
-        cfg.transceiver_snr_db,
+        cfg.transmitter_snr_db,
     ])
     print(f"{power:8.1f} {predicted:8.2f} {row['snr_pre_dbp']:8.2f} "
           f"{row['snr_post_dbp']:8.2f} {row['gmi_pre']:8.4f} {row['gmi_post']:8.4f}")

@@ -145,10 +145,14 @@ class FiberSegment:
             raise ValueError("length must be positive and finite")
         if not 0 <= self.attenuation_db_km < math.inf:
             raise ValueError("attenuation must be >= 0 and finite")
-        if self.effective_area_um2 <= 0:
-            raise ValueError("effective area must be positive")
-        if self.nonlinear_index_n2 < 0:
-            raise ValueError("n2 must be >= 0")
+        if not math.isfinite(self.dispersion_ps_nm_km):
+            raise ValueError("dispersion must be finite")
+        if not 0 < self.effective_area_um2 < math.inf:
+            raise ValueError("effective area must be positive and finite")
+        if not 0 <= self.nonlinear_index_n2 < math.inf:
+            raise ValueError("n2 must be >= 0 and finite")
+        if not 0 < self.reference_wavelength_nm < math.inf:
+            raise ValueError("reference wavelength must be positive and finite")
 
     @property
     def loss_db(self) -> float:
@@ -204,7 +208,7 @@ class SpanSpec:
         return sum(seg.length_m for seg in self.segments)
 
 
-def hybrid_span(noise_figure_db: float = 1.4) -> SpanSpec:
+def hybrid_span() -> SpanSpec:
     """The 70 km two-fiber span used throughout: 40 km of large-area
     low-loss fiber (0.148 dB/km, 20.5 ps/nm/km, 149 um^2) plus 30 km of
     standard fiber (0.16 dB/km, 17 ps/nm/km, 81 um^2), total loss
@@ -213,8 +217,7 @@ def hybrid_span(noise_figure_db: float = 1.4) -> SpanSpec:
         segments=(
             FiberSegment(40e3, 0.148, 20.5, 149.0),
             FiberSegment(30e3, 0.16, 17.0, 81.0),
-        ),
-        amp_noise_figure_db=noise_figure_db,
+        )
     )
 
 

@@ -306,7 +306,8 @@ def rde_equalize(
     constellation's radius set, center-spike initialization, symmetric
     (centered) tap windows so the converged identity channel introduces
     no delay.  The input is first scaled to unit per-polarization power,
-    matching the unit-power constellation.  ``taps`` is the butterfly FIR
+    matching the unit-power constellation; an all-zero frame has none and
+    raises :class:`DegenerateInputError`.  ``taps`` is the butterfly FIR
     length per branch (positive and odd, for the center spike), ``step``
     the LMS step size (positive and finite) and ``passes`` the number of
     adaptation passes over the frame (at least 1); taps persist between
@@ -336,8 +337,11 @@ def rde_equalize(
     half = (k - 1) // 2
 
     a = np.array(frame.samples)
+    power = np.mean(np.abs(a) ** 2)
+    if power == 0.0:
+        raise DegenerateInputError("cannot equalize an all-zero frame")
     # unit average power per polarization (the radius set assumes it)
-    a *= math.sqrt(1.0 / np.mean(np.abs(a) ** 2))
+    a *= math.sqrt(1.0 / power)
 
     radii_sq = (np.asarray(c.radius_set()) ** 2).tolist()
     n_sym = a.shape[1] // 2
@@ -424,7 +428,7 @@ def frequency_offset_compensate(
         mag += np.abs(np.fft.fft(quad[p], nfft)) ** 2
     peak = int(np.argmax(mag))
     floor = np.median(mag)
-    if mag[peak] < 8.0 * floor:
+    if not mag[peak] > 8.0 * floor:
         raise EstimationFailure("no 4th-power spectral line above threshold")
     # parabolic refinement on the log-magnitude of the three bins at the peak
     trio = np.log(mag[[(peak - 1) % nfft, peak, (peak + 1) % nfft]])
@@ -486,8 +490,9 @@ def vv_cpe(frame: SymbolFrame, c: Constellation, block_length: int = 64) -> CpeR
     counts[:m] = mask.sum(axis=0)
     n_in_block = counts.reshape(n_blocks, b).sum(axis=1)
 
+    # blocks i-1..i+1 for each i: "same" mode would misalign two blocks
     kernel = np.ones(3)
-    z_sm = np.convolve(z.real, kernel, "same") + 1j * np.convolve(z.imag, kernel, "same")
+    z_sm = (np.convolve(z.real, kernel) + 1j * np.convolve(z.imag, kernel))[1:-1]
 
     theta = np.zeros(n_blocks)
     empty = 0

@@ -77,7 +77,10 @@ class ExperimentConfig:
     Each field is read from the INI section its declaration names, under
     its own name unless a ``key`` is given; the field's type sets how the
     value is parsed (a ``tuple`` is a whitespace-separated list).
-    ``transmitter_snr_db`` may be infinite to disable transmitter noise;
+    ``transmitter_snr_db`` is the back-to-back transceiver SNR: the noise
+    added to the transmitted symbols in ``fiber_e2e`` and the flat
+    transceiver term of the ``linkbudget`` rows; it may be infinite to
+    disable transceiver noise in both;
     ``linewidth_hz`` 0 disables laser phase noise (and with it the
     carrier-phase stage of the fiber receiver).  ``max_step_m`` None sizes
     the split steps by nonlinear phase; a length forces uniform steps of
@@ -116,7 +119,6 @@ class ExperimentConfig:
     signal_tilt_db: float = _ini("band", -2.0)
     band_start_nm: float = _ini("band", 1525.0, key="start_nm")
     band_stop_nm: float = _ini("band", 1616.0, key="stop_nm")
-    transceiver_snr_db: float = _ini("band", 20.0)
     shape_iterations: int = _ini("shape", 300, key="iterations")
     papr_weight: float = _ini("shape", 0.0)
     add_markers: bool = _ini("shape", False)
@@ -580,31 +582,20 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
 
 
 def _run_linkbudget(cfg: ExperimentConfig):
-    model = linkbudget.default_band_model(
+    rows = linkbudget.band_budget(
+        ch.hybrid_span(),
+        cfg.span_count,
         channels=cfg.band_channels,
-        mean_nf_db=cfg.mean_nf_db,
-        nf_tilt_db=cfg.nf_tilt_db,
-        signal_tilt_db=cfg.signal_tilt_db,
-        mean_power_dbm=cfg.launch_power_dbm,
         start_nm=cfg.band_start_nm,
         stop_nm=cfg.band_stop_nm,
+        mean_nf_db=cfg.mean_nf_db,
+        nf_tilt_db=cfg.nf_tilt_db,
+        mean_power_dbm=cfg.launch_power_dbm,
+        signal_tilt_db=cfg.signal_tilt_db,
+        spacing_hz=cfg.channel_spacing_hz,
+        symbol_rate_hz=cfg.symbol_rate_hz,
+        transceiver_snr_db=cfg.transmitter_snr_db,
     )
-    span = ch.hybrid_span(noise_figure_db=cfg.mean_nf_db)
-    profile = linkbudget.band_snr_profile(
-        model, cfg.span_count, span, bandwidth_hz=cfg.symbol_rate_hz
-    )
-    rows = []
-    for (wl, ase), power in zip(profile, model.per_channel_power_dbm):
-        nli = linkbudget.gn_nli_estimate(
-            span,
-            power,
-            channel_count=cfg.band_channels,
-            spacing_hz=cfg.channel_spacing_hz,
-            symbol_rate_hz=cfg.symbol_rate_hz,
-            span_count=cfg.span_count,
-        )
-        total = linkbudget.combine_snr([ase, nli, cfg.transceiver_snr_db])
-        rows.append((wl, ase, nli, total))
     columns = ("wavelength", "ase_snr", "nli_snr", "total_snr")
     return columns, rows, []
 

@@ -1,11 +1,12 @@
 """Waveform-free SNR prediction for amplified multi-span links.
 
 Three noise contributions are modeled separately and combined by
-reciprocal addition: accumulated amplifier noise (:func:`ase_snr`), a
-closed-form nonlinear-interference estimate (:func:`gn_nli_estimate`),
-and a flat transceiver figure.  :class:`BandModel` sweeps the first
-across a wavelength grid with linear-in-dB tilts on noise figure and
-launch power.
+reciprocal addition (:func:`combine_snr`): accumulated amplifier noise
+(:func:`ase_snr`), a closed-form nonlinear-interference estimate
+(:func:`gn_nli_estimate`), and a flat transceiver figure.
+:func:`band_budget` evaluates all three for every channel of a
+wavelength grid with linear-in-dB tilts on noise figure and launch
+power; it is the whole of the ``linkbudget`` experiment mode.
 
 Everything here is arithmetic on link parameters; the split-step
 simulator in :mod:`shapelink.channel` is the ground truth this module
@@ -17,7 +18,6 @@ acceptance tests.  The speed of light and Planck's constant come from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,10 @@ from .errors import ModelDomainError
 
 __all__ = [
     "SNR_CAP_DB",
-    "BandModel",
     "ase_snr",
     "combine_snr",
     "gn_nli_estimate",
-    "band_snr_profile",
-    "default_band_model",
+    "band_budget",
 ]
 
 # headroom cap: predictions above this are reported as "noise-free"
@@ -62,7 +60,7 @@ def ase_snr(
     """
     if span_count < 1:
         raise ValueError("span_count must be at least 1")
-    if bandwidth_hz <= 0 or frequency_hz <= 0:
+    if not (bandwidth_hz > 0 and frequency_hz > 0):
         raise ValueError("bandwidth and frequency must be positive")
     if not all(map(math.isfinite, (span_loss_db, nf_db, power_dbm))):
         raise ValueError("span loss, noise figure and power must be finite")
@@ -118,7 +116,7 @@ def gn_nli_estimate(
     """
     if channel_count < 1 or span_count < 1:
         raise ValueError("channel_count and span_count must be at least 1")
-    if symbol_rate_hz <= 0 or spacing_hz <= 0:
+    if not (symbol_rate_hz > 0 and spacing_hz > 0):
         raise ValueError("symbol_rate and spacing must be positive")
     if not math.isfinite(per_channel_power_dbm):
         raise ValueError("per-channel power must be finite")
@@ -155,86 +153,57 @@ def gn_nli_estimate(
 
 
 # ---------------------------------------------------------------------------
-# band sweep
+# band budget
 
 
-@dataclass(frozen=True)
-class BandModel:
-    """Per-wavelength launch and amplifier-noise description.
+def band_budget(
+    span: SpanSpec,
+    span_count: int,
+    *,
+    channels: int,
+    start_nm: float,
+    stop_nm: float,
+    mean_nf_db: float,
+    nf_tilt_db: float,
+    mean_power_dbm: float,
+    signal_tilt_db: float,
+    spacing_hz: float,
+    symbol_rate_hz: float,
+    transceiver_snr_db: float,
+) -> list:
+    """Per-channel SNR across a tilted band: list of
+    ``(wavelength_nm, ase_snr, nli_snr, total_snr)`` rows, dB.
 
-    ``wavelength_grid`` in nm, ascending; ``nf_curve`` is the effective
-    noise figure at each wavelength in dB; ``per_channel_power_dbm``
-    the launch power at each wavelength.
+    ``channels`` wavelengths run evenly from ``start_nm`` to ``stop_nm``;
+    noise figure and launch power are linear in dB across them, with
+    means ``mean_nf_db`` and ``mean_power_dbm`` and end-to-end changes
+    ``nf_tilt_db`` and ``signal_tilt_db`` toward longer wavelengths.  ASE
+    is :func:`ase_snr` in ``symbol_rate_hz`` at the band-center photon
+    energy, so a flat band gives every row the same value; NLI is
+    :func:`gn_nli_estimate` over all ``channels``; the total adds
+    ``transceiver_snr_db`` (+inf for none) by :func:`combine_snr`.
     """
-
-    wavelength_grid: tuple
-    nf_curve: tuple
-    per_channel_power_dbm: tuple
-
-    def __post_init__(self):
-        grid = tuple(float(w) for w in self.wavelength_grid)
-        nf = tuple(float(v) for v in self.nf_curve)
-        power = tuple(float(p) for p in self.per_channel_power_dbm)
-        if len(grid) < 1:
-            raise ValueError("wavelength grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("wavelength grid must be strictly ascending")
-        if len(nf) != len(grid) or len(power) != len(grid):
-            raise ValueError("curve lengths must match the wavelength grid")
-        object.__setattr__(self, "wavelength_grid", grid)
-        object.__setattr__(self, "nf_curve", nf)
-        object.__setattr__(self, "per_channel_power_dbm", power)
-
-    @property
-    def channel_count(self) -> int:
-        return len(self.wavelength_grid)
-
-
-def default_band_model(
-    channels: int = 92,
-    mean_nf_db: float = 1.4,
-    nf_tilt_db: float = -5.7,
-    signal_tilt_db: float = -2.0,
-    mean_power_dbm: float = -2.9,
-    start_nm: float = 1525.0,
-    stop_nm: float = 1616.0,
-) -> BandModel:
-    """Linear-in-dB tilted band: noise figure averages ``mean_nf_db``
-    with ``nf_tilt_db`` end-to-end change toward longer wavelengths
-    (negative = quieter amplification at the red edge), launch power
-    likewise around ``mean_power_dbm``."""
     if channels < 1:
         raise ValueError("channels must be at least 1")
-    grid = np.linspace(start_nm, stop_nm, channels)
+    if not (math.isfinite(start_nm) and math.isfinite(stop_nm)):
+        raise ValueError("band edges must be finite")
+    if channels > 1 and not stop_nm > start_nm:
+        raise ValueError("stop_nm must exceed start_nm")
+    grid = np.linspace(start_nm, stop_nm, channels).tolist()
     x = np.linspace(-0.5, 0.5, channels) if channels > 1 else np.zeros(1)
-    return BandModel(
-        wavelength_grid=tuple(grid),
-        nf_curve=tuple(mean_nf_db + nf_tilt_db * x),
-        per_channel_power_dbm=tuple(mean_power_dbm + signal_tilt_db * x),
-    )
-
-
-def band_snr_profile(
-    model: BandModel,
-    span_count: int,
-    span: SpanSpec,
-    bandwidth_hz: float = 35e9,
-) -> list:
-    """Amplifier-noise-limited SNR at each wavelength: list of
-    ``(wavelength_nm, snr_db)``.
-
-    The photon energy is evaluated once at the band-center wavelength,
-    so a model with flat curves produces an exactly flat profile equal
-    to the scalar :func:`ase_snr` broadcast across the grid.
-    """
-    center_nm = 0.5 * (model.wavelength_grid[0] + model.wavelength_grid[-1])
-    nu_ref = _C0 / (center_nm * 1e-9)
-    return [
-        (
-            wl,
-            ase_snr(span_count, span.loss_db, nf, p, bandwidth_hz, nu_ref),
+    nf_curve = (mean_nf_db + nf_tilt_db * x).tolist()
+    power_curve = (mean_power_dbm + signal_tilt_db * x).tolist()
+    nu_ref = _C0 / (0.5 * (grid[0] + grid[-1]) * 1e-9)
+    rows = []
+    for wl, nf, power in zip(grid, nf_curve, power_curve):
+        ase = ase_snr(span_count, span.loss_db, nf, power, symbol_rate_hz, nu_ref)
+        nli = gn_nli_estimate(
+            span,
+            power,
+            channel_count=channels,
+            spacing_hz=spacing_hz,
+            symbol_rate_hz=symbol_rate_hz,
+            span_count=span_count,
         )
-        for wl, nf, p in zip(
-            model.wavelength_grid, model.nf_curve, model.per_channel_power_dbm
-        )
-    ]
+        rows.append((wl, ase, nli, combine_snr([ase, nli, transceiver_snr_db])))
+    return rows

@@ -10,6 +10,7 @@ the quadrature GMI estimator for demapper quality).
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,19 @@ def test_foc_failure_on_noise(square):
         dsp.frequency_offset_compensate(dsp.SymbolFrame(symbols=noise), square)
 
 
+def test_silent_frame_fails_loudly(square):
+    frame, _ = dsp.random_symbols(square, 512, seed=5)
+    silent = frame.with_symbols(np.zeros_like(frame.symbols))
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    silent_wf = wf.with_samples(np.zeros_like(wf.samples))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationFailure):
+            dsp.frequency_offset_compensate(silent, square)
+        with pytest.raises(DegenerateInputError):
+            dsp.rde_equalize(silent_wf, square)
+
+
 def test_foc_works_on_shaped_constellation(system12):
     m = 20000
     frame, _ = dsp.random_symbols(system12, m, seed=4)
@@ -527,6 +541,18 @@ def test_cpe_empty_block_inherits(system12):
     sym[:, thr_block] = sym[:, thr_block] * scale
     res = dsp.vv_cpe(dsp.SymbolFrame(symbols=sym), system12)
     assert res.empty_blocks == 1
+
+
+def test_cpe_window_covers_both_blocks_of_a_two_block_frame(square):
+    # a 3-block window over two blocks sums both of them for each block
+    frame, _ = dsp.random_symbols(square, 128, seed=14)
+    s = frame.symbols * np.exp(1j * np.repeat([0.05, 0.15], 64))[None, :]
+    res = dsp.vv_cpe(frame.with_symbols(s), square, block_length=64)
+    window = (s[:, :64] ** 4).sum() + (s[:, 64:] ** 4).sum()
+    psi = np.angle((square.points**4).sum())
+    raw = (np.angle(window) - psi) / 4.0
+    want = (raw + np.pi / 4.0) % (np.pi / 2.0) - np.pi / 4.0
+    np.testing.assert_allclose(res.phase_track, np.full(128, want), rtol=0, atol=1e-12)
 
 
 def test_cpe_falls_back_without_markers(square):

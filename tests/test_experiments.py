@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import shapelink
 from shapelink import channel as ch
-from shapelink import cli, constellation as cst, dsp, experiments as ex, fec
+from shapelink import cli, constellation as cst, dsp, experiments as ex, fec, linkbudget
 from shapelink.errors import ConfigurationError
 
 
@@ -122,6 +122,9 @@ def test_removed_equalizer_keys_are_unknown(tmp_path, capsys):
     assert ex.parse_config(path)[1] == ["dsp.equalizer_taps: unknown key"]
     assert cli.main(["validate", "--config", path]) == 1
     assert "dsp.equalizer_taps: unknown key" in capsys.readouterr().out
+    # the band's transceiver SNR is [channel] transmitter_snr_db
+    path = _write(tmp_path, "[band]\ntransceiver_snr_db = 20\n")
+    assert ex.parse_config(path)[1] == ["band.transceiver_snr_db: unknown key"]
 
 
 def test_schema_keys_and_config_fields_correspond():
@@ -691,6 +694,19 @@ def test_linkbudget_mode_profile(tmp_path):
     assert wl == sorted(wl)
     for _, ase, nli, total in rep.rows:
         assert total <= min(ase, nli, 20.0) + 1e-9
+
+
+def test_linkbudget_infinite_transmitter_snr_drops_the_transceiver_term(tmp_path):
+    cfg = ex.ExperimentConfig(
+        mode="linkbudget",
+        output_dir=str(tmp_path),
+        band_channels=5,
+        transmitter_snr_db=math.inf,
+    )
+    rows = ex.run_experiment(cfg).rows
+    assert len(rows) == 5
+    for _, ase, nli, total in rows:
+        assert total == linkbudget.combine_snr([ase, nli])
 
 
 # ---------------------------------------------------------------------------

@@ -151,19 +151,43 @@ def test_gn_validation():
 
 
 # ---------------------------------------------------------------------------
-# band model
+# band budget
+
+
+def _band(span_count=90, **overrides):
+    # the 92-channel band at -2.9 dBm mean launch power
+    kwargs = dict(
+        channels=92,
+        start_nm=1525.0,
+        stop_nm=1616.0,
+        mean_nf_db=1.4,
+        nf_tilt_db=-5.7,
+        mean_power_dbm=-2.9,
+        signal_tilt_db=-2.0,
+        spacing_hz=50e9,
+        symbol_rate_hz=35e9,
+        transceiver_snr_db=20.0,
+    )
+    return lb.band_budget(hybrid_span(), span_count, **{**kwargs, **overrides})
 
 
 def test_band_model_validation():
     with pytest.raises(ValueError):
-        lb.BandModel((1550.0, 1540.0), (1.4, 1.4), (0.0, 0.0))
+        _band(channels=0)
     with pytest.raises(ValueError):
-        lb.BandModel((1540.0, 1550.0), (1.4,), (0.0, 0.0))
+        _band(start_nm=1550.0, stop_nm=1540.0)
     with pytest.raises(ValueError):
-        lb.BandModel((), (), ())
+        _band(start_nm=1550.0, stop_nm=1550.0)
+    # one channel sits at start_nm and needs no ordered edges
+    assert [r[0] for r in _band(channels=1, start_nm=1550.0, stop_nm=1550.0)] == [1550.0]
 
 
 _NAN = math.nan
+
+
+def _segment(**overrides):
+    kwargs = dict(length_m=50e3, attenuation_db_km=0.2, dispersion_ps_nm_km=17.0, effective_area_um2=80.0)
+    return SpanSpec(segments=(FiberSegment(**{**kwargs, **overrides}),))
 
 
 @pytest.mark.parametrize(
@@ -173,22 +197,40 @@ _NAN = math.nan
         lambda: lb.ase_snr(90, 10.72, 1.4, _NAN, 35e9, 193.4e12),
         lambda: lb.ase_snr(90, 10.72, _NAN, -2.9, 35e9, 193.4e12),
         lambda: lb.ase_snr(90, _NAN, 1.4, -2.9, 35e9, 193.4e12),
+        lambda: lb.ase_snr(90, 10.72, 1.4, -2.9, _NAN, 193.4e12),
+        lambda: lb.ase_snr(90, 10.72, 1.4, -2.9, 35e9, _NAN),
         lambda: lb.gn_nli_estimate(hybrid_span(), math.inf),
         lambda: lb.gn_nli_estimate(hybrid_span(), _NAN),
-        lambda: lb.gn_nli_estimate(SpanSpec(segments=(FiberSegment(50e3, _NAN, 17.0, 80.0),)), 0.0),
-        lambda: lb.band_snr_profile(
-            lb.BandModel((1540.0, 1550.0), (1.4, _NAN), (0.0, 0.0)), 90, hybrid_span()
-        ),
+        lambda: lb.gn_nli_estimate(hybrid_span(), 0.0, channel_count=5, spacing_hz=_NAN),
+        lambda: lb.gn_nli_estimate(hybrid_span(), 0.0, symbol_rate_hz=_NAN),
+        lambda: lb.gn_nli_estimate(_segment(attenuation_db_km=_NAN), 0.0),
+        lambda: lb.gn_nli_estimate(_segment(dispersion_ps_nm_km=_NAN), 0.0),
+        lambda: lb.gn_nli_estimate(_segment(effective_area_um2=_NAN), 0.0),
+        lambda: lb.gn_nli_estimate(_segment(nonlinear_index_n2=_NAN), 0.0),
+        lambda: lb.gn_nli_estimate(_segment(reference_wavelength_nm=_NAN), 0.0),
+        lambda: _band(mean_nf_db=_NAN),
+        lambda: _band(start_nm=_NAN),
+        lambda: _band(channels=1, start_nm=_NAN),
     ],
     ids=[
         "combine_nan",
         "ase_power_nan",
         "ase_nf_nan",
         "ase_loss_nan",
+        "ase_bandwidth_nan",
+        "ase_frequency_nan",
         "gn_power_inf",
         "gn_power_nan",
+        "gn_spacing_nan",
+        "gn_symbol_rate_nan",
         "gn_segment_loss_nan",
+        "gn_segment_dispersion_nan",
+        "gn_segment_area_nan",
+        "gn_segment_n2_nan",
+        "gn_segment_wavelength_nan",
         "band_nf_nan",
+        "band_start_nan",
+        "band_single_channel_start_nan",
     ],
 )
 def test_non_finite_inputs_rejected(call):
@@ -198,36 +240,50 @@ def test_non_finite_inputs_rejected(call):
 
 
 def test_default_band_model_tilt_anchors():
-    model = lb.default_band_model(channels=92)
-    nf = np.array(model.nf_curve)
-    power = np.array(model.per_channel_power_dbm)
-    assert model.channel_count == 92
-    assert model.wavelength_grid[0] == 1525.0
-    assert model.wavelength_grid[-1] == 1616.0
-    assert nf.mean() == pytest.approx(1.4, abs=1e-12)
-    assert nf[-1] - nf[0] == pytest.approx(-5.7, abs=1e-12)
-    assert power.mean() == pytest.approx(-2.9, abs=1e-12)
-    assert power[-1] - power[0] == pytest.approx(-2.0, abs=1e-12)
+    rows = _band()
+    ase = np.array([r[1] for r in rows])
+    assert len(rows) == 92
+    assert rows[0][0] == 1525.0
+    assert rows[-1][0] == 1616.0
+    # ASE follows power minus noise figure: the launch tilt (-2.0 dB) less
+    # the noise-figure tilt (-5.7 dB) end to end, the means at the center
+    assert ase[-1] - ase[0] == pytest.approx(-2.0 - (-5.7), abs=1e-9)
+    center = lb.ase_snr(90, hybrid_span().loss_db, 1.4, -2.9, 35e9, C0 / (1570.5e-9))
+    assert ase.mean() == pytest.approx(center, abs=1e-9)
 
 
 def test_band_profile_rises_toward_long_wavelengths():
     # the noise-figure tilt (-5.7 dB) outweighs the launch tilt (-2 dB)
-    profile = lb.band_snr_profile(lb.default_band_model(channels=16), 90, hybrid_span())
-    snrs = [s for _, s in profile]
+    snrs = [r[1] for r in _band(channels=16)]
     assert all(b > a for a, b in zip(snrs, snrs[1:]))
     assert snrs[-1] > snrs[0] + 3.0
 
 
 def test_band_profile_flat_model_reduces_to_scalar():
-    model = lb.default_band_model(channels=5, nf_tilt_db=0.0, signal_tilt_db=0.0)
-    span = hybrid_span()
-    profile = lb.band_snr_profile(model, 90, span)
-    center = 0.5 * (model.wavelength_grid[0] + model.wavelength_grid[-1])
-    scalar = lb.ase_snr(90, span.loss_db, 1.4, -2.9, 35e9, C0 / (center * 1e-9))
-    assert all(s == scalar for _, s in profile)
+    rows = _band(channels=5, nf_tilt_db=0.0, signal_tilt_db=0.0)
+    center = 0.5 * (rows[0][0] + rows[-1][0])
+    scalar = lb.ase_snr(90, hybrid_span().loss_db, 1.4, -2.9, 35e9, C0 / (center * 1e-9))
+    assert all(r[1] == scalar for r in rows)
 
 
 def test_band_profile_wavelengths_echo_grid():
-    model = lb.default_band_model(channels=7)
-    profile = lb.band_snr_profile(model, 9, hybrid_span())
-    assert [w for w, _ in profile] == list(model.wavelength_grid)
+    rows = _band(span_count=9, channels=7)
+    assert [r[0] for r in rows] == np.linspace(1525.0, 1616.0, 7).tolist()
+
+
+def test_band_nli_column_is_the_estimate_over_all_channels():
+    span = hybrid_span()
+    rows = _band(channels=11)
+    powers = -2.9 - 2.0 * np.linspace(-0.5, 0.5, 11)
+    for (_, _, nli, _), power in zip(rows, powers.tolist()):
+        assert nli == lb.gn_nli_estimate(
+            span, power, channel_count=11, spacing_hz=50e9, symbol_rate_hz=35e9, span_count=90
+        )
+
+
+def test_band_total_adds_the_transceiver_term():
+    for (_, ase, nli, total), (_, _, _, clean) in zip(
+        _band(channels=5), _band(channels=5, transceiver_snr_db=math.inf)
+    ):
+        assert total == lb.combine_snr([ase, nli, 20.0])
+        assert clean == lb.combine_snr([ase, nli])
