@@ -56,6 +56,7 @@ __all__ = [
     "vv_cpe",
     "dbp",
     "llr_demap",
+    "align",
     "snr_estimate",
     "evm_db",
 ]
@@ -464,11 +465,14 @@ def vv_cpe(frame: SymbolFrame, c: Constellation, block_length: int = 64) -> CpeR
     constellation constant.  The pi/2 ambiguity is resolved by block-to-
     block continuity; the first block lands on the branch nearest zero.
     Blocks with no classified symbol inherit the previous estimate and
-    are counted in ``empty_blocks``.
+    are counted in ``empty_blocks``.  An all-zero frame has no phase to
+    track and raises :class:`DegenerateInputError`.
     """
     if not block_length >= 1:
         raise ValueError("block_length must be at least 1")
     s = frame.symbols
+    if not s.any():
+        raise DegenerateInputError("cannot track the phase of an all-zero frame")
     m = s.shape[1]
     b = block_length
     n_blocks = (m + b - 1) // b
@@ -634,29 +638,26 @@ def evm_db(frame, reference) -> float:
     return float(10.0 * math.log10(p_err / p_ref))
 
 
-#: normalized correlation below which snr_estimate calls frames misaligned
-_SNR_MIN_CORRELATION = 0.2
+#: normalized correlation below which align calls frames misaligned
+_MIN_CORRELATION = 0.2
 
 
-def snr_estimate(frame: SymbolFrame, reference: SymbolFrame) -> float:
-    """Data-aided SNR in dB against an aligned reference frame.
-
-    A per-polarization complex gain is fitted first (so the measure is
-    invariant to common scaling and phase), then
-    SNR = power(reference) / power(frame - reference), capped at 60 dB.
+def align(frame: SymbolFrame, reference: SymbolFrame) -> SymbolFrame:
+    """Remove each polarization's complex gain, fitted by least squares
+    against the reference (data-aided alignment, not blind DSP).
 
     Raises
     ------
     AlignmentError
-        If shapes differ or the normalized correlation falls below 0.2
-        (frames not sample-aligned).
+        If shapes differ, a polarization of either frame is all zero, or
+        the normalized correlation falls below 0.2 (frames not
+        sample-aligned).
     """
-    a = _fields(frame)
-    r = _fields(reference)
+    a = frame.symbols
+    r = reference.symbols
     if a.shape != r.shape:
         raise AlignmentError("frames must have identical shapes")
-    p_ref = 0.0
-    p_err = 0.0
+    out = np.empty_like(a)
     for p in range(a.shape[0]):
         cross = np.vdot(r[p], a[p])
         pr = np.vdot(r[p], r[p]).real
@@ -664,13 +665,27 @@ def snr_estimate(frame: SymbolFrame, reference: SymbolFrame) -> float:
         if pr == 0.0 or pa == 0.0:
             raise AlignmentError("cannot align an all-zero polarization")
         rho = abs(cross) / math.sqrt(pr * pa)
-        if rho < _SNR_MIN_CORRELATION:
-            raise AlignmentError(
-                f"correlation {rho:.3f} below threshold {_SNR_MIN_CORRELATION}"
-            )
-        alpha = cross / pr
-        p_ref += pr
-        p_err += float(np.sum(np.abs(a[p] / alpha - r[p]) ** 2))
+        if rho < _MIN_CORRELATION:
+            raise AlignmentError(f"correlation {rho:.3f} below threshold {_MIN_CORRELATION}")
+        out[p] = a[p] / (cross / pr)
+    return frame.with_symbols(out)
+
+
+def snr_estimate(frame: SymbolFrame, reference: SymbolFrame) -> float:
+    """Data-aided SNR in dB against a sample-aligned reference frame.
+
+    The frame is first passed through :func:`align` (so the measure is
+    invariant to each polarization's scaling and phase, and raises its
+    :class:`AlignmentError`), then
+    SNR = power(reference) / power(aligned - reference), capped at 60 dB.
+    """
+    a = align(frame, reference).symbols
+    r = reference.symbols
+    p_ref = 0.0
+    p_err = 0.0
+    for p in range(a.shape[0]):
+        p_ref += np.vdot(r[p], r[p]).real
+        p_err += float(np.sum(np.abs(a[p] - r[p]) ** 2))
     if p_err <= p_ref * 1e-6:
         return 60.0
     return min(60.0, float(10.0 * math.log10(p_ref / p_err)))

@@ -153,23 +153,6 @@ _INI_KEYS = {
 _SECTIONS = {section for section, _ in _INI_KEYS}
 
 
-def _coerce(raw: str, kind):
-    if kind is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if kind is float:
-        return float(raw)  # accepts "inf"
-    if kind is int:
-        return int(raw, 10)
-    if kind is tuple:
-        return tuple(raw.split())
-    return raw.strip()
-
-
 def parse_config(path) -> tuple:
     """Read an INI experiment config.
 
@@ -199,6 +182,8 @@ def parse_config(path) -> tuple:
         where = f"line {line}: " if line else ""
         return None, [f"config: {where}{exc.message.splitlines()[0]}"]
 
+    # typed reads, by parse kind (a float accepts "inf")
+    typed = {bool: parser.getboolean, int: parser.getint, float: parser.getfloat}
     values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -210,7 +195,10 @@ def parse_config(path) -> tuple:
                 continue
             field_name, kind = _INI_KEYS[section, key]
             try:
-                values[field_name] = _coerce(raw, kind)
+                if kind in typed:
+                    values[field_name] = typed[kind](section, key)
+                else:
+                    values[field_name] = tuple(raw.split()) if kind is tuple else raw
             except ValueError:
                 diags.append(
                     f"{section}.{key}: expected {kind.__name__}, got {raw!r}"
@@ -344,18 +332,6 @@ def _gmi_kwargs(cfg: ExperimentConfig) -> dict:
     return {"estimator": "gauss_hermite"}
 
 
-def _aligned(rx: dsp.SymbolFrame, ref: dsp.SymbolFrame) -> dsp.SymbolFrame:
-    """Remove per-polarization complex gain by least squares against the
-    transmitted symbols (experiment-report alignment, not blind DSP)."""
-    out = np.array(rx.symbols)
-    for p in range(out.shape[0]):
-        a = np.vdot(ref.symbols[p], out[p]) / np.vdot(ref.symbols[p], ref.symbols[p])
-        if a == 0:
-            raise ConfigurationError("received polarization is orthogonal to the reference")
-        out[p] /= a
-    return rx.with_symbols(out)
-
-
 # ---------------------------------------------------------------------------
 # modes
 
@@ -379,27 +355,17 @@ def _run_shape(cfg: ExperimentConfig, out_dir: str):
     gmi0 = cst.gmi_estimate(initial, cfg.design_snr_db)
     gmi1 = cst.gmi_estimate(shaped, cfg.design_snr_db)
     papr_i, papr_q = cst.papr(shaped)
-    columns = (
-        "design_snr_db",
-        "gmi_initial_2d",
-        "gmi_shaped_2d",
-        "gap_shaped_4d",
-        "papr_i",
-        "papr_q",
-        "iterations",
-        "converged",
-    )
-    rows = [(
-        cfg.design_snr_db,
-        gmi0,
-        gmi1,
-        cst.gap_from_gmi(gmi1, cfg.design_snr_db),
-        papr_i,
-        papr_q,
-        result.iterations,
-        result.converged,
-    )]
-    return columns, rows, [shaped_path]
+    row = {
+        "design_snr_db": cfg.design_snr_db,
+        "gmi_initial_2d": gmi0,
+        "gmi_shaped_2d": gmi1,
+        "gap_shaped_4d": cst.gap_from_gmi(gmi1, cfg.design_snr_db),
+        "papr_i": papr_i,
+        "papr_q": papr_q,
+        "iterations": result.iterations,
+        "converged": result.converged,
+    }
+    return [row], [shaped_path]
 
 
 _SWEEP_BUILTINS = (
@@ -412,22 +378,18 @@ _SWEEP_BUILTINS = (
 
 def _run_gap_sweep(cfg: ExperimentConfig, workers: int = 1):
     snrs = _sweep_points(cfg)
-    if snrs.size == 0:
-        raise ConfigurationError("sweep range is empty")
     designs = [(col, cst.load_builtin(name)) for col, name in _SWEEP_BUILTINS]
     kwargs = _gmi_kwargs(cfg)
 
     def one(snr: float):
-        return tuple(cst.gap_to_capacity(c, float(snr), **kwargs) for _, c in designs)
+        row = {"snr_db": float(snr)}
+        row.update((col, cst.gap_to_capacity(c, float(snr), **kwargs)) for col, c in designs)
+        return row
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = list(pool.map(one, snrs))
-    else:
-        gaps = [one(s) for s in snrs]
-    columns = ("snr_db",) + tuple(col for col, _ in designs)
-    rows = [(float(s),) + g for s, g in zip(snrs, gaps)]
-    return columns, rows, []
+            return list(pool.map(one, snrs)), []
+    return [one(s) for s in snrs], []
 
 
 def _coded_ber(enc, llr_magnitudes, rng) -> float:
@@ -455,8 +417,6 @@ def _coded_ber(enc, llr_magnitudes, rng) -> float:
 def _run_awgn_e2e(cfg: ExperimentConfig):
     c = _load_constellation(cfg)
     snrs = _sweep_points(cfg)
-    if snrs.size == 0:
-        raise ConfigurationError("sweep range is empty")
     rates = [Fraction(r) for r in cfg.fec_rates]
     m = c.bit_matrix.shape[1]
     enc = fec.systematic_encoder(fec.load_alist(cfg.fec_matrix)) if cfg.fec_matrix else None
@@ -484,32 +444,18 @@ def _run_awgn_e2e(cfg: ExperimentConfig):
         else:
             ber_post = 0.0 if feasible else float("nan")
         gate = fec.post_fec_gate(ber_post, cfg.ber_threshold) if math.isfinite(ber_post) else False
-        gap_4d = cst.gap_from_gmi(gmi_2d, float(snr_db))
-        rows.append(
-            (
-                float(snr_db),
-                gmi_2d,
-                gap_4d,
-                ber_pre,
-                str(rate),
-                feasible,
-                net[0],
-                gate,
-                ber_post,
-            )
-        )
-    columns = (
-        "snr_db",
-        "gmi_2d",
-        "gap_4d",
-        "ber_pre_fec",
-        "code_rate",
-        "rate_feasible",
-        "net_gbps",
-        "gate_pass",
-        "ber_post_fec",
-    )
-    return columns, rows, []
+        rows.append({
+            "snr_db": float(snr_db),
+            "gmi_2d": gmi_2d,
+            "gap_4d": cst.gap_from_gmi(gmi_2d, float(snr_db)),
+            "ber_pre_fec": ber_pre,
+            "code_rate": str(rate),
+            "rate_feasible": feasible,
+            "net_gbps": net[0],
+            "gate_pass": gate,
+            "ber_post_fec": ber_post,
+        })
+    return rows, []
 
 
 def _receiver_chain(comp, c, cfg):
@@ -522,9 +468,8 @@ def _receiver_chain(comp, c, cfg):
 
 
 def _symbol_metrics(sym, ref, c, tx_bits):
-    aligned = _aligned(sym, ref)
-    snr_db = dsp.snr_estimate(aligned, ref)
-    llr_frame = dsp.llr_demap(aligned, c)
+    snr_db = dsp.snr_estimate(sym, ref)
+    llr_frame = dsp.llr_demap(dsp.align(sym, ref), c)
     m = llr_frame.llrs.shape[2]
     llrs = llr_frame.llrs.reshape(-1, m)
     bits = tx_bits.reshape(-1, m)
@@ -567,18 +512,15 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
     snr_pre, gmi_pre, _ = _symbol_metrics(sym_cdc, ref, c, tx_bits)
     snr_post, gmi_post, ber_pre = _symbol_metrics(sym_dbp, ref, c, tx_bits)
     gate = fec.post_fec_gate(ber_pre, cfg.ber_threshold)
-    ber_post = 0.0 if gate else ber_pre
-
-    columns = (
-        "snr_pre_dbp",
-        "snr_post_dbp",
-        "gmi_pre",
-        "gmi_post",
-        "ber_pre_fec",
-        "ber_post_fec",
-    )
-    rows = [(snr_pre, snr_post, gmi_pre, gmi_post, ber_pre, ber_post)]
-    return columns, rows, []
+    row = {
+        "snr_pre_dbp": snr_pre,
+        "snr_post_dbp": snr_post,
+        "gmi_pre": gmi_pre,
+        "gmi_post": gmi_post,
+        "ber_pre_fec": ber_pre,
+        "ber_post_fec": 0.0 if gate else ber_pre,
+    }
+    return [row], []
 
 
 def _run_linkbudget(cfg: ExperimentConfig):
@@ -597,7 +539,7 @@ def _run_linkbudget(cfg: ExperimentConfig):
         transceiver_snr_db=cfg.transmitter_snr_db,
     )
     columns = ("wavelength", "ase_snr", "nli_snr", "total_snr")
-    return columns, rows, []
+    return [dict(zip(columns, r)) for r in rows], []
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +584,18 @@ def run_experiment(
     status, error = "ok", None
     try:
         if cfg.mode == "shape":
-            columns, rows, extra = _run_shape(cfg, out)
+            records, extra = _run_shape(cfg, out)
         elif cfg.mode == "gap_sweep":
-            columns, rows, extra = _run_gap_sweep(cfg, workers=workers)
+            records, extra = _run_gap_sweep(cfg, workers=workers)
         elif cfg.mode == "awgn_e2e":
-            columns, rows, extra = _run_awgn_e2e(cfg)
+            records, extra = _run_awgn_e2e(cfg)
         elif cfg.mode == "fiber_e2e":
-            columns, rows, extra = _run_fiber_e2e(cfg)
+            records, extra = _run_fiber_e2e(cfg)
         else:
-            columns, rows, extra = _run_linkbudget(cfg)
+            records, extra = _run_linkbudget(cfg)
+        # every row of a mode has the same keys, in column order
+        columns = tuple(records[0])
+        rows = tuple(tuple(r.values()) for r in records)
         _write_csv(tmp_path, columns, rows)
         os.replace(tmp_path, csv_path)
         outputs = [csv_path] + extra
@@ -677,8 +622,8 @@ def run_experiment(
 
     return MetricsReport(
         mode=cfg.mode,
-        columns=tuple(columns),
-        rows=tuple(tuple(r) for r in rows),
+        columns=columns,
+        rows=rows,
         outputs=tuple(outputs + [manifest_path]),
         manifest_path=manifest_path,
     )

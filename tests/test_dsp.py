@@ -566,6 +566,14 @@ def test_cpe_falls_back_without_markers(square):
     assert np.median(err) < 0.05
 
 
+@pytest.mark.parametrize("name", ["square64", "system12"])
+def test_cpe_all_zero_frame_is_degenerate(name):
+    # square64 (no markers) would track a constant -pi/4 with no empty
+    # block; system12 would classify nothing and inherit through every block
+    with pytest.raises(DegenerateInputError):
+        dsp.vv_cpe(dsp.SymbolFrame(np.zeros((2, 256), complex)), cn.load_builtin(name))
+
+
 # ---------------------------------------------------------------------------
 # digital back-propagation
 
@@ -833,6 +841,30 @@ def test_demapper_consistency_invariant(square):
 
 # ---------------------------------------------------------------------------
 # quality metrics
+
+
+def test_align_removes_a_different_gain_per_polarization(square):
+    frame, _ = dsp.random_symbols(square, 1024, seed=41)
+    gains = np.array([[0.3 - 1.2j], [2.5 + 0.4j]])
+    out = dsp.align(frame.with_symbols(gains * frame.symbols), frame)
+    np.testing.assert_allclose(out.symbols, frame.symbols, rtol=0, atol=1e-12)
+    assert out.symbol_rate == frame.symbol_rate
+
+
+def test_align_rejects_unalignable_frames(square):
+    frame, _ = dsp.random_symbols(square, 1024, seed=43)
+    short = frame.with_symbols(frame.symbols[:, :512])
+    with pytest.raises(AlignmentError, match="identical shapes"):
+        dsp.align(short, frame)
+    silent = np.array(frame.symbols)
+    silent[1] = 0.0
+    with pytest.raises(AlignmentError, match="all-zero"):
+        dsp.align(frame.with_symbols(silent), frame)
+    with pytest.raises(AlignmentError, match="all-zero"):
+        dsp.align(frame, frame.with_symbols(silent))
+    rolled = frame.with_symbols(np.roll(frame.symbols, 97, axis=1))
+    with pytest.raises(AlignmentError, match="below threshold 0.2"):
+        dsp.align(rolled, frame)
 
 
 def test_snr_estimate_constructed(square):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -56,6 +57,10 @@ def _write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _manifest(path):
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,15 @@ def test_readme_ini_reference_lists_every_key():
         elif "=" in line:
             documented.add((section, line.split("=", 1)[0].strip()))
     assert set(ex._INI_KEYS) <= documented
+
+
+def test_readme_mode_table_lists_each_modes_columns_in_order(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = dict(re.findall(r"^\| `(\w+)` +\|[^|]*\| `([^`]*)` \|$", fh.read(), re.M))
+    for mode in ex.MODES:
+        cfg = ex.ExperimentConfig(mode=mode, output_dir=str(tmp_path / mode), **_SMALL_RUNS[mode])
+        assert tuple(table[mode].split(", ")) == ex.run_experiment(cfg).columns, mode
 
 
 @pytest.mark.parametrize(
@@ -352,20 +366,21 @@ def test_gap_sweep_full_range_columns_and_anchor(tmp_path):
 def test_gap_sweep_csv_is_bit_identical_across_runs(tmp_path):
     a = ex.run_experiment(_sweep_cfg(tmp_path / "a"))
     b = ex.run_experiment(_sweep_cfg(tmp_path / "b"))
-    bytes_a = open(a.outputs[0], "rb").read()
-    bytes_b = open(b.outputs[0], "rb").read()
+    bytes_a = pathlib.Path(a.outputs[0]).read_bytes()
+    bytes_b = pathlib.Path(b.outputs[0]).read_bytes()
     assert bytes_a == bytes_b
 
 
 def test_gap_sweep_workers_do_not_change_output(tmp_path):
     serial = ex.run_experiment(_sweep_cfg(tmp_path / "s"))
     threaded = ex.run_experiment(_sweep_cfg(tmp_path / "t"), workers=4)
-    assert open(serial.outputs[0], "rb").read() == open(threaded.outputs[0], "rb").read()
+    serial_csv = pathlib.Path(serial.outputs[0]).read_bytes()
+    assert serial_csv == pathlib.Path(threaded.outputs[0]).read_bytes()
 
 
 def test_csv_format_header_digits_newline(tmp_path):
     rep = ex.run_experiment(_sweep_cfg(tmp_path))
-    text = open(rep.outputs[0], encoding="utf-8").read()
+    text = pathlib.Path(rep.outputs[0]).read_text(encoding="utf-8")
     assert text.endswith("\n")
     lines = text.splitlines()
     assert lines[0] == "snr_db,gap_square,gap_awgn,gap_papr,gap_system"
@@ -393,7 +408,7 @@ def test_invalid_workers_rejected(tmp_path):
 
 def test_manifest_written_on_success(tmp_path):
     rep = ex.run_experiment(_sweep_cfg(tmp_path), seed=5)
-    man = json.load(open(rep.manifest_path, encoding="utf-8"))
+    man = _manifest(rep.manifest_path)
     assert man["status"] == "ok"
     assert man["error"] is None
     assert man["mode"] == "gap_sweep"
@@ -413,7 +428,7 @@ def test_manifest_written_on_runtime_failure_with_no_partial_csv(tmp_path):
     )
     with pytest.raises(ValueError):
         ex.run_experiment(cfg)
-    man = json.load(open(out / "manifest.json", encoding="utf-8"))
+    man = _manifest(out / "manifest.json")
     assert man["status"] == "failed"
     assert man["error"]
     assert man["outputs"] == []
@@ -425,7 +440,7 @@ def test_seed_and_out_dir_overrides(tmp_path):
     cfg = _sweep_cfg(tmp_path / "ignored", seed=1)
     rep = ex.run_experiment(cfg, out_dir=str(tmp_path / "used"), seed=9)
     assert rep.manifest_path.startswith(str(tmp_path / "used"))
-    man = json.load(open(rep.manifest_path, encoding="utf-8"))
+    man = _manifest(rep.manifest_path)
     assert man["seed"] == 9
     assert not (tmp_path / "ignored").exists()
 
@@ -642,7 +657,7 @@ def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):
     assert row["gmi_pre"] > 5.5
     assert row["ber_pre_fec"] < 1e-3
     assert row["ber_post_fec"] == 0.0
-    man = json.load(open(rep.manifest_path, encoding="utf-8"))
+    man = _manifest(rep.manifest_path)
     assert man["status"] == "ok"
     assert "fiber_e2e.csv" in man["outputs"]
 
@@ -762,7 +777,28 @@ def test_cli_run_runtime_failure_exits_two(tmp_path, capsys):
     path = _write(tmp_path, text)
     assert cli.main(["run", "--config", path]) == 2
     assert capsys.readouterr().err
-    assert json.load(open(out / "manifest.json"))["status"] == "failed"
+    assert _manifest(out / "manifest.json")["status"] == "failed"
+
+
+def test_cli_run_signal_free_fiber_link_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # a received field with no signal cannot be aligned to the transmitted
+    # symbols: that is a runtime failure (exit 2), not a config problem
+    monkeypatch.setattr(
+        ch, "propagate_link", lambda wave, *a, **kw: wave.with_samples(np.zeros_like(wave.samples))
+    )
+    out = tmp_path / "out"
+    text = (
+        "[experiment]\nmode = fiber_e2e\n"
+        f"output = {out}\n\n"
+        "[constellation]\nsource = square64\n\n"
+        "[channel]\nspans = 1\nsymbols = 256\noversampling = 2\n"
+    )
+    assert cli.main(["run", "--config", _write(tmp_path, text)]) == 2
+    assert "AlignmentError" in capsys.readouterr().err
+    man = _manifest(out / "manifest.json")
+    assert man["status"] == "failed"
+    assert man["error"].startswith("AlignmentError: ")
+    assert not (out / "fiber_e2e.csv").exists()
 
 
 def test_cli_sweep_verb_forces_gap_sweep_mode(tmp_path):
@@ -796,7 +832,7 @@ def test_cli_seed_and_out_flags(tmp_path):
     path, _ = _valid_ini(tmp_path)
     out2 = str(tmp_path / "elsewhere")
     assert cli.main(["run", "--config", path, "--seed", "42", "--out", out2]) == 0
-    man = json.load(open(os.path.join(out2, "manifest.json")))
+    man = _manifest(os.path.join(out2, "manifest.json"))
     assert man["seed"] == 42
 
 
@@ -811,8 +847,8 @@ def test_cli_workers_flag_matches_serial_output(tmp_path):
     assert cli.main(["run", "--config", path_a, "--workers", "3"]) == 0
     out_b = str(tmp_path / "serial")
     assert cli.main(["run", "--config", path_a, "--out", out_b]) == 0
-    csv_a = open(os.path.join(out_a, "gap_sweep.csv"), "rb").read()
-    csv_b = open(os.path.join(out_b, "gap_sweep.csv"), "rb").read()
+    csv_a = pathlib.Path(out_a, "gap_sweep.csv").read_bytes()
+    csv_b = pathlib.Path(out_b, "gap_sweep.csv").read_bytes()
     assert csv_a == csv_b
 
 
