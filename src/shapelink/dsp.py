@@ -582,7 +582,7 @@ def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
     acc = 0.0
     for rows, e in _distance_blocks(flat, c.points):
         y = flat[rows]
-        nearest = e.min(axis=1)
+        nearest = e.min(axis=0)
         nearest += y.real * y.real + y.imag * y.imag
         acc += float(nearest.sum())
     return float(max(acc / flat.size, 1e-12))

@@ -163,13 +163,22 @@ def load_alist(path) -> ParityCheckMatrix:
             if len(entries) != row_deg[r]:
                 raise ValueError(f"row {r} degree mismatch")
             row_cols.append(tuple(entries))
-        # cross-check the column adjacency against the row adjacency
+        # cross-check the column adjacency against the row adjacency: a
+        # column line must hold its degree's count of distinct rows, and
+        # those rows must be the column's ones in the dense matrix
         h = ParityCheckMatrix(rows=rows, cols=cols, row_cols=tuple(row_cols))
         dense = h.to_dense()
-        for c, line in enumerate(col_lines):
-            entries = sorted(int(x) - 1 for x in line)
-            if len(entries) != col_deg[c] or list(np.flatnonzero(dense[:, c])) != entries:
-                raise ValueError(f"column {c} adjacency mismatch")
+        lengths = np.array([len(line) for line in col_lines])
+        col_of = np.repeat(np.arange(cols), lengths)
+        row_of = np.array([int(x) - 1 for line in col_lines for x in line], dtype=np.intp)
+        inside = (row_of >= 0) & (row_of < rows)
+        named = np.zeros_like(dense)
+        named[row_of[inside], col_of[inside]] = 1
+        bad = (named != dense).any(axis=0)
+        bad |= (lengths != col_deg) | (lengths != dense.sum(axis=0))
+        bad[col_of[~inside]] = True
+        if bad.any():
+            raise ValueError(f"column {np.argmax(bad)} adjacency mismatch")
         return h
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed parity-check file: {exc}") from exc

@@ -1,7 +1,12 @@
 """Constellation container, GMI estimators, PAPR, markers, file format."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shapelink import constellation as cn
 from shapelink.constellation import (
     Constellation,
     add_ring_markers,
@@ -276,6 +282,42 @@ def test_receiver_kernels_match_written_out_distances(n):
         np.testing.assert_allclose(bitwise_llrs(c, y, nu), want, rtol=1e-9, atol=1e-9)
         nearest = np.mean(np.min(np.abs(y[:, None] - c.points[None, :]) ** 2, axis=1))
         assert _auto_noise_variance(y, c) == pytest.approx(max(nearest, 1e-12), rel=1e-9)
+
+
+_FFT_AFTER_ONE_LLR_BLOCK = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from shapelink.constellation import bitwise_llrs, square64
+    c = square64()
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(16384) + 1j * rng.standard_normal(16384)
+    bitwise_llrs(c, c.points[rng.integers(0, 64, 16384)] + 0.1 * noise, 0.02)
+    x = rng.standard_normal((2, 65536)) + 1j * rng.standard_normal((2, 65536))
+    x = np.fft.ifft(np.fft.fft(x, axis=1), axis=1)  # first touch of the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        x = np.fft.ifft(np.fft.fft(x, axis=1), axis=1)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_one_llr_block_raises_glibc_thresholds_above_a_link_fft():
+    # freeing one (64, 16384) distance block raises glibc's mmap and trim
+    # thresholds to 8 MB, so the 2 MB arrays of a (2, 65536) complex FFT
+    # come from the heap and stop page-faulting; with 2048-sample blocks
+    # each round trip takes ~2,000 minor faults afresh
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
+    }
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cn.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _FFT_AFTER_ONE_LLR_BLOCK],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert int(out.stdout) < 2000
 
 
 # ---------------------------------------------------------------------------

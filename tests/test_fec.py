@@ -135,6 +135,29 @@ def test_alist_rejects_degree_mismatch(tmp_path):
         fec.load_alist(path)
 
 
+@pytest.mark.parametrize("corrupt", ["wrong_row", "repeated_row", "row_zero", "row_past_end"])
+def test_alist_rejects_column_line_that_disagrees_with_rows(tmp_path, corrupt):
+    # the column lines are checked against the row lines; the first
+    # column whose line names a row it is not in is reported
+    h = fec.make_regular_ldpc(48, 6, 3, seed=3)
+    path = tmp_path / "h.alist"
+    fec.save_alist(h, path)
+    lines = path.read_text().splitlines()
+    for c in (5, 9):
+        named = [int(x) for x in lines[4 + c].split()]
+        outside = min(set(range(1, h.rows + 1)) - set(named))
+        named[0] = {
+            "wrong_row": outside,
+            "repeated_row": named[1],
+            "row_zero": 0,
+            "row_past_end": h.rows + 1,
+        }[corrupt]
+        lines[4 + c] = " ".join(map(str, named))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="column 5 adjacency mismatch"):
+        fec.load_alist(path)
+
+
 # ---------------------------------------------------------------------------
 # systematic encoder
 

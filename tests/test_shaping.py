@@ -12,6 +12,7 @@ import pytest
 from shapelink import shaping
 from shapelink.constellation import (
     Constellation,
+    _EXP_FLOOR,
     _GH_T,
     _gh_blocks,
     _gh_nodes,
@@ -109,6 +110,15 @@ def test_gh_value_agrees_with_estimator():
         assert v == pytest.approx(_reference_gh_gmi(c.points, c.bit_matrix, nu), abs=1e-12)
 
 
+def _written_out_axis_metrics(coord, st, noise_var):
+    # (M, Q1, M) one-axis metrics, candidate j last; the kernel shifts and
+    # exponentiates in place over its first axis, so it runs on a j-first
+    # view
+    d = np.square((coord[:, None] + st)[:, :, None] - coord)
+    _shifted_metrics(np.moveaxis(d, -1, 0), noise_var, _EXP_FLOOR / 2)
+    return d
+
+
 def _full_grid_gh_forward(points, bits, noise_var):
     # the unblocked kernel in its separable form: every (point, node) row
     # of the (M*Q, M) metric tensor at once, as the product of the two
@@ -117,8 +127,8 @@ def _full_grid_gh_forward(points, bits, noise_var):
     nodes, weights = _gh_nodes(noise_var)
     y = (points[:, None] + nodes[None, :]).ravel()
     st = math.sqrt(noise_var) * _GH_T
-    ex = _shifted_metrics(np.square((points.real[:, None] + st)[:, :, None] - points.real), noise_var)
-    ey = _shifted_metrics(np.square((points.imag[:, None] + st)[:, :, None] - points.imag), noise_var)
+    ex = _written_out_axis_metrics(points.real, st, noise_var)
+    ey = _written_out_axis_metrics(points.imag, st, noise_var)
     p = (ex[:, :, None, :] * ey[:, None, :, :]).reshape(big_m, nodes.size, big_m)
     # every row of point i shares its label: one product per point against
     # the agreement rows A[i] gives S_same and S_all

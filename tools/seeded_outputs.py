@@ -12,6 +12,8 @@ before and after and compares the lines.  The runs are:
   Gauss-Hermite and the seeded Monte Carlo estimator;
 * ``awgn_e2e``, ``awgn_e2e_ldpc`` - the AWGN study without a code, and
   with a (3,6)-regular n = 240 alist drawn from seed 0;
+* ``awgn_e2e_high`` - the AWGN study of square 64QAM from 20 to 30 dB,
+  without a code, where far coset sums of the LLR kernel underflow;
 * ``fiber_e2e`` - the fiber link at defaults;
 * ``linkbudget`` - the band budget at defaults.
 
@@ -62,6 +64,9 @@ RUNS = {
     "gap_sweep_mc": lambda _: ExperimentConfig(mode="gap_sweep", estimator="mc"),
     "awgn_e2e": lambda _: ExperimentConfig(mode="awgn_e2e"),
     "awgn_e2e_ldpc": _ldpc_alist,
+    "awgn_e2e_high": lambda _: ExperimentConfig(
+        mode="awgn_e2e", source="square64", snr_start_db=20.0, snr_stop_db=30.0
+    ),
     "fiber_e2e": lambda _: ExperimentConfig(mode="fiber_e2e"),
     "linkbudget": lambda _: ExperimentConfig(mode="linkbudget"),
 }
