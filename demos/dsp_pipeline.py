@@ -5,9 +5,10 @@ Act one: square-grid symbols, pulse-shaped at 2 samples/symbol, hit
 with a small polarization crosstalk (the radius-directed equalizer's
 envelope on a dense constellation; heavier mixing needs a modulus-based
 pre-stage it deliberately does not include), a 200 MHz carrier offset,
-and 26 dB additive noise.  The receiver is blind: matched filter,
+and 26 dB additive noise.  The receiver is blind (matched filter,
 butterfly equalizer, 4th-power frequency recovery, carrier phase
-tracking, demap.
+tracking); ``dsp.align`` then settles the polarization order and phase
+against the known symbols, and the demapper's bits are counted.
 
 Act two: the marker-ring payoff.  A 200 kHz-linewidth Wiener phase walk
 at 12 dB SNR on the shaped system constellation, tracked through the
@@ -40,23 +41,10 @@ foc, estimate = dsp.frequency_offset_compensate(eq, square)
 print(f"frequency recovery: {estimate / 1e6:.2f} MHz (applied {OFFSET_HZ / 1e6:.1f})")
 rx = dsp.vv_cpe(foc, square).frame
 
-# settle the butterfly's polarization swap and per-pol phase against the
-# known transmit sequence before counting bits
 n = rx.n_symbols
-ref = tx.symbols[:, :n]
-best, best_err = None, math.inf
-for perm in ((0, 1), (1, 0)):
-    cand = rx.symbols[list(perm), :]
-    rot = np.empty((2, n), dtype=complex)
-    for p in range(2):
-        a = np.vdot(ref[p], cand[p]) / np.vdot(ref[p], ref[p])
-        rot[p] = cand[p] / a
-    err = float(np.sum(np.abs(rot - ref) ** 2))
-    if err < best_err:
-        best, best_err = rot, err
-aligned = rx.with_symbols(best)
-
-print(f"residual error vector: {dsp.evm_db(aligned, tx.with_symbols(ref)):.1f} dB")
+ref = tx.with_symbols(tx.symbols[:, :n])
+aligned = dsp.align(rx, ref)
+print(f"residual error vector: {dsp.evm_db(aligned, ref):.1f} dB")
 llrs = dsp.llr_demap(aligned, square).llrs
 bits = square.bit_matrix[idx][:, :n]
 errors = int(np.sum((llrs < 0) != bits))

@@ -103,6 +103,8 @@ class Constellation:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "marker_indices", frozenset(self.marker_indices))
+        if self.design_snr_db is not None:  # a numpy scalar would not load back
+            object.__setattr__(self, "design_snr_db", float(self.design_snr_db))
         if pts.shape != (64,):
             raise ValueError("a Constellation has exactly 64 points")
         if len(self.labels) != 64 or len(set(self.labels)) != 64:

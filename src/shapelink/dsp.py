@@ -644,30 +644,39 @@ _MIN_CORRELATION = 0.2
 
 def align(frame: SymbolFrame, reference: SymbolFrame) -> SymbolFrame:
     """Remove each polarization's complex gain, fitted by least squares
-    against the reference (data-aided alignment, not blind DSP).
+    against the reference (data-aided alignment, not blind DSP).  A blind
+    butterfly may swap its two outputs, so the polarization order
+    (identity or swapped) with the smaller residual is kept, a tie
+    keeping identity.
 
     Raises
     ------
     AlignmentError
         If shapes differ, a polarization of either frame is all zero, or
-        the normalized correlation falls below 0.2 (frames not
-        sample-aligned).
+        the normalized correlation in the kept order falls below 0.2
+        (frames not sample-aligned).
     """
     a = frame.symbols
     r = reference.symbols
     if a.shape != r.shape:
         raise AlignmentError("frames must have identical shapes")
+    pr = [np.vdot(x, x).real for x in r]
+    pa = [np.vdot(x, x).real for x in a]
+    if 0.0 in pr + pa:
+        raise AlignmentError("cannot align an all-zero polarization")
+    cross = [[np.vdot(rp, aq) for aq in a] for rp in r]
+
+    def residual(p, q):  # of reference p fitted by output q: pr_p (1/rho_pq^2 - 1)
+        c2 = float(abs(cross[p][q])) ** 2
+        return float(pr[p]) * (float(pr[p] * pa[q]) / c2 - 1.0) if c2 > 0.0 else math.inf
+
+    order = min(((0, 1), (1, 0)), key=lambda o: residual(0, o[0]) + residual(1, o[1]))
     out = np.empty_like(a)
-    for p in range(a.shape[0]):
-        cross = np.vdot(r[p], a[p])
-        pr = np.vdot(r[p], r[p]).real
-        pa = np.vdot(a[p], a[p]).real
-        if pr == 0.0 or pa == 0.0:
-            raise AlignmentError("cannot align an all-zero polarization")
-        rho = abs(cross) / math.sqrt(pr * pa)
+    for p, q in enumerate(order):
+        rho = abs(cross[p][q]) / math.sqrt(pr[p] * pa[q])
         if rho < _MIN_CORRELATION:
             raise AlignmentError(f"correlation {rho:.3f} below threshold {_MIN_CORRELATION}")
-        out[p] = a[p] / (cross / pr)
+        out[p] = a[q] / (cross[p][q] / pr[p])
     return frame.with_symbols(out)
 
 

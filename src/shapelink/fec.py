@@ -128,9 +128,9 @@ def save_alist(h: ParityCheckMatrix, path) -> None:
     with its 1-based column positions.  (Degenerate zero entries are not
     padded; lines may be shorter than the maxima.)
     """
-    dense = h.to_dense()
-    col_rows = [np.flatnonzero(dense[:, c]) + 1 for c in range(h.cols)]
-    row_cols = [np.asarray(r) + 1 for r in map(list, h.row_cols)]
+    width, pad = h._row_ix.shape[1], h._row_ix.size
+    col_rows = [[s // width + 1 for s in slots if s < pad] for slots in h._col_slot.tolist()]
+    row_cols = [[c + 1 for c in r] for r in h.row_cols]
     lines = [
         f"{h.cols} {h.rows}",
         f"{max(len(c) for c in col_rows)} {max(len(r) for r in row_cols)}",

@@ -425,6 +425,18 @@ def test_save_load_round_trip_exact(tmp_path):
     assert back.design_snr_db == c.design_snr_db
 
 
+def test_design_snr_from_a_numpy_float_loads_back(tmp_path):
+    # a design SNR taken from a loop over np.arange is a numpy scalar; the
+    # file must still carry a plain number
+    from shapelink.shaping import ShapingConfig, optimize
+
+    cfg = ShapingConfig(target_snr_db=np.float64(11.0), max_iterations=2)
+    shaped = optimize(square64(), cfg).constellation
+    assert type(shaped.design_snr_db) is float
+    save_constellation(shaped, tmp_path / "c.txt")
+    assert load_constellation(tmp_path / "c.txt").design_snr_db == 11.0
+
+
 def _square64_with_signed_zero() -> Constellation:
     # one point turned onto the positive imaginary axis at its own radius
     # (so the power is unchanged), with real part -0.0

@@ -1,6 +1,7 @@
 """Config parsing/validation, run modes, CSV conventions, and the CLI."""
 
 import dataclasses
+import fnmatch
 import json
 import math
 import os
@@ -187,6 +188,11 @@ def test_package_version_is_declared_once():
         warnings.simplefilter("ignore")
         meta = pyprojecttoml.read_configuration(os.path.join(root, "pyproject.toml"))
     assert meta["project"]["version"] == shapelink.__version__
+    assert meta["project"]["name"] == "shapelink"
+    # every shipped constellation file is package data
+    globs = meta["tool"]["setuptools"]["package-data"]["shapelink"]
+    for fname in cst._BUILTIN_FILES.values():
+        assert any(fnmatch.fnmatch(f"data/{fname}", g) for g in globs), fname
 
 
 def test_parse_accepts_inf_transmitter_snr(tmp_path):

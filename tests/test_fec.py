@@ -77,6 +77,25 @@ def test_alist_round_trip(tmp_path):
         assert back.row_cols == h.row_cols
 
 
+def test_alist_bytes_match_a_dense_reference(tmp_path):
+    # the column lines come from the Tanner layout; a writer that reads them
+    # off the dense matrix must produce the same file
+    for h in (fec.hamming74(), fec.make_regular_ldpc(1200, row_weight=6, col_weight=3, seed=0)):
+        dense = h.to_dense()
+        col_rows = [np.flatnonzero(dense[:, c]) + 1 for c in range(h.cols)]
+        row_cols = [np.flatnonzero(dense[r]) + 1 for r in range(h.rows)]
+        lines = [
+            f"{h.cols} {h.rows}",
+            f"{max(map(len, col_rows))} {max(map(len, row_cols))}",
+            " ".join(str(len(c)) for c in col_rows),
+            " ".join(str(len(r)) for r in row_cols),
+        ]
+        lines += [" ".join(map(str, c)) for c in col_rows + row_cols]
+        path = tmp_path / "h.alist"
+        fec.save_alist(h, path)
+        assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+
 @st.composite
 def _row_lists(draw):
     """(rows, cols, row_cols) meeting every matrix rule but the nonempty
