@@ -426,7 +426,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig):
         idx = rng.integers(0, len(c.points), size=cfg.symbols)
         tx = c.points[idx]
         noise_var = 10.0 ** (-float(snr_db) / 10.0)
-        noise = rng.normal(size=(cfg.symbols, 2)) @ np.array([1.0, 1.0j])
+        noise = rng.normal(size=(cfg.symbols, 2)).view(np.complex128)[..., 0]
         rx = tx + math.sqrt(noise_var / 2.0) * noise
         llrs = cst.bitwise_llrs(c, rx, noise_var)
         bits = c.bit_matrix[idx]
@@ -492,7 +492,7 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
         nv = 10.0 ** (-cfg.transmitter_snr_db / 10.0) * float(
             np.mean(np.abs(ref.symbols) ** 2)
         )
-        noise = rng.normal(size=ref.symbols.shape + (2,)) @ np.array([1.0, 1.0j])
+        noise = rng.normal(size=ref.symbols.shape + (2,)).view(np.complex128)[..., 0]
         tx = ref.with_symbols(ref.symbols + math.sqrt(nv / 2.0) * noise)
 
     wave = dsp.rrc_shape(tx, cfg.oversampling, rolloff=cfg.rrc_rolloff)

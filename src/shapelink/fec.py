@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "ParityCheckMatrix",
     "DecodeResult",
@@ -292,16 +294,16 @@ class SystematicEncoder:
     may be below the row count for redundant matrices, in which case the
     information length exceeds cols - rows.
 
-    Parity bits come from one float64 (BLAS) product of the information
+    Parity bits come from one float32 (BLAS) product of the information
     bits with the 0/1 solver; its parity is the low bit of the integer
     sum.  Every partial sum is an integer of at most k, so the product is
-    exact while k < 2**53.
+    exact while k < 2**24, which :func:`systematic_encoder` enforces.
     """
 
     h: ParityCheckMatrix
     info_positions: np.ndarray
     parity_positions: np.ndarray
-    _solver_t: np.ndarray  # (k, n_parity) float64 0/1, GF(2) solver transposed
+    _solver_t: np.ndarray  # (k, n_parity) float32 0/1, GF(2) solver transposed
 
     @property
     def k(self) -> int:
@@ -318,12 +320,20 @@ class SystematicEncoder:
             raise ValueError(f"expected {self.k} information bits")
         out = np.zeros((info.shape[0], self.h.cols), dtype=np.uint8)
         out[:, self.info_positions] = info
-        out[:, self.parity_positions] = (info.astype(np.float64) @ self._solver_t).astype(np.int64) & 1
+        out[:, self.parity_positions] = (info.astype(np.float32) @ self._solver_t).astype(np.int64) & 1
         return out[0] if np.asarray(info_bits).ndim == 1 else out
 
 
+#: information lengths from here on can round the float32 parity product
+_MAX_FLOAT32_EXACT_K = 2**24
+
+
 def systematic_encoder(h: ParityCheckMatrix) -> SystematicEncoder:
-    """Row-reduce H over GF(2) and return the systematic encoder."""
+    """Row-reduce H over GF(2) and return the systematic encoder.
+
+    Raises :class:`ConfigurationError` when the information length k
+    reaches 2**24, where the float32 parity product is no longer exact.
+    """
     m = h.to_dense().astype(np.uint8)
     rows, cols = m.shape
     pivot_cols = []
@@ -343,8 +353,13 @@ def systematic_encoder(h: ParityCheckMatrix) -> SystematicEncoder:
         r += 1
     pivots = np.array(pivot_cols, dtype=np.int64)
     info = np.setdiff1d(np.arange(cols), pivots)
+    if info.size >= _MAX_FLOAT32_EXACT_K:
+        raise ConfigurationError(
+            f"{info.size} information bits reach the float32 encoder's exact limit "
+            f"of {_MAX_FLOAT32_EXACT_K}"
+        )
     # reduced rows: pivot_bit = sum of that row's info-column bits
-    solver_t = np.ascontiguousarray(m[: pivots.size][:, info].T, dtype=np.float64)
+    solver_t = np.ascontiguousarray(m[: pivots.size][:, info].T, dtype=np.float32)
     return SystematicEncoder(
         h=h, info_positions=info, parity_positions=pivots, _solver_t=solver_t
     )

@@ -157,14 +157,8 @@ def test_criterion_05_dbp_inverts_and_beats_cdc():
             ("cdc", dsp.cd_compensate(noisy, spans)),
             ("dbp", dsp.dbp(noisy, spans, steps_per_span=4)),
         ):
-            sym = dsp.decimate(dsp.matched_filter(comp, 0.01))
-            aligned = np.array(sym.symbols)
-            for p in range(2):
-                gain = np.vdot(sym_ref.symbols[p], aligned[p]) / np.vdot(
-                    sym_ref.symbols[p], sym_ref.symbols[p]
-                )
-                aligned[p] /= gain
-            llrs = dsp.llr_demap(sym.with_symbols(aligned), c).llrs.reshape(-1, 6)
+            aligned = dsp.align(dsp.decimate(dsp.matched_filter(comp, 0.01)), sym_ref)
+            llrs = dsp.llr_demap(aligned, c).llrs.reshape(-1, 6)
             gmi[name] = cst.gmi_from_llrs(llrs, bits)
         assert gmi["dbp"] >= gmi["cdc"], (
             f"seed {seed}: dbp {gmi['dbp']:.4f} < cdc {gmi['cdc']:.4f}"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapelink import fec
+from shapelink.errors import ConfigurationError
 
 
 def _hamming_codebook():
@@ -224,9 +225,10 @@ def test_encoder_valid_on_random_regular_code():
 
 
 def test_float_encoder_matches_uint8_product():
-    # the float64 BLAS product must reproduce the GF(2) uint8 product
-    # (info @ S.T) % 2 bit for bit; uint8 sums wrap modulo 256, which keeps
-    # their parity, so the uint8 form is a valid reference at k = 600
+    # the float32 BLAS product must reproduce the GF(2) uint8 product
+    # (info @ S.T) % 2 bit for bit (its partial sums are integers <= k = 600,
+    # exact in float32); uint8 sums wrap modulo 256, which keeps their
+    # parity, so the uint8 form is a valid reference at k = 600
     h = fec.make_regular_ldpc(1200, 6, 3, seed=2)
     enc = fec.systematic_encoder(h)
     solver = enc._solver_t.T.astype(np.uint8)
@@ -242,13 +244,25 @@ def test_float_encoder_matches_uint8_product():
 
 
 def test_encoder_parity_matches_fmod_form():
-    # the low bit of the integer-valued float64 product is its remainder
-    # mod 2, so the parity columns equal the np.fmod(..., 2.0) form
+    # the low bit of the encoder's integer-valued float32 product is its
+    # remainder mod 2, so the parity columns equal the np.fmod(..., 2.0)
+    # form, taken here in float64
     h = fec.make_regular_ldpc(1200, 6, 3, seed=2)
     enc = fec.systematic_encoder(h)
     info = np.random.default_rng(7).integers(0, 2, size=(81, enc.k)).astype(np.uint8)
     want = np.fmod(info.astype(np.float64) @ enc._solver_t, 2.0).astype(np.uint8)
     assert np.array_equal(enc.encode(info)[:, enc.parity_positions], want)
+
+
+def test_encoder_rejects_k_at_the_float32_exact_limit(monkeypatch):
+    # the limit is 2**24; lowered here so that no huge code is built
+    h = fec.make_regular_ldpc(120, 6, 3, seed=5)
+    k = fec.systematic_encoder(h).k
+    monkeypatch.setattr(fec, "_MAX_FLOAT32_EXACT_K", k + 1)
+    assert fec.systematic_encoder(h).k == k
+    monkeypatch.setattr(fec, "_MAX_FLOAT32_EXACT_K", k)
+    with pytest.raises(ConfigurationError, match="exact limit"):
+        fec.systematic_encoder(h)
 
 
 # ---------------------------------------------------------------------------
