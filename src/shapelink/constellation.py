@@ -209,7 +209,7 @@ def _label_agreement(bits: np.ndarray) -> np.ndarray:
 def gmi_estimate(
     c,
     snr_db: float,
-    estimator: str = "gauss_hermite",
+    estimator: str = "gh",
     samples: int = 1_000_000,
     seed: int = 0,
 ) -> float:
@@ -222,9 +222,10 @@ def gmi_estimate(
         for size-generic internal use).
     snr_db : float
         Es/N0 in dB for the unit-power constellation.
-    estimator : {"gauss_hermite", "monte_carlo"}
+    estimator : {"gh", "mc"}
         Deterministic Gauss-Hermite quadrature, at the module's one order
-        of 10 nodes per real dimension, or seeded Monte Carlo.
+        of 10 nodes per real dimension, or seeded Monte Carlo; the names
+        of the INI's ``[sweep] estimator``.
     samples, seed : int
         Monte Carlo sample count (>= 1) and RNG seed.
 
@@ -237,11 +238,11 @@ def gmi_estimate(
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
     noise_var = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(points) ** 2))
-    if estimator == "gauss_hermite":
+    if estimator == "gh":
         return _gh_gmi(points, bits, noise_var)
-    if estimator == "monte_carlo":
+    if estimator == "mc":
         if not samples >= 1:
-            raise ValueError("monte_carlo samples must be >= 1")
+            raise ValueError("Monte Carlo samples must be >= 1")
         return _gmi_monte_carlo(c, noise_var, samples, seed)
     raise ValueError(f"unknown estimator {estimator!r}")
 

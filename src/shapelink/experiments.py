@@ -37,7 +37,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -326,12 +325,6 @@ def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
     return cfg.snr_start_db + cfg.snr_step_db * np.arange(count)
 
 
-def _gmi_kwargs(cfg: ExperimentConfig) -> dict:
-    if cfg.estimator == "mc":
-        return {"estimator": "monte_carlo", "samples": cfg.mc_symbols, "seed": cfg.seed}
-    return {"estimator": "gauss_hermite"}
-
-
 # ---------------------------------------------------------------------------
 # modes
 
@@ -379,7 +372,7 @@ _SWEEP_BUILTINS = (
 def _run_gap_sweep(cfg: ExperimentConfig, workers: int = 1):
     snrs = _sweep_points(cfg)
     designs = [(col, cst.load_builtin(name)) for col, name in _SWEEP_BUILTINS]
-    kwargs = _gmi_kwargs(cfg)
+    kwargs = {"estimator": cfg.estimator, "samples": cfg.mc_symbols, "seed": cfg.seed}
 
     def one(snr: float):
         row = {"snr_db": float(snr)}
@@ -387,6 +380,9 @@ def _run_gap_sweep(cfg: ExperimentConfig, workers: int = 1):
         return row
 
     if workers > 1:
+        # imported here, so that `import shapelink` does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, snrs)), []
     return [one(s) for s in snrs], []
@@ -432,10 +428,8 @@ def _run_awgn_e2e(cfg: ExperimentConfig):
         bits = c.bit_matrix[idx]
         gmi_2d = cst.gmi_from_llrs(llrs, bits)
         ber_pre = fec.ber_measure(llrs < 0, bits)
-        rate, feasible = fec.select_rate(2.0 * gmi_2d, rates, bits_per_4d=2.0 * m)
-        net, _ = fec.net_throughput(
-            [float(rate) * 2.0 * m], cfg.symbol_rate_hz, cfg.bch_overhead, pre_bch=True
-        )
+        rate, feasible = fec.select_rate(2.0 * gmi_2d, rates, 2.0 * m)
+        net, _ = fec.net_throughput([float(rate) * 2.0 * m], cfg.symbol_rate_hz, cfg.bch_overhead)
         # ber_post_fec is what enters the outer code: measured through the
         # configured inner code, or the ideal-inner-code model (error free
         # at a feasible rate) when no matrix is given
@@ -538,8 +532,7 @@ def _run_linkbudget(cfg: ExperimentConfig):
         symbol_rate_hz=cfg.symbol_rate_hz,
         transceiver_snr_db=cfg.transmitter_snr_db,
     )
-    columns = ("wavelength", "ase_snr", "nli_snr", "total_snr")
-    return [dict(zip(columns, r)) for r in rows], []
+    return rows, []
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ class DecodeResult:
     """Hard decisions plus convergence data.
 
     ``iterations`` counts syndrome checks: 1 means the channel decisions
-    were already a codeword.  For batched input all fields carry a
-    leading batch axis (``syndrome_ok`` per codeword).
+    were already a codeword.  Every field carries the leading batch axis
+    of the input (``syndrome_ok`` per codeword).
     """
 
     bits: np.ndarray
@@ -211,17 +211,15 @@ def ldpc_decode(
 ) -> DecodeResult:
     """Normalized min-sum decoding, flooding schedule, batched.
 
-    ``llrs`` is (cols,) for one codeword or (batch, cols); positive LLR
-    means bit 0.  Each iteration starts with a syndrome check (so an
-    already-valid word returns after 1 iteration with no message
-    passing); codewords that reach a zero syndrome are frozen and
-    reported with the iteration count at which they converged.
+    ``llrs`` is (batch, cols), one row per codeword (``llr[None]`` for
+    one); positive LLR means bit 0.  Each iteration starts with a
+    syndrome check (so an already-valid word returns after 1 iteration
+    with no message passing); codewords that reach a zero syndrome are
+    frozen and reported with the iteration count at which they converged.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
-    single = llrs.ndim == 1
-    llrs = np.atleast_2d(llrs)
-    if llrs.shape[1] != h.cols:
-        raise ValueError("LLR length must equal the number of columns")
+    if llrs.ndim != 2 or llrs.shape[1] != h.cols:
+        raise ValueError(f"LLRs must have shape (batch, {h.cols}), got {llrs.shape}")
     if not np.all(np.isfinite(llrs)):
         raise ValueError("LLRs must be finite")
     if max_iters < 1:
@@ -273,10 +271,6 @@ def ldpc_decode(
     undone = ~done
     if undone.any():
         final_bits[undone] = (total[undone, :-1] < 0).astype(np.uint8)
-    if single:
-        return DecodeResult(
-            bits=final_bits[0], iterations=int(iters[0]), syndrome_ok=bool(done[0])
-        )
     return DecodeResult(bits=final_bits, iterations=iters, syndrome_ok=done)
 
 
@@ -438,13 +432,14 @@ def hamming74() -> ParityCheckMatrix:
 def select_rate(
     gmi_per_4d: float,
     available_rates,
-    bits_per_4d: float = 12.0,
+    bits_per_4d: float,
 ) -> tuple[Fraction, bool]:
     """Largest code rate supported by the measured information rate.
 
     Returns ``(rate, feasible)`` where feasibility means
-    rate x bits_per_4d <= gmi_per_4d; with no feasible entry
-    the lowest rate is returned flagged infeasible.
+    rate x bits_per_4d <= gmi_per_4d (``bits_per_4d`` is 2m for a
+    2^m-point constellation); with no feasible entry the lowest rate is
+    returned flagged infeasible.
     """
     rates = sorted(Fraction(r) for r in available_rates)
     if not rates:
@@ -458,19 +453,17 @@ def select_rate(
 def net_throughput(
     per_channel_info_bits_per_symbol,
     symbol_rate: float,
-    bch_overhead: float = 0.005,
-    pre_bch: bool = False,
+    bch_overhead: float,
 ) -> tuple[list, float]:
     """Per-channel net bit rates (Gb/s) and the total (Tb/s).
 
-    ``per_channel_info_bits_per_symbol`` is already net of all coding
-    unless ``pre_bch`` is set, in which case the outer-code overhead is
-    deducted here.  Exact arithmetic: rate = bits x symbol_rate x
-    (1 - overhead if pre_bch).
+    The outer-code ``bch_overhead`` is always deducted: rate = bits x
+    symbol_rate x (1 - bch_overhead).  Pass 0 for information rates that
+    are already net of all coding.
     """
     if symbol_rate <= 0:
         raise ValueError("symbol_rate must be positive")
-    factor = (1.0 - bch_overhead) if pre_bch else 1.0
+    factor = 1.0 - bch_overhead
     per_channel = [
         float(bits) * symbol_rate * factor / 1e9
         for bits in per_channel_info_bits_per_symbol

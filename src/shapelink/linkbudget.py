@@ -171,8 +171,9 @@ def band_budget(
     symbol_rate_hz: float,
     transceiver_snr_db: float,
 ) -> list:
-    """Per-channel SNR across a tilted band: list of
-    ``(wavelength_nm, ase_snr, nli_snr, total_snr)`` rows, dB.
+    """Per-channel SNR across a tilted band: one dict per channel with
+    keys ``wavelength`` (nm), ``ase_snr``, ``nli_snr`` and ``total_snr``
+    (dB), in that order.
 
     ``channels`` wavelengths run evenly from ``start_nm`` to ``stop_nm``;
     noise figure and launch power are linear in dB across them, with
@@ -205,5 +206,6 @@ def band_budget(
             symbol_rate_hz=symbol_rate_hz,
             span_count=span_count,
         )
-        rows.append((wl, ase, nli, combine_snr([ase, nli, transceiver_snr_db])))
+        total = combine_snr([ase, nli, transceiver_snr_db])
+        rows.append({"wavelength": wl, "ase_snr": ase, "nli_snr": nli, "total_snr": total})
     return rows

@@ -116,7 +116,7 @@ def test_square64_gap_at_11db_gauss_hermite():
 def test_monte_carlo_matches_gauss_hermite():
     c = square64()
     gh = gmi_estimate(c, 11.0)
-    mc = gmi_estimate(c, 11.0, estimator="monte_carlo", samples=200_000, seed=3)
+    mc = gmi_estimate(c, 11.0, estimator="mc", samples=200_000, seed=3)
     assert mc == pytest.approx(gh, abs=5e-3)
 
 
@@ -125,7 +125,7 @@ def test_monte_carlo_gmi_is_pinned():
     # block (2**14).  Pinned from the kernel on |y - c|^2 itself: the
     # seeded draw order is the same, so only rounding may differ
     for name, want in (("square64", 3.471981638130892), ("system12", 3.5921661822776603)):
-        got = gmi_estimate(load_builtin(name), 11.0, estimator="monte_carlo", samples=300_001, seed=5)
+        got = gmi_estimate(load_builtin(name), 11.0, estimator="mc", samples=300_001, seed=5)
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -133,7 +133,13 @@ def test_monte_carlo_gmi_is_pinned():
 def test_monte_carlo_rejects_too_few_samples(samples):
     # -5 gave a perfect 6.0 and 0 a ZeroDivisionError
     with pytest.raises(ValueError, match="samples"):
-        gmi_estimate(square64(), 10.0, estimator="monte_carlo", samples=samples)
+        gmi_estimate(square64(), 10.0, estimator="mc", samples=samples)
+
+
+@pytest.mark.parametrize("name", ["gauss_hermite", "monte_carlo"])
+def test_gmi_estimate_takes_only_the_ini_estimator_names(name):
+    with pytest.raises(ValueError, match="unknown estimator"):
+        gmi_estimate(square64(), 10.0, estimator=name)
 
 
 def test_gmi_monotone_in_snr():

@@ -811,7 +811,7 @@ def test_llr_demap_gmi_cross_validation(square):
     out = dsp.llr_demap(rx, square, noise_variance=nv)
     bits = square.bit_matrix[idx].reshape(-1, 6)
     gmi = cn.gmi_from_llrs(out.llrs.reshape(-1, 6), bits)
-    ref = cn.gmi_estimate(square, snr_db, estimator="gauss_hermite")
+    ref = cn.gmi_estimate(square, snr_db, estimator="gh")
     assert abs(gmi - ref) < 1e-2
 
 

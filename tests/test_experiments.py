@@ -384,6 +384,16 @@ def test_gap_sweep_workers_do_not_change_output(tmp_path):
     assert serial_csv == pathlib.Path(threaded.outputs[0]).read_bytes()
 
 
+def test_import_leaves_concurrent_futures_unloaded():
+    # only a threaded gap sweep needs the pool, so a plain import skips it
+    code = "import sys, shapelink; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shapelink.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_csv_format_header_digits_newline(tmp_path):
     rep = ex.run_experiment(_sweep_cfg(tmp_path))
     text = pathlib.Path(rep.outputs[0]).read_text(encoding="utf-8")
@@ -523,6 +533,23 @@ def test_awgn_e2e_metrics_and_rate_selection(tmp_path):
     # no parity matrix configured: ideal inner code at a feasible rate
     assert row["ber_post_fec"] == 0.0
     assert row["gate_pass"]
+
+
+def test_awgn_e2e_net_rate_deducts_the_configured_overhead(tmp_path):
+    cfg = ex.ExperimentConfig(
+        mode="awgn_e2e",
+        output_dir=str(tmp_path),
+        source="square64",
+        snr_start_db=9.0,
+        snr_stop_db=13.0,
+        symbols=4000,
+        bch_overhead=0.07,
+    )
+    rep = ex.run_experiment(cfg)
+    for values in rep.rows:
+        row = dict(zip(rep.columns, values))
+        want = float(Fraction(row["code_rate"])) * 2.0 * 6 * 35e9 * (1.0 - 0.07) / 1e9
+        assert row["net_gbps"] == want
 
 
 def test_awgn_e2e_with_parity_matrix_measures_post_decode_ber(tmp_path):

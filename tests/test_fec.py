@@ -270,20 +270,26 @@ def test_encoder_rejects_k_at_the_float32_exact_limit(monkeypatch):
 
 
 def test_decode_valid_word_single_iteration():
-    res = fec.ldpc_decode(np.full(7, 20.0), fec.hamming74())
-    assert np.array_equal(res.bits, np.zeros(7, dtype=np.uint8))
-    assert res.iterations == 1
-    assert res.syndrome_ok is True
+    res = fec.ldpc_decode(np.full(7, 20.0)[None], fec.hamming74())
+    assert np.array_equal(res.bits[0], np.zeros(7, dtype=np.uint8))
+    assert res.iterations[0] == 1
+    assert res.syndrome_ok[0]
 
 
 def test_decode_input_validation():
     h = fec.hamming74()
     with pytest.raises(ValueError):
-        fec.ldpc_decode(np.zeros(6), h)
+        fec.ldpc_decode(np.zeros((1, 6)), h)
     with pytest.raises(ValueError):
-        fec.ldpc_decode(np.full(7, np.nan), h)
+        fec.ldpc_decode(np.full((1, 7), np.nan), h)
     with pytest.raises(ValueError):
-        fec.ldpc_decode(np.zeros(7), h, max_iters=0)
+        fec.ldpc_decode(np.zeros((1, 7)), h, max_iters=0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3, 7)], ids=["1d", "3d"])
+def test_decode_takes_only_batch_by_cols(shape):
+    with pytest.raises(ValueError, match=r"shape \(batch, 7\)"):
+        fec.ldpc_decode(np.zeros(shape), fec.hamming74())
 
 
 def test_single_flip_matches_exhaustive_ml():
@@ -297,20 +303,20 @@ def test_single_flip_matches_exhaustive_ml():
             for pos in range(7):
                 llr = base.copy()
                 llr[pos] = -np.sign(base[pos]) * flip_mag
-                out = fec.ldpc_decode(llr, h)
+                out = fec.ldpc_decode(llr[None], h)
                 ml = words[int(np.argmax(signs @ llr))]
-                assert out.syndrome_ok
-                assert np.array_equal(out.bits, ml)
-                assert np.array_equal(out.bits, w)
+                assert out.syndrome_ok[0]
+                assert np.array_equal(out.bits[0], ml)
+                assert np.array_equal(out.bits[0], w)
 
 
 def test_random_llrs_do_not_false_converge():
     h = fec.make_regular_ldpc(1000, 6, 3, seed=1)
     rng = np.random.default_rng(7)
-    res = fec.ldpc_decode(rng.normal(size=1000) * 0.5, h, max_iters=25)
-    assert res.syndrome_ok is False
-    assert res.iterations == 25
-    assert h.syndrome(res.bits).any()
+    res = fec.ldpc_decode((rng.normal(size=1000) * 0.5)[None], h, max_iters=25)
+    assert not res.syndrome_ok[0]
+    assert res.iterations[0] == 25
+    assert h.syndrome(res.bits[0]).any()
 
 
 def test_converged_output_is_valid_codeword():
@@ -332,10 +338,10 @@ def test_batched_decode_matches_single():
     llrs = rng.normal(size=(12, 7)) * 3.0
     batch = fec.ldpc_decode(llrs, h, max_iters=20)
     for i in range(12):
-        one = fec.ldpc_decode(llrs[i], h, max_iters=20)
-        assert np.array_equal(batch.bits[i], one.bits)
-        assert batch.iterations[i] == one.iterations
-        assert bool(batch.syndrome_ok[i]) == one.syndrome_ok
+        one = fec.ldpc_decode(llrs[i][None], h, max_iters=20)
+        assert np.array_equal(batch.bits[i], one.bits[0])
+        assert batch.iterations[i] == one.iterations[0]
+        assert batch.syndrome_ok[i] == one.syndrome_ok[0]
 
 
 def _reference_edge_layout(h):
@@ -437,7 +443,7 @@ def test_decoder_matches_per_edge_reference_bit_for_bit():
     rng = np.random.default_rng(1)
     for max_iters in (1, 2, 5, 50):
         batches.append((fec.hamming74(), 3.0 * rng.normal(size=(40, 7)), max_iters))
-    batches.append((codes[240], 2.0 * rng.normal(size=240) + 1.0, 30))  # one (cols,) word
+    batches.append((codes[240], 2.0 * rng.normal(size=(1, 240)) + 1.0, 30))  # one word
     mean_iters = []
     for h, llrs, max_iters in batches:
         got = fec.ldpc_decode(llrs, h, max_iters)
@@ -504,61 +510,62 @@ def test_regular_code_rejects_bad_shape():
 
 
 def test_select_rate_perfect_gmi():
-    rate, ok = fec.select_rate(12.0, [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)])
+    rate, ok = fec.select_rate(12.0, [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)], bits_per_4d=12.0)
     assert rate == Fraction(9, 10)
     assert ok
 
 
 def test_select_rate_zero_gmi_flags_infeasible():
-    rate, ok = fec.select_rate(0.0, [Fraction(1, 2), Fraction(3, 4)])
+    rate, ok = fec.select_rate(0.0, [Fraction(1, 2), Fraction(3, 4)], bits_per_4d=12.0)
     assert rate == Fraction(1, 2)
     assert not ok
 
 
 def test_select_rate_boundary_equality_feasible():
     # 5/6 x 12 = 10 exactly: equality counts as feasible
-    rate, ok = fec.select_rate(10.0, [Fraction(1, 2), Fraction(5, 6), Fraction(8, 9)])
+    rate, ok = fec.select_rate(10.0, [Fraction(1, 2), Fraction(5, 6), Fraction(8, 9)], bits_per_4d=12.0)
     assert rate == Fraction(5, 6)
     assert ok
 
 
 def test_select_rate_requires_rates():
     with pytest.raises(ValueError):
-        fec.select_rate(5.0, [])
+        fec.select_rate(5.0, [], bits_per_4d=12.0)
 
 
 def test_net_throughput_anchor_values():
-    per, total = fec.net_throughput([6.93], 35e9)
+    per, total = fec.net_throughput([6.93], 35e9, bch_overhead=0.0)
     assert per[0] == pytest.approx(242.55, rel=1e-12)
-    per306, total306 = fec.net_throughput([6.93] * 306, 35e9)
+    per306, total306 = fec.net_throughput([6.93] * 306, 35e9, bch_overhead=0.0)
     assert total306 == pytest.approx(74.2203, rel=1e-9)
 
 
 def test_net_throughput_zero_channels():
-    per, total = fec.net_throughput([], 35e9)
+    per, total = fec.net_throughput([], 35e9, bch_overhead=0.0)
     assert per == []
     assert total == 0.0
 
 
 def test_net_throughput_linear_and_additive():
-    a, ta = fec.net_throughput([5.0, 6.0], 20e9)
-    b, tb = fec.net_throughput([7.5], 20e9)
-    both, tboth = fec.net_throughput([5.0, 6.0, 7.5], 20e9)
+    a, ta = fec.net_throughput([5.0, 6.0], 20e9, bch_overhead=0.0)
+    b, tb = fec.net_throughput([7.5], 20e9, bch_overhead=0.0)
+    both, tboth = fec.net_throughput([5.0, 6.0, 7.5], 20e9, bch_overhead=0.0)
     assert both == a + b
     assert tboth == pytest.approx(ta + tb, rel=1e-15)
-    doubled, tdouble = fec.net_throughput([5.0, 6.0], 40e9)
+    doubled, tdouble = fec.net_throughput([5.0, 6.0], 40e9, bch_overhead=0.0)
     assert tdouble == pytest.approx(2.0 * ta, rel=1e-15)
 
 
-def test_net_throughput_pre_bch_deduction():
-    base, _ = fec.net_throughput([8.0], 35e9)
-    ded, _ = fec.net_throughput([8.0], 35e9, bch_overhead=0.005, pre_bch=True)
-    assert ded[0] == pytest.approx(base[0] * 0.995, rel=1e-15)
+def test_net_throughput_always_deducts_the_given_overhead():
+    for overhead in (0.0, 0.005, 0.07):
+        per, total = fec.net_throughput([8.0, 6.5], 35e9, overhead)
+        assert per == [8.0 * 35e9 * (1.0 - overhead) / 1e9, 6.5 * 35e9 * (1.0 - overhead) / 1e9]
+        assert total == sum(per) / 1e3
 
 
 def test_net_throughput_rejects_bad_rate():
     with pytest.raises(ValueError):
-        fec.net_throughput([1.0], 0.0)
+        fec.net_throughput([1.0], 0.0, bch_overhead=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_band_model_validation():
     with pytest.raises(ValueError):
         _band(start_nm=1550.0, stop_nm=1550.0)
     # one channel sits at start_nm and needs no ordered edges
-    assert [r[0] for r in _band(channels=1, start_nm=1550.0, stop_nm=1550.0)] == [1550.0]
+    assert [r["wavelength"] for r in _band(channels=1, start_nm=1550.0, stop_nm=1550.0)] == [1550.0]
 
 
 _NAN = math.nan
@@ -241,10 +241,10 @@ def test_non_finite_inputs_rejected(call):
 
 def test_default_band_model_tilt_anchors():
     rows = _band()
-    ase = np.array([r[1] for r in rows])
+    ase = np.array([r["ase_snr"] for r in rows])
     assert len(rows) == 92
-    assert rows[0][0] == 1525.0
-    assert rows[-1][0] == 1616.0
+    assert rows[0]["wavelength"] == 1525.0
+    assert rows[-1]["wavelength"] == 1616.0
     # ASE follows power minus noise figure: the launch tilt (-2.0 dB) less
     # the noise-figure tilt (-5.7 dB) end to end, the means at the center
     assert ase[-1] - ase[0] == pytest.approx(-2.0 - (-5.7), abs=1e-9)
@@ -254,36 +254,35 @@ def test_default_band_model_tilt_anchors():
 
 def test_band_profile_rises_toward_long_wavelengths():
     # the noise-figure tilt (-5.7 dB) outweighs the launch tilt (-2 dB)
-    snrs = [r[1] for r in _band(channels=16)]
+    snrs = [r["ase_snr"] for r in _band(channels=16)]
     assert all(b > a for a, b in zip(snrs, snrs[1:]))
     assert snrs[-1] > snrs[0] + 3.0
 
 
 def test_band_profile_flat_model_reduces_to_scalar():
     rows = _band(channels=5, nf_tilt_db=0.0, signal_tilt_db=0.0)
-    center = 0.5 * (rows[0][0] + rows[-1][0])
+    center = 0.5 * (rows[0]["wavelength"] + rows[-1]["wavelength"])
     scalar = lb.ase_snr(90, hybrid_span().loss_db, 1.4, -2.9, 35e9, C0 / (center * 1e-9))
-    assert all(r[1] == scalar for r in rows)
+    assert all(r["ase_snr"] == scalar for r in rows)
 
 
 def test_band_profile_wavelengths_echo_grid():
     rows = _band(span_count=9, channels=7)
-    assert [r[0] for r in rows] == np.linspace(1525.0, 1616.0, 7).tolist()
+    assert [r["wavelength"] for r in rows] == np.linspace(1525.0, 1616.0, 7).tolist()
 
 
 def test_band_nli_column_is_the_estimate_over_all_channels():
     span = hybrid_span()
     rows = _band(channels=11)
     powers = -2.9 - 2.0 * np.linspace(-0.5, 0.5, 11)
-    for (_, _, nli, _), power in zip(rows, powers.tolist()):
-        assert nli == lb.gn_nli_estimate(
+    for row, power in zip(rows, powers.tolist()):
+        assert row["nli_snr"] == lb.gn_nli_estimate(
             span, power, channel_count=11, spacing_hz=50e9, symbol_rate_hz=35e9, span_count=90
         )
 
 
 def test_band_total_adds_the_transceiver_term():
-    for (_, ase, nli, total), (_, _, _, clean) in zip(
-        _band(channels=5), _band(channels=5, transceiver_snr_db=math.inf)
-    ):
-        assert total == lb.combine_snr([ase, nli, 20.0])
-        assert clean == lb.combine_snr([ase, nli])
+    for row, clean in zip(_band(channels=5), _band(channels=5, transceiver_snr_db=math.inf)):
+        ase, nli = row["ase_snr"], row["nli_snr"]
+        assert row["total_snr"] == lb.combine_snr([ase, nli, 20.0])
+        assert clean["total_snr"] == lb.combine_snr([ase, nli])
