@@ -3,8 +3,8 @@
 Subsystems
 ----------
 constellation
-    Labeled 64-point constellations, GMI/PAPR metrics, ring markers, file
-    format.
+    Labeled 2^m-point constellations, GMI/PAPR metrics, ring markers,
+    file format.
 shaping
     Gradient-ascent GMI shaping with optional PAPR penalty.
 channel

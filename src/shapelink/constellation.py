@@ -1,7 +1,8 @@
-"""Labeled 64-point constellations, GMI/PAPR metrics, and ring markers.
+"""Labeled constellations, GMI/PAPR metrics, and ring markers.
 
-The central design object is a :class:`Constellation`: 64 complex points with
-distinct 6-bit labels, normalized to unit average power.  The module provides
+The central design object, which every metric below takes, is a
+:class:`Constellation`: 2^m complex points (64 in the paper's designs) with
+distinct m-bit labels, normalized to unit average power.  The module provides
 
 * builders (:func:`square64`, :func:`load_builtin`) and text-file I/O,
 * bit-interleaved GMI estimation over the complex AWGN channel, via
@@ -59,8 +60,9 @@ __all__ = [
 #: below; e^-700 ~ 9.9e-305 is a term no kept sum can see.
 _EXP_FLOOR = -700.0
 #: coset sums below this are recomputed in log form (see
-#: :func:`bitwise_llrs`).  The <= 64 e^_EXP_FLOOR ~ 6.3e-303 that the floor
-#: adds to a sum lies below half an ulp of every sum at or above it.
+#: :func:`bitwise_llrs`).  The <= M e^_EXP_FLOOR that the floor adds to a
+#: sum of M points (~6.3e-303 at M = 64) lies below half an ulp of every
+#: sum at or above it for M < ~6e7.
 _TINY = 1e-280
 
 
@@ -75,14 +77,14 @@ def normalized(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Constellation:
-    """64 labeled complex points at unit average power.
+    """M = 2^m labeled complex points (m >= 1) at unit average power.
 
     Parameters
     ----------
-    points : ndarray of complex, shape (64,)
+    points : ndarray of complex, shape (M,)
         Point coordinates.  Mean of ``|p|**2`` must equal 1 within 1e-12.
     labels : tuple of str
-        64 distinct 6-character bit strings, parallel to ``points``.
+        M distinct m-character bit strings, parallel to ``points``.
         Coincident points with distinct labels are permitted.
     marker_indices : frozenset of int
         Indices of points designated as ring markers (possibly empty).  If
@@ -105,13 +107,15 @@ class Constellation:
         object.__setattr__(self, "marker_indices", frozenset(self.marker_indices))
         if self.design_snr_db is not None:  # a numpy scalar would not load back
             object.__setattr__(self, "design_snr_db", float(self.design_snr_db))
-        if pts.shape != (64,):
-            raise ValueError("a Constellation has exactly 64 points")
-        if len(self.labels) != 64 or len(set(self.labels)) != 64:
-            raise ValueError("labels must be 64 distinct bit strings")
+        n = pts.size
+        if pts.ndim != 1 or n < 2 or n & (n - 1):
+            raise ValueError(f"a Constellation has 2^m points (m >= 1), got shape {pts.shape}")
+        m = n.bit_length() - 1
+        if len(self.labels) != n or len(set(self.labels)) != n:
+            raise ValueError(f"labels must be {n} distinct bit strings")
         for lab in self.labels:
-            if len(lab) != 6 or any(ch not in "01" for ch in lab):
-                raise ValueError(f"bad 6-bit label: {lab!r}")
+            if len(lab) != m or any(ch not in "01" for ch in lab):
+                raise ValueError(f"bad {m}-bit label: {lab!r}")
         if not np.all(np.isfinite(pts.view(np.float64))):
             raise ValueError("points must be finite")
         power = np.mean(np.abs(pts) ** 2)
@@ -119,7 +123,7 @@ class Constellation:
             raise ValueError(f"mean power {power!r} is not 1 within 1e-12")
         if self.marker_indices:
             idx = sorted(self.marker_indices)
-            if min(idx) < 0 or max(idx) >= 64:
+            if min(idx) < 0 or max(idx) >= n:
                 raise ValueError("marker index out of range")
             radii = np.abs(pts)
             r_mark = radii[idx]
@@ -131,9 +135,9 @@ class Constellation:
 
     @functools.cached_property
     def bit_matrix(self) -> np.ndarray:
-        """(64, 6) read-only uint8 array of label bits; bit k is character k
+        """(M, m) read-only uint8 array of label bits; bit k is character k
         of the label.  Built once per instance."""
-        bits = _bit_matrix(self.labels)
+        bits = np.array([[int(ch) for ch in lab] for lab in self.labels], dtype=np.uint8)
         bits.setflags(write=False)
         return bits
 
@@ -155,10 +159,6 @@ class Constellation:
 
     def replace(self, **kw) -> "Constellation":
         return dataclasses.replace(self, **kw)
-
-
-def _bit_matrix(labels) -> np.ndarray:
-    return np.array([[int(ch) for ch in lab] for lab in labels], dtype=np.uint8)
 
 
 def _gray3(i: int) -> str:
@@ -207,7 +207,7 @@ def _label_agreement(bits: np.ndarray) -> np.ndarray:
 
 
 def gmi_estimate(
-    c,
+    c: Constellation,
     snr_db: float,
     estimator: str = "gh",
     samples: int = 1_000_000,
@@ -217,9 +217,8 @@ def gmi_estimate(
 
     Parameters
     ----------
-    c : Constellation or ndarray
-        Constellation (or raw unit-power points with implicit binary labels
-        for size-generic internal use).
+    c : Constellation
+        The labeled point set; the noise is scaled by its measured power.
     snr_db : float
         Es/N0 in dB for the unit-power constellation.
     estimator : {"gh", "mc"}
@@ -234,30 +233,16 @@ def gmi_estimate(
     float
         GMI in [0, m] bit per 2D symbol (m = log2(point count)).
     """
-    points, bits = _points_and_bits(c)
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
-    noise_var = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(points) ** 2))
+    noise_var = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(c.points) ** 2))
     if estimator == "gh":
-        return _gh_gmi(points, bits, noise_var)
+        return _gh_gmi(c.points, c.bit_matrix, noise_var)
     if estimator == "mc":
         if not samples >= 1:
             raise ValueError("Monte Carlo samples must be >= 1")
         return _gmi_monte_carlo(c, noise_var, samples, seed)
     raise ValueError(f"unknown estimator {estimator!r}")
-
-
-def _points_and_bits(c):
-    if isinstance(c, Constellation):
-        return c.points, c.bit_matrix
-    points = np.asarray(c, dtype=np.complex128)
-    m = int(round(math.log2(points.size)))
-    if 2**m != points.size:
-        raise ValueError("point count must be a power of two")
-    bits = ((np.arange(points.size)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(
-        np.uint8
-    )
-    return points, bits
 
 
 #: received samples per distance block.  One block's (64, rows) float64
@@ -435,7 +420,7 @@ def _gmi_monte_carlo(c, noise_var, samples, seed) -> float:
     """Seeded Monte Carlo GMI (bit/2D) of ``c`` at total noise variance
     ``noise_var``: the sample-weighted mean of :func:`gmi_from_llrs` over
     the LLRs of :func:`bitwise_llrs`, drawn ``2**17`` samples at a time."""
-    points, bits = _points_and_bits(c)
+    points, bits = c.points, c.bit_matrix
     rng = np.random.default_rng(seed)
     chunk = 1 << 17
     total = 0.0
@@ -450,12 +435,12 @@ def _gmi_monte_carlo(c, noise_var, samples, seed) -> float:
     return total / samples
 
 
-def bitwise_llrs(c, symbols: np.ndarray, noise_variance: float) -> np.ndarray:
+def bitwise_llrs(c: Constellation, symbols: np.ndarray, noise_variance: float) -> np.ndarray:
     """Per-bit LLRs log(P(b=0)/P(b=1)) under a circular Gaussian metric.
 
     Positive LLR means bit 0 is more likely.  ``noise_variance`` is the total
-    (2D) complex noise variance.  Returns an (n, m) array aligned to label
-    bit order.
+    (2D) complex noise variance.  Returns an (n, m) array aligned to the
+    label bits of ``c``.
 
     Works on ``_ROW_BLOCK`` symbols at a time, on the (M, rows) squared
     distances less |y|^2 of :func:`_distance_blocks`.  Each column is
@@ -466,7 +451,7 @@ def bitwise_llrs(c, symbols: np.ndarray, noise_variance: float) -> np.ndarray:
     farther than the nearest point) is recomputed in log form from its
     own coset minimum, so the LLRs do not clip.
     """
-    points, bits = _points_and_bits(c)
+    points, bits = c.points, c.bit_matrix
     if not 0 < noise_variance < math.inf:
         raise ValueError("noise_variance must be positive and finite")
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
@@ -553,16 +538,15 @@ def gap_from_gmi(gmi_2d: float, snr_db: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def papr(c) -> tuple[float, float]:
-    """Per-dimension peak-to-average power ratio (papr_i, papr_q).
+def papr(c: Constellation) -> tuple[float, float]:
+    """Per-dimension peak-to-average power ratio (papr_i, papr_q) of ``c``.
 
     papr_i = max(Re(p)^2) / mean(Re(p)^2) over the points, and likewise for
     the quadrature dimension.  Gray-coded square 64QAM gives exactly 49/21
     in both dimensions (levels +/-1..7: peak 49, mean 21).
     """
-    points = c.points if isinstance(c, Constellation) else np.asarray(c, np.complex128)
     out = []
-    for comp in (points.real, points.imag):
+    for comp in (c.points.real, c.points.imag):
         mean_sq = np.mean(comp**2)
         if mean_sq == 0.0:
             raise DegenerateInputError("all-zero dimension has no PAPR")
@@ -618,10 +602,13 @@ def add_ring_markers(c: Constellation, ring_gain: float = 1.15) -> Constellation
     carry a single label-independent constant.  The whole constellation is
     then renormalized to unit power, which scales every point uniformly.
     Labels and ``design_snr_db`` are kept; the four marker indices replace
-    any that ``c`` carried.
+    any that ``c`` carried.  ``c`` needs more than four points, so that some
+    point stays inside the ring.
     """
     if not 1.0 < ring_gain < math.inf:
         raise ValueError("ring_gain must be finite and > 1")
+    if c.points.size <= 4:
+        raise ValueError(f"ring markers need more than 4 points, got {c.points.size}")
     markers = _marker_candidates(c.points)
     # move with the outermost point at radius 1 (so the target is at most
     # ring_gain) and renormalize with the ring at radius 1 (so no squared
@@ -643,17 +630,19 @@ def add_ring_markers(c: Constellation, ring_gain: float = 1.15) -> Constellation
 def save_constellation(c: Constellation, path) -> None:
     """Write ``c`` in the text interchange format.
 
-    One point per line, ``<6-bit label> <I> <Q>``, with I and Q in decimal
+    One point per line, ``<m-bit label> <I> <Q>``, with I and Q in decimal
     at 17 significant digits (enough for an exact round trip).  Lines
-    starting with ``#`` are comments; header comments carry the metadata::
+    starting with ``#`` are comments; the first names the point count,
+    and header comments carry the metadata::
 
+        # shapelink constellation, 64 points, unit average power
         # design_snr_db: 12.0
         # marker_indices: 3 17 42 60
 
     The point set is at unit average power; :func:`load_constellation`
     validates every :class:`Constellation` invariant on reading.
     """
-    lines = ["# shapelink constellation, 64 points, unit average power"]
+    lines = [f"# shapelink constellation, {c.points.size} points, unit average power"]
     if c.design_snr_db is not None:
         lines.append(f"# design_snr_db: {c.design_snr_db!r}")
     if c.marker_indices:

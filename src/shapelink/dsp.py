@@ -673,11 +673,12 @@ def _fields(x) -> np.ndarray:
         return x.samples
     if isinstance(x, SymbolFrame):
         return x.symbols
-    return np.asarray(x, dtype=np.complex128)
+    raise TypeError(f"expected a WaveformFrame or a SymbolFrame, got {type(x).__name__}")
 
 
 def evm_db(frame, reference) -> float:
-    """Error vector magnitude in dB: 10 log10(P(frame - ref) / P(ref)).
+    """Error vector magnitude in dB: 10 log10(P(frame - ref) / P(ref)) of
+    two waveform or two symbol frames.
 
     Raw difference, no gain alignment; use for inversion checks where the
     scales are physically identical.  An all-zero reference has no power

@@ -21,6 +21,7 @@ LLR sign convention matches the demapper: positive means bit 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,10 +113,10 @@ class ParityCheckMatrix:
         return np.ascontiguousarray(h[:, :-1])
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        """H x mod 2; accepts (cols,) or (batch, cols)."""
-        bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-        if bits.shape[1] != self.cols:
-            raise ValueError("bit length must equal cols")
+        """H x mod 2 of (batch, cols) words: a (batch, rows) array."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2 or bits.shape[1] != self.cols:
+            raise ValueError(f"bits must have shape (batch, {self.cols}), got {bits.shape}")
         padded = np.zeros((bits.shape[0], self.cols + 1), dtype=np.uint8)
         padded[:, :-1] = bits
         return np.bitwise_xor.reduce(padded[:, self._row_ix], axis=2) & 1
@@ -308,14 +309,14 @@ class SystematicEncoder:
         return self.parity_positions.size
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
-        """(k,) or (batch, k) information bits -> codeword(s)."""
-        info = np.atleast_2d(np.asarray(info_bits, dtype=np.uint8))
-        if info.shape[1] != self.k:
-            raise ValueError(f"expected {self.k} information bits")
+        """(batch, k) information bits -> (batch, cols) codewords."""
+        info = np.asarray(info_bits, dtype=np.uint8)
+        if info.ndim != 2 or info.shape[1] != self.k:
+            raise ValueError(f"info bits must have shape (batch, {self.k}), got {info.shape}")
         out = np.zeros((info.shape[0], self.h.cols), dtype=np.uint8)
         out[:, self.info_positions] = info
         out[:, self.parity_positions] = (info.astype(np.float32) @ self._solver_t).astype(np.int64) & 1
-        return out[0] if np.asarray(info_bits).ndim == 1 else out
+        return out
 
 
 #: information lengths from here on can round the float32 parity product
@@ -438,9 +439,11 @@ def select_rate(
 
     Returns ``(rate, feasible)`` where feasibility means
     rate x bits_per_4d <= gmi_per_4d (``bits_per_4d`` is 2m for a
-    2^m-point constellation); with no feasible entry the lowest rate is
-    returned flagged infeasible.
+    2^m-point constellation, and must be positive and finite); with no
+    feasible entry the lowest rate is returned flagged infeasible.
     """
+    if not 0 < bits_per_4d < math.inf:
+        raise ValueError(f"bits_per_4d must be positive and finite, got {bits_per_4d!r}")
     rates = sorted(Fraction(r) for r in available_rates)
     if not rates:
         raise ValueError("available_rates must be nonempty")
@@ -458,11 +461,13 @@ def net_throughput(
     """Per-channel net bit rates (Gb/s) and the total (Tb/s).
 
     The outer-code ``bch_overhead`` is always deducted: rate = bits x
-    symbol_rate x (1 - bch_overhead).  Pass 0 for information rates that
-    are already net of all coding.
+    symbol_rate x (1 - bch_overhead), with the overhead in [0, 1).  Pass 0
+    for information rates that are already net of all coding.
     """
     if symbol_rate <= 0:
         raise ValueError("symbol_rate must be positive")
+    if not 0 <= bch_overhead < 1:
+        raise ValueError(f"bch_overhead must be in [0, 1), got {bch_overhead!r}")
     factor = 1.0 - bch_overhead
     per_channel = [
         float(bits) * symbol_rate * factor / 1e9

@@ -1,11 +1,12 @@
-"""Gradient-ascent geometric shaping of 64-point constellations.
+"""Gradient-ascent geometric shaping of labeled constellations.
 
-Three-stage procedure; stages 1 and 2 are one :func:`optimize` at two
-settings of ``papr_penalty_weight``:
+:func:`optimize` takes and returns a :class:`Constellation` of any M = 2^m
+points; the paper's designs have 64.  Three-stage procedure; stages 1 and
+2 are one :func:`optimize` at two settings of ``papr_penalty_weight``:
 
 1. weight 0 - maximize GMI at the design SNR (default 12 dB) by a
    quasi-Newton ascent: L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989) over
-   the 128 raw coordinates x of the objective f(normalized(x)), with an
+   the 2M raw coordinates x of the objective f(normalized(x)), with an
    Armijo backtracking line search, so every accepted step strictly
    improves the unit-power design.  Labels never move; only coordinates do.
 2. weight > 0 - same ascent on the penalized objective
@@ -19,8 +20,9 @@ The objective is the Gauss-Hermite GMI from :mod:`.constellation` (order
 same blocks of quadrature rows as the value (one pass over
 ``constellation._gh_blocks``), so a line-search candidate that is accepted
 already carries the gradient of the next iteration.  The gradient tests
-check it against central finite differences over the 128 real
-coordinates.
+check it against central finite differences over the 2M real
+coordinates.  The objective functions below take raw coordinates and a
+bit matrix, so that they are plain functions of the coordinates.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .constellation import (
     _gh_gmi,
     _gh_nodes,
     _gh_value,
-    _points_and_bits,
     normalized,
 )
 
@@ -107,16 +108,17 @@ class ShapingConfig:
 class ShapingResult:
     """Ascent outcome.
 
-    ``constellation`` mirrors the input kind (a :class:`Constellation` in
-    normal use, a raw point array for size-generic internal work).
-    ``converged`` is True only when the stop was triggered by the
-    improvement tolerance; a line-search failure or hitting max_iterations
-    returns the best-so-far with ``converged`` False.  ``history`` holds the
-    objective after the initial point and each accepted step (strictly
-    increasing by construction), so ``iterations == len(history) - 1``.
+    ``constellation`` is the shaped design: the input's labels at new
+    coordinates, with no ring markers and ``design_snr_db`` set to the
+    target SNR.  ``converged`` is True only when the stop was triggered by
+    the improvement tolerance; a line-search failure or hitting
+    max_iterations returns the best-so-far with ``converged`` False.
+    ``history`` holds the objective after the initial point and each
+    accepted step (strictly increasing by construction), so
+    ``iterations == len(history) - 1``.
     """
 
-    constellation: object
+    constellation: Constellation
     converged: bool
     iterations: int
     history: np.ndarray
@@ -387,27 +389,23 @@ def _ascend(points0: np.ndarray, bits: np.ndarray, cfg: ShapingConfig):
     return pts, history, converged
 
 
-def optimize(initial, cfg: ShapingConfig = ShapingConfig()) -> ShapingResult:
-    """Maximize GMI - ``cfg.papr_penalty_weight`` * smoothmax PAPR.
+def optimize(initial: Constellation, cfg: ShapingConfig = ShapingConfig()) -> ShapingResult:
+    """Maximize GMI - ``cfg.papr_penalty_weight`` * smoothmax PAPR of
+    ``initial``'s coordinates.
 
     Acceptance is monotone: the objective history never decreases, and the
     returned design's objective at ``cfg.target_snr_db`` is >= the
     initial one (with weight 0, its GMI).  Labels are carried through
-    unchanged.
+    unchanged; ring markers are dropped, since the ascent moves them off
+    their ring.
     """
-    points, bits = _points_and_bits(initial)
-    pts, history, converged = _ascend(points, bits, cfg)
-    if isinstance(initial, Constellation):
-        out = Constellation(
+    pts, history, converged = _ascend(initial.points, initial.bit_matrix, cfg)
+    return ShapingResult(
+        constellation=Constellation(
             points=pts,
             labels=initial.labels,
-            marker_indices=frozenset(),
             design_snr_db=cfg.target_snr_db,
-        )
-    else:
-        out = pts
-    return ShapingResult(
-        constellation=out,
+        ),
         converged=converged,
         iterations=len(history) - 1,
         history=history,

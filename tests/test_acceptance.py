@@ -272,9 +272,7 @@ def test_criterion_09_fec_decoding_and_gate():
     # (b) ML agreement on every single-error pattern of the (7,4) code
     h74 = fec.hamming74()
     enc = fec.systematic_encoder(h74)
-    words = np.array(
-        [enc.encode(np.array(b, dtype=np.uint8)) for b in itertools.product([0, 1], repeat=4)]
-    )
+    words = enc.encode(np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.uint8))
     signs = 1.0 - 2.0 * words.astype(float)
     for word in words:
         for pos in range(7):

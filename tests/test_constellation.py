@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from point_sets import natural_constellation
 
 from shapelink import constellation as cn
 from shapelink.constellation import (
@@ -77,8 +78,33 @@ def test_bit_matrix_is_built_once_and_read_only():
 
 def test_wrong_point_count_rejected():
     c = square64()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2\\^m points"):
         Constellation(points=c.points[:63], labels=c.labels[:63])
+
+
+def _unit_circle(n):
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 128])
+def test_any_power_of_two_point_count_constructs(n):
+    c = natural_constellation(_unit_circle(n))
+    assert c.bit_matrix.shape == (n, n.bit_length() - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_point_count_not_a_power_of_two_above_one_rejected(n):
+    labels = tuple(format(i, "06b") for i in range(n))
+    with pytest.raises(ValueError, match="2\\^m points"):
+        Constellation(points=np.ones(n, complex), labels=labels)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_labels_of_the_wrong_width_rejected(width):
+    # four points carry 2-bit labels
+    labels = ("0", "1", "00", "11") if width == 1 else ("000", "001", "010", "011")
+    with pytest.raises(ValueError, match="bad 2-bit label"):
+        Constellation(points=_unit_circle(4), labels=labels)
 
 
 def test_duplicate_labels_rejected():
@@ -158,10 +184,10 @@ def test_gap_is_definitional():
 
 def test_two_point_llr_matches_binary_formula():
     # antipodal 2-point set: LLR for the single bit is 4 Re(y) / nu
-    pts = np.array([1.0 + 0j, -1.0 + 0j])
+    c = natural_constellation([1.0 + 0j, -1.0 + 0j])
     y = np.array([0.3 + 0.1j, -1.2 + 0.4j, 0.05 - 0.9j])
     nu = 0.5
-    llrs = bitwise_llrs(pts, y, nu)
+    llrs = bitwise_llrs(c, y, nu)
     assert llrs.shape == (3, 1)
     np.testing.assert_allclose(llrs[:, 0], 4 * y.real / nu, rtol=1e-12)
 
@@ -338,24 +364,25 @@ def test_square64_papr_exact():
 
 
 def test_four_point_constant_magnitude_papr_is_one():
-    pts = normalized(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]))
-    pi, pq = papr(pts)
+    c = natural_constellation([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    pi, pq = papr(c)
     assert pi == pytest.approx(1.0, rel=1e-12)
     assert pq == pytest.approx(1.0, rel=1e-12)
 
 
 def test_outlier_increases_papr():
-    base = square64().points
-    fat = np.array(base)
+    base = square64()
+    fat = np.array(base.points)
     outer = np.argmax(np.abs(fat))
     fat[outer] *= 2.0
+    fat = natural_constellation(fat)
     assert papr(fat)[0] > papr(base)[0]
     assert papr(fat)[1] > papr(base)[1]
 
 
 def test_degenerate_dimension_rejected():
     with pytest.raises(DegenerateInputError):
-        papr(np.array([1.0, -1.0, 2.0, -2.0]))  # zero quadrature everywhere
+        papr(natural_constellation([1.0, -1.0, 2.0, -2.0]))  # zero quadrature everywhere
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +433,13 @@ def test_ring_markers_reject_gain_not_finite_above_one(gain):
         add_ring_markers(square64(), gain)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_ring_markers_need_more_than_four_points(n):
+    # with no point left inside the ring, the ring radius has no reference
+    with pytest.raises(ValueError, match=f"more than 4 points, got {n}"):
+        add_ring_markers(natural_constellation(_unit_circle(n)))
+
+
 def test_non_marker_points_only_rescaled():
     c = square64()
     out = add_ring_markers(c, 1.3)
@@ -429,6 +463,19 @@ def test_save_load_round_trip_exact(tmp_path):
     assert back.labels == c.labels
     assert back.marker_indices == c.marker_indices
     assert back.design_snr_db == c.design_snr_db
+
+
+def test_sixteen_point_file_round_trips_with_its_point_count(tmp_path):
+    c = natural_constellation(_unit_circle(16)).replace(design_snr_db=8.0)
+    path = tmp_path / "c16.txt"
+    save_constellation(c, path)
+    assert path.read_text().splitlines()[0] == (
+        "# shapelink constellation, 16 points, unit average power"
+    )
+    back = load_constellation(path)
+    assert back.points.tobytes() == c.points.tobytes()
+    assert back.labels == c.labels
+    assert back.design_snr_db == 8.0
 
 
 def test_design_snr_from_a_numpy_float_loads_back(tmp_path):

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from point_sets import natural_constellation
 
 import shapelink.channel as ch
 import shapelink.constellation as cn
@@ -672,11 +673,11 @@ def test_dbp_checks_every_segment_before_the_first_step(square, monkeypatch, ste
 
 
 def test_llr_two_point_closed_form():
-    pts = np.array([1.0 + 0j, -1.0 + 0j])
+    c = natural_constellation([1.0 + 0j, -1.0 + 0j])
     rng = np.random.default_rng(21)
     y = rng.standard_normal(64) * 0.6 + 0.2
     nv = 0.5
-    llr = cn.bitwise_llrs(pts, y, nv)
+    llr = cn.bitwise_llrs(c, y, nv)
     np.testing.assert_allclose(llr[:, 0], 4.0 * y / nv, rtol=1e-12)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from point_sets import natural_constellation
 
 import shapelink
 from shapelink import channel as ch
@@ -550,6 +551,33 @@ def test_awgn_e2e_net_rate_deducts_the_configured_overhead(tmp_path):
         row = dict(zip(rep.columns, values))
         want = float(Fraction(row["code_rate"])) * 2.0 * 6 * 35e9 * (1.0 - 0.07) / 1e9
         assert row["net_gbps"] == want
+
+
+def test_awgn_e2e_from_a_sixteen_point_file_rates_against_its_own_bits(tmp_path):
+    levels = np.array([-3.0, -1.0, 1.0, 3.0])
+    path = tmp_path / "square16.txt"
+    cst.save_constellation(natural_constellation((levels[:, None] + 1j * levels).ravel()), path)
+    cfg = ex.ExperimentConfig(
+        mode="awgn_e2e",
+        output_dir=str(tmp_path / "out"),
+        source=str(path),
+        snr_start_db=6.0,
+        snr_stop_db=18.0,
+        snr_step_db=6.0,
+        symbols=4000,
+    )
+    assert ex.validate_config(cfg) == []
+    rep = ex.run_experiment(cfg)
+    rates = [Fraction(r) for r in cfg.fec_rates]
+    for values in rep.rows:
+        row = dict(zip(rep.columns, values))
+        # 16 points carry 2m = 8 bits per 4D symbol, not the 64-point 12
+        assert row["gmi_2d"] <= 4.0
+        rate = Fraction(row["code_rate"])
+        assert rate == max(r for r in rates if float(r) * 8.0 <= 2.0 * row["gmi_2d"])
+        assert row["net_gbps"] == float(rate) * 8.0 * 35e9 * (1.0 - cfg.bch_overhead) / 1e9
+    # at 18 dB 16QAM is nearly error free, so the top rate fits 8 bits but not 12
+    assert Fraction(rep.rows[-1][rep.columns.index("code_rate")]) == max(rates)
 
 
 def test_awgn_e2e_with_parity_matrix_measures_post_decode_ber(tmp_path):

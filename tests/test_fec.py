@@ -17,7 +17,7 @@ from shapelink.errors import ConfigurationError
 def _hamming_codebook():
     enc = fec.systematic_encoder(fec.hamming74())
     words = [
-        enc.encode(np.array(bits, dtype=np.uint8))
+        enc.encode(np.array(bits, dtype=np.uint8)[None])[0]
         for bits in itertools.product([0, 1], repeat=4)
     ]
     return np.array(words)
@@ -59,9 +59,9 @@ def test_matrix_dense_matches_rows():
 def test_syndrome_flags_single_flip():
     h = fec.hamming74()
     word = np.zeros(7, dtype=np.uint8)
-    assert not h.syndrome(word).any()
+    assert not h.syndrome(word[None]).any()
     word[2] = 1
-    syn = h.syndrome(word)[0]
+    syn = h.syndrome(word[None])[0]
     assert set(np.flatnonzero(syn)) == {0, 1}
 
 
@@ -202,7 +202,7 @@ def test_encoder_redundant_row_keeps_k():
 
 def test_encoder_batch_and_single_shapes():
     enc = fec.systematic_encoder(fec.hamming74())
-    one = enc.encode(np.array([1, 0, 1, 1], dtype=np.uint8))
+    one = enc.encode(np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
     assert one.shape == (7,)
     many = enc.encode(np.tile([1, 0, 1, 1], (5, 1)))
     assert many.shape == (5, 7)
@@ -212,7 +212,7 @@ def test_encoder_batch_and_single_shapes():
 def test_encoder_rejects_wrong_length():
     enc = fec.systematic_encoder(fec.hamming74())
     with pytest.raises(ValueError):
-        enc.encode(np.zeros(5, dtype=np.uint8))
+        enc.encode(np.zeros(5, dtype=np.uint8)[None])
 
 
 def test_encoder_valid_on_random_regular_code():
@@ -292,6 +292,18 @@ def test_decode_takes_only_batch_by_cols(shape):
         fec.ldpc_decode(np.zeros(shape), fec.hamming74())
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1d", "3d"])
+def test_encode_takes_only_batch_by_k(shape):
+    with pytest.raises(ValueError, match=r"shape \(batch, 4\)"):
+        fec.systematic_encoder(fec.hamming74()).encode(np.zeros(shape, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3, 7)], ids=["1d", "3d"])
+def test_syndrome_takes_only_batch_by_cols(shape):
+    with pytest.raises(ValueError, match=r"shape \(batch, 7\)"):
+        fec.hamming74().syndrome(np.zeros(shape, dtype=np.uint8))
+
+
 def test_single_flip_matches_exhaustive_ml():
     # oracle: maximize sum(llr * (1 - 2b)) over all 16 codewords
     h = fec.hamming74()
@@ -316,7 +328,7 @@ def test_random_llrs_do_not_false_converge():
     res = fec.ldpc_decode((rng.normal(size=1000) * 0.5)[None], h, max_iters=25)
     assert not res.syndrome_ok[0]
     assert res.iterations[0] == 25
-    assert h.syndrome(res.bits[0]).any()
+    assert h.syndrome(res.bits[0][None]).any()
 
 
 def test_converged_output_is_valid_codeword():
@@ -533,6 +545,13 @@ def test_select_rate_requires_rates():
         fec.select_rate(5.0, [], bits_per_4d=12.0)
 
 
+@pytest.mark.parametrize("bits_per_4d", [0.0, -12.0, math.nan, math.inf])
+def test_select_rate_rejects_bits_per_4d_not_positive_and_finite(bits_per_4d):
+    # a NaN read every rate as infeasible instead of failing
+    with pytest.raises(ValueError, match="bits_per_4d must be positive and finite"):
+        fec.select_rate(10.0, ["1/2"], bits_per_4d)
+
+
 def test_net_throughput_anchor_values():
     per, total = fec.net_throughput([6.93], 35e9, bch_overhead=0.0)
     assert per[0] == pytest.approx(242.55, rel=1e-12)
@@ -566,6 +585,13 @@ def test_net_throughput_always_deducts_the_given_overhead():
 def test_net_throughput_rejects_bad_rate():
     with pytest.raises(ValueError):
         fec.net_throughput([1.0], 0.0, bch_overhead=0.0)
+
+
+@pytest.mark.parametrize("overhead", [-0.01, 1.0, 1.5, math.nan, math.inf])
+def test_net_throughput_rejects_overhead_outside_unit_interval(overhead):
+    # an overhead of 1.5 gave negative rates, a NaN gave NaN rates
+    with pytest.raises(ValueError, match=r"bch_overhead must be in \[0, 1\)"):
+        fec.net_throughput([8.0], 35e9, overhead)
 
 
 # ---------------------------------------------------------------------------

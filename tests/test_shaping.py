@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from point_sets import natural_constellation
 
 from shapelink import shaping
 from shapelink.constellation import (
@@ -40,11 +41,6 @@ def _random_points(rng, n=16):
     return normalized(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def _natural_bits(n):
-    m = int(np.log2(n))
-    return ((np.arange(n)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
-
-
 def finite_difference_gradient(fun, points: np.ndarray, step: float = 1e-4) -> np.ndarray:
     """Central finite differences over the 2M real coordinates."""
     grad = np.zeros(points.size, dtype=np.complex128)
@@ -65,11 +61,11 @@ def finite_difference_gradient(fun, points: np.ndarray, step: float = 1e-4) -> n
 
 def test_analytic_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    bits = _natural_bits(16)
     nu = 10 ** (-1.0)
     worst = 0.0
     for _ in range(10):
-        pts = _random_points(rng)
+        c = natural_constellation(_random_points(rng))
+        pts, bits = c.points, c.bit_matrix
         _, grad = gh_gmi_value_and_gradient(pts, bits, nu)
         fd = finite_difference_gradient(lambda p: gh_gmi_value(p, bits, nu), pts, step=1e-5)
         worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
@@ -196,8 +192,8 @@ def _bit_identity_cases():
         yield name, c, c.points, c.bit_matrix
     rng = np.random.default_rng(5)
     for n in (2, 4, 16):
-        pts = _random_points(rng, n)
-        yield f"raw{n}", pts, pts, _natural_bits(n)
+        c = natural_constellation(_random_points(rng, n))
+        yield f"natural{n}", c, c.points, c.bit_matrix
 
 
 def test_blocked_kernel_is_bit_identical_to_full_grid():
@@ -285,11 +281,11 @@ def test_papr_smooth_upper_bounds_true_max(monkeypatch):
     rng = np.random.default_rng(1)
     points = [_random_points(rng, 32) for _ in range(5)]
     for pts in points:
-        assert papr_smooth(pts) >= max(papr(pts)) - 1e-9
+        assert papr_smooth(pts) >= max(papr(natural_constellation(pts))) - 1e-9
     # the bound tightens onto the true max as the sharpness grows
     monkeypatch.setattr(shaping, "_PAPR_SHARPNESS", 300.0)
     for pts in points:
-        assert papr_smooth(pts) == pytest.approx(max(papr(pts)), rel=0.02)
+        assert papr_smooth(pts) == pytest.approx(max(papr(natural_constellation(pts))), rel=0.02)
 
 
 def test_papr_smooth_gradient_matches_finite_differences():
@@ -361,13 +357,6 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_ndarray_input_returns_ndarray():
-    pts = square64().points
-    res = optimize(np.asarray(pts), _FAST)
-    assert isinstance(res.constellation, np.ndarray)
-    assert res.constellation.shape == (64,)
-
-
 def test_huge_weight_drives_papr_to_one():
     cfg = ShapingConfig(papr_penalty_weight=1000.0, max_iterations=400, step_size=0.2)
     res = optimize(square64(), cfg)
@@ -400,14 +389,14 @@ def test_toy_8point_reaches_grid_optimum():
     # symmetric 8-point real constellations {+/-a, +/-b, +/-c, +/-d}: grid
     # over quantized magnitudes gives a brute-force reference optimum
     nu = 10 ** (-10.0 / 10)
-    bits = _natural_bits(8)
+    start = natural_constellation([m * s for m in (0.25, 0.5, 0.75, 1.0) for s in (1.0, -1.0)])
+    bits = start.bit_matrix
     best = -np.inf
     mags = np.arange(0.1, 1.9, 0.1)
     for combo in itertools.combinations(mags, 4):
         pts = normalized(np.array([m * s for m in combo for s in (1.0, -1.0)], dtype=complex))
         best = max(best, gh_gmi_value(pts, bits, nu))
 
-    start = normalized(np.array([m * s for m in (0.25, 0.5, 0.75, 1.0) for s in (1.0, -1.0)], dtype=complex))
     cfg = ShapingConfig(
         target_snr_db=10.0,
         max_iterations=2000,
@@ -416,8 +405,8 @@ def test_toy_8point_reaches_grid_optimum():
         init_jitter=0.0,  # keep the problem on the real axis
     )
     res = optimize(start, cfg)
-    found = gh_gmi_value(res.constellation, bits, nu)
+    found = gh_gmi_value(res.constellation.points, bits, nu)
     assert found >= best - 0.02
     # negligible imaginary drift: a real start has a real gradient up to
     # floating-point roundoff in the quadrature sums
-    assert np.max(np.abs(res.constellation.imag)) < 1e-8
+    assert np.max(np.abs(res.constellation.points.imag)) < 1e-8
