@@ -64,9 +64,14 @@ _DEFAULT_RATES = (
 )
 
 
-def _ini(section: str, default, key: str | None = None):
-    """A config field read from ``key`` (default: the field name) in ``[section]``."""
-    return field(default=default, metadata={"section": section, "key": key})
+def _ini(section: str, default, key: str | None = None, accepts=None):
+    """A config field read from ``key`` (default: the field name) in ``[section]``.
+
+    ``accepts`` declares the values the field may take: a tuple of choices,
+    or an interval written as in mathematics, such as ``"[0, 1)"`` or
+    ``"(0, inf)"``.  A float field without one accepts ``"(-inf, inf)"``.
+    """
+    return field(default=default, metadata={"section": section, "key": key, "accepts": accepts})
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,11 @@ class ExperimentConfig:
 
     Each field is read from the INI section its declaration names, under
     its own name unless a ``key`` is given; the field's type sets how the
-    value is parsed (a ``tuple`` is a whitespace-separated list).
+    value is parsed (a ``tuple`` is a whitespace-separated list), and its
+    ``accepts`` the values :func:`validate_config` lets through.
     ``transmitter_snr_db`` is the back-to-back transceiver SNR: the noise
     added to the transmitted symbols in ``fiber_e2e`` and the flat
-    transceiver term of the ``linkbudget`` rows; it may be infinite to
+    transceiver term of the ``linkbudget`` rows; it may be +inf to
     disable transceiver noise in both;
     ``linewidth_hz`` 0 disables laser phase noise (and with it the
     carrier-phase stage of the fiber receiver).  ``max_step_m`` None sizes
@@ -86,42 +92,42 @@ class ExperimentConfig:
     at most that length.
     """
 
-    mode: str = _ini("experiment", "gap_sweep")
-    seed: int = _ini("experiment", 0)
+    mode: str = _ini("experiment", "gap_sweep", accepts=MODES)
+    seed: int = _ini("experiment", 0, accepts="[0, inf)")
     output_dir: str = _ini("experiment", "runs", key="output")
     source: str = _ini("constellation", "system12")
     design_snr_db: float = _ini("constellation", 11.0)
     snr_start_db: float = _ini("sweep", 0.0)
     snr_stop_db: float = _ini("sweep", 20.0)
-    snr_step_db: float = _ini("sweep", 1.0)
-    estimator: str = _ini("sweep", "gh")
-    mc_symbols: int = _ini("sweep", 1_000_000)
-    span_count: int = _ini("channel", 9, key="spans")
+    snr_step_db: float = _ini("sweep", 1.0, accepts="(0, inf)")
+    estimator: str = _ini("sweep", "gh", accepts=("gh", "mc"))
+    mc_symbols: int = _ini("sweep", 1_000_000, accepts="[1000, inf)")
+    span_count: int = _ini("channel", 9, key="spans", accepts="[1, inf)")
     launch_power_dbm: float = _ini("channel", -0.5)
-    symbol_rate_hz: float = _ini("channel", 35e9)
+    symbol_rate_hz: float = _ini("channel", 35e9, accepts="(0, inf)")
     channel_spacing_hz: float = _ini("channel", 50e9)
-    oversampling: int = _ini("channel", 4)
-    symbols: int = _ini("channel", 16384)
-    transmitter_snr_db: float = _ini("channel", 20.0)
-    linewidth_hz: float = _ini("channel", 0.0)
-    max_step_m: float | None = _ini("channel", None)
-    rrc_rolloff: float = _ini("dsp", 0.01)
-    cpe_block_length: int = _ini("dsp", 64)
-    dbp_steps_per_span: int = _ini("dsp", 4)
+    oversampling: int = _ini("channel", 4, accepts="[2, inf)")
+    symbols: int = _ini("channel", 16384, accepts="[64, inf)")
+    transmitter_snr_db: float = _ini("channel", 20.0, accepts="(-inf, inf]")
+    linewidth_hz: float = _ini("channel", 0.0, accepts="[0, inf)")
+    max_step_m: float | None = _ini("channel", None, accepts="(0, inf)")
+    rrc_rolloff: float = _ini("dsp", 0.01, accepts="(0, 1)")
+    cpe_block_length: int = _ini("dsp", 64, accepts="[1, inf)")
+    dbp_steps_per_span: int = _ini("dsp", 4, accepts="[1, inf)")
     fec_matrix: str = _ini("fec", "", key="matrix")
     fec_rates: tuple = _ini("fec", _DEFAULT_RATES, key="rates")
-    bch_overhead: float = _ini("fec", 0.005)
-    ber_threshold: float = _ini("fec", 3e-4)
-    band_channels: int = _ini("band", 92, key="channels")
+    bch_overhead: float = _ini("fec", 0.005, accepts="[0, 1)")
+    ber_threshold: float = _ini("fec", 3e-4, accepts="(0, inf)")
+    band_channels: int = _ini("band", 92, key="channels", accepts="[1, inf)")
     mean_nf_db: float = _ini("band", 1.4)
     nf_tilt_db: float = _ini("band", -5.7)
     signal_tilt_db: float = _ini("band", -2.0)
     band_start_nm: float = _ini("band", 1525.0, key="start_nm")
     band_stop_nm: float = _ini("band", 1616.0, key="stop_nm")
-    shape_iterations: int = _ini("shape", 300, key="iterations")
-    papr_weight: float = _ini("shape", 0.0)
+    shape_iterations: int = _ini("shape", 300, key="iterations", accepts="[1, inf)")
+    papr_weight: float = _ini("shape", 0.0, accepts="[0, inf)")
     add_markers: bool = _ini("shape", False)
-    ring_gain: float = _ini("shape", 1.15)
+    ring_gain: float = _ini("shape", 1.15, accepts="(1, inf)")
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,13 @@ _INI_KEYS = {
     for f in dataclasses.fields(ExperimentConfig)
 }
 _SECTIONS = {section for section, _ in _INI_KEYS}
+
+# ExperimentConfig field name -> the values it accepts: a tuple of choices,
+# an interval, or None for a field with no single-key check
+_ACCEPTS = {
+    f.name: f.metadata["accepts"] or ("(-inf, inf)" if _KINDS[f.type] is float else None)
+    for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def parse_config(path) -> tuple:
@@ -209,83 +222,60 @@ def _is_builtin(name: str) -> bool:
     return name in cst.builtin_names()
 
 
-# float keys whose documented meaning includes +inf
-_INF_MEANS = {"transmitter_snr_db"}
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written like ``"[0, 1)"``; never NaN."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    return above and (value <= high if interval[-1] == "]" else value < high)
+
+
+def _outside(value, interval: str) -> str:
+    """The diagnostic for a ``value`` that ``interval`` does not hold."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    low, high = interval[1:-1].split(", ")
+    if high == "inf":
+        return f"must be {'at least' if interval[0] == '[' else 'above'} {low}"
+    return f"must be in {interval}"
 
 
 def validate_config(cfg: ExperimentConfig) -> list:
-    """All invariant violations, as ``section.key: message`` strings.
+    """All invariant violations, as ``section.key: message`` strings in field order.
 
-    A float key reports at most one violation; NaN and infinities are
-    violations except +inf on the keys of ``_INF_MEANS``.
+    Each value must be one that its field ``accepts``; a float outside
+    them that is NaN or infinite reads "must be finite".  The checks after
+    that loop read the file system or a second key, and a key already
+    reported keeps its first diagnostic.
     """
-    d = []
-    if cfg.mode not in MODES:
-        d.append(f"experiment.mode: unknown mode {cfg.mode!r}; choose from {', '.join(MODES)}")
-    if cfg.seed < 0:
-        d.append("experiment.seed: must be nonnegative")
+    d = {}
+    for (section, key), (name, _) in _INI_KEYS.items():
+        value, accepts = getattr(cfg, name), _ACCEPTS[name]
+        if accepts is None or value is None:
+            continue
+        if isinstance(accepts, tuple):
+            if value not in accepts:
+                d[section, key] = f"unknown {key} {value!r}; choose from {', '.join(accepts)}"
+        elif not _within(value, accepts):
+            d[section, key] = _outside(value, accepts)
     if not _is_builtin(cfg.source) and not os.path.isfile(cfg.source):
-        d.append(f"constellation.source: not a builtin name and file does not exist: {cfg.source}")
-    if cfg.snr_step_db <= 0:
-        d.append("sweep.snr_step_db: must be positive")
-    elif cfg.snr_stop_db < cfg.snr_start_db:
-        d.append("sweep.snr_stop_db: empty sweep range (stop below start)")
-    if cfg.estimator not in ("gh", "mc"):
-        d.append(f"sweep.estimator: unknown estimator {cfg.estimator!r} (gh or mc)")
-    if cfg.mc_symbols < 1000:
-        d.append("sweep.mc_symbols: need at least 1000 samples")
-    if cfg.span_count < 1:
-        d.append("channel.spans: must be at least 1")
-    if cfg.symbol_rate_hz <= 0:
-        d.append("channel.symbol_rate_hz: must be positive")
-    elif cfg.channel_spacing_hz < cfg.symbol_rate_hz:
-        d.append("channel.channel_spacing_hz: below the symbol rate (grid violation)")
-    if cfg.oversampling < 2:
-        d.append("channel.oversampling: must be at least 2")
-    if cfg.symbols < 64:
-        d.append("channel.symbols: must be at least 64")
-    if cfg.linewidth_hz < 0:
-        d.append("channel.linewidth_hz: must be nonnegative")
-    if cfg.max_step_m is not None and cfg.max_step_m <= 0:
-        d.append("channel.max_step_m: must be positive")
-    if not 0.0 < cfg.rrc_rolloff < 1.0:
-        d.append("dsp.rrc_rolloff: must be in (0, 1)")
-    if cfg.cpe_block_length < 1:
-        d.append("dsp.cpe_block_length: must be at least 1")
-    if cfg.dbp_steps_per_span < 1:
-        d.append("dsp.dbp_steps_per_span: must be at least 1")
+        d["constellation", "source"] = f"not a builtin name and file does not exist: {cfg.source}"
     if cfg.fec_matrix and not os.path.isfile(cfg.fec_matrix):
-        d.append(f"fec.matrix: file does not exist: {cfg.fec_matrix}")
+        d["fec", "matrix"] = f"file does not exist: {cfg.fec_matrix}"
     try:
         rates = [Fraction(r) for r in cfg.fec_rates]
         if not rates:
-            d.append("fec.rates: must list at least one rate")
+            d["fec", "rates"] = "must list at least one rate"
         elif any(not 0 < r < 1 for r in rates):
-            d.append("fec.rates: every rate must be in (0, 1)")
+            d["fec", "rates"] = "every rate must be in (0, 1)"
     except (ValueError, ZeroDivisionError):
-        d.append(f"fec.rates: unparseable rate list {' '.join(cfg.fec_rates)!r}")
-    if not 0 <= cfg.bch_overhead < 1:
-        d.append("fec.bch_overhead: must be in [0, 1)")
-    if cfg.ber_threshold <= 0:
-        d.append("fec.ber_threshold: must be positive")
-    if cfg.band_channels < 1:
-        d.append("band.channels: must be at least 1")
+        d["fec", "rates"] = f"unparseable rate list {' '.join(cfg.fec_rates)!r}"
+    if cfg.snr_stop_db < cfg.snr_start_db:
+        d.setdefault(("sweep", "snr_stop_db"), "empty sweep range (stop below start)")
+    if cfg.channel_spacing_hz < cfg.symbol_rate_hz:
+        d.setdefault(("channel", "channel_spacing_hz"), "below the symbol rate (grid violation)")
     if cfg.band_stop_nm <= cfg.band_start_nm and cfg.band_channels > 1:
-        d.append("band.stop_nm: must exceed start_nm")
-    if cfg.shape_iterations < 1:
-        d.append("shape.iterations: must be at least 1")
-    if not cfg.papr_weight >= 0:
-        d.append("shape.papr_weight: must be nonnegative")
-    if not cfg.ring_gain > 1.0:
-        d.append("shape.ring_gain: must be above 1")
-    named = {x.split(":", 1)[0] for x in d}
-    for (section, key), (name, kind) in _INI_KEYS.items():
-        value = getattr(cfg, name)
-        if kind is not float or value is None or f"{section}.{key}" in named:
-            continue
-        if not (math.isfinite(value) or (value == math.inf and key in _INF_MEANS)):
-            d.append(f"{section}.{key}: must be finite")
-    return d
+        d.setdefault(("band", "stop_nm"), "must exceed start_nm")
+    return [f"{s}.{k}: {d[s, k]}" for s, k in _INI_KEYS if (s, k) in d]
 
 
 # ---------------------------------------------------------------------------

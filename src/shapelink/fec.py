@@ -441,9 +441,12 @@ def select_rate(
     rate x bits_per_4d <= gmi_per_4d (``bits_per_4d`` is 2m for a
     2^m-point constellation, and must be positive and finite); with no
     feasible entry the lowest rate is returned flagged infeasible.
+    ``gmi_per_4d`` must be finite.
     """
     if not 0 < bits_per_4d < math.inf:
         raise ValueError(f"bits_per_4d must be positive and finite, got {bits_per_4d!r}")
+    if not math.isfinite(gmi_per_4d):
+        raise ValueError(f"gmi_per_4d must be finite, got {gmi_per_4d!r}")
     rates = sorted(Fraction(r) for r in available_rates)
     if not rates:
         raise ValueError("available_rates must be nonempty")
@@ -461,18 +464,18 @@ def net_throughput(
     """Per-channel net bit rates (Gb/s) and the total (Tb/s).
 
     The outer-code ``bch_overhead`` is always deducted: rate = bits x
-    symbol_rate x (1 - bch_overhead), with the overhead in [0, 1).  Pass 0
-    for information rates that are already net of all coding.
+    symbol_rate x (1 - bch_overhead), with the overhead in [0, 1), a
+    positive and finite symbol rate and finite bits.  Pass 0 for
+    information rates that are already net of all coding.
     """
-    if symbol_rate <= 0:
-        raise ValueError("symbol_rate must be positive")
+    if not 0 < symbol_rate < math.inf:
+        raise ValueError(f"symbol_rate must be positive and finite, got {symbol_rate!r}")
     if not 0 <= bch_overhead < 1:
         raise ValueError(f"bch_overhead must be in [0, 1), got {bch_overhead!r}")
-    factor = 1.0 - bch_overhead
-    per_channel = [
-        float(bits) * symbol_rate * factor / 1e9
-        for bits in per_channel_info_bits_per_symbol
-    ]
+    bits = [float(b) for b in per_channel_info_bits_per_symbol]
+    if not all(map(math.isfinite, bits)):
+        raise ValueError("per-channel bits must be finite")
+    per_channel = [b * symbol_rate * (1.0 - bch_overhead) / 1e9 for b in bits]
     return per_channel, sum(per_channel) / 1e3
 
 
@@ -490,8 +493,9 @@ def ber_measure(decided_bits: np.ndarray, reference_bits: np.ndarray) -> float:
 def post_fec_gate(ber: float, threshold: float = 3e-4) -> bool:
     """True iff the pre-FEC BER is strictly below the outer-code threshold.
 
-    Strict: a BER exactly at the threshold fails the gate.
+    Strict: a BER exactly at the threshold fails the gate.  A NaN BER or
+    threshold raises ``ValueError``.
     """
-    if ber < 0 or threshold <= 0:
+    if not (ber >= 0 and threshold > 0):
         raise ValueError("ber must be >= 0 and threshold > 0")
     return ber < threshold

@@ -281,6 +281,44 @@ def test_validate_rejects_non_finite_floats(field, value, key):
     assert diags == [f"{key}: must be finite"]
 
 
+def _edges(name, kind):
+    """(accepted, rejected) values at the edges of a field's accepted values.
+
+    For an interval: each closed end is accepted; the nearest value outside
+    each end (the end itself when open, else the next integer or float) is
+    rejected.  For choices: every choice is accepted, one unknown value not.
+    """
+    accepts = ex._ACCEPTS[name]
+    if isinstance(accepts, tuple):
+        return list(accepts), ["|".join(accepts)]
+    low, high = (float(end) for end in accepts[1:-1].split(","))
+    accepted, rejected = [], []
+    for end, closed, outward in ((low, accepts[0] == "[", -1), (high, accepts[-1] == "]", 1)):
+        if closed:
+            accepted.append(kind(end))
+            if math.isfinite(end):
+                beyond = int(end) + outward if kind is int else math.nextafter(end, outward * math.inf)
+                rejected.append(beyond)
+        elif kind is float or math.isfinite(end):
+            rejected.append(kind(end))
+    return accepted, rejected
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, (name, _) in ex._INI_KEYS.items() if ex._ACCEPTS[name] is not None],
+    ids=lambda key: ".".join(key),
+)
+def test_each_field_accepts_its_declared_values_to_the_edge(key):
+    name, kind = ex._INI_KEYS[key]
+    accepted, rejected = _edges(name, kind)
+    assert rejected
+    for value in accepted:
+        assert ex.validate_config(ex.ExperimentConfig(**{name: value})) == [], value
+    for value in rejected:
+        diags = ex.validate_config(ex.ExperimentConfig(**{name: value}))
+        assert len([d for d in diags if d.startswith(f"{'.'.join(key)}:")]) == 1, (value, diags)
+
+
 _FLOAT_KEYS = [key for key, (_, kind) in ex._INI_KEYS.items() if kind is float]
 
 # every mode at a size that runs in well under a second

@@ -552,6 +552,13 @@ def test_select_rate_rejects_bits_per_4d_not_positive_and_finite(bits_per_4d):
         fec.select_rate(10.0, ["1/2"], bits_per_4d)
 
 
+@pytest.mark.parametrize("gmi_per_4d", [math.nan, math.inf, -math.inf])
+def test_select_rate_rejects_non_finite_gmi(gmi_per_4d):
+    # a NaN GMI read as "lowest rate, infeasible" instead of failing
+    with pytest.raises(ValueError, match="gmi_per_4d must be finite"):
+        fec.select_rate(gmi_per_4d, ["1/2", "3/4"], 12.0)
+
+
 def test_net_throughput_anchor_values():
     per, total = fec.net_throughput([6.93], 35e9, bch_overhead=0.0)
     assert per[0] == pytest.approx(242.55, rel=1e-12)
@@ -587,6 +594,19 @@ def test_net_throughput_rejects_bad_rate():
         fec.net_throughput([1.0], 0.0, bch_overhead=0.0)
 
 
+@pytest.mark.parametrize("symbol_rate", [math.nan, math.inf])
+def test_net_throughput_rejects_rate_not_positive_and_finite(symbol_rate):
+    # a NaN or infinite symbol rate gave NaN or infinite throughput
+    with pytest.raises(ValueError, match="symbol_rate must be positive and finite"):
+        fec.net_throughput([8.0], symbol_rate, 0.0)
+
+
+@pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
+def test_net_throughput_rejects_non_finite_bits(bits):
+    with pytest.raises(ValueError, match="per-channel bits must be finite"):
+        fec.net_throughput([6.93, bits], 35e9, 0.0)
+
+
 @pytest.mark.parametrize("overhead", [-0.01, 1.0, 1.5, math.nan, math.inf])
 def test_net_throughput_rejects_overhead_outside_unit_interval(overhead):
     # an overhead of 1.5 gave negative rates, a NaN gave NaN rates
@@ -614,6 +634,13 @@ def test_gate_strict_at_threshold():
     assert not fec.post_fec_gate(ber)
     dec[29] = 0
     assert fec.post_fec_gate(fec.ber_measure(dec, ref))
+
+
+@pytest.mark.parametrize("ber, threshold", [(math.nan, 3e-4), (1e-5, math.nan)])
+def test_gate_rejects_nan(ber, threshold):
+    # both read as a failed gate instead of failing
+    with pytest.raises(ValueError, match="ber must be >= 0 and threshold > 0"):
+        fec.post_fec_gate(ber, threshold)
 
 
 def test_ber_rejects_length_mismatch():

@@ -116,3 +116,11 @@ def test_seeded_output_hasher_prints_one_line_per_file(tmp_path):
     check = hasher("--check", str(saved), "linkbudget")
     assert check.returncode == 1
     assert check.stderr.startswith(f"{name}: saved -, now {digest}")
+
+    # a bare --check reads the checked-in lines (run names go before it);
+    # another machine's BLAS may change a digest, so either outcome is exact
+    checked_in = dict(
+        line.split() for line in (ROOT / "tools" / "seeded_outputs.txt").read_text().splitlines()
+    )
+    check = hasher("linkbudget", "--check")
+    assert check.returncode == (0 if checked_in[name] == digest else 1), check.stderr
