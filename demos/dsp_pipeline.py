@@ -5,10 +5,10 @@ Act one: square-grid symbols, pulse-shaped at 2 samples/symbol, hit
 with a small polarization crosstalk (the radius-directed equalizer's
 envelope on a dense constellation; heavier mixing needs a modulus-based
 pre-stage it deliberately does not include), a 200 MHz carrier offset,
-and 26 dB additive noise.  The receiver is blind (matched filter,
-butterfly equalizer, 4th-power frequency recovery, carrier phase
-tracking); ``dsp.align`` then settles the polarization order and phase
-against the known symbols, and the demapper's bits are counted.
+and 26 dB additive noise.  ``dsp.blind_receive`` runs the blind chain
+(matched filter, butterfly equalizer, 4th-power frequency recovery,
+carrier phase tracking), settles polarization order and phase against
+the known symbols, and demaps; the bits are counted.
 
 Act two: the marker-ring payoff.  A 200 kHz-linewidth Wiener phase walk
 at 12 dB SNR on the shaped system constellation, tracked through the
@@ -36,18 +36,12 @@ wf = ch.apply_jones_rotation(wf, CROSSTALK_RAD)
 wf = ch.apply_frequency_shift(wf, OFFSET_HZ)
 wf = ch.add_transmitter_noise(wf, SNR_DB, seed=23)
 
-eq = dsp.rde_equalize(dsp.matched_filter(wf, 0.01), square)
-foc, estimate = dsp.frequency_offset_compensate(eq, square)
+aligned, llrs, estimate = dsp.blind_receive(wf, square, tx)
 print(f"frequency recovery: {estimate / 1e6:.2f} MHz (applied {OFFSET_HZ / 1e6:.1f})")
-rx = dsp.vv_cpe(foc, square).frame
-
-n = rx.n_symbols
-ref = tx.with_symbols(tx.symbols[:, :n])
-aligned = dsp.align(rx, ref)
-print(f"residual error vector: {dsp.evm_db(aligned, ref):.1f} dB")
-llrs = dsp.llr_demap(aligned, square).llrs
+n = aligned.n_symbols
+print(f"residual error vector: {dsp.evm_db(aligned, tx.with_symbols(tx.symbols[:, :n])):.1f} dB")
 bits = square.bit_matrix[idx][:, :n]
-errors = int(np.sum((llrs < 0) != bits))
+errors = int(np.sum((llrs.llrs < 0) != bits))
 print(f"bit errors: {errors} / {bits.size}  (ber {errors / bits.size:.1e})")
 
 # --- act two: marker-based carrier phase tracking -------------------------

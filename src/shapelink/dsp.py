@@ -59,6 +59,7 @@ __all__ = [
     "align",
     "snr_estimate",
     "evm_db",
+    "blind_receive",
 ]
 
 
@@ -740,20 +741,26 @@ def align(frame: SymbolFrame, reference: SymbolFrame) -> SymbolFrame:
 
 
 def snr_estimate(frame: SymbolFrame, reference: SymbolFrame) -> float:
-    """Data-aided SNR in dB against a sample-aligned reference frame.
-
-    The frame is first passed through :func:`align` (so the measure is
+    """Data-aided SNR in dB against a sample-aligned reference frame:
+    ``-evm_db`` of the frame after :func:`align` (so the measure is
     invariant to each polarization's scaling and phase, and raises its
-    :class:`AlignmentError`), then
-    SNR = power(reference) / power(aligned - reference), capped at 60 dB.
+    :class:`AlignmentError`), capped at 60 dB.
     """
-    a = align(frame, reference).symbols
-    r = reference.symbols
-    p_ref = 0.0
-    p_err = 0.0
-    for p in range(a.shape[0]):
-        p_ref += np.vdot(r[p], r[p]).real
-        p_err += float(np.sum(np.abs(a[p] - r[p]) ** 2))
-    if p_err <= p_ref * 1e-6:
-        return 60.0
-    return min(60.0, float(10.0 * math.log10(p_ref / p_err)))
+    return min(60.0, -evm_db(align(frame, reference), reference))
+
+
+def blind_receive(
+    frame: WaveformFrame, c: Constellation, reference: SymbolFrame
+) -> tuple[SymbolFrame, LlrFrame, float]:
+    """The blind chain at two samples per symbol: :func:`matched_filter`,
+    :func:`rde_equalize`, :func:`frequency_offset_compensate` and
+    :func:`vv_cpe` at their defaults, then :func:`align` against the
+    reference's first n symbols, n as many as the equalizer returns, and
+    :func:`llr_demap`.  Returns the aligned frame, its LLRs and the
+    frequency offset estimate in Hz.
+    """
+    eq = rde_equalize(matched_filter(frame), c)
+    foc, offset_hz = frequency_offset_compensate(eq, c)
+    rx = vv_cpe(foc, c).frame
+    aligned = align(rx, reference.with_symbols(reference.symbols[:, : rx.n_symbols]))
+    return aligned, llr_demap(aligned, c), offset_hz

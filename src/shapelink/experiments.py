@@ -271,6 +271,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d["fec", "rates"] = f"unparseable rate list {' '.join(cfg.fec_rates)!r}"
     if cfg.snr_stop_db < cfg.snr_start_db:
         d.setdefault(("sweep", "snr_stop_db"), "empty sweep range (stop below start)")
+    sweep = [("sweep", key) for key in ("snr_start_db", "snr_stop_db", "snr_step_db")]
+    if not any(key in d for key in sweep) and _sweep_span(cfg) >= _MAX_SWEEP_POINTS:
+        d["sweep", "snr_step_db"] = f"over {_MAX_SWEEP_POINTS} sweep points from start to stop"
     if cfg.channel_spacing_hz < cfg.symbol_rate_hz:
         d.setdefault(("channel", "channel_spacing_hz"), "below the symbol rate (grid violation)")
     if cfg.band_stop_nm <= cfg.band_start_nm and cfg.band_channels > 1:
@@ -310,8 +313,18 @@ def _load_constellation(cfg: ExperimentConfig) -> cst.Constellation:
     return cst.load_constellation(cfg.source)
 
 
+#: the most SNR points a sweep may hold
+_MAX_SWEEP_POINTS = 100_000
+
+
+def _sweep_span(cfg: ExperimentConfig) -> float:
+    """(stop - start) / step, nudged so a stop on the grid is kept: the
+    sweep holds floor of it plus one points (inf when it overflows)."""
+    return (cfg.snr_stop_db - cfg.snr_start_db) / cfg.snr_step_db + 1e-9
+
+
 def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
-    count = int(math.floor((cfg.snr_stop_db - cfg.snr_start_db) / cfg.snr_step_db + 1e-9)) + 1
+    count = int(math.floor(_sweep_span(cfg))) + 1
     return cfg.snr_start_db + cfg.snr_step_db * np.arange(count)
 
 

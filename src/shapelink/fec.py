@@ -122,6 +122,12 @@ class ParityCheckMatrix:
         return np.bitwise_xor.reduce(padded[:, self._row_ix], axis=2) & 1
 
 
+def _col_rows(h: ParityCheckMatrix) -> list:
+    """Each column's rows, ascending, read off the Tanner layout."""
+    width, pad = h._row_ix.shape[1], h._row_ix.size
+    return [[s // width for s in slots if s < pad] for slots in h._col_slot.tolist()]
+
+
 def save_alist(h: ParityCheckMatrix, path) -> None:
     """Write the adjacency text format.
 
@@ -131,8 +137,7 @@ def save_alist(h: ParityCheckMatrix, path) -> None:
     with its 1-based column positions.  (Degenerate zero entries are not
     padded; lines may be shorter than the maxima.)
     """
-    width, pad = h._row_ix.shape[1], h._row_ix.size
-    col_rows = [[s // width + 1 for s in slots if s < pad] for slots in h._col_slot.tolist()]
+    col_rows = [[r + 1 for r in rows] for rows in _col_rows(h)]
     row_cols = [[c + 1 for c in r] for r in h.row_cols]
     lines = [
         f"{h.cols} {h.rows}",
@@ -167,21 +172,12 @@ def load_alist(path) -> ParityCheckMatrix:
                 raise ValueError(f"row {r} degree mismatch")
             row_cols.append(tuple(entries))
         # cross-check the column adjacency against the row adjacency: a
-        # column line must hold its degree's count of distinct rows, and
-        # those rows must be the column's ones in the dense matrix
+        # column line must hold, in any order, its degree's count of rows,
+        # and those rows must be the column's in the row lines
         h = ParityCheckMatrix(rows=rows, cols=cols, row_cols=tuple(row_cols))
-        dense = h.to_dense()
-        lengths = np.array([len(line) for line in col_lines])
-        col_of = np.repeat(np.arange(cols), lengths)
-        row_of = np.array([int(x) - 1 for line in col_lines for x in line], dtype=np.intp)
-        inside = (row_of >= 0) & (row_of < rows)
-        named = np.zeros_like(dense)
-        named[row_of[inside], col_of[inside]] = 1
-        bad = (named != dense).any(axis=0)
-        bad |= (lengths != col_deg) | (lengths != dense.sum(axis=0))
-        bad[col_of[~inside]] = True
-        if bad.any():
-            raise ValueError(f"column {np.argmax(bad)} adjacency mismatch")
+        for c, (line, named) in enumerate(zip(col_lines, _col_rows(h))):
+            if len(line) != col_deg[c] or sorted(int(x) - 1 for x in line) != named:
+                raise ValueError(f"column {c} adjacency mismatch")
         return h
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed parity-check file: {exc}") from exc

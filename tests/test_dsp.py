@@ -944,18 +944,15 @@ def _blind_rx(square, s, rotation_rad):
     """BER and frequency estimate of the blind chain on input s: 16384
     square-grid symbols (seed 1000 + s) at 2 samples/symbol, a Jones
     rotation, a 200 MHz offset and 26 dB noise (seed 2000 + s), then
-    matched filter -> RDE -> frequency recovery -> CPE -> align -> LLRs."""
+    dsp.blind_receive."""
     tx, idx = dsp.random_symbols(square, 16384, seed=1000 + s)
     wf = dsp.rrc_shape(tx, 2, 0.01)
     wf = ch.apply_jones_rotation(wf, rotation_rad)
     wf = ch.apply_frequency_shift(wf, 200e6)
     wf = ch.add_transmitter_noise(wf, 26.0, seed=2000 + s)
-    eq = dsp.rde_equalize(dsp.matched_filter(wf, 0.01), square)
-    foc, offset_hz = dsp.frequency_offset_compensate(eq, square)
-    rx = dsp.vv_cpe(foc, square).frame
-    n = rx.n_symbols
-    llrs = dsp.llr_demap(dsp.align(rx, tx.with_symbols(tx.symbols[:, :n])), square).llrs
-    return float(np.mean((llrs < 0) != square.bit_matrix[idx][:, :n])), offset_hz
+    _, llrs, offset_hz = dsp.blind_receive(wf, square, tx)
+    bits = square.bit_matrix[idx][:, : llrs.n_symbols]
+    return float(np.mean((llrs.llrs < 0) != bits)), offset_hz
 
 
 _LOW_GAIN_RING = pytest.mark.xfail(

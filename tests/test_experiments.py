@@ -452,6 +452,29 @@ def test_empty_sweep_errors_with_no_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        dict(snr_step_db=5e-324),  # (stop - start) / step overflows
+        dict(snr_step_db=1e-9),  # 2e10 points
+        dict(snr_start_db=-1e308, snr_stop_db=1e308),  # stop - start overflows
+    ],
+    ids=["subnormal_step", "tiny_step", "huge_range"],
+)
+def test_oversized_sweep_is_rejected_before_anything_runs(tmp_path, monkeypatch, sweep):
+    def no_sweep(cfg):
+        raise AssertionError("sweep points built")
+
+    monkeypatch.setattr(ex, "_sweep_points", no_sweep)
+    out = tmp_path / "never"
+    cfg = ex.ExperimentConfig(output_dir=str(out), **sweep)
+    diags = ex.validate_config(cfg)
+    assert len(diags) == 1 and diags[0].startswith("sweep.snr_step_db:"), diags
+    with pytest.raises(ConfigurationError):
+        ex.run_experiment(cfg)
+    assert not out.exists()
+
+
 def test_invalid_workers_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         ex.run_experiment(_sweep_cfg(tmp_path), workers=0)

@@ -178,6 +178,17 @@ def test_alist_rejects_column_line_that_disagrees_with_rows(tmp_path, corrupt):
         fec.load_alist(path)
 
 
+def test_alist_column_lines_may_list_rows_in_any_order(tmp_path):
+    h = fec.make_regular_ldpc(48, 6, 3, seed=3)
+    path = tmp_path / "h.alist"
+    fec.save_alist(h, path)
+    lines = path.read_text().splitlines()
+    for c in range(h.cols):
+        lines[4 + c] = " ".join(reversed(lines[4 + c].split()))
+    path.write_text("\n".join(lines) + "\n")
+    assert fec.load_alist(path) == h
+
+
 # ---------------------------------------------------------------------------
 # systematic encoder
 

@@ -63,6 +63,9 @@ def test_printing_demo_runs(tmp_path, demo, closing):
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(closing, proc.stdout.splitlines()[-1])
     assert os.listdir(tmp_path) == []
+    if demo == "dsp_pipeline.py":  # act one's blind chain, at BER <= 1e-4
+        errors = re.search(r"^bit errors: (\d+) / 360000 ", proc.stdout, re.M)
+        assert errors and int(errors.group(1)) <= 36, proc.stdout
 
 
 def _run_demo(cwd, demo):
