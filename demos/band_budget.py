@@ -12,7 +12,6 @@ mode: 30.395 Tb/s at the defaults.
 """
 
 import tempfile
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,12 +28,11 @@ with tempfile.TemporaryDirectory() as out:
 
 system = cst.load_builtin("system12")
 m = system.bit_matrix.shape[1]
-rates = [Fraction(r) for r in cfg.fec_rates]
 
 rows = []
 for wl, ase, nli, total in budget:
     gmi_4d = 2.0 * cst.gmi_estimate(system, total)
-    rate, feasible = fec.select_rate(gmi_4d, rates, 2.0 * m)
+    rate, feasible = fec.select_rate(gmi_4d, cfg.fec_rates, 2.0 * m)
     rows.append((wl, ase, nli, total, gmi_4d, rate, feasible))
 
 print(f"{'wl [nm]':>9s} {'ase':>6s} {'nli':>6s} {'total':>6s} {'gmi/4D':>7s} {'rate':>5s}")

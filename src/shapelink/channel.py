@@ -81,8 +81,8 @@ class WaveformFrame:
         object.__setattr__(self, "samples", s)
         if s.ndim != 2 or s.shape[0] != 2 or s.shape[1] == 0:
             raise ValueError("samples must have shape (2, N), N > 0")
-        if not (self.sample_rate > 0 and self.symbol_rate > 0):
-            raise ValueError("rates must be positive")
+        if not (0 < self.sample_rate < math.inf and 0 < self.symbol_rate < math.inf):
+            raise ValueError("rates must be positive and finite")
         if self.sample_rate < 2 * self.symbol_rate - 1e-6:
             raise ValueError("sample_rate must be >= 2 x symbol_rate")
         if not np.all(np.isfinite(s.view(np.float64))):

@@ -91,7 +91,7 @@ class Constellation:
         nonempty, all markers must share one common radius strictly greater
         than the radius of every non-marker point.
     design_snr_db : float or None
-        SNR the constellation was shaped for, if any.
+        SNR the constellation was shaped for, if any; finite.
     """
 
     points: np.ndarray
@@ -107,6 +107,8 @@ class Constellation:
         object.__setattr__(self, "marker_indices", frozenset(self.marker_indices))
         if self.design_snr_db is not None:  # a numpy scalar would not load back
             object.__setattr__(self, "design_snr_db", float(self.design_snr_db))
+            if not math.isfinite(self.design_snr_db):
+                raise ValueError(f"design_snr_db must be finite, got {self.design_snr_db!r}")
         n = pts.size
         if pts.ndim != 1 or n < 2 or n & (n - 1):
             raise ValueError(f"a Constellation has 2^m points (m >= 1), got shape {pts.shape}")
@@ -701,7 +703,7 @@ def load_builtin(name: str) -> Constellation:
 
     ``square64`` is constructed exactly; ``awgn12``, ``papr12`` and
     ``system12`` are the three shaping stages tailored at 12 dB, shipped as
-    package data (regenerable with the `shape` CLI verb).
+    package data.
     """
     if name == "square64":
         return square64()

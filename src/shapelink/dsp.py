@@ -83,8 +83,8 @@ class SymbolFrame:
             raise ValueError("symbols must have shape (2, M) with M >= 1")
         if not np.all(np.isfinite(sym.view(np.float64))):
             raise ValueError("symbols must be finite")
-        if self.symbol_rate <= 0:
-            raise ValueError("symbol_rate must be positive")
+        if not 0 < self.symbol_rate < math.inf:
+            raise ValueError("symbol_rate must be positive and finite")
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
 

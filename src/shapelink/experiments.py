@@ -22,8 +22,8 @@ Five modes:
     post-decode error ratio.
 ``fiber_e2e``
     Full transmit-propagate-receive chain over the multi-span fiber
-    link, reported for a dispersion-compensation-only receiver and a
-    back-propagating one.
+    link, for a dispersion-compensation-only receiver and a
+    back-propagating one, whose GMI sets the coded columns of ``awgn_e2e``.
 ``linkbudget``
     Analytical per-wavelength budget across the amplification band.
 """
@@ -391,6 +391,12 @@ def _run_gap_sweep(cfg: ExperimentConfig, workers: int = 1):
     return [one(s) for s in snrs], []
 
 
+def _add_awgn(rng, symbols: np.ndarray, noise_var: float) -> np.ndarray:
+    """``symbols`` plus circular complex Gaussian noise of variance ``noise_var``."""
+    noise = rng.normal(size=symbols.shape + (2,)).view(np.complex128)[..., 0]
+    return symbols + math.sqrt(noise_var / 2.0) * noise
+
+
 def _coded_ber(enc, llr_magnitudes, rng) -> float:
     """Measured post-decode error ratio on the encoder's code.
 
@@ -413,45 +419,44 @@ def _coded_ber(enc, llr_magnitudes, rng) -> float:
     return fec.ber_measure(res.bits, cw)
 
 
+def _coded_columns(cfg: ExperimentConfig, m: int, gmi_2d: float, ber_post=None) -> dict:
+    """A row's coded tail for a 2^m-point constellation at ``gmi_2d``: the
+    largest of ``[fec] rates`` the GMI supports, its net rate after the
+    outer code's overhead, and what enters the outer code, ``ber_post`` as
+    measured through an inner code or, when None, the ideal inner code
+    (error free at a feasible rate, NaN otherwise), with its gate.
+    """
+    rate, feasible = fec.select_rate(2.0 * gmi_2d, cfg.fec_rates, 2.0 * m)
+    net, _ = fec.net_throughput([float(rate) * 2.0 * m], cfg.symbol_rate_hz, cfg.bch_overhead)
+    if ber_post is None:
+        ber_post = 0.0 if feasible else float("nan")
+    gate = fec.post_fec_gate(ber_post, cfg.ber_threshold) if math.isfinite(ber_post) else False
+    return dict(
+        code_rate=str(rate), rate_feasible=feasible, net_gbps=net[0], gate_pass=gate,
+        ber_post_fec=ber_post,
+    )
+
+
 def _run_awgn_e2e(cfg: ExperimentConfig):
     c = _load_constellation(cfg)
-    snrs = _sweep_points(cfg)
-    rates = [Fraction(r) for r in cfg.fec_rates]
     m = c.bit_matrix.shape[1]
     enc = fec.systematic_encoder(fec.load_alist(cfg.fec_matrix)) if cfg.fec_matrix else None
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for snr_db in snrs:
+    for snr_db in _sweep_points(cfg):
         idx = rng.integers(0, len(c.points), size=cfg.symbols)
-        tx = c.points[idx]
         noise_var = 10.0 ** (-float(snr_db) / 10.0)
-        noise = rng.normal(size=(cfg.symbols, 2)).view(np.complex128)[..., 0]
-        rx = tx + math.sqrt(noise_var / 2.0) * noise
-        llrs = cst.bitwise_llrs(c, rx, noise_var)
+        llrs = cst.bitwise_llrs(c, _add_awgn(rng, c.points[idx], noise_var), noise_var)
         bits = c.bit_matrix[idx]
         gmi_2d = cst.gmi_from_llrs(llrs, bits)
-        ber_pre = fec.ber_measure(llrs < 0, bits)
-        rate, feasible = fec.select_rate(2.0 * gmi_2d, rates, 2.0 * m)
-        net, _ = fec.net_throughput([float(rate) * 2.0 * m], cfg.symbol_rate_hz, cfg.bch_overhead)
-        # ber_post_fec is what enters the outer code: measured through the
-        # configured inner code, or the ideal-inner-code model (error free
-        # at a feasible rate) when no matrix is given
-        if enc is not None:
-            ber_post = _coded_ber(enc, np.abs(llrs), rng)
-        else:
-            ber_post = 0.0 if feasible else float("nan")
-        gate = fec.post_fec_gate(ber_post, cfg.ber_threshold) if math.isfinite(ber_post) else False
-        rows.append({
+        row = {
             "snr_db": float(snr_db),
             "gmi_2d": gmi_2d,
             "gap_4d": cst.gap_from_gmi(gmi_2d, float(snr_db)),
-            "ber_pre_fec": ber_pre,
-            "code_rate": str(rate),
-            "rate_feasible": feasible,
-            "net_gbps": net[0],
-            "gate_pass": gate,
-            "ber_post_fec": ber_post,
-        })
+            "ber_pre_fec": fec.ber_measure(llrs < 0, bits),
+        }
+        ber_post = _coded_ber(enc, np.abs(llrs), rng) if enc is not None else None
+        rows.append(row | _coded_columns(cfg, m, gmi_2d, ber_post))
     return rows, []
 
 
@@ -486,11 +491,8 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
     tx = ref
     if math.isfinite(cfg.transmitter_snr_db):
         rng = np.random.default_rng(cfg.seed + 1)
-        nv = 10.0 ** (-cfg.transmitter_snr_db / 10.0) * float(
-            np.mean(np.abs(ref.symbols) ** 2)
-        )
-        noise = rng.normal(size=ref.symbols.shape + (2,)).view(np.complex128)[..., 0]
-        tx = ref.with_symbols(ref.symbols + math.sqrt(nv / 2.0) * noise)
+        nv = 10.0 ** (-cfg.transmitter_snr_db / 10.0) * float(np.mean(np.abs(ref.symbols) ** 2))
+        tx = ref.with_symbols(_add_awgn(rng, ref.symbols, nv))
 
     wave = dsp.rrc_shape(tx, cfg.oversampling, rolloff=cfg.rrc_rolloff)
     wave = ch.with_power(wave, cfg.launch_power_dbm)
@@ -508,16 +510,14 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
     )
     snr_pre, gmi_pre, _ = _symbol_metrics(sym_cdc, ref, c, tx_bits)
     snr_post, gmi_post, ber_pre = _symbol_metrics(sym_dbp, ref, c, tx_bits)
-    gate = fec.post_fec_gate(ber_pre, cfg.ber_threshold)
     row = {
         "snr_pre_dbp": snr_pre,
         "snr_post_dbp": snr_post,
         "gmi_pre": gmi_pre,
         "gmi_post": gmi_post,
         "ber_pre_fec": ber_pre,
-        "ber_post_fec": 0.0 if gate else ber_pre,
     }
-    return [row], []
+    return [row | _coded_columns(cfg, c.bit_matrix.shape[1], gmi_post)], []
 
 
 def _run_linkbudget(cfg: ExperimentConfig):

@@ -156,15 +156,18 @@ def load_alist(path) -> ParityCheckMatrix:
     with open(path, "r", encoding="ascii") as fh:
         chunks = [line.split() for line in fh if line.strip()]
     try:
-        cols, rows = int(chunks[0][0]), int(chunks[0][1])
+        cols, rows = map(int, chunks[0])
+        max_deg = tuple(map(int, chunks[1]))
         col_deg = [int(x) for x in chunks[2]]
         row_deg = [int(x) for x in chunks[3]]
         if len(col_deg) != cols or len(row_deg) != rows:
             raise IndexError
+        if max_deg != (max(col_deg), max(row_deg)):
+            raise ValueError(f"maximum degrees {max_deg} disagree with the degree lines")
         col_lines = chunks[4 : 4 + cols]
-        row_lines = chunks[4 + cols : 4 + cols + rows]
+        row_lines = chunks[4 + cols :]
         if len(row_lines) != rows:
-            raise IndexError
+            raise ValueError(f"{len(row_lines)} lines after the column lines, expected {rows}")
         row_cols = []
         for r, line in enumerate(row_lines):
             entries = [int(x) - 1 for x in line]

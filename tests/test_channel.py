@@ -60,6 +60,15 @@ def test_frame_validation():
         WaveformFrame(samples=np.zeros((2, 8), complex), sample_rate=40e9, symbol_rate=35e9)
 
 
+@pytest.mark.parametrize(
+    "rates", [(math.inf, 35e9), (math.nan, 35e9), (70e9, math.inf), (70e9, math.nan), (0.0, 35e9)]
+)
+def test_frame_rejects_rates_that_are_not_positive_and_finite(rates):
+    sample_rate, symbol_rate = rates
+    with pytest.raises(ValueError, match="rates must be positive and finite"):
+        WaveformFrame(np.zeros((2, 8), complex), sample_rate=sample_rate, symbol_rate=symbol_rate)
+
+
 def test_power_accounting():
     f = _noise_frame(0, power_w=2e-3)
     assert f.power == pytest.approx(2e-3, rel=1e-12)

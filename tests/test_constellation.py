@@ -490,6 +490,12 @@ def test_design_snr_from_a_numpy_float_loads_back(tmp_path):
     assert load_constellation(tmp_path / "c.txt").design_snr_db == 11.0
 
 
+@pytest.mark.parametrize("design", [math.nan, math.inf, -math.inf])
+def test_design_snr_must_be_finite(design):
+    with pytest.raises(ValueError, match="design_snr_db must be finite"):
+        square64().replace(design_snr_db=design)
+
+
 def _square64_with_signed_zero() -> Constellation:
     # one point turned onto the positive imaginary axis at its own radius
     # (so the power is unchanged), with real part -0.0

@@ -84,6 +84,12 @@ def test_symbol_frame_validation():
         dsp.SymbolFrame(symbols=bad)
 
 
+@pytest.mark.parametrize("rate", [0.0, -35e9, math.inf, math.nan])
+def test_symbol_frame_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="symbol_rate must be positive and finite"):
+        dsp.SymbolFrame(symbols=np.zeros((2, 4), complex), symbol_rate=rate)
+
+
 # ---------------------------------------------------------------------------
 # pulse shaping
 

@@ -770,6 +770,10 @@ def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):
         "gmi_pre",
         "gmi_post",
         "ber_pre_fec",
+        "code_rate",
+        "rate_feasible",
+        "net_gbps",
+        "gate_pass",
         "ber_post_fec",
     )
     row = dict(zip(rep.columns, rep.rows[0]))
@@ -784,6 +788,30 @@ def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):
     assert "fiber_e2e.csv" in man["outputs"]
 
 
+@pytest.mark.parametrize("transmitter_snr_db, feasible", [(20.0, True), (0.0, False)])
+def test_fiber_e2e_coded_tail_follows_the_post_dbp_gmi(tmp_path, transmitter_snr_db, feasible):
+    # the code rate is the one the back-propagated GMI supports, and the
+    # inner code is ideal: error free when feasible, whatever the pre-FEC BER
+    cfg = ex.ExperimentConfig(
+        mode="fiber_e2e",
+        output_dir=str(tmp_path),
+        transmitter_snr_db=transmitter_snr_db,
+        **_SMALL_RUNS["fiber_e2e"],
+    )
+    rep = ex.run_experiment(cfg)
+    row = dict(zip(rep.columns, rep.rows[0]))
+    # square64 carries 2m = 12 bits per 4D symbol
+    rate, ok = fec.select_rate(2.0 * row["gmi_post"], cfg.fec_rates, 12.0)
+    net, _ = fec.net_throughput([float(rate) * 12.0], cfg.symbol_rate_hz, cfg.bch_overhead)
+    assert (row["code_rate"], row["rate_feasible"], row["net_gbps"]) == (str(rate), ok, net[0])
+    assert ok is feasible
+    if feasible:
+        assert row["ber_pre_fec"] > cfg.ber_threshold
+        assert row["ber_post_fec"] == 0.0 and row["gate_pass"]
+    else:
+        assert math.isnan(row["ber_post_fec"]) and not row["gate_pass"]
+
+
 def _small_link_cfg(out, **kw):
     return ex.ExperimentConfig(
         mode="fiber_e2e", output_dir=str(out), source="square64", span_count=2, **kw
@@ -791,11 +819,13 @@ def _small_link_cfg(out, **kw):
 
 
 def test_explicit_max_step_reproduces_uniform_step_csv(tmp_path):
-    # written by the uniform-step engine before steps were sized by
-    # nonlinear phase; an explicit max_step_m must keep every byte
+    # the five measured values were written by the uniform-step engine
+    # before steps were sized by nonlinear phase, and the coded tail
+    # follows from gmi_post; an explicit max_step_m must keep every byte
     pinned = (
-        "snr_pre_dbp,snr_post_dbp,gmi_pre,gmi_post,ber_pre_fec,ber_post_fec\n"
-        "19.8682211,19.9128539,5.75828615,5.76364026,0.00846354167,0.00846354167\n"
+        "snr_pre_dbp,snr_post_dbp,gmi_pre,gmi_post,ber_pre_fec,"
+        "code_rate,rate_feasible,net_gbps,gate_pass,ber_post_fec\n"
+        "19.8682211,19.9128539,5.75828615,5.76364026,0.00846354167,9/10,1,376.11,1,0\n"
     )
     cfg = _small_link_cfg(tmp_path, symbols=1024, oversampling=2, max_step_m=1000.0)
     ex.run_experiment(cfg)

@@ -155,6 +155,23 @@ def test_alist_rejects_degree_mismatch(tmp_path):
         fec.load_alist(path)
 
 
+@pytest.mark.parametrize("corrupt", ["max_degrees", "one_max_degree", "line_after_rows", "size"])
+def test_alist_rejects_header_and_trailing_lines_that_disagree(tmp_path, corrupt):
+    # hamming74's file: "7 4", then its maximum degrees "4 4"
+    path = tmp_path / "h.alist"
+    fec.save_alist(fec.hamming74(), path)
+    lines = path.read_text().splitlines()
+    lines = {
+        "max_degrees": lines[:1] + ["9 9"] + lines[2:],
+        "one_max_degree": lines[:1] + ["4"] + lines[2:],
+        "line_after_rows": lines + ["1 2 3"],
+        "size": ["7 4 1"] + lines[1:],
+    }[corrupt]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="malformed parity-check file"):
+        fec.load_alist(path)
+
+
 @pytest.mark.parametrize("corrupt", ["wrong_row", "repeated_row", "row_zero", "row_past_end"])
 def test_alist_rejects_column_line_that_disagrees_with_rows(tmp_path, corrupt):
     # the column lines are checked against the row lines; the first
