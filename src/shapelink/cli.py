@@ -50,26 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg, diags = parse_config(args.config)
-
-    if args.verb == "validate":
-        if cfg is not None:
-            diags = diags + validate_config(cfg)
-        for d in diags:
-            print(d)
-        return 0 if not diags else 1
-
-    if cfg is None or diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return 1
-    forced = _FORCED_MODE.get(args.verb)
-    if forced is not None:
-        cfg = dataclasses.replace(cfg, mode=forced)
+    if cfg is not None:
+        # every verb validates the config that run would execute
+        seed = cfg.seed if args.seed is None else args.seed
+        out = cfg.output_dir if args.out is None else args.out
+        mode = _FORCED_MODE.get(args.verb, cfg.mode)
+        cfg = dataclasses.replace(cfg, mode=mode, seed=seed, output_dir=out)
+        diags = diags + validate_config(cfg)
+    if args.workers < 1:
+        diags = diags + ["--workers: must be at least 1"]
+    for d in diags:
+        print(d, file=sys.stdout if args.verb == "validate" else sys.stderr)
+    if args.verb == "validate" or diags:
+        return 1 if diags else 0
 
     try:
-        report = run_experiment(
-            cfg, out_dir=args.out, seed=args.seed, workers=args.workers
-        )
+        report = run_experiment(cfg, workers=args.workers)
     except ConfigurationError as exc:
         for line in str(exc).splitlines():
             print(line, file=sys.stderr)

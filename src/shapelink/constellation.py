@@ -6,12 +6,12 @@ distinct m-bit labels, normalized to unit average power.  The module provides
 
 * builders (:func:`square64`, :func:`load_builtin`) and text-file I/O,
 * bit-interleaved GMI estimation over the complex AWGN channel, via
-  Gauss-Hermite quadrature (deterministic, fast) or seeded Monte Carlo
-  (for reported figures), the latter the mean of :func:`gmi_from_llrs`
-  over the LLRs of drawn samples,
-* full-sum bitwise LLR demapping; the LLRs and the blind noise estimate
-  of :mod:`shapelink.dsp` take every squared distance |y - c|^2 from one
-  kernel over blocks of received samples,
+  Gauss-Hermite quadrature (deterministic, fast; with the gradient that
+  shaping ascends) or seeded Monte Carlo (for reported figures), the
+  latter the mean of :func:`gmi_from_llrs` over the LLRs of drawn samples,
+* full-sum bitwise LLR demapping and the blind noise estimate of
+  :func:`shapelink.dsp.llr_demap`, both of which take every squared
+  distance |y - c|^2 from one kernel over blocks of received samples,
 * per-dimension peak-to-average power ratio,
 * :func:`add_ring_markers`, which moves the four outermost points onto a
   common outer ring so blind phase estimation can key on them.
@@ -418,6 +418,59 @@ def _gh_gmi(points, bits, noise_var) -> float:
     return _gh_value(losses, _gh_nodes(noise_var)[1], bits.shape[1])
 
 
+def _gh_gmi_and_gradient(points, bits, noise_var):
+    """GMI and its analytic gradient, from one pass over the Gauss-Hermite
+    blocks; gradient entry r is d GMI / d Re(c_r) + 1j d GMI / d Im(c_r).
+
+    Derivation: with Gaussian metrics q and softmax ratios
+    G(i,n,j) = m q/S_all - sum_k [same-bit] q/S_k, the loss derivative
+    splits into the metric channel (every q contains c_r as a candidate
+    point) and the observation channel (y = c_r + noise when r transmits);
+    rows of G sum to zero, which collapses the observation channel onto
+    the constellation points.  Every row of transmitted point i carries
+    label b_i, so [same-bit] is the fixed agreement A[i, j, k] =
+    [b_ik = b_jk] of :func:`_label_agreement`, whose last column of ones
+    carries the S_all term:
+    G(i,n,j) = q(i,n,j) sum_k coef(i,n,k) A[i,j,k] with
+    coef = [-1/S_same | m/S_all].  A block's G is then one batched
+    product, coef @ A[blk]^T, times q.
+    The metrics q carry the row shift of :func:`_gh_blocks`, which
+    cancels in every ratio.  Each block fills its rows of G; the two
+    contractions over all rows then run once on the full G, so the sums
+    keep one order.
+    """
+    big_m, m = bits.shape
+    nodes, weights = _gh_nodes(noise_var)
+    q = weights.size
+    g = np.empty((big_m * q, big_m))  # G(i,n,j), rows (i, n)
+    losses = []
+    for rows, agree, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
+        coef = np.empty((p.shape[0], m + 1))
+        np.divide(-1.0, s_same, out=coef[:, :m])
+        np.divide(m, s_all, out=coef[:, m])
+        gb = g[rows]
+        np.matmul(
+            coef.reshape(-1, q, m + 1),
+            np.ascontiguousarray(agree.transpose(0, 2, 1)),
+            out=gb.reshape(-1, q, big_m),
+        )
+        gb *= p
+        losses.append(loss)
+    value = _gh_value(losses, weights, m)
+
+    y = (points[:, None] + nodes[None, :]).ravel()
+    w_rows = np.tile(weights, big_m)
+    wy = w_rows * y
+    a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
+    gc = g @ np.stack([points.real, points.imag], axis=1)
+    b2 = weights @ gc.reshape(big_m, weights.size, 2)
+    d_loss = (2.0 / noise_var) * (
+        a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
+    )
+    grad = -d_loss / (big_m * math.log(2.0))
+    return value, grad
+
+
 def _gmi_monte_carlo(c, noise_var, samples, seed) -> float:
     """Seeded Monte Carlo GMI (bit/2D) of ``c`` at total noise variance
     ``noise_var``: the sample-weighted mean of :func:`gmi_from_llrs` over
@@ -435,6 +488,37 @@ def _gmi_monte_carlo(c, noise_var, samples, seed) -> float:
         total += n * gmi_from_llrs(bitwise_llrs(c, y, noise_var), bits[idx])
         done += n
     return total / samples
+
+
+def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
+    """Blind total-noise-variance estimate.
+
+    With markers: radial residuals about the known marker radius.  The
+    classification threshold truncates the lower tail of the marker
+    cloud, so only magnitudes at or above the ring radius are used; for
+    radial noise (half the 2D variance) that upper half-Gaussian has the
+    full radial second moment about the ring.  Without markers, or with
+    too few classified symbols, falls back to nearest-point residuals,
+    which undershoot at low SNR.  An all-zero frame raises
+    :class:`DegenerateInputError`: it holds no signal, and its residual
+    would only be the distance from the origin to the nearest point.
+    """
+    flat = symbols.ravel()
+    if not flat.any():
+        raise DegenerateInputError("an all-zero frame has no blind noise estimate")
+    if c.marker_indices:
+        r = c.marker_radius()
+        mags = np.abs(flat)
+        sel = mags[mags >= r]
+        if sel.size >= 8:
+            return float(max(2.0 * np.mean((sel - r) ** 2), 1e-12))
+    acc = 0.0
+    for rows, e in _distance_blocks(flat, c.points):
+        y = flat[rows]
+        nearest = e.min(axis=0)
+        nearest += y.real * y.real + y.imag * y.imag
+        acc += float(nearest.sum())
+    return float(max(acc / flat.size, 1e-12))
 
 
 def bitwise_llrs(c: Constellation, symbols: np.ndarray, noise_variance: float) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SpanSpec, WaveformFrame, _split_step, _step_count
-from .constellation import Constellation, _distance_blocks, bitwise_llrs
+from .constellation import Constellation, _auto_noise_variance, bitwise_llrs
 from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
 __all__ = [
@@ -614,37 +614,6 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
 
 # ---------------------------------------------------------------------------
 # demapping and quality metrics
-
-
-def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
-    """Blind total-noise-variance estimate.
-
-    With markers: radial residuals about the known marker radius.  The
-    classification threshold truncates the lower tail of the marker
-    cloud, so only magnitudes at or above the ring radius are used; for
-    radial noise (half the 2D variance) that upper half-Gaussian has the
-    full radial second moment about the ring.  Without markers, or with
-    too few classified symbols, falls back to nearest-point residuals,
-    which undershoot at low SNR.  An all-zero frame raises
-    :class:`DegenerateInputError`: it holds no signal, and its residual
-    would only be the distance from the origin to the nearest point.
-    """
-    flat = symbols.ravel()
-    if not flat.any():
-        raise DegenerateInputError("an all-zero frame has no blind noise estimate")
-    if c.marker_indices:
-        r = c.marker_radius()
-        mags = np.abs(flat)
-        sel = mags[mags >= r]
-        if sel.size >= 8:
-            return float(max(2.0 * np.mean((sel - r) ** 2), 1e-12))
-    acc = 0.0
-    for rows, e in _distance_blocks(flat, c.points):
-        y = flat[rows]
-        nearest = e.min(axis=0)
-        nearest += y.real * y.real + y.imag * y.imag
-        acc += float(nearest.sum())
-    return float(max(acc / flat.size, 1e-12))
 
 
 def llr_demap(

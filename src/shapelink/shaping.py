@@ -15,12 +15,12 @@ points; the paper's designs have 64.  Three-stage procedure; stages 1 and
 3. :func:`constellation.add_ring_markers` - move the four outermost points
    onto a distinct outer ring for blind phase estimation.
 
-The objective is the Gauss-Hermite GMI from :mod:`.constellation` (order
-10).  Its gradient is computed analytically below in softmax form, from the
-same blocks of quadrature rows as the value (one pass over
-``constellation._gh_blocks``), so a line-search candidate that is accepted
-already carries the gradient of the next iteration.  The gradient tests
-check it against central finite differences over the 2M real
+The objective is the Gauss-Hermite GMI (order 10).  :mod:`.constellation`
+owns that value and its analytic gradient, computed in softmax form from
+the same blocks of quadrature rows as the value, so a line-search
+candidate that is accepted already carries the gradient of the next
+iteration; this module owns the ascent.  The gradient tests check the
+gradient against central finite differences over the 2M real
 coordinates.  The objective functions below take raw coordinates and a
 bit matrix, so that they are plain functions of the coordinates.
 """
@@ -33,14 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import (
-    Constellation,
-    _gh_blocks,
-    _gh_gmi,
-    _gh_nodes,
-    _gh_value,
-    normalized,
-)
+from .constellation import Constellation, _gh_gmi, _gh_gmi_and_gradient, normalized
 
 __all__ = [
     "ShapingConfig",
@@ -148,59 +141,12 @@ def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float) -> floa
 
 
 def gh_gmi_value_and_gradient(points: np.ndarray, bits: np.ndarray, noise_var: float):
-    """GMI and its analytic gradient d GMI / d c_r, from one pass over the
-    Gauss-Hermite blocks.
-
-    The gradient is returned as a complex array: real part = derivative
-    with respect to Re(c_r), imaginary part = derivative with respect to
-    Im(c_r).  Derivation: with Gaussian metrics q and softmax ratios
-    G(i,n,j) = m q/S_all - sum_k [same-bit] q/S_k, the loss derivative
-    splits into the metric channel (every q contains c_r as a candidate
-    point) and the observation channel (y = c_r + noise when r transmits);
-    rows of G sum to zero, which collapses the observation channel onto
-    the constellation points.  Every row of transmitted point i carries
-    label b_i, so [same-bit] is the fixed agreement A[i, j, k] =
-    [b_ik = b_jk] of :func:`constellation._label_agreement`, whose last
-    column of ones carries the S_all term:
-    G(i,n,j) = q(i,n,j) sum_k coef(i,n,k) A[i,j,k] with
-    coef = [-1/S_same | m/S_all].  A block's G is then one batched
-    product, coef @ A[blk]^T, times q.
-    The metrics q carry the row shift of :func:`constellation._gh_blocks`,
-    which cancels in every ratio.  Each block fills its rows of G; the two
-    contractions over all rows then run once on the full G, so the sums
-    keep one order.  ``noise_var`` must be positive and finite.
+    """GMI and its analytic gradient, from one pass over the Gauss-Hermite
+    blocks; gradient entry r is d GMI / d Re(c_r) + 1j d GMI / d Im(c_r).
+    ``noise_var`` must be positive and finite.
     """
     _check_noise_var(noise_var)
-    big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var)
-    q = weights.size
-    g = np.empty((big_m * q, big_m))  # G(i,n,j), rows (i, n)
-    losses = []
-    for rows, agree, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
-        coef = np.empty((p.shape[0], m + 1))
-        np.divide(-1.0, s_same, out=coef[:, :m])
-        np.divide(m, s_all, out=coef[:, m])
-        gb = g[rows]
-        np.matmul(
-            coef.reshape(-1, q, m + 1),
-            np.ascontiguousarray(agree.transpose(0, 2, 1)),
-            out=gb.reshape(-1, q, big_m),
-        )
-        gb *= p
-        losses.append(loss)
-    value = _gh_value(losses, weights, m)
-
-    y = (points[:, None] + nodes[None, :]).ravel()
-    w_rows = np.tile(weights, big_m)
-    wy = w_rows * y
-    a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
-    gc = g @ np.stack([points.real, points.imag], axis=1)
-    b2 = weights @ gc.reshape(big_m, weights.size, 2)
-    d_loss = (2.0 / noise_var) * (
-        a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
-    )
-    grad = -d_loss / (big_m * math.log(2.0))
-    return value, grad
+    return _gh_gmi_and_gradient(points, bits, noise_var)
 
 
 # ---------------------------------------------------------------------------

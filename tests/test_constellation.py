@@ -31,7 +31,7 @@ from shapelink.constellation import (
     save_constellation,
     square64,
 )
-from shapelink.dsp import _auto_noise_variance
+from shapelink.constellation import _auto_noise_variance
 from shapelink.errors import DegenerateInputError
 
 

@@ -994,6 +994,15 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, key", [(["--seed", "-1"], "seed"), (["--workers", "0"], "--workers")])
+@pytest.mark.parametrize("verb, stream", [("validate", "out"), ("run", "err")])
+def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, flags, key, verb, stream):
+    path, out = _valid_ini(tmp_path)
+    assert cli.main([verb, "--config", path, *flags]) == 1
+    assert key in getattr(capsys.readouterr(), stream)
+    assert not os.path.exists(out)
+
+
 def test_cli_workers_flag_matches_serial_output(tmp_path):
     path_a, out_a = _valid_ini(tmp_path)
     assert cli.main(["run", "--config", path_a, "--workers", "3"]) == 0
