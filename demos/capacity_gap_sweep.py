@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Gap-to-capacity sweep over the four shipped 64-point designs.
 
-Runs the gap_sweep experiment mode directly (same thing the CLI's
-``sweep`` verb does) and prints the table it wrote.
+Runs the gap_sweep experiment mode directly, serially in this process
+(same thing the CLI's ``sweep`` verb does), and prints the table it
+wrote.
 """
 
 from shapelink import experiments
@@ -14,7 +15,7 @@ cfg = experiments.ExperimentConfig(
     snr_stop_db=20.0,
     snr_step_db=1.0,
 )
-report = experiments.run_experiment(cfg, workers=4)
+report = experiments.run_experiment(cfg)
 
 header = "  ".join(f"{c:>10s}" for c in report.columns)
 print(header)

@@ -198,6 +198,8 @@ class SpanSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("span needs at least one segment")
+        if not math.isfinite(self.amp_noise_figure_db):
+            raise ValueError("amplifier noise figure must be finite")
 
     @property
     def loss_db(self) -> float:

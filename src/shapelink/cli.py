@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Four verbs share the same flags:
+Four verbs share the flags ``--config``, ``--seed`` and ``--out``:
 
 ``run``
     Execute the mode named in the config.
@@ -41,9 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file (INI)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument(
-            "--workers", type=int, default=1, help="worker threads for sweep points"
-        )
     return parser
 
 
@@ -57,15 +54,13 @@ def main(argv=None) -> int:
         mode = _FORCED_MODE.get(args.verb, cfg.mode)
         cfg = dataclasses.replace(cfg, mode=mode, seed=seed, output_dir=out)
         diags = diags + validate_config(cfg)
-    if args.workers < 1:
-        diags = diags + ["--workers: must be at least 1"]
     for d in diags:
         print(d, file=sys.stdout if args.verb == "validate" else sys.stderr)
     if args.verb == "validate" or diags:
         return 1 if diags else 0
 
     try:
-        report = run_experiment(cfg, workers=args.workers)
+        report = run_experiment(cfg)
     except ConfigurationError as exc:
         for line in str(exc).splitlines():
             print(line, file=sys.stderr)

@@ -122,8 +122,8 @@ class ExperimentConfig:
     mean_nf_db: float = _ini("band", 1.4)
     nf_tilt_db: float = _ini("band", -5.7)
     signal_tilt_db: float = _ini("band", -2.0)
-    band_start_nm: float = _ini("band", 1525.0, key="start_nm")
-    band_stop_nm: float = _ini("band", 1616.0, key="stop_nm")
+    band_start_nm: float = _ini("band", 1525.0, key="start_nm", accepts="(0, inf)")
+    band_stop_nm: float = _ini("band", 1616.0, key="stop_nm", accepts="(0, inf)")
     shape_iterations: int = _ini("shape", 300, key="iterations", accepts="[1, inf)")
     papr_weight: float = _ini("shape", 0.0, accepts="[0, inf)")
     add_markers: bool = _ini("shape", False)
@@ -372,23 +372,13 @@ _SWEEP_BUILTINS = (
 )
 
 
-def _run_gap_sweep(cfg: ExperimentConfig, workers: int = 1):
-    snrs = _sweep_points(cfg)
+def _run_gap_sweep(cfg: ExperimentConfig):
     designs = [(col, cst.load_builtin(name)) for col, name in _SWEEP_BUILTINS]
     kwargs = {"estimator": cfg.estimator, "samples": cfg.mc_symbols, "seed": cfg.seed}
-
-    def one(snr: float):
-        row = {"snr_db": float(snr)}
-        row.update((col, cst.gap_to_capacity(c, float(snr), **kwargs)) for col, c in designs)
-        return row
-
-    if workers > 1:
-        # imported here, so that `import shapelink` does not load it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, snrs)), []
-    return [one(s) for s in snrs], []
+    rows = [{"snr_db": float(snr)} for snr in _sweep_points(cfg)]
+    for row in rows:
+        row.update((col, cst.gap_to_capacity(c, row["snr_db"], **kwargs)) for col, c in designs)
+    return rows, []
 
 
 def _add_awgn(rng, symbols: np.ndarray, noise_var: float) -> np.ndarray:
@@ -548,24 +538,20 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | None = None,
-    seed: int | None = None,
-    workers: int = 1,
+    cfg: ExperimentConfig, out_dir: str | None = None, workers: int = 1
 ) -> MetricsReport:
-    """Validate, run, and persist one experiment.
+    """Validate, run, and persist one experiment, serially in this process.
 
-    ``out_dir`` and ``seed`` override the config.  Raises
-    :class:`ConfigurationError` on diagnostics (before anything is
-    written) and re-raises runtime failures after writing a failed
+    ``out_dir`` overrides the config.  ``workers`` must be 1; it stays only
+    until ``perfbench/workload.py`` and ``make_references.py`` stop passing
+    it.  Raises :class:`ConfigurationError` on diagnostics (before anything
+    is written) and re-raises runtime failures after writing a failed
     manifest and removing partial tables.
     """
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=out_dir)
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
+    if workers != 1:
+        raise ConfigurationError("workers must be 1: every experiment runs serially")
     diags = validate_config(cfg)
     if diags:
         raise ConfigurationError("\n".join(diags))
@@ -582,7 +568,7 @@ def run_experiment(
         if cfg.mode == "shape":
             records, extra = _run_shape(cfg, out)
         elif cfg.mode == "gap_sweep":
-            records, extra = _run_gap_sweep(cfg, workers=workers)
+            records, extra = _run_gap_sweep(cfg)
         elif cfg.mode == "awgn_e2e":
             records, extra = _run_awgn_e2e(cfg)
         elif cfg.mode == "fiber_e2e":

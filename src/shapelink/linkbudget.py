@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .channel import _C0, _PLANCK, SpanSpec
-from .errors import ModelDomainError
+from .errors import DegenerateInputError, ModelDomainError
 
 __all__ = [
     "SNR_CAP_DB",
@@ -36,8 +36,23 @@ __all__ = [
 SNR_CAP_DB = 60.0
 
 
-def _dbm_to_w(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+def _from_db(db: float, quantity: str) -> float:
+    """10^(db/10); DegenerateInputError naming ``quantity`` if it is 0, NaN or overflows."""
+    try:
+        value = 10.0 ** (db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DegenerateInputError(f"{quantity} of {db!r} is {value!r} on the linear scale")
+    return value
+
+
+def _capped_db(signal_w: float, noise_w: float, quantity: str) -> float:
+    """10 log10(signal/noise) capped at ``SNR_CAP_DB``; zero noise reads as the cap."""
+    ratio = signal_w / noise_w if noise_w else math.inf
+    if ratio == 0.0:
+        raise DegenerateInputError(f"{quantity} underflows to 0 on the linear scale")
+    return min(SNR_CAP_DB, 10.0 * math.log10(ratio))
 
 
 def ase_snr(
@@ -62,12 +77,11 @@ def ase_snr(
         raise ValueError("span_count must be at least 1")
     if not (bandwidth_hz > 0 and frequency_hz > 0):
         raise ValueError("bandwidth and frequency must be positive")
-    if not all(map(math.isfinite, (span_loss_db, nf_db, power_dbm))):
-        raise ValueError("span loss, noise figure and power must be finite")
-    f_lin = 10.0 ** (nf_db / 10.0)
-    g_lin = 10.0 ** (span_loss_db / 10.0)
+    f_lin = _from_db(nf_db, "noise figure (dB)")
+    g_lin = _from_db(span_loss_db, "span gain (dB)")
     noise_w = span_count * f_lin * g_lin * _PLANCK * frequency_hz * bandwidth_hz
-    return min(SNR_CAP_DB, 10.0 * math.log10(_dbm_to_w(power_dbm) / noise_w))
+    power_w = _from_db(power_dbm - 30.0, "channel power (dBW)")
+    return _capped_db(power_w, noise_w, "the amplifier-noise SNR")
 
 
 def combine_snr(contributions_db) -> float:
@@ -83,7 +97,10 @@ def combine_snr(contributions_db) -> float:
         raise ValueError("need at least one contribution")
     if any(math.isnan(v) for v in values):
         raise ValueError("contributions must not be NaN")
-    inv = sum(10.0 ** (-v / 10.0) for v in values)
+    try:
+        inv = sum(10.0 ** (-v / 10.0) for v in values)
+    except OverflowError:
+        raise DegenerateInputError(f"SNR (dB) of {min(values)!r} is inf on the linear scale") from None
     if inv == 0.0:
         return SNR_CAP_DB
     return min(SNR_CAP_DB, -10.0 * math.log10(inv))
@@ -118,9 +135,7 @@ def gn_nli_estimate(
         raise ValueError("channel_count and span_count must be at least 1")
     if not (symbol_rate_hz > 0 and spacing_hz > 0):
         raise ValueError("symbol_rate and spacing must be positive")
-    if not math.isfinite(per_channel_power_dbm):
-        raise ValueError("per-channel power must be finite")
-    power_w = _dbm_to_w(per_channel_power_dbm)
+    power_w = _from_db(per_channel_power_dbm - 30.0, "channel power (dBW)")
     band_hz = symbol_rate_hz + (channel_count - 1) * spacing_hz
     psd = power_w * channel_count / band_hz
 
@@ -136,20 +151,21 @@ def gn_nli_estimate(
             )
         if gamma > 0.0:
             l_asym = 1.0 / alpha if alpha > 0.0 else seg.length_m
-            density += (
-                (8.0 / 27.0)
-                * gamma**2
-                * (psd * remaining) ** 3
-                * seg.effective_length_m**2
-                * math.asinh(0.5 * math.pi**2 * beta2 * l_asym * band_hz**2)
-                / (math.pi * beta2 * l_asym)
-            )
+            try:
+                density += (
+                    (8.0 / 27.0)
+                    * gamma**2
+                    * (psd * remaining) ** 3
+                    * seg.effective_length_m**2
+                    * math.asinh(0.5 * math.pi**2 * beta2 * l_asym * band_hz**2)
+                    / (math.pi * beta2 * l_asym)
+                )
+            except OverflowError:  # the cube of a launch density above ~5e102 W/Hz
+                density = math.inf
         remaining *= math.exp(-seg.alpha_per_m * seg.length_m)
 
     nli_w = span_count * density * symbol_rate_hz
-    if nli_w == 0.0:
-        return SNR_CAP_DB
-    return min(SNR_CAP_DB, 10.0 * math.log10(power_w / nli_w))
+    return _capped_db(power_w, nli_w, "the interference-limited SNR")
 
 
 # ---------------------------------------------------------------------------

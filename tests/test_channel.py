@@ -438,6 +438,13 @@ def test_transparent_linear_link_preserves_power():
     assert out.power == pytest.approx(f.power, rel=1e-9)
 
 
+@pytest.mark.parametrize("nf_db", [math.nan, math.inf, -math.inf])
+def test_span_rejects_non_finite_noise_figure(nf_db):
+    # unchecked, a NaN would fail only later, in amplify, as "samples must be finite"
+    with pytest.raises(ValueError, match="noise figure must be finite"):
+        SpanSpec(hybrid_span().segments, amp_noise_figure_db=nf_db)
+
+
 def test_hybrid_span_has_paper_loss():
     span = hybrid_span()
     assert span.loss_db == pytest.approx(10.72, abs=1e-12)

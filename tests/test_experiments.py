@@ -21,7 +21,7 @@ from point_sets import natural_constellation
 import shapelink
 from shapelink import channel as ch
 from shapelink import cli, constellation as cst, dsp, experiments as ex, fec, linkbudget
-from shapelink.errors import ConfigurationError
+from shapelink.errors import ConfigurationError, DegenerateInputError
 
 
 FULL_INI = """\
@@ -416,15 +416,8 @@ def test_gap_sweep_csv_is_bit_identical_across_runs(tmp_path):
     assert bytes_a == bytes_b
 
 
-def test_gap_sweep_workers_do_not_change_output(tmp_path):
-    serial = ex.run_experiment(_sweep_cfg(tmp_path / "s"))
-    threaded = ex.run_experiment(_sweep_cfg(tmp_path / "t"), workers=4)
-    serial_csv = pathlib.Path(serial.outputs[0]).read_bytes()
-    assert serial_csv == pathlib.Path(threaded.outputs[0]).read_bytes()
-
-
 def test_import_leaves_concurrent_futures_unloaded():
-    # only a threaded gap sweep needs the pool, so a plain import skips it
+    # every run is serial, so nothing in the package imports a pool
     code = "import sys, shapelink; print('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shapelink.__file__))}
     out = subprocess.run(
@@ -476,8 +469,13 @@ def test_oversized_sweep_is_rejected_before_anything_runs(tmp_path, monkeypatch,
 
 
 def test_invalid_workers_rejected(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ex.run_experiment(_sweep_cfg(tmp_path), workers=0)
+    # only workers=1 runs: every experiment is serial
+    assert ex.run_experiment(_sweep_cfg(tmp_path / "one"), workers=1).rows
+    for workers in (0, 2):
+        out = tmp_path / f"never{workers}"
+        with pytest.raises(ConfigurationError):
+            ex.run_experiment(_sweep_cfg(out), workers=workers)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +483,7 @@ def test_invalid_workers_rejected(tmp_path):
 
 
 def test_manifest_written_on_success(tmp_path):
-    rep = ex.run_experiment(_sweep_cfg(tmp_path), seed=5)
+    rep = ex.run_experiment(_sweep_cfg(tmp_path, seed=5))
     man = _manifest(rep.manifest_path)
     assert man["status"] == "ok"
     assert man["error"] is None
@@ -514,9 +512,36 @@ def test_manifest_written_on_runtime_failure_with_no_partial_csv(tmp_path):
     assert not (out / "shape.csv.tmp").exists()
 
 
+@pytest.mark.parametrize(
+    "band",
+    [
+        dict(signal_tilt_db=1e6),  # the edge channel's power underflows to 0 W
+        dict(launch_power_dbm=-1e6),
+        dict(signal_tilt_db=-1e6),  # ... or overflows
+        dict(launch_power_dbm=1e6),
+        dict(mean_nf_db=1e6),  # the noise figure overflows
+        dict(mean_nf_db=-1e6),  # ... or underflows to 0
+        dict(nf_tilt_db=1e6),
+        dict(launch_power_dbm=1200.0),  # the interference density's cube overflows
+        dict(mean_nf_db=3000.0, launch_power_dbm=-3000.0),  # the ASE SNR underflows
+        dict(transmitter_snr_db=-1e6),  # the transceiver noise overflows
+    ],
+    ids=lambda band: ",".join(f"{k}={v:g}" for k, v in band.items()),
+)
+def test_linkbudget_at_float_range_edges_fails_loudly(tmp_path, band):
+    cfg = ex.ExperimentConfig(mode="linkbudget", output_dir=str(tmp_path), **band)
+    assert ex.validate_config(cfg) == []
+    with pytest.raises(DegenerateInputError):
+        ex.run_experiment(cfg)
+    man = _manifest(tmp_path / "manifest.json")
+    assert man["status"] == "failed"
+    assert man["error"].startswith("DegenerateInputError: ")
+    assert not (tmp_path / "linkbudget.csv").exists()
+
+
 def test_seed_and_out_dir_overrides(tmp_path):
     cfg = _sweep_cfg(tmp_path / "ignored", seed=1)
-    rep = ex.run_experiment(cfg, out_dir=str(tmp_path / "used"), seed=9)
+    rep = ex.run_experiment(dataclasses.replace(cfg, seed=9), out_dir=str(tmp_path / "used"))
     assert rep.manifest_path.startswith(str(tmp_path / "used"))
     man = _manifest(rep.manifest_path)
     assert man["seed"] == 9
@@ -994,23 +1019,13 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, key", [(["--seed", "-1"], "seed"), (["--workers", "0"], "--workers")])
+@pytest.mark.parametrize("flags, key", [(["--seed", "-1"], "seed")])
 @pytest.mark.parametrize("verb, stream", [("validate", "out"), ("run", "err")])
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, flags, key, verb, stream):
     path, out = _valid_ini(tmp_path)
     assert cli.main([verb, "--config", path, *flags]) == 1
     assert key in getattr(capsys.readouterr(), stream)
     assert not os.path.exists(out)
-
-
-def test_cli_workers_flag_matches_serial_output(tmp_path):
-    path_a, out_a = _valid_ini(tmp_path)
-    assert cli.main(["run", "--config", path_a, "--workers", "3"]) == 0
-    out_b = str(tmp_path / "serial")
-    assert cli.main(["run", "--config", path_a, "--out", out_b]) == 0
-    csv_a = pathlib.Path(out_a, "gap_sweep.csv").read_bytes()
-    csv_b = pathlib.Path(out_b, "gap_sweep.csv").read_bytes()
-    assert csv_a == csv_b
 
 
 def test_module_entry_point_runs(tmp_path):
