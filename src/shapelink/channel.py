@@ -4,7 +4,9 @@ The signal lives in :class:`WaveformFrame` objects, dual-polarization
 complex baseband at ``sample_rate``.  Propagation over a
 :class:`FiberSegment` uses the symmetric split-step Fourier method with
 loss folded into the linear half-steps and a Manakov (8/9) Kerr rotation
-at the step midpoint.  One engine runs a chain of segments, a span's
+at the step midpoint, taken over the step's lossy length
+2 sinh(alpha h / 2) / alpha so that a continuous wave's Kerr phase is
+exact at any step count.  One engine runs a chain of segments, a span's
 fiber forward or a whole link backwards in DBP, and it alone maps a
 segment to its beta2, alpha and Manakov gamma, negated when it runs
 backwards; the dispersion compensator of :mod:`shapelink.dsp` reads the
@@ -13,9 +15,11 @@ Kerr rotations, so a step costs two FFTs rather than four, and at a
 segment boundary the exit half-step, any gain and the next segment's
 entry half-step are one spectral multiply.  Each distinct half-step
 operator is built once per chain.  Steps are uniform within a segment.
-By default their count bounds the Kerr phase per step (the
-nonlinear-phase rotation rule of Sinkin et al., JLT 21(1), 2003); an
-explicit maximum step length sets ceil(L / h) steps instead.  A
+By default their count bounds the Kerr phase per step to 3.3e-3 rad (the
+nonlinear-phase rotation rule of Sinkin et al., JLT 21(1), 2003), which
+runs a hybrid span at -0.5 dBm in 4 + 2 steps and keeps the CDC and DBP
+SNRs of a 9- or 90-span link at -3 to +2 dBm within 0.01 dB of 100 m
+steps; an explicit maximum step length sets ceil(L / h) steps instead.  A
 :class:`SpanSpec` chains segments and ends in a transparent lumped
 amplifier: its gain equals the span loss, so the launch power repeats at
 every span output, and its ASE is set by its noise figure.
@@ -43,6 +47,7 @@ __all__ = [
     "WaveformFrame",
     "FiberSegment",
     "SpanSpec",
+    "split_steps",
     "ssfm_propagate",
     "amplify",
     "propagate_link",
@@ -251,22 +256,25 @@ def _split_step(
     amplitude is scaled by ``gain`` where it begins.  A segment runs with
     its beta2, its loss alpha and the Manakov (8/9) gamma; ``backward``
     negates all three, which turns loss into gain (back-propagation).
-    Each step is linear half (dispersion + loss), full Kerr phase on the
-    midpoint field, linear half again.  The field stays in the frequency
-    domain between Kerr rotations: the two linear halves that meet
-    between steps multiply it back to back, and at a segment boundary the
-    exit half of one segment, the next one's gain and its entry half are
-    a single multiply.  The field is transformed once on entry and once
+    Each step of length h is linear half (dispersion + loss), Kerr phase
+    on the midpoint field over the lossy length h_nl = 2 sinh(alpha h / 2)
+    / alpha (h when lossless), linear half again: the midpoint power times
+    h_nl is the exact integral of a continuous wave's decaying power over
+    the step.  The field stays in the frequency domain between Kerr
+    rotations: the two linear halves that meet between steps multiply it
+    back to back, and at a segment boundary the exit half of one segment,
+    the next one's gain and its entry half are a single multiply.  The field is transformed once on entry and once
     on exit, and each step costs one inverse and one forward FFT:
 
         fft, gain * half, [ifft, Kerr, fft, half, half] x (steps - 1),
         ifft, Kerr, fft, half * next gain * next half, ..., half, ifft
 
     Each distinct half-step operator is built once per call.  Within a
-    segment the sequence is palindromic, so run ``backward`` with the
-    same step count it is its own exact algebraic inverse (the phase
-    operator preserves the modulus it reads).  With gamma zero the
-    per-step transform pair is skipped and only the operators multiply.
+    segment the sequence is palindromic and h_nl is even in alpha, so run
+    ``backward`` with the same step count it is its own exact algebraic
+    inverse (the phase operator preserves the modulus it reads).  With
+    gamma zero the per-step transform pair is skipped and only the
+    operators multiply.
     """
     if not plan:
         raise ValueError("need at least one segment")
@@ -283,21 +291,25 @@ def _split_step(
         half = halves.get(key)
         if half is None:
             half = halves[key] = _half_step(freqs, *key)
-        gamma = sign * seg.gamma_per_w_m * _MANAKOV
+        # the Kerr phase integrates the power over the lossy step:
+        # |A_mid|^2 2 sinh(alpha h / 2) / alpha, even in alpha
+        alpha = seg.alpha_per_m
+        h_nl = 2.0 * math.sinh(alpha * h / 2.0) / alpha if alpha else h
+        kerr = sign * seg.gamma_per_w_m * _MANAKOV * h_nl
         entry = half if gain == 1.0 else half * gain
         spec *= entry if exit_half is None else exit_half * entry
         for k in range(steps):
             if k:
                 spec *= half
                 spec *= half
-            if gamma:
+            if kerr:
                 a = np.fft.ifft(spec, axis=1)
                 del spec
-                # Kerr rotation exp(i gamma h (|Ax|^2 + |Ay|^2)) as cos + i sin
+                # Kerr rotation exp(i gamma h_nl (|Ax|^2 + |Ay|^2)) as cos + i sin
                 np.abs(a, out=mag)
                 np.square(mag, out=mag)
                 phi = np.add(mag[0], mag[1], out=mag[0])
-                phi *= gamma * h
+                phi *= kerr
                 np.cos(phi, out=rot.real)
                 np.sin(phi, out=rot.imag)
                 a *= rot
@@ -309,7 +321,7 @@ def _split_step(
 
 
 _MAX_STEPS = 10**7
-_PHI_MAX_RAD = 2e-3  # Kerr phase per step when no step length is given
+_PHI_MAX_RAD = 3.3e-3  # Kerr phase per step when no step length is given
 
 
 def _step_count(n: float) -> int:
@@ -318,6 +330,34 @@ def _step_count(n: float) -> int:
     if not n <= _MAX_STEPS:
         raise ConfigurationError(f"{n:.4g} split steps exceed the 1e7 limit")
     return max(1, math.ceil(n))
+
+
+def split_steps(
+    segments: Sequence[FiberSegment], power_w: float, max_step_m: float | None = None
+) -> list[int]:
+    """Uniform split-step count of each segment of a chain entered at
+    ``power_w``, the plan :func:`ssfm_propagate` runs.
+
+    With ``max_step_m`` None a segment has max(1, ceil(gamma_eff P_in
+    L_eff / phi_max)) steps: gamma_eff = (8/9) gamma, L_eff =
+    (1 - exp(-alpha L)) / alpha (L when lossless), phi_max = 3.3e-3 rad, so
+    a step adds at most phi_max of mean Kerr phase.  P_in is ``power_w``
+    for the first segment and exp(-sum alpha L) of it over the segments
+    before for a later one: every split-step operator is unitary apart
+    from loss.  An explicit ``max_step_m`` gives ceil(L / max_step_m)
+    steps.  A count above 1e7 raises :class:`ConfigurationError`.
+    """
+    if max_step_m is not None and not 0 < max_step_m < math.inf:
+        raise ValueError("max_step_m must be positive and finite")
+    counts = []
+    for seg in segments:
+        if max_step_m is None:
+            n = seg.gamma_per_w_m * _MANAKOV * power_w * seg.effective_length_m / _PHI_MAX_RAD
+        else:
+            n = seg.length_m / max_step_m
+        counts.append(_step_count(n))
+        power_w *= math.exp(-seg.alpha_per_m * seg.length_m)
+    return counts
 
 
 def ssfm_propagate(
@@ -329,29 +369,20 @@ def ssfm_propagate(
     (a span's ``segments``) as one symmetric split-step chain.
 
     Loss and dispersion ride in the linear half-steps, the Manakov
-    nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h rotates both
-    polarizations at the midpoint.  Steps are uniform within a segment.
-    With ``max_step_m`` None a segment has max(1, ceil(gamma_eff P_in
-    L_eff / phi_max)) of them: gamma_eff = (8/9) gamma, L_eff =
-    (1 - exp(-alpha L)) / alpha (L when lossless), phi_max = 2e-3 rad, so
-    a step adds at most phi_max of mean Kerr phase.  P_in is the frame's
-    power for the first segment and exp(-sum alpha L) of it over the
-    segments before for a later one: every split-step operator is unitary
-    apart from loss.  An explicit ``max_step_m`` gives ceil(L / max_step_m)
-    steps.  Every count is checked before the first step runs.
+    nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h_nl rotates both
+    polarizations at the midpoint, where h_nl = 2 sinh(alpha h / 2) /
+    alpha integrates the power decay over the step of length h, so a
+    continuous wave picks up its exact Kerr phase at any step count.
+    Steps are uniform within a segment, as many as :func:`split_steps`
+    plans at the frame's power: by default each adds at most 3.3e-3 rad of
+    mean Kerr phase (4 + 2 steps over a hybrid span at -0.5 dBm), with
+    ``max_step_m`` ceil(L / max_step_m).  Every count is checked before
+    the first step runs.
     """
     segments = (fiber,) if isinstance(fiber, FiberSegment) else tuple(fiber)
-    if max_step_m is not None and not 0 < max_step_m < math.inf:
-        raise ValueError("max_step_m must be positive and finite")
-    power = frame.power
-    plan = []
-    for seg in segments:
-        if max_step_m is None:
-            n = seg.gamma_per_w_m * _MANAKOV * power * seg.effective_length_m / _PHI_MAX_RAD
-        else:
-            n = seg.length_m / max_step_m
-        plan.append((seg, _step_count(n), 1.0))
-        power *= math.exp(-seg.alpha_per_m * seg.length_m)
+    plan = [
+        (seg, n, 1.0) for seg, n in zip(segments, split_steps(segments, frame.power, max_step_m))
+    ]
     return frame.with_samples(_split_step(frame.samples, frame.sample_rate, plan))
 
 
@@ -405,11 +436,12 @@ def propagate_link(
     repeats at every span output.
     ``seed`` None makes the whole link noiseless; otherwise per-span noise
     seeds are derived deterministically from ``seed``.  Each span's fiber
-    runs as one :func:`ssfm_propagate` chain, its segments split as that
-    function says: by default into steps of at most 2e-3 rad of Kerr phase
-    at the power entering the segment, with ``max_step_m`` set into
-    ceil(L / max_step_m) uniform steps.  The ASE is added in the time
-    domain at every span output.
+    runs as one :func:`ssfm_propagate` chain, its segments split as
+    :func:`split_steps` plans: by default into steps of at most 3.3e-3 rad
+    of Kerr phase at the power entering the segment (4 + 2 per hybrid
+    span at -0.5 dBm), with ``max_step_m`` set into ceil(L / max_step_m)
+    uniform steps.  The ASE is added in the time domain at every span
+    output.
     """
     spans = tuple(spans)
     if not spans:

@@ -54,6 +54,7 @@ __all__ = [
     "rde_equalize",
     "frequency_offset_compensate",
     "vv_cpe",
+    "dbp_steps",
     "dbp",
     "llr_demap",
     "align",
@@ -582,6 +583,19 @@ def vv_cpe(frame: SymbolFrame, c: Constellation, block_length: int = 64) -> CpeR
 # digital back-propagation
 
 
+def dbp_steps(span: SpanSpec, steps_per_span: int) -> list[int]:
+    """Steps :func:`dbp` runs on each segment of ``span``, in forward order.
+
+    ``steps_per_span`` is allocated to segments proportionally to length
+    and rounded up per segment, at least one each, so the total can
+    exceed it: the default 4 runs as 3 + 2 over a hybrid span.  A count
+    above 1e7 raises :class:`ConfigurationError`.
+    """
+    if steps_per_span < 1:
+        raise ValueError("steps_per_span must be at least 1")
+    return [_step_count(steps_per_span * seg.length_m / span.length_m) for seg in span.segments]
+
+
 def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> WaveformFrame:
     """Digitally back-propagate through the link, spans in reverse order.
 
@@ -590,21 +604,19 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     turns its loss into gain), and each span's transparent amplifier gain (its loss)
     divided out at the entry of its first reversed segment.  No boundary
     sees the time domain, so the field is transformed once on entry and
-    once on exit besides the two FFTs of each step.  Step counts are
-    allocated to segments proportionally to length, at least one each,
-    and all of them are checked before the first step runs.  With the
-    forward fine-step counts reproduced exactly and a noiseless channel
-    this inverts :func:`shapelink.channel.propagate_link` to numerical
-    precision; at a few steps per span it is the conventional
-    low-complexity nonlinearity compensator.
+    once on exit besides the two FFTs of each step.  Each segment runs the
+    steps :func:`dbp_steps` allocates, rounded up per segment (3 + 2 per
+    hybrid span for ``steps_per_span`` 4), and all of them are checked
+    before the first step runs.  With the forward fine-step counts
+    reproduced exactly and a noiseless channel this inverts
+    :func:`shapelink.channel.propagate_link` to numerical precision; at a
+    few steps per span it is the conventional low-complexity
+    nonlinearity compensator.
     """
-    if steps_per_span < 1:
-        raise ValueError("steps_per_span must be at least 1")
     plan = []
     for span in reversed(spans):
         gain = 10.0 ** (-span.loss_db / 20.0)
-        for seg in reversed(span.segments):
-            n = _step_count(steps_per_span * seg.length_m / span.length_m)
+        for seg, n in reversed(list(zip(span.segments, dbp_steps(span, steps_per_span)))):
             plan.append((seg, n, gain))
             gain = 1.0
     return frame.with_samples(

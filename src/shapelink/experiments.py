@@ -118,7 +118,7 @@ class ExperimentConfig:
     fec_rates: tuple = _ini("fec", _DEFAULT_RATES, key="rates")
     bch_overhead: float = _ini("fec", 0.005, accepts="[0, 1)")
     ber_threshold: float = _ini("fec", 3e-4, accepts="(0, inf)")
-    band_channels: int = _ini("band", 92, key="channels", accepts="[1, inf)")
+    band_channels: int = _ini("band", 92, key="channels", accepts="[1, 10000]")
     mean_nf_db: float = _ini("band", 1.4)
     nf_tilt_db: float = _ini("band", -5.7)
     signal_tilt_db: float = _ini("band", -2.0)
@@ -245,7 +245,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
     Each value must be one that its field ``accepts``; a float outside
     them that is NaN or infinite reads "must be finite".  The checks after
     that loop read the file system or a second key, and a key already
-    reported keeps its first diagnostic.
+    reported keeps its first diagnostic.  A ``fiber_e2e`` link is planned
+    without running it: split-step work above 1000 x the defaults' plan,
+    or a step count above the engine's limit, is one ``channel.``
+    diagnostic, on ``max_step_m`` when that is set and on
+    ``launch_power_dbm`` otherwise.
     """
     d = {}
     for (section, key), (name, _) in _INI_KEYS.items():
@@ -278,6 +282,24 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.setdefault(("channel", "channel_spacing_hz"), "below the symbol rate (grid violation)")
     if cfg.band_stop_nm <= cfg.band_start_nm and cfg.band_channels > 1:
         d.setdefault(("band", "stop_nm"), "must exceed start_nm")
+    plan_keys = ("spans", "launch_power_dbm", "oversampling", "symbols", "max_step_m")
+    link = [("channel", key) for key in plan_keys] + [("dsp", "dbp_steps_per_span")]
+    if cfg.mode == "fiber_e2e" and not any(key in d for key in link):
+        key = "launch_power_dbm" if cfg.max_step_m is None else "max_step_m"
+        try:
+            fwd, back, work = _split_step_work(cfg)
+        except OverflowError:
+            d["channel", "launch_power_dbm"] = "too large to express in watts"
+        except ConfigurationError as exc:
+            d["channel", key] = f"split-step plan fails: {exc}"
+        else:
+            if work > _MAX_WORK_FACTOR * _DEFAULT_WORK:
+                d["channel", key] = (
+                    f"{cfg.span_count} spans of {fwd} split steps and {back} DBP steps on "
+                    f"{cfg.symbols * cfg.oversampling} samples are "
+                    f"{work / _DEFAULT_WORK:.3g} x the defaults' work, "
+                    f"over the {_MAX_WORK_FACTOR} x cap"
+                )
     return [f"{s}.{k}: {d[s, k]}" for s, k in _INI_KEYS if (s, k) in d]
 
 
@@ -326,6 +348,23 @@ def _sweep_span(cfg: ExperimentConfig) -> float:
 def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
     count = int(math.floor(_sweep_span(cfg))) + 1
     return cfg.snr_start_db + cfg.snr_step_db * np.arange(count)
+
+
+def _split_step_work(cfg: ExperimentConfig) -> tuple:
+    """(forward, DBP) split steps per span of a ``fiber_e2e`` link, the
+    forward ones planned at the launch power, and the work they ask for:
+    span count x (forward + DBP steps) x samples."""
+    span = ch.hybrid_span()
+    launch_w = 10.0 ** (cfg.launch_power_dbm / 10.0) * 1e-3
+    fwd = sum(ch.split_steps(span.segments, launch_w, cfg.max_step_m))
+    back = sum(dsp.dbp_steps(span, cfg.dbp_steps_per_span))
+    return fwd, back, cfg.span_count * (fwd + back) * cfg.symbols * cfg.oversampling
+
+
+#: the most split-step work a ``fiber_e2e`` run may ask for, as a multiple
+#: of the defaults' plan: enough for the paper's 90 spans at 100 m steps
+_MAX_WORK_FACTOR = 1000
+_DEFAULT_WORK = _split_step_work(ExperimentConfig())[2]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy.constants import h as PLANCK, c as C0
 from shapelink import dsp, linkbudget
 from shapelink.channel import (
     _C0,
+    _PHI_MAX_RAD,
     _PLANCK,
     _half_step,
     _split_step,
@@ -122,6 +123,21 @@ def test_cw_nonlinear_phase_exact():
     np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-8 * math.sqrt(p_total))
 
 
+@pytest.mark.parametrize("steps", [1, 3, 10])
+def test_cw_kerr_phase_exact_over_lossy_steps(steps):
+    # a continuous wave leaves P exp(-alpha L) rotated by (8/9) gamma P L_eff
+    # at any step count: each step's Kerr phase integrates the decaying power
+    p_total = 3e-3
+    s = np.vstack([np.full(64, math.sqrt(0.6 * p_total)), np.full(64, math.sqrt(0.4 * p_total))])
+    f = WaveformFrame(samples=s.astype(complex), sample_rate=70e9)
+    seg = hybrid_span().segments[0]
+    out = _split_step(f.samples, f.sample_rate, [(seg, steps, 1.0)])
+    power = np.sum(np.mean(np.abs(out) ** 2, axis=1))
+    assert power == pytest.approx(p_total * math.exp(-seg.alpha_per_m * seg.length_m), rel=1e-12)
+    phi = (8.0 / 9.0) * seg.gamma_per_w_m * p_total * seg.effective_length_m
+    np.testing.assert_allclose(np.angle(out / f.samples), phi, rtol=0, atol=1e-12)
+
+
 def test_loss_is_exact_with_nonlinearity_on():
     f = _noise_frame(2, power_w=5e-3)
     seg = FiberSegment(40e3, 0.148, 20.5, 149.0)
@@ -153,14 +169,17 @@ def test_step_halving_second_order():
 
 def _four_fft_reference(samples, fs, seg, steps, gain=1.0, backward=False):
     """Textbook symmetric split-step over one FiberSegment: its gain in
-    the time domain, then an FFT pair around each linear half step.
+    the time domain, then an FFT pair around each linear half step, the
+    Kerr phase taken over the lossy step length 2 sinh(alpha h / 2) / alpha.
     Backwards, dispersion, loss and the Manakov Kerr term change sign."""
     sign = -1.0 if backward else 1.0
     h = seg.length_m / steps
     f = np.fft.fftfreq(samples.shape[1], d=1.0 / fs)
     half = np.exp(sign * 1j * math.pi**2 * seg.beta2_s2_m * h * f**2)
     half *= math.exp(-sign * seg.alpha_per_m * h / 4.0)
-    kerr = sign * (8.0 / 9.0) * seg.gamma_per_w_m * h
+    alpha = seg.alpha_per_m
+    h_nl = 2.0 * math.sinh(alpha * h / 2.0) / alpha if alpha else h
+    kerr = sign * (8.0 / 9.0) * seg.gamma_per_w_m * h_nl
     a = np.array(samples) * gain
     for _ in range(steps):
         a = np.fft.ifft(np.fft.fft(a, axis=1) * half, axis=1)
@@ -178,6 +197,21 @@ def _chain_reference(samples, fs, plan, backward=False):
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _phase_rule_steps(power_w, segments):
+    """Default step counts written out: ceil((8/9) gamma P_in L_eff / phi_max)
+    per segment, P_in the power left after the segments before."""
+    counts = []
+    for seg in segments:
+        phase = (8.0 / 9.0) * seg.gamma_per_w_m * power_w * seg.effective_length_m
+        counts.append(max(1, math.ceil(phase / _PHI_MAX_RAD)))
+        power_w *= 10.0 ** (-seg.loss_db / 10.0)
+    return counts
+
+
+#: the hybrid span's default counts at -0.5 dBm: 4 + 2 at 3.3e-3 rad per step
+_HYBRID_STEPS = _phase_rule_steps(10.0 ** (-0.05) * 1e-3, hybrid_span().segments)
 
 
 def test_merged_half_steps_match_four_fft_reference():
@@ -203,7 +237,8 @@ def test_merged_span_matches_round_trip_reference():
     # a span through ssfm_propagate is that chain at its default counts
     f = with_power(f, -0.5)
     out = ssfm_propagate(f, [big, small]).samples
-    ref = _chain_reference(f.samples, f.sample_rate, [(big, 7, 1.0), (small, 3, 1.0)])
+    plan = [(seg, n, 1.0) for seg, n in zip([big, small], _HYBRID_STEPS)]
+    ref = _chain_reference(f.samples, f.sample_rate, plan)
     assert _rel(out, ref) <= 1e-12
 
 
@@ -248,9 +283,9 @@ def test_chains_transform_only_at_their_ends(monkeypatch):
     calls = _count_transforms(monkeypatch)
     frame = with_power(_noise_frame(25, n=256), -0.5)
     spans = [hybrid_span()] * 9
-    # 9 spans of 7 + 3 steps, one chain per span: 9 x (2 x 10 + 2)
+    # 9 spans of 4 + 2 steps, one chain per span: 9 x (2 x 6 + 2)
     propagate_link(frame, spans, seed=None)
-    assert len(calls) == 198
+    assert len(calls) == 9 * (2 * sum(_HYBRID_STEPS) + 2)
     calls.clear()
     # 3 + 2 steps per span, one chain for the whole link: 2 x 45 + 2
     dsp.dbp(frame, spans, steps_per_span=4)
@@ -304,8 +339,9 @@ def _spy_steps(monkeypatch):
 
 # default: at -0.5 dBm the 40 km large-area segment picks up 0.0122 rad of
 # Kerr phase and the 30 km standard segment, entered 5.92 dB lower, 0.0048
-# rad; an explicit 1 km step keeps ceil(L / h)
-@pytest.mark.parametrize("max_step_m, want", [(None, [7, 3]), (1000.0, [40, 30])])
+# rad, so 4 + 2 steps of at most 3.3e-3 rad; an explicit 1 km step keeps
+# ceil(L / h)
+@pytest.mark.parametrize("max_step_m, want", [(None, _HYBRID_STEPS), (1000.0, [40, 30])])
 def test_hybrid_span_step_counts(monkeypatch, max_step_m, want):
     steps = _spy_steps(monkeypatch)
     frame = with_power(_noise_frame(30, n=256), -0.5)
@@ -326,9 +362,10 @@ def test_default_steps_linear_and_lossless_segments(monkeypatch):
     steps = _spy_steps(monkeypatch)
     f = _noise_frame(31, n=256, power_w=3e-3)
     ssfm_propagate(f, FiberSegment(80e3, 0.2, 17.0, 80.0, nonlinear_index_n2=0.0))
-    # lossless: L_eff is L, so (8/9) gamma P L / 2e-3 = 87.8 steps
-    ssfm_propagate(f, FiberSegment(50e3, 0.0, 17.0, 80.0))
-    assert steps == [1, 88]
+    # lossless: L_eff is L, so (8/9) gamma P L / 3.3e-3 = 53.2 steps
+    lossless = FiberSegment(50e3, 0.0, 17.0, 80.0)
+    ssfm_propagate(f, lossless)
+    assert steps == [1] + _phase_rule_steps(3e-3, [lossless])
 
 
 def test_empty_chain_rejected():

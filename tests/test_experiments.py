@@ -258,6 +258,7 @@ def test_validate_accepts_constellation_from_file(tmp_path):
         ("ring_gain", math.nan, "shape.ring_gain"),
         ("papr_weight", math.nan, "shape.papr_weight"),
         ("cpe_block_length", 0, "dsp.cpe_block_length"),
+        ("band_channels", 10_000_000, "band.channels"),
     ],
 )
 def test_validate_applies_the_library_conditions(field, value, key):
@@ -466,6 +467,34 @@ def test_oversized_sweep_is_rejected_before_anything_runs(tmp_path, monkeypatch,
     with pytest.raises(ConfigurationError):
         ex.run_experiment(cfg)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "link",
+    [dict(launch_power_dbm=60.0), dict(max_step_m=0.01)],
+    ids=["launch_60_dbm", "step_1_cm"],
+)
+def test_oversized_split_step_plan_is_rejected_before_anything_runs(tmp_path, monkeypatch, link):
+    # both plan millions of split steps per span, each under the 1e7 limit
+    def no_link(*args, **kwargs):
+        raise AssertionError("link propagated")
+
+    monkeypatch.setattr(ex.ch, "propagate_link", no_link)
+    out = tmp_path / "never"
+    cfg = ex.ExperimentConfig(mode="fiber_e2e", output_dir=str(out), **link)
+    diags = ex.validate_config(cfg)
+    assert len(diags) == 1 and diags[0].startswith("channel."), diags
+    assert "cap" in diags[0]
+    with pytest.raises(ConfigurationError):
+        ex.run_experiment(cfg)
+    assert not out.exists()
+
+
+def test_split_step_cap_admits_the_fine_step_references():
+    # the 100 m references of the 9-span link and of the paper's 90 spans
+    for spans in (9, 90):
+        cfg = ex.ExperimentConfig(mode="fiber_e2e", span_count=spans, max_step_m=100.0)
+        assert ex.validate_config(cfg) == []
 
 
 def test_invalid_workers_rejected(tmp_path):
@@ -845,12 +874,12 @@ def _small_link_cfg(out, **kw):
 
 def test_explicit_max_step_reproduces_uniform_step_csv(tmp_path):
     # the five measured values were written by the uniform-step engine
-    # before steps were sized by nonlinear phase, and the coded tail
+    # with each step's Kerr phase over its lossy length, and the coded tail
     # follows from gmi_post; an explicit max_step_m must keep every byte
     pinned = (
         "snr_pre_dbp,snr_post_dbp,gmi_pre,gmi_post,ber_pre_fec,"
         "code_rate,rate_feasible,net_gbps,gate_pass,ber_post_fec\n"
-        "19.8682211,19.9128539,5.75828615,5.76364026,0.00846354167,9/10,1,376.11,1,0\n"
+        "19.8682163,19.9127847,5.75828556,5.76363234,0.00846354167,9/10,1,376.11,1,0\n"
     )
     cfg = _small_link_cfg(tmp_path, symbols=1024, oversampling=2, max_step_m=1000.0)
     ex.run_experiment(cfg)
@@ -865,6 +894,8 @@ def test_default_steps_match_fine_uniform_steps(tmp_path, power):
         ).rows[0]
         for h in (None, 100.0)
     ]
+    # the step rule's budget: CDC and post-DBP SNR within 0.01 dB of 100 m steps
+    assert abs(rows[0][0] - rows[1][0]) <= 0.01, f"CDC SNR {rows[0][0]} vs {rows[1][0]}"
     assert abs(rows[0][1] - rows[1][1]) <= 0.01, f"post-DBP SNR {rows[0][1]} vs {rows[1][1]}"
 
 
