@@ -2,8 +2,8 @@
 """Gap-to-capacity sweep over the four shipped 64-point designs.
 
 Runs the gap_sweep experiment mode directly, serially in this process
-(same thing the CLI's ``sweep`` verb does), and prints the table it
-wrote.
+(what ``shapelink run`` does on an empty config), and prints the table
+it wrote.
 """
 
 from shapelink import experiments

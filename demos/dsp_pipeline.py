@@ -5,7 +5,8 @@ Act one: square-grid symbols, pulse-shaped at 2 samples/symbol, hit
 with a small polarization crosstalk (the radius-directed equalizer's
 envelope on a dense constellation; heavier mixing needs a modulus-based
 pre-stage it deliberately does not include), a 200 MHz carrier offset,
-and 26 dB additive noise.  ``dsp.blind_receive`` runs the blind chain
+and additive noise at 26 dB per sample, 29 dB per symbol after the
+matched filter.  ``dsp.blind_receive`` runs the blind chain
 (matched filter, butterfly equalizer, 4th-power frequency recovery,
 carrier phase tracking), settles polarization order and phase against
 the known symbols, and demaps; the bits are counted.

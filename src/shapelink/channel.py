@@ -14,12 +14,8 @@ same per-segment beta2.  The field stays in the frequency domain between
 Kerr rotations, so a step costs two FFTs rather than four, and at a
 segment boundary the exit half-step, any gain and the next segment's
 entry half-step are one spectral multiply.  Each distinct half-step
-operator is built once per chain.  Steps are uniform within a segment.
-By default their count bounds the Kerr phase per step to 3.3e-3 rad (the
-nonlinear-phase rotation rule of Sinkin et al., JLT 21(1), 2003), which
-runs a hybrid span at -0.5 dBm in 4 + 2 steps and keeps the CDC and DBP
-SNRs of a 9- or 90-span link at -3 to +2 dBm within 0.01 dB of 100 m
-steps; an explicit maximum step length sets ceil(L / h) steps instead.  A
+operator is built once per chain.  Steps are uniform within a segment,
+as many as :func:`split_steps` plans.  A
 :class:`SpanSpec` chains segments and ends in a transparent lumped
 amplifier: its gain equals the span loss, so the launch power repeats at
 every span output, and its ASE is set by its noise figure.
@@ -42,6 +38,7 @@ from .errors import ConfigurationError, DegenerateInputError
 
 _C0 = 299_792_458.0  # speed of light in vacuum, m/s; exact by the 2019 SI definition
 _PLANCK = 6.62607015e-34  # Planck constant, J s; exact by the 2019 SI definition
+_CARRIER_HZ = 193.4e12  # optical carrier of every frame, Hz: sets the ASE photon energy
 
 __all__ = [
     "WaveformFrame",
@@ -70,16 +67,14 @@ __all__ = [
 class WaveformFrame:
     """Dual-polarization sampled field.
 
-    ``samples`` has shape (2, N) in sqrt(W); ``center_frequency`` is the
-    absolute optical carrier in Hz (the samples themselves are baseband).
-    ``symbol_rate`` rides along as metadata so receivers know the
-    oversampling factor.
+    ``samples`` has shape (2, N) in sqrt(W), baseband about the carrier
+    ``_CARRIER_HZ``.  ``symbol_rate`` rides along as metadata so receivers
+    know the oversampling factor.
     """
 
     samples: np.ndarray
     sample_rate: float
     symbol_rate: float = 35e9
-    center_frequency: float = 193.4e12
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.complex128)
@@ -101,10 +96,6 @@ class WaveformFrame:
     def power(self) -> float:
         """Total optical power, W: sum over polarizations of mean |s|^2."""
         return float(np.mean(np.abs(self.samples) ** 2) * 2.0)
-
-    @property
-    def power_dbm(self) -> float:
-        return 10.0 * math.log10(self.power * 1e3)
 
     def with_samples(self, samples: np.ndarray) -> "WaveformFrame":
         return replace(self, samples=samples)
@@ -321,7 +312,10 @@ def _split_step(
 
 
 _MAX_STEPS = 10**7
-_PHI_MAX_RAD = 3.3e-3  # Kerr phase per step when no step length is given
+#: mean Kerr phase per step when no step length is given (Sinkin et al.,
+#: JLT 21(1), 2003): a 9- or 90-span link's CDC and DBP SNRs at -3 to +2
+#: dBm stay within 0.01 dB of 100 m steps
+_PHI_MAX_RAD = 3.3e-3
 
 
 def _step_count(n: float) -> int:
@@ -340,8 +334,9 @@ def split_steps(
 
     With ``max_step_m`` None a segment has max(1, ceil(gamma_eff P_in
     L_eff / phi_max)) steps: gamma_eff = (8/9) gamma, L_eff =
-    (1 - exp(-alpha L)) / alpha (L when lossless), phi_max = 3.3e-3 rad, so
-    a step adds at most phi_max of mean Kerr phase.  P_in is ``power_w``
+    (1 - exp(-alpha L)) / alpha (L when lossless), phi_max =
+    ``_PHI_MAX_RAD`` = 3.3e-3 rad, so a step adds at most phi_max of mean
+    Kerr phase: 4 + 2 steps over a hybrid span at -0.5 dBm.  P_in is ``power_w``
     for the first segment and exp(-sum alpha L) of it over the segments
     before for a later one: every split-step operator is unitary apart
     from loss.  An explicit ``max_step_m`` gives ceil(L / max_step_m)
@@ -362,11 +357,11 @@ def split_steps(
 
 def ssfm_propagate(
     frame: WaveformFrame,
-    fiber: FiberSegment | Sequence[FiberSegment],
+    segments: Sequence[FiberSegment],
     max_step_m: float | None = None,
 ) -> WaveformFrame:
-    """Propagate through one fiber segment, or through a sequence of them
-    (a span's ``segments``) as one symmetric split-step chain.
+    """Propagate through a sequence of fiber segments (a span's
+    ``segments``) as one symmetric split-step chain.
 
     Loss and dispersion ride in the linear half-steps, the Manakov
     nonlinear phase (8/9) gamma (|Ax|^2 + |Ay|^2) h_nl rotates both
@@ -374,12 +369,9 @@ def ssfm_propagate(
     alpha integrates the power decay over the step of length h, so a
     continuous wave picks up its exact Kerr phase at any step count.
     Steps are uniform within a segment, as many as :func:`split_steps`
-    plans at the frame's power: by default each adds at most 3.3e-3 rad of
-    mean Kerr phase (4 + 2 steps over a hybrid span at -0.5 dBm), with
-    ``max_step_m`` ceil(L / max_step_m).  Every count is checked before
-    the first step runs.
+    plans at the frame's power.  Every count is checked before the first
+    step runs.
     """
-    segments = (fiber,) if isinstance(fiber, FiberSegment) else tuple(fiber)
     plan = [
         (seg, n, 1.0) for seg, n in zip(segments, split_steps(segments, frame.power, max_step_m))
     ]
@@ -410,7 +402,7 @@ def amplify(
     if seed is not None:
         f_lin = 10.0 ** (noise_figure_db / 10.0)
         g_lin = 10.0 ** (gain_db / 10.0)
-        psd = (f_lin * g_lin - 1.0) * _PLANCK * frame.center_frequency / 2.0
+        psd = (f_lin * g_lin - 1.0) * _PLANCK * _CARRIER_HZ / 2.0
         var = psd * frame.sample_rate  # per polarization
         if var < 0:
             var = 0.0
@@ -437,11 +429,8 @@ def propagate_link(
     ``seed`` None makes the whole link noiseless; otherwise per-span noise
     seeds are derived deterministically from ``seed``.  Each span's fiber
     runs as one :func:`ssfm_propagate` chain, its segments split as
-    :func:`split_steps` plans: by default into steps of at most 3.3e-3 rad
-    of Kerr phase at the power entering the segment (4 + 2 per hybrid
-    span at -0.5 dBm), with ``max_step_m`` set into ceil(L / max_step_m)
-    uniform steps.  The ASE is added in the time domain at every span
-    output.
+    :func:`split_steps` plans at the power entering the span.  The ASE is
+    added in the time domain at every span output.
     """
     spans = tuple(spans)
     if not spans:
@@ -470,8 +459,12 @@ def propagate_link(
 def add_transmitter_noise(frame: WaveformFrame, snr_db: float, seed: int) -> WaveformFrame:
     """Additive Gaussian noise loading at the transmitter.
 
-    Sets the back-to-back SNR: each polarization receives circular noise
-    at (per-polarization signal power) / 10^(snr/10).
+    Each polarization receives circular noise of variance
+    (per-polarization signal power) / 10^(snr/10), white over the whole
+    sample rate.  The matched filter passes only the signal band of it,
+    so after :func:`shapelink.dsp.matched_filter` and
+    :func:`shapelink.dsp.decimate` the symbol SNR is ``snr_db`` +
+    10 log10(samples per symbol): 3.01 dB more at 2, 6.02 dB more at 4.
     """
     rng = np.random.default_rng(seed)
     p_pol = np.mean(np.abs(frame.samples) ** 2, axis=1)

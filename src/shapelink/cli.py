@@ -1,13 +1,13 @@
 """Command-line experiment runner.
 
-Four verbs share the flags ``--config``, ``--seed`` and ``--out``:
+Three verbs share the flags ``--config``, ``--seed`` and ``--out``:
 
 ``run``
     Execute the mode named in the config.
 ``validate``
     Report config diagnostics without running anything.
-``shape`` / ``sweep``
-    Shortcuts that force the mode to ``shape`` / ``gap_sweep``.
+``shape``
+    Run with the mode forced to ``shape``.
 
 Exit status: 0 success, 1 config or diagnostic problem, 2 runtime
 failure (a manifest describing the failure is still written).
@@ -22,8 +22,6 @@ import sys
 from .errors import ConfigurationError
 from .experiments import parse_config, run_experiment, validate_config
 
-_FORCED_MODE = {"shape": "shape", "sweep": "gap_sweep"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("run", "run the experiment mode named in the config"),
         ("validate", "report config diagnostics without running"),
         ("shape", "run constellation shaping (mode forced to shape)"),
-        ("sweep", "run the capacity-gap sweep (mode forced to gap_sweep)"),
     ):
         p = sub.add_parser(verb, help=text)
         p.add_argument("--config", required=True, help="experiment config file (INI)")
@@ -51,7 +48,7 @@ def main(argv=None) -> int:
         # every verb validates the config that run would execute
         seed = cfg.seed if args.seed is None else args.seed
         out = cfg.output_dir if args.out is None else args.out
-        mode = _FORCED_MODE.get(args.verb, cfg.mode)
+        mode = "shape" if args.verb == "shape" else cfg.mode
         cfg = dataclasses.replace(cfg, mode=mode, seed=seed, output_dir=out)
         diags = diags + validate_config(cfg)
     for d in diags:

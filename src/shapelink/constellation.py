@@ -66,6 +66,22 @@ _EXP_FLOOR = -700.0
 _TINY = 1e-280
 
 
+def _from_db(db: float, quantity: str) -> float:
+    """10^(db/10); DegenerateInputError naming ``quantity`` if it is 0, NaN or overflows."""
+    try:
+        value = 10.0 ** (db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DegenerateInputError(f"{quantity} is {value!r} on the linear scale")
+    return value
+
+
+def _noise_variance(snr_db: float) -> float:
+    """10^(-snr_db/10), the noise variance of unit power at ``snr_db``, as :func:`_from_db`."""
+    return _from_db(-snr_db, f"the noise variance at an SNR of {snr_db!r} dB")
+
+
 def normalized(points: np.ndarray) -> np.ndarray:
     """Scale a complex point set to unit average power."""
     points = np.asarray(points, dtype=np.complex128)
@@ -159,9 +175,6 @@ class Constellation:
             raise ValueError("constellation has no ring markers")
         return float(np.abs(self.points[sorted(self.marker_indices)]).mean())
 
-    def replace(self, **kw) -> "Constellation":
-        return dataclasses.replace(self, **kw)
-
 
 def _gray3(i: int) -> str:
     return format(i ^ (i >> 1), "03b")
@@ -237,7 +250,7 @@ def gmi_estimate(
     """
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
-    noise_var = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(c.points) ** 2))
+    noise_var = _noise_variance(snr_db) * float(np.mean(np.abs(c.points) ** 2))
     if estimator == "gh":
         return _gh_gmi(c.points, c.bit_matrix, noise_var)
     if estimator == "mc":
@@ -322,11 +335,14 @@ _GH_T.setflags(write=False)
 _GH_W.setflags(write=False)
 
 
-def _gh_nodes(noise_var: float):
-    t, w = _GH_T, _GH_W
-    nodes = math.sqrt(noise_var) * (t[:, None] + 1j * t[None, :]).ravel()
-    weights = (w[:, None] * w[None, :]).ravel() / math.pi
-    return nodes, weights
+# the (Q,) weights of the 2-D product grid, node q = a * _GH_ORDER + b
+_GH_WEIGHTS = (_GH_W[:, None] * _GH_W[None, :]).ravel() / math.pi
+_GH_WEIGHTS.setflags(write=False)
+
+
+def _gh_nodes(noise_var: float) -> np.ndarray:
+    """(Q,) nodes of the 2-D product grid at total noise variance ``noise_var``."""
+    return math.sqrt(noise_var) * (_GH_T[:, None] + 1j * _GH_T[None, :]).ravel()
 
 
 #: transmitted points per Gauss-Hermite block: at order 10 a block's
@@ -415,7 +431,7 @@ def _gh_gmi(points, bits, noise_var) -> float:
     ``noise_var``: the value :func:`gmi_estimate` and the shaping
     objective report."""
     losses = [loss for *_, loss in _gh_blocks(points, bits, noise_var)]
-    return _gh_value(losses, _gh_nodes(noise_var)[1], bits.shape[1])
+    return _gh_value(losses, _GH_WEIGHTS, bits.shape[1])
 
 
 def _gh_gmi_and_gradient(points, bits, noise_var):
@@ -440,7 +456,7 @@ def _gh_gmi_and_gradient(points, bits, noise_var):
     keep one order.
     """
     big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var)
+    nodes, weights = _gh_nodes(noise_var), _GH_WEIGHTS
     q = weights.size
     g = np.empty((big_m * q, big_m))  # G(i,n,j), rows (i, n)
     losses = []
@@ -614,8 +630,9 @@ def gap_to_capacity(c, snr_db: float, **estimator_kw) -> float:
 
 def gap_from_gmi(gmi_2d: float, snr_db: float) -> float:
     """Gap to the Gaussian capacity at ``snr_db`` of a known 2D GMI, bit per
-    4D symbol: 2 * (log2(1 + SNR) - ``gmi_2d``)."""
-    cap = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    4D symbol: 2 * (log2(1 + SNR) - ``gmi_2d``).  An SNR that is 0 or not
+    finite on the linear scale raises :class:`DegenerateInputError`."""
+    cap = math.log2(1.0 + _from_db(snr_db, f"an SNR of {snr_db!r} dB"))
     return 2.0 * (cap - gmi_2d)
 
 
@@ -702,7 +719,8 @@ def add_ring_markers(c: Constellation, ring_gain: float = 1.15) -> Constellation
     points = c.points / np.abs(c.points).max()
     target = _marker_target(points, markers, ring_gain)
     points[markers] = _marker_ring(points, markers, target)
-    return c.replace(
+    return dataclasses.replace(
+        c,
         points=normalized(points / target),
         marker_indices=frozenset(int(i) for i in markers),
     )

@@ -605,9 +605,8 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     divided out at the entry of its first reversed segment.  No boundary
     sees the time domain, so the field is transformed once on entry and
     once on exit besides the two FFTs of each step.  Each segment runs the
-    steps :func:`dbp_steps` allocates, rounded up per segment (3 + 2 per
-    hybrid span for ``steps_per_span`` 4), and all of them are checked
-    before the first step runs.  With the forward fine-step counts
+    steps :func:`dbp_steps` allocates, and all of them are checked before
+    the first step runs.  With the forward fine-step counts
     reproduced exactly and a noiseless channel this inverts
     :func:`shapelink.channel.propagate_link` to numerical precision; at a
     few steps per span it is the conventional low-complexity

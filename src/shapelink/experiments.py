@@ -134,7 +134,6 @@ class ExperimentConfig:
 class MetricsReport:
     """What a run produced: the table plus where everything went."""
 
-    mode: str
     columns: tuple
     rows: tuple
     outputs: tuple
@@ -474,7 +473,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig):
     rows = []
     for snr_db in _sweep_points(cfg):
         idx = rng.integers(0, len(c.points), size=cfg.symbols)
-        noise_var = 10.0 ** (-float(snr_db) / 10.0)
+        noise_var = cst._noise_variance(float(snr_db))
         llrs = cst.bitwise_llrs(c, _add_awgn(rng, c.points[idx], noise_var), noise_var)
         bits = c.bit_matrix[idx]
         gmi_2d = cst.gmi_from_llrs(llrs, bits)
@@ -516,11 +515,13 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
     tx_bits = c.bit_matrix[idx]
 
     # transceiver impairment is symbol-referred (back-to-back SNR), so it
-    # is injected before pulse shaping rather than as wideband noise
+    # is injected before pulse shaping rather than as wideband noise; +inf,
+    # or any SNR whose noise variance underflows to 0, adds none
     tx = ref
-    if math.isfinite(cfg.transmitter_snr_db):
+    snr_db = cfg.transmitter_snr_db
+    if snr_db < 0.0 or 10.0 ** (-snr_db / 10.0) > 0.0:
         rng = np.random.default_rng(cfg.seed + 1)
-        nv = 10.0 ** (-cfg.transmitter_snr_db / 10.0) * float(np.mean(np.abs(ref.symbols) ** 2))
+        nv = cst._noise_variance(snr_db) * float(np.mean(np.abs(ref.symbols) ** 2))
         tx = ref.with_symbols(_add_awgn(rng, ref.symbols, nv))
 
     wave = dsp.rrc_shape(tx, cfg.oversampling, rolloff=cfg.rrc_rolloff)
@@ -642,7 +643,6 @@ def run_experiment(
             fh.write("\n")
 
     return MetricsReport(
-        mode=cfg.mode,
         columns=columns,
         rows=rows,
         outputs=tuple(outputs + [manifest_path]),

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .channel import _C0, _PLANCK, SpanSpec
+from .constellation import _from_db
 from .errors import DegenerateInputError, ModelDomainError
 
 __all__ = [
@@ -34,17 +35,6 @@ __all__ = [
 
 # headroom cap: predictions above this are reported as "noise-free"
 SNR_CAP_DB = 60.0
-
-
-def _from_db(db: float, quantity: str) -> float:
-    """10^(db/10); DegenerateInputError naming ``quantity`` if it is 0, NaN or overflows."""
-    try:
-        value = 10.0 ** (db / 10.0)
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise DegenerateInputError(f"{quantity} of {db!r} is {value!r} on the linear scale")
-    return value
 
 
 def _capped_db(signal_w: float, noise_w: float, quantity: str) -> float:
@@ -77,10 +67,10 @@ def ase_snr(
         raise ValueError("span_count must be at least 1")
     if not (bandwidth_hz > 0 and frequency_hz > 0):
         raise ValueError("bandwidth and frequency must be positive")
-    f_lin = _from_db(nf_db, "noise figure (dB)")
-    g_lin = _from_db(span_loss_db, "span gain (dB)")
+    f_lin = _from_db(nf_db, f"noise figure of {nf_db!r} dB")
+    g_lin = _from_db(span_loss_db, f"span gain of {span_loss_db!r} dB")
     noise_w = span_count * f_lin * g_lin * _PLANCK * frequency_hz * bandwidth_hz
-    power_w = _from_db(power_dbm - 30.0, "channel power (dBW)")
+    power_w = _from_db(power_dbm - 30.0, f"channel power of {power_dbm!r} dBm")
     return _capped_db(power_w, noise_w, "the amplifier-noise SNR")
 
 
@@ -135,7 +125,7 @@ def gn_nli_estimate(
         raise ValueError("channel_count and span_count must be at least 1")
     if not (symbol_rate_hz > 0 and spacing_hz > 0):
         raise ValueError("symbol_rate and spacing must be positive")
-    power_w = _from_db(per_channel_power_dbm - 30.0, "channel power (dBW)")
+    power_w = _from_db(per_channel_power_dbm - 30.0, f"channel power of {per_channel_power_dbm!r} dBm")
     band_hz = symbol_rate_hz + (channel_count - 1) * spacing_hz
     psd = power_w * channel_count / band_hz
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _gh_gmi, _gh_gmi_and_gradient, normalized
+from .constellation import Constellation, _gh_gmi, _gh_gmi_and_gradient, _noise_variance, normalized
 
 __all__ = [
     "ShapingConfig",
@@ -64,8 +64,10 @@ class ShapingConfig:
     steps or when one accepted step improves the objective by less than
     ``improvement_tol`` bit.
 
-    ``init_jitter`` perturbs the starting point by complex Gaussian noise of
-    that RMS amplitude, drawn from ``jitter_seed``, before the climb.
+    ``init_jitter`` perturbs the starting point by complex Gaussian noise,
+    drawn from ``jitter_seed``, before the climb: ``init_jitter`` is its
+    standard deviation per real coordinate, so its RMS amplitude per point
+    is sqrt(2) * ``init_jitter``.
     Gradient flow preserves whatever point-group symmetry the initial layout
     has, so a perfectly symmetric start (square QAM) gets trapped on a
     symmetric submanifold well short of the reachable optimum; a small
@@ -319,7 +321,7 @@ def _climb(start: np.ndarray, trial, cfg: ShapingConfig):
 
 
 def _ascend(points0: np.ndarray, bits: np.ndarray, cfg: ShapingConfig):
-    noise_var = 10.0 ** (-cfg.target_snr_db / 10.0)
+    noise_var = _noise_variance(cfg.target_snr_db)
     value, trial = _make_objective(bits, noise_var, cfg)
     clean = normalized(points0)
     start = clean

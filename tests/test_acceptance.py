@@ -97,7 +97,7 @@ def test_criterion_04_ssfm_dispersion_cw_and_convergence():
     # dispersion-only vs the analytic quadratic spectral phase
     f = _gaussian_pulse_frame()
     seg = ch.FiberSegment(80e3, 0.0, 17.0, 80.0, nonlinear_index_n2=0.0)
-    out = ch.ssfm_propagate(f, seg, max_step_m=1e3)
+    out = ch.ssfm_propagate(f, [seg], max_step_m=1e3)
     lam = seg.reference_wavelength_nm * 1e-9
     c0 = 299792458.0
     beta2 = -(seg.dispersion_ps_nm_km * 1e-6) * lam**2 / (2 * math.pi * c0)
@@ -111,7 +111,7 @@ def test_criterion_04_ssfm_dispersion_cw_and_convergence():
     s = np.vstack([np.full(1024, math.sqrt(p_total)), np.zeros(1024)]).astype(complex)
     cw = ch.WaveformFrame(samples=s, sample_rate=70e9)
     seg_nl = ch.FiberSegment(70e3, 0.0, 0.0, 149.0)
-    out_nl = ch.ssfm_propagate(cw, seg_nl, max_step_m=700.0)
+    out_nl = ch.ssfm_propagate(cw, [seg_nl], max_step_m=700.0)
     phi = (8.0 / 9.0) * seg_nl.gamma_per_w_m * p_total * seg_nl.length_m
     np.testing.assert_allclose(
         out_nl.samples, cw.samples * np.exp(1j * phi), rtol=0, atol=1e-8 * math.sqrt(p_total)
@@ -120,9 +120,9 @@ def test_criterion_04_ssfm_dispersion_cw_and_convergence():
     # global error halves by ~4x when the step halves (2nd order)
     g = _gaussian_pulse_frame(peak_w=20e-3)
     seg_full = ch.FiberSegment(50e3, 0.2, 17.0, 80.0)
-    ref_fine = ch.ssfm_propagate(g, seg_full, max_step_m=50.0)
+    ref_fine = ch.ssfm_propagate(g, [seg_full], max_step_m=50.0)
     errs = [
-        np.linalg.norm(ch.ssfm_propagate(g, seg_full, max_step_m=h).samples - ref_fine.samples)
+        np.linalg.norm(ch.ssfm_propagate(g, [seg_full], max_step_m=h).samples - ref_fine.samples)
         for h in (2500.0, 1250.0, 625.0)
     ]
     assert math.log2(errs[0] / errs[1]) > 1.8

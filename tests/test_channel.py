@@ -10,6 +10,7 @@ from scipy.constants import h as PLANCK, c as C0
 from shapelink import dsp, linkbudget
 from shapelink.channel import (
     _C0,
+    _CARRIER_HZ,
     _PHI_MAX_RAD,
     _PLANCK,
     _half_step,
@@ -27,6 +28,7 @@ from shapelink.channel import (
     wiener_phase_walk,
     with_power,
 )
+from shapelink.constellation import square64
 from shapelink.errors import ConfigurationError, DegenerateInputError
 
 
@@ -73,9 +75,9 @@ def test_frame_rejects_rates_that_are_not_positive_and_finite(rates):
 def test_power_accounting():
     f = _noise_frame(0, power_w=2e-3)
     assert f.power == pytest.approx(2e-3, rel=1e-12)
-    assert f.power_dbm == pytest.approx(10 * math.log10(2.0), abs=1e-9)
+    assert 10 * math.log10(f.power * 1e3) == pytest.approx(10 * math.log10(2.0), abs=1e-9)
     g = with_power(f, -2.9)
-    assert g.power_dbm == pytest.approx(-2.9, abs=1e-9)
+    assert 10 * math.log10(g.power * 1e3) == pytest.approx(-2.9, abs=1e-9)
 
 
 def test_with_power_rejects_silent_frame():
@@ -92,14 +94,14 @@ def test_with_power_rejects_silent_frame():
 def test_identity_channel():
     f = _noise_frame(1)
     seg = FiberSegment(50e3, 0.0, 0.0, 100.0, nonlinear_index_n2=0.0)
-    out = ssfm_propagate(f, seg, max_step_m=5e3)
+    out = ssfm_propagate(f, [seg], max_step_m=5e3)
     np.testing.assert_allclose(out.samples, f.samples, rtol=1e-12, atol=1e-15)
 
 
 def test_dispersion_matches_analytic_operator():
     f = _gaussian_pulse_frame()
     seg = FiberSegment(80e3, 0.0, 17.0, 80.0, nonlinear_index_n2=0.0)
-    out = ssfm_propagate(f, seg, max_step_m=1e3)
+    out = ssfm_propagate(f, [seg], max_step_m=1e3)
     # independent oracle: single quadratic-phase multiplication
     lam = seg.reference_wavelength_nm * 1e-9
     beta2 = -(seg.dispersion_ps_nm_km * 1e-6) * lam**2 / (2 * math.pi * C0)
@@ -117,7 +119,7 @@ def test_cw_nonlinear_phase_exact():
     s = np.vstack([np.full(n, math.sqrt(p_total)), np.zeros(n)]).astype(complex)
     f = WaveformFrame(samples=s, sample_rate=70e9)
     seg = FiberSegment(70e3, 0.0, 0.0, 149.0)
-    out = ssfm_propagate(f, seg, max_step_m=700.0)
+    out = ssfm_propagate(f, [seg], max_step_m=700.0)
     phi = (8.0 / 9.0) * seg.gamma_per_w_m * p_total * seg.length_m
     ref = f.samples * np.exp(1j * phi)
     np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-8 * math.sqrt(p_total))
@@ -141,7 +143,7 @@ def test_cw_kerr_phase_exact_over_lossy_steps(steps):
 def test_loss_is_exact_with_nonlinearity_on():
     f = _noise_frame(2, power_w=5e-3)
     seg = FiberSegment(40e3, 0.148, 20.5, 149.0)
-    out = ssfm_propagate(f, seg, max_step_m=500.0)
+    out = ssfm_propagate(f, [seg], max_step_m=500.0)
     expected = f.power * 10 ** (-seg.loss_db / 10)
     assert out.power == pytest.approx(expected, rel=1e-12)
 
@@ -149,17 +151,17 @@ def test_loss_is_exact_with_nonlinearity_on():
 def test_energy_conserved_without_loss():
     f = _gaussian_pulse_frame(peak_w=4e-3)
     seg = FiberSegment(60e3, 0.0, 20.5, 149.0)
-    out = ssfm_propagate(f, seg, max_step_m=300.0)
+    out = ssfm_propagate(f, [seg], max_step_m=300.0)
     assert out.power == pytest.approx(f.power, rel=1e-10)
 
 
 def test_step_halving_second_order():
     f = _gaussian_pulse_frame(peak_w=20e-3)
     seg = FiberSegment(50e3, 0.2, 17.0, 80.0)
-    ref = ssfm_propagate(f, seg, max_step_m=50.0)
+    ref = ssfm_propagate(f, [seg], max_step_m=50.0)
     errs = []
     for h in (2500.0, 1250.0, 625.0):  # exact divisors: steps truly halve
-        out = ssfm_propagate(f, seg, max_step_m=h)
+        out = ssfm_propagate(f, [seg], max_step_m=h)
         errs.append(np.linalg.norm(out.samples - ref.samples))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -275,7 +277,7 @@ def test_segment_uses_two_transforms_per_step(monkeypatch, steps):
     calls = _count_transforms(monkeypatch)
     f = _noise_frame(21, n=256)
     seg = FiberSegment(7e3, 0.2, 17.0, 80.0)
-    ssfm_propagate(f, seg, max_step_m=seg.length_m / steps)
+    ssfm_propagate(f, [seg], max_step_m=seg.length_m / steps)
     assert len(calls) == 2 * steps + 2
 
 
@@ -321,7 +323,7 @@ def test_step_overflow_rejected():
     f = _noise_frame(3, n=64)
     seg = FiberSegment(1e9, 0.2, 17.0, 80.0)
     with pytest.raises(ConfigurationError):
-        ssfm_propagate(f, seg, max_step_m=0.01)
+        ssfm_propagate(f, [seg], max_step_m=0.01)
 
 
 def _spy_steps(monkeypatch):
@@ -361,10 +363,10 @@ def test_dbp_step_counts_per_span(monkeypatch):
 def test_default_steps_linear_and_lossless_segments(monkeypatch):
     steps = _spy_steps(monkeypatch)
     f = _noise_frame(31, n=256, power_w=3e-3)
-    ssfm_propagate(f, FiberSegment(80e3, 0.2, 17.0, 80.0, nonlinear_index_n2=0.0))
+    ssfm_propagate(f, [FiberSegment(80e3, 0.2, 17.0, 80.0, nonlinear_index_n2=0.0)])
     # lossless: L_eff is L, so (8/9) gamma P L / 3.3e-3 = 53.2 steps
     lossless = FiberSegment(50e3, 0.0, 17.0, 80.0)
-    ssfm_propagate(f, lossless)
+    ssfm_propagate(f, [lossless])
     assert steps == [1] + _phase_rule_steps(3e-3, [lossless])
 
 
@@ -376,14 +378,14 @@ def test_empty_chain_rejected():
 def test_default_step_overflow_rejected():
     f = _noise_frame(32, n=64, power_w=1e4)
     with pytest.raises(ConfigurationError):
-        ssfm_propagate(f, FiberSegment(1e6, 0.0, 17.0, 80.0))
+        ssfm_propagate(f, [FiberSegment(1e6, 0.0, 17.0, 80.0)])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_step_length_must_be_positive_and_finite(bad):
     f = _noise_frame(33, n=64)
     with pytest.raises(ValueError, match="max_step_m"):
-        ssfm_propagate(f, FiberSegment(1e3, 0.2, 17.0, 80.0), max_step_m=bad)
+        ssfm_propagate(f, [FiberSegment(1e3, 0.2, 17.0, 80.0)], max_step_m=bad)
     with pytest.raises(ValueError, match="max_step_m"):
         propagate_link(f, [hybrid_span()], seed=None, max_step_m=bad)
 
@@ -448,7 +450,7 @@ def test_independent_noise_adds_linearly():
 def test_ase_draws_match_the_two_array_expression():
     f = _noise_frame(10)
     out = amplify(f, 10.72, 1.4, seed=11)
-    psd = (10.0 ** (1.4 / 10.0) * 10.0 ** (10.72 / 10.0) - 1.0) * _PLANCK * f.center_frequency / 2.0
+    psd = (10.0 ** (1.4 / 10.0) * 10.0 ** (10.72 / 10.0) - 1.0) * _PLANCK * _CARRIER_HZ / 2.0
     rng = np.random.default_rng(11)
     noise = rng.standard_normal((2, f.n_samples)) + 1j * rng.standard_normal((2, f.n_samples))
     ref = f.samples * 10.0 ** (10.72 / 20.0) + noise * math.sqrt(psd * f.sample_rate / 2.0)
@@ -507,6 +509,17 @@ def test_transmitter_noise_sets_snr():
     delta = noisy.samples - f.samples
     snr = f.power / (np.mean(np.abs(delta) ** 2) * 2)
     assert 10 * math.log10(snr) == pytest.approx(20.0, abs=0.1)
+
+
+@pytest.mark.parametrize("oversampling", [2, 4])
+def test_transmitter_noise_gains_the_oversampling_after_the_matched_filter(oversampling):
+    # the noise is white over the sample rate and the matched filter keeps
+    # one symbol rate of it: the symbol SNR is snr_db + 10 log10(L)
+    tx, _ = dsp.random_symbols(square64(), 20_000, seed=5)
+    wf = add_transmitter_noise(dsp.rrc_shape(tx, oversampling), 20.0, seed=6)
+    rx = dsp.decimate(dsp.matched_filter(wf))
+    expected = 20.0 + 10 * math.log10(oversampling)
+    assert dsp.snr_estimate(rx, tx) == pytest.approx(expected, abs=0.1)
 
 
 def test_wiener_walk_variance_scales():

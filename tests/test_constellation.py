@@ -1,5 +1,6 @@
 """Constellation container, GMI estimators, PAPR, markers, file format."""
 
+import dataclasses
 import math
 import os
 import platform
@@ -72,7 +73,7 @@ def test_bit_matrix_is_built_once_and_read_only():
     with pytest.raises(ValueError):
         bits[0, 0] = 1
     # a replaced labeling gets its own matrix
-    swapped = c.replace(labels=c.labels[1:] + c.labels[:1])
+    swapped = dataclasses.replace(c, labels=c.labels[1:] + c.labels[:1])
     assert np.array_equal(swapped.bit_matrix, np.roll(bits, -1, axis=0))
 
 
@@ -305,7 +306,7 @@ def test_receiver_kernels_match_written_out_distances(n):
     # formulas on |y - c|^2 itself on both sides of a block edge
     # (markers dropped, so the noise estimate takes its nearest-point path)
     rng = np.random.default_rng(n)
-    c = load_builtin("system12").replace(marker_indices=frozenset())
+    c = dataclasses.replace(load_builtin("system12"), marker_indices=frozenset())
     for snr_db in (0.0, 10.0, 20.0, 30.0):
         nu = 10 ** (-snr_db / 10)
         idx = rng.integers(0, 64, n)
@@ -466,7 +467,7 @@ def test_save_load_round_trip_exact(tmp_path):
 
 
 def test_sixteen_point_file_round_trips_with_its_point_count(tmp_path):
-    c = natural_constellation(_unit_circle(16)).replace(design_snr_db=8.0)
+    c = dataclasses.replace(natural_constellation(_unit_circle(16)), design_snr_db=8.0)
     path = tmp_path / "c16.txt"
     save_constellation(c, path)
     assert path.read_text().splitlines()[0] == (
@@ -493,7 +494,7 @@ def test_design_snr_from_a_numpy_float_loads_back(tmp_path):
 @pytest.mark.parametrize("design", [math.nan, math.inf, -math.inf])
 def test_design_snr_must_be_finite(design):
     with pytest.raises(ValueError, match="design_snr_db must be finite"):
-        square64().replace(design_snr_db=design)
+        dataclasses.replace(square64(), design_snr_db=design)
 
 
 def _square64_with_signed_zero() -> Constellation:
@@ -502,7 +503,7 @@ def _square64_with_signed_zero() -> Constellation:
     base = square64()
     pts = np.array(base.points)
     pts[0] = complex(-0.0, abs(pts[0]))
-    return base.replace(points=pts)
+    return dataclasses.replace(base, points=pts)
 
 
 @st.composite

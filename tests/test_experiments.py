@@ -568,6 +568,30 @@ def test_linkbudget_at_float_range_edges_fails_loudly(tmp_path, band):
     assert not (tmp_path / "linkbudget.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [
+        dict(mode="gap_sweep", snr_start_db=3990.0, snr_stop_db=4000.0, snr_step_db=10.0),
+        dict(mode="gap_sweep", snr_start_db=-4000.0, snr_stop_db=-3990.0, snr_step_db=10.0),
+        dict(mode="awgn_e2e", snr_start_db=3990.0, snr_stop_db=4000.0, snr_step_db=10.0),
+        dict(mode="awgn_e2e", snr_start_db=-4000.0, snr_stop_db=-4000.0),
+        dict(mode="shape", design_snr_db=4000.0, shape_iterations=5),
+        dict(mode="fiber_e2e", transmitter_snr_db=-4000.0, span_count=1, oversampling=2),
+    ],
+    ids=lambda edge: ",".join(f"{k}={v}" for k, v in edge.items()),
+)
+def test_snr_at_float_range_edges_fails_loudly(tmp_path, edge):
+    # an SNR whose noise variance or capacity is 0 or not finite
+    cfg = ex.ExperimentConfig(output_dir=str(tmp_path), symbols=256, **edge)
+    assert ex.validate_config(cfg) == []
+    with pytest.raises(DegenerateInputError):
+        ex.run_experiment(cfg)
+    man = _manifest(tmp_path / "manifest.json")
+    assert man["status"] == "failed"
+    assert man["error"].startswith("DegenerateInputError: ")
+    assert not (tmp_path / f"{cfg.mode}.csv").exists()
+
+
 def test_seed_and_out_dir_overrides(tmp_path):
     cfg = _sweep_cfg(tmp_path / "ignored", seed=1)
     rep = ex.run_experiment(dataclasses.replace(cfg, seed=9), out_dir=str(tmp_path / "used"))
@@ -1009,17 +1033,13 @@ def test_cli_run_signal_free_fiber_link_is_a_runtime_failure(tmp_path, capsys, m
     assert not (out / "fiber_e2e.csv").exists()
 
 
-def test_cli_sweep_verb_forces_gap_sweep_mode(tmp_path):
-    out = tmp_path / "forced"
-    text = (
-        "[experiment]\nmode = fiber_e2e\n"
-        f"output = {out}\n\n"
-        "[sweep]\nsnr_start_db = 10\nsnr_stop_db = 11\nsnr_step_db = 1\n"
-    )
-    path = _write(tmp_path, text)
-    assert cli.main(["sweep", "--config", path]) == 0
-    assert os.path.exists(out / "gap_sweep.csv")
-    assert not os.path.exists(out / "fiber_e2e.csv")
+def test_readme_cli_synopsis_lists_exactly_the_parser_verbs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"## CLI\n\n```\n(.*?)```", fh.read(), re.S).group(1)
+    listed = [line.split()[1] for line in block.splitlines()]
+    (verbs,) = (a.choices for a in cli._build_parser()._actions if a.dest == "verb")
+    assert listed == list(verbs)
 
 
 def test_cli_shape_verb_forces_shape_mode(tmp_path):

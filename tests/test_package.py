@@ -15,10 +15,13 @@ ALLOWED = {
     ("dsp", "channel", "_split_step"),
     ("dsp", "channel", "_step_count"),
     ("dsp", "constellation", "_auto_noise_variance"),
+    ("experiments", "constellation", "_noise_variance"),
     ("linkbudget", "channel", "_C0"),
     ("linkbudget", "channel", "_PLANCK"),
+    ("linkbudget", "constellation", "_from_db"),
     ("shaping", "constellation", "_gh_gmi"),
     ("shaping", "constellation", "_gh_gmi_and_gradient"),
+    ("shaping", "constellation", "_noise_variance"),
 }
 
 

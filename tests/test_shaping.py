@@ -15,6 +15,7 @@ from shapelink.constellation import (
     Constellation,
     _EXP_FLOOR,
     _GH_T,
+    _GH_WEIGHTS,
     _gh_blocks,
     _gh_nodes,
     _label_agreement,
@@ -86,7 +87,7 @@ def _reference_gh_gmi(points, bits, noise_var):
     # the GH GMI written out over the full (point, node, point) metric
     # tensor, with no row shift and no matrix-product coset sums
     m = bits.shape[1]
-    nodes, weights = _gh_nodes(noise_var)
+    nodes, weights = _gh_nodes(noise_var), _GH_WEIGHTS
     y = points[:, None] + nodes[None, :]
     q = np.exp(-np.abs(y[:, :, None] - points[None, None, :]) ** 2 / noise_var)
     same = bits[:, None, :] == bits[None, :, :]  # (tx i, point j, bit k)
@@ -120,7 +121,7 @@ def _full_grid_gh_forward(points, bits, noise_var):
     # of the (M*Q, M) metric tensor at once, as the product of the two
     # per-axis exponentials
     big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var)
+    nodes, weights = _gh_nodes(noise_var), _GH_WEIGHTS
     y = (points[:, None] + nodes[None, :]).ravel()
     st = math.sqrt(noise_var) * _GH_T
     ex = _written_out_axis_metrics(points.real, st, noise_var)
@@ -168,7 +169,7 @@ def _per_candidate_value_and_gradient(points, bits, noise_var):
     # (M*Q, M) squared distances, each row shifted by its own minimum and
     # exponentiated per (node pair, candidate), then two label products
     big_m, m = bits.shape
-    nodes, weights = _gh_nodes(noise_var)
+    nodes, weights = _gh_nodes(noise_var), _GH_WEIGHTS
     y = (points[:, None] + nodes[None, :]).ravel()
     d2 = np.square(y.real[:, None] - points.real) + np.square(y.imag[:, None] - points.imag)
     p = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / noise_var)
