@@ -77,9 +77,21 @@ def _from_db(db: float, quantity: str) -> float:
     return value
 
 
+#: the largest |SNR| in dB a noise variance is taken at: there the variance
+#: and its reciprocal stay at most 1e300, which keeps the Gauss-Hermite and
+#: LLR metrics finite; they turn NaN near -3080 and +3100 dB
+_SNR_LIMIT_DB = 3000.0
+
+
 def _noise_variance(snr_db: float) -> float:
-    """10^(-snr_db/10), the noise variance of unit power at ``snr_db``, as :func:`_from_db`."""
-    return _from_db(-snr_db, f"the noise variance at an SNR of {snr_db!r} dB")
+    """10^(-snr_db/10), the noise variance of unit power at ``snr_db``; an SNR
+    that is NaN or beyond ±``_SNR_LIMIT_DB`` raises :class:`DegenerateInputError`."""
+    if not abs(snr_db) <= _SNR_LIMIT_DB:
+        raise DegenerateInputError(
+            f"an SNR of {snr_db!r} dB is beyond ±{_SNR_LIMIT_DB:g} dB, where its noise "
+            "variance or that variance's reciprocal exceeds 1e300"
+        )
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def normalized(points: np.ndarray) -> np.ndarray:

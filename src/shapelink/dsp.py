@@ -58,7 +58,6 @@ __all__ = [
     "dbp",
     "llr_demap",
     "align",
-    "snr_estimate",
     "evm_db",
     "blind_receive",
 ]
@@ -483,10 +482,7 @@ def frequency_offset_compensate(
     s = frame.symbols
     m = s.shape[1]
     nfft = 1 << max(10, int(math.ceil(math.log2(4 * m))))
-    quad = s**4
-    mag = np.zeros(nfft)
-    for p in range(2):
-        mag += np.abs(np.fft.fft(quad[p], nfft)) ** 2
+    mag = (np.abs(np.fft.fft(s**4, nfft, axis=1)) ** 2).sum(axis=0)
     peak = int(np.argmax(mag))
     floor = np.median(mag)
     if not mag[peak] > 8.0 * floor:
@@ -555,8 +551,7 @@ def vv_cpe(frame: SymbolFrame, c: Constellation, block_length: int = 64) -> CpeR
     n_in_block = counts.reshape(n_blocks, b).sum(axis=1)
 
     # blocks i-1..i+1 for each i: "same" mode would misalign two blocks
-    kernel = np.ones(3)
-    z_sm = (np.convolve(z.real, kernel) + 1j * np.convolve(z.imag, kernel))[1:-1]
+    z_sm = np.convolve(z, np.ones(3))[1:-1]
 
     theta = np.zeros(n_blocks)
     empty = 0
@@ -661,9 +656,10 @@ def evm_db(frame, reference) -> float:
     """Error vector magnitude in dB: 10 log10(P(frame - ref) / P(ref)) of
     two waveform or two symbol frames.
 
-    Raw difference, no gain alignment; use for inversion checks where the
-    scales are physically identical.  An all-zero reference has no power
-    to compare against and raises :class:`DegenerateInputError`.
+    Raw difference, no gain alignment: on a frame from :func:`align` its
+    negative is the data-aided SNR; on its own it suits inversion checks
+    where the scales are physically identical.  An all-zero reference has
+    no power to compare against and raises :class:`DegenerateInputError`.
     """
     a = _fields(frame)
     r = _fields(reference)
@@ -718,15 +714,6 @@ def align(frame: SymbolFrame, reference: SymbolFrame) -> SymbolFrame:
             raise AlignmentError(f"correlation {rho:.3f} below threshold {_MIN_CORRELATION}")
         out[p] = a[q] / (cross[p][q] / pr[p])
     return frame.with_symbols(out)
-
-
-def snr_estimate(frame: SymbolFrame, reference: SymbolFrame) -> float:
-    """Data-aided SNR in dB against a sample-aligned reference frame:
-    ``-evm_db`` of the frame after :func:`align` (so the measure is
-    invariant to each polarization's scaling and phase, and raises its
-    :class:`AlignmentError`), capped at 60 dB.
-    """
-    return min(60.0, -evm_db(align(frame, reference), reference))
 
 
 def blind_receive(

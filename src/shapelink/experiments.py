@@ -248,7 +248,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
     without running it: split-step work above 1000 x the defaults' plan,
     or a step count above the engine's limit, is one ``channel.``
     diagnostic, on ``max_step_m`` when that is set and on
-    ``launch_power_dbm`` otherwise.
+    ``launch_power_dbm`` otherwise.  Sweep points x samples drawn above
+    1000 x the defaults' is one diagnostic on ``channel.symbols`` for
+    ``awgn_e2e`` and on ``sweep.mc_symbols`` for a Monte Carlo
+    ``gap_sweep``.
     """
     d = {}
     for (section, key), (name, _) in _INI_KEYS.items():
@@ -281,6 +284,21 @@ def validate_config(cfg: ExperimentConfig) -> list:
         d.setdefault(("channel", "channel_spacing_hz"), "below the symbol rate (grid violation)")
     if cfg.band_stop_nm <= cfg.band_start_nm and cfg.band_channels > 1:
         d.setdefault(("band", "stop_nm"), "must exceed start_nm")
+    # the samples each sweep point draws, if the run draws any
+    draw_key = None
+    if cfg.mode == "awgn_e2e":
+        draw_key = ("channel", "symbols")
+    elif cfg.mode == "gap_sweep" and cfg.estimator == "mc":
+        draw_key = ("sweep", "mc_symbols")
+    if draw_key and not any(key in d for key in sweep + [draw_key]):
+        name = _INI_KEYS[draw_key][0]
+        points, samples = len(_sweep_points(cfg)), getattr(cfg, name)
+        draws = points * samples / (_DEFAULT_POINTS * getattr(_DEFAULT_CONFIG, name))
+        if draws > _MAX_WORK_FACTOR:
+            d[draw_key] = (
+                f"{points} sweep points of {samples} samples are {draws:.3g} x the defaults' "
+                f"draws, over the {_MAX_WORK_FACTOR} x cap"
+            )
     plan_keys = ("spans", "launch_power_dbm", "oversampling", "symbols", "max_step_m")
     link = [("channel", key) for key in plan_keys] + [("dsp", "dbp_steps_per_span")]
     if cfg.mode == "fiber_e2e" and not any(key in d for key in link):
@@ -360,10 +378,13 @@ def _split_step_work(cfg: ExperimentConfig) -> tuple:
     return fwd, back, cfg.span_count * (fwd + back) * cfg.symbols * cfg.oversampling
 
 
-#: the most split-step work a ``fiber_e2e`` run may ask for, as a multiple
-#: of the defaults' plan: enough for the paper's 90 spans at 100 m steps
+#: the most work a run may ask for, as a multiple of the defaults': the
+#: split steps of a ``fiber_e2e`` plan (enough for the paper's 90 spans at
+#: 100 m steps), or the samples a sweep draws
 _MAX_WORK_FACTOR = 1000
-_DEFAULT_WORK = _split_step_work(ExperimentConfig())[2]
+_DEFAULT_CONFIG = ExperimentConfig()
+_DEFAULT_WORK = _split_step_work(_DEFAULT_CONFIG)[2]
+_DEFAULT_POINTS = len(_sweep_points(_DEFAULT_CONFIG))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +486,11 @@ def _coded_columns(cfg: ExperimentConfig, m: int, gmi_2d: float, ber_post=None) 
     )
 
 
+def _llr_metrics(llrs, bits) -> tuple:
+    """GMI (bit/2D) and pre-FEC bit error ratio of (rows, m) LLRs against the sent bits."""
+    return cst.gmi_from_llrs(llrs, bits), fec.ber_measure(llrs < 0, bits)
+
+
 def _run_awgn_e2e(cfg: ExperimentConfig):
     c = _load_constellation(cfg)
     m = c.bit_matrix.shape[1]
@@ -475,13 +501,12 @@ def _run_awgn_e2e(cfg: ExperimentConfig):
         idx = rng.integers(0, len(c.points), size=cfg.symbols)
         noise_var = cst._noise_variance(float(snr_db))
         llrs = cst.bitwise_llrs(c, _add_awgn(rng, c.points[idx], noise_var), noise_var)
-        bits = c.bit_matrix[idx]
-        gmi_2d = cst.gmi_from_llrs(llrs, bits)
+        gmi_2d, ber_pre = _llr_metrics(llrs, c.bit_matrix[idx])
         row = {
             "snr_db": float(snr_db),
             "gmi_2d": gmi_2d,
             "gap_4d": cst.gap_from_gmi(gmi_2d, float(snr_db)),
-            "ber_pre_fec": fec.ber_measure(llrs < 0, bits),
+            "ber_pre_fec": ber_pre,
         }
         ber_post = _coded_ber(enc, np.abs(llrs), rng) if enc is not None else None
         rows.append(row | _coded_columns(cfg, m, gmi_2d, ber_post))
@@ -498,14 +523,14 @@ def _receiver_chain(comp, c, cfg):
 
 
 def _symbol_metrics(sym, ref, c, tx_bits):
-    snr_db = dsp.snr_estimate(sym, ref)
-    llr_frame = dsp.llr_demap(dsp.align(sym, ref), c)
-    m = llr_frame.llrs.shape[2]
-    llrs = llr_frame.llrs.reshape(-1, m)
-    bits = tx_bits.reshape(-1, m)
-    gmi_2d = cst.gmi_from_llrs(llrs, bits)
-    ber = fec.ber_measure(llrs < 0, bits)
-    return snr_db, gmi_2d, ber
+    """SNR in dB, GMI and pre-FEC BER of a received frame, all read from its
+    one :func:`dsp.align` against ``ref``; the SNR is ``-evm_db`` of the
+    aligned frame, capped at ``linkbudget.SNR_CAP_DB``."""
+    aligned = dsp.align(sym, ref)
+    snr_db = min(linkbudget.SNR_CAP_DB, -dsp.evm_db(aligned, ref))
+    llrs = dsp.llr_demap(aligned, c).llrs
+    m = llrs.shape[2]
+    return (snr_db, *_llr_metrics(llrs.reshape(-1, m), tx_bits.reshape(-1, m)))
 
 
 def _run_fiber_e2e(cfg: ExperimentConfig):
@@ -516,10 +541,10 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
 
     # transceiver impairment is symbol-referred (back-to-back SNR), so it
     # is injected before pulse shaping rather than as wideband noise; +inf,
-    # or any SNR whose noise variance underflows to 0, adds none
+    # or any SNR above the highest a noise variance is taken at, adds none
     tx = ref
     snr_db = cfg.transmitter_snr_db
-    if snr_db < 0.0 or 10.0 ** (-snr_db / 10.0) > 0.0:
+    if snr_db <= cst._SNR_LIMIT_DB:
         rng = np.random.default_rng(cfg.seed + 1)
         nv = cst._noise_variance(snr_db) * float(np.mean(np.abs(ref.symbols) ** 2))
         tx = ref.with_symbols(_add_awgn(rng, ref.symbols, nv))

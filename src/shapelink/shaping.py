@@ -42,7 +42,6 @@ __all__ = [
     "gh_gmi_value",
     "gh_gmi_value_and_gradient",
     "papr_smooth",
-    "papr_smooth_gradient",
 ]
 
 @dataclass(frozen=True)
@@ -160,8 +159,10 @@ def gh_gmi_value_and_gradient(points: np.ndarray, bits: np.ndarray, noise_var: f
 _PAPR_SHARPNESS = 30.0
 
 
-def papr_smooth(points: np.ndarray) -> float:
-    """Differentiable stand-in for max(papr_i, papr_q).
+def papr_smooth(points: np.ndarray) -> tuple[float, np.ndarray]:
+    """Differentiable stand-in for max(papr_i, papr_q), and its analytic
+    gradient (complex convention of :func:`gh_gmi_value_and_gradient`),
+    from one softmax pass.
 
     Log-sum-exp over the per-dimension normalized squared values
     Re(p)^2/mean(Re^2) and Im(p)^2/mean(Im^2); upper-bounds the true max
@@ -169,26 +170,19 @@ def papr_smooth(points: np.ndarray) -> float:
     always uses the true max (:func:`constellation.papr`).
     """
     a, b = points.real, points.imag
-    u = np.concatenate([a**2 / np.mean(a**2), b**2 / np.mean(b**2)])
-    z = _PAPR_SHARPNESS * u
-    zmax = z.max()
-    return float(zmax + np.log(np.exp(z - zmax).sum())) / _PAPR_SHARPNESS
-
-
-def papr_smooth_gradient(points: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`papr_smooth` (same complex convention)."""
-    a, b = points.real, points.imag
     big_m = points.size
     ma, mb = np.mean(a**2), np.mean(b**2)
     ua, ub = a**2 / ma, b**2 / mb
     z = _PAPR_SHARPNESS * np.concatenate([ua, ub])
     zmax = z.max()
     w = np.exp(z - zmax)
-    w /= w.sum()
+    total = w.sum()
+    value = float(zmax + np.log(total)) / _PAPR_SHARPNESS
+    w /= total
     wa, wb = w[:big_m], w[big_m:]
     da = wa * 2.0 * a / ma - float(wa @ ua) * 2.0 * a / (big_m * ma)
     db = wb * 2.0 * b / mb - float(wb @ ub) * 2.0 * b / (big_m * mb)
-    return da + 1.0j * db
+    return value, da + 1.0j * db
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +209,15 @@ def _make_objective(bits, noise_var, cfg: ShapingConfig):
     def value(pts):
         v = gh_gmi_value(pts, bits, noise_var)
         if weight:
-            v -= weight * papr_smooth(pts)
+            v -= weight * papr_smooth(pts)[0]
         return v
 
     def trial(pts):
         v, g = gh_gmi_value_and_gradient(pts, bits, noise_var)
         if weight:
-            v -= weight * papr_smooth(pts)
-            g = g - weight * papr_smooth_gradient(pts)
+            pv, pg = papr_smooth(pts)
+            v -= weight * pv
+            g = g - weight * pg
         return v, g
 
     return value, trial

@@ -519,7 +519,7 @@ def test_transmitter_noise_gains_the_oversampling_after_the_matched_filter(overs
     wf = add_transmitter_noise(dsp.rrc_shape(tx, oversampling), 20.0, seed=6)
     rx = dsp.decimate(dsp.matched_filter(wf))
     expected = 20.0 + 10 * math.log10(oversampling)
-    assert dsp.snr_estimate(rx, tx) == pytest.approx(expected, abs=0.1)
+    assert -dsp.evm_db(dsp.align(rx, tx), tx) == pytest.approx(expected, abs=0.1)
 
 
 def test_wiener_walk_variance_scales():

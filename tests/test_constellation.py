@@ -176,6 +176,18 @@ def test_gmi_monotone_in_snr():
     assert vals[-1] < 6.0  # never exceeds the bit count
 
 
+@pytest.mark.parametrize("estimator", ["gh", "mc"])
+def test_gmi_beyond_the_snr_limit_fails_loudly(estimator):
+    # the noise variance or its reciprocal would pass 1e300; at -3080 and
+    # +3100 dB the metrics overflow to NaN
+    c = load_builtin("system12")
+    for snr_db in (-3080.0, -3000.5, 3000.5, 3100.0):
+        with pytest.raises(DegenerateInputError, match=f"SNR of {snr_db!r} dB"):
+            gmi_estimate(c, snr_db, estimator=estimator, samples=1000)
+    low, high = (gmi_estimate(c, s, estimator=estimator, samples=1000) for s in (-3000.0, 3000.0))
+    assert 0.0 <= low < 1e-9 and high == pytest.approx(6.0)
+
+
 def test_gap_is_definitional():
     c = square64()
     snr = 9.0

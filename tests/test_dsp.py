@@ -20,6 +20,8 @@ from point_sets import natural_constellation
 import shapelink.channel as ch
 import shapelink.constellation as cn
 import shapelink.dsp as dsp
+import shapelink.experiments as ex
+from shapelink import linkbudget
 from shapelink.errors import (
     AlignmentError,
     ConfigurationError,
@@ -889,37 +891,41 @@ def test_align_rejects_unalignable_frames(square):
                 dsp.align(bad, ref)
 
 
+# The data-aided SNR of a received frame is experiments._symbol_metrics's
+# first figure: -evm_db of the frame after align, capped at SNR_CAP_DB.
+
+
 def test_snr_estimate_constructed(square):
     m = 100_000
-    frame, _ = dsp.random_symbols(square, m, seed=47)
+    frame, idx = dsp.random_symbols(square, m, seed=47)
     rng = np.random.default_rng(53)
     noise = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     noise *= math.sqrt(
         np.mean(np.abs(frame.symbols) ** 2) * 0.1 / np.mean(np.abs(noise) ** 2)
     )
     noisy = frame.with_symbols(frame.symbols + noise)
-    assert abs(dsp.snr_estimate(noisy, frame) - 10.0) < 0.1
+    snr_db, _, _ = ex._symbol_metrics(noisy, frame, square, square.bit_matrix[idx])
+    assert abs(snr_db - 10.0) < 0.1
 
 
 def test_snr_estimate_cap_and_scale(square):
-    frame, _ = dsp.random_symbols(square, 4096, seed=59)
-    assert dsp.snr_estimate(frame, frame) == 60.0
+    frame, idx = dsp.random_symbols(square, 4096, seed=59)
+    bits = square.bit_matrix[idx]
+    assert ex._symbol_metrics(frame, frame, square, bits)[0] == linkbudget.SNR_CAP_DB == 60.0
     rng = np.random.default_rng(61)
     noise = (rng.standard_normal((2, 4096)) + 1j * rng.standard_normal((2, 4096))) * 0.1
     noisy = frame.with_symbols(frame.symbols + noise)
-    a = dsp.snr_estimate(noisy, frame)
-    b = dsp.snr_estimate(
-        noisy.with_symbols(2.0 * noisy.symbols),
-        frame.with_symbols(2.0 * frame.symbols),
-    )
+    a = -dsp.evm_db(dsp.align(noisy, frame), frame)
+    doubled = frame.with_symbols(2.0 * frame.symbols)
+    b = -dsp.evm_db(dsp.align(noisy.with_symbols(2.0 * noisy.symbols), doubled), doubled)
     assert abs(a - b) < 1e-9
 
 
 def test_snr_estimate_misalignment(square):
-    frame, _ = dsp.random_symbols(square, 4096, seed=67)
+    frame, idx = dsp.random_symbols(square, 4096, seed=67)
     rolled = frame.with_symbols(np.roll(frame.symbols, 97, axis=1))
     with pytest.raises(AlignmentError):
-        dsp.snr_estimate(rolled, frame)
+        ex._symbol_metrics(rolled, frame, square, square.bit_matrix[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,44 @@ def test_oversized_split_step_plan_is_rejected_before_anything_runs(tmp_path, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "draws, key",
+    [
+        (dict(mode="awgn_e2e", symbols=10**9), "channel.symbols"),
+        (dict(mode="awgn_e2e", symbols=16384 * 1000 + 1), "channel.symbols"),
+        (dict(mode="gap_sweep", estimator="mc", mc_symbols=10**12), "sweep.mc_symbols"),
+        (dict(mode="gap_sweep", estimator="mc", mc_symbols=10**9 + 1), "sweep.mc_symbols"),
+    ],
+    ids=["awgn_1e9_symbols", "awgn_just_over", "mc_1e12_samples", "mc_just_over"],
+)
+def test_oversized_sweep_draws_are_rejected_before_anything_runs(tmp_path, monkeypatch, draws, key):
+    # 21 sweep points of more than 1000 x the default samples per point
+    def no_draws(*args, **kwargs):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(ex, "_add_awgn", no_draws)
+    monkeypatch.setattr(ex.cst, "gap_to_capacity", no_draws)
+    out = tmp_path / "never"
+    cfg = ex.ExperimentConfig(output_dir=str(out), **draws)
+    diags = ex.validate_config(cfg)
+    assert len(diags) == 1 and diags[0].startswith(f"{key}:"), diags
+    assert "cap" in diags[0]
+    with pytest.raises(ConfigurationError):
+        ex.run_experiment(cfg)
+    assert not out.exists()
+
+
+def test_sweep_draw_cap_admits_its_edges():
+    # 1000 x the defaults' draws exactly, and Gauss-Hermite sweeps draw nothing
+    for draws in (
+        dict(mode="awgn_e2e", symbols=16384 * 1000),
+        dict(mode="gap_sweep", estimator="mc", mc_symbols=10**9),
+        dict(mode="gap_sweep", estimator="gh", mc_symbols=10**12),
+        dict(mode="linkbudget", symbols=10**9),
+    ):
+        assert ex.validate_config(ex.ExperimentConfig(**draws)) == [], draws
+
+
 def test_split_step_cap_admits_the_fine_step_references():
     # the 100 m references of the 9-span link and of the paper's 90 spans
     for spans in (9, 90):
@@ -573,6 +611,9 @@ def test_linkbudget_at_float_range_edges_fails_loudly(tmp_path, band):
     [
         dict(mode="gap_sweep", snr_start_db=3990.0, snr_stop_db=4000.0, snr_step_db=10.0),
         dict(mode="gap_sweep", snr_start_db=-4000.0, snr_stop_db=-3990.0, snr_step_db=10.0),
+        # the metrics are NaN beyond the SNR limit of a noise variance
+        dict(mode="gap_sweep", snr_start_db=-3080.0, snr_stop_db=-3080.0),
+        dict(mode="gap_sweep", snr_start_db=3100.0, snr_stop_db=3100.0),
         dict(mode="awgn_e2e", snr_start_db=3990.0, snr_stop_db=4000.0, snr_step_db=10.0),
         dict(mode="awgn_e2e", snr_start_db=-4000.0, snr_stop_db=-4000.0),
         dict(mode="shape", design_snr_db=4000.0, shape_iterations=5),
@@ -590,6 +631,17 @@ def test_snr_at_float_range_edges_fails_loudly(tmp_path, edge):
     assert man["status"] == "failed"
     assert man["error"].startswith("DegenerateInputError: ")
     assert not (tmp_path / f"{cfg.mode}.csv").exists()
+
+
+def test_fiber_transmitter_snr_beyond_the_limit_adds_no_noise(tmp_path):
+    rows = [
+        ex.run_experiment(ex.ExperimentConfig(
+            mode="fiber_e2e", output_dir=str(tmp_path / str(snr_db)), source="square64",
+            span_count=1, symbols=256, oversampling=2, transmitter_snr_db=snr_db,
+        )).rows
+        for snr_db in (3100.0, math.inf)
+    ]
+    assert rows[0] == rows[1]
 
 
 def test_seed_and_out_dir_overrides(tmp_path):
@@ -826,6 +878,24 @@ def test_fiber_e2e_transmits_at_the_configured_symbol_rate(tmp_path, monkeypatch
     )
     ex.run_experiment(cfg)
     assert launched == [(cfg.oversampling * 32e9, 32e9)]
+
+
+def test_fiber_e2e_aligns_each_received_frame_once(tmp_path, monkeypatch):
+    # one alignment each for the CDC and the DBP receiver's frame
+    calls = []
+    align = dsp.align
+
+    def counted(frame, reference):
+        calls.append(frame)
+        return align(frame, reference)
+
+    monkeypatch.setattr(dsp, "align", counted)
+    cfg = ex.ExperimentConfig(
+        mode="fiber_e2e", output_dir=str(tmp_path), source="square64",
+        span_count=1, symbols=256, oversampling=2,
+    )
+    ex.run_experiment(cfg)
+    assert len(calls) == 2
 
 
 def test_fiber_e2e_columns_and_linear_regime_sanity(tmp_path):

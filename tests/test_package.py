@@ -16,6 +16,7 @@ ALLOWED = {
     ("dsp", "channel", "_step_count"),
     ("dsp", "constellation", "_auto_noise_variance"),
     ("experiments", "constellation", "_noise_variance"),
+    ("experiments", "constellation", "_SNR_LIMIT_DB"),
     ("linkbudget", "channel", "_C0"),
     ("linkbudget", "channel", "_PLANCK"),
     ("linkbudget", "constellation", "_from_db"),
