@@ -63,13 +63,29 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _frame_field(values, name: str) -> np.ndarray:
+    """``values`` as a frame's field: a finite (2, N >= 1) complex128 array,
+    C-contiguous and read-only.  An array that already is one is frozen in
+    place, not copied, so a later write into it raises; a view of memory
+    that another owner may still write is copied."""
+    a = np.ascontiguousarray(values, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != 2 or a.shape[1] < 1:
+        raise ValueError(f"{name} must have shape (2, N) with N >= 1")
+    if not np.all(np.isfinite(a.view(np.float64))):
+        raise ValueError(f"{name} must be finite")
+    if a.base is not None and (not isinstance(a.base, np.ndarray) or a.base.flags.writeable):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class WaveformFrame:
     """Dual-polarization sampled field.
 
     ``samples`` has shape (2, N) in sqrt(W), baseband about the carrier
-    ``_CARRIER_HZ``.  ``symbol_rate`` rides along as metadata so receivers
-    know the oversampling factor.
+    ``_CARRIER_HZ``, and is read-only (:func:`_frame_field`).  ``symbol_rate``
+    rides along as metadata so receivers know the oversampling factor.
     """
 
     samples: np.ndarray
@@ -77,16 +93,11 @@ class WaveformFrame:
     symbol_rate: float = 35e9
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", s)
-        if s.ndim != 2 or s.shape[0] != 2 or s.shape[1] == 0:
-            raise ValueError("samples must have shape (2, N), N > 0")
+        object.__setattr__(self, "samples", _frame_field(self.samples, "samples"))
         if not (0 < self.sample_rate < math.inf and 0 < self.symbol_rate < math.inf):
             raise ValueError("rates must be positive and finite")
         if self.sample_rate < 2 * self.symbol_rate - 1e-6:
             raise ValueError("sample_rate must be >= 2 x symbol_rate")
-        if not np.all(np.isfinite(s.view(np.float64))):
-            raise ValueError("samples must be finite")
 
     @property
     def n_samples(self) -> int:
@@ -481,6 +492,8 @@ def wiener_phase_walk(n: int, linewidth_hz: float, rate_hz: float, seed: int) ->
     """
     rng = np.random.default_rng(seed)
     var = 2.0 * math.pi * linewidth_hz / rate_hz
+    if not var < math.inf:
+        raise DegenerateInputError(f"a {linewidth_hz:g} Hz linewidth overflows the walk variance")
     steps = rng.standard_normal(n) * math.sqrt(var)
     steps[0] = 0.0
     return np.cumsum(steps)

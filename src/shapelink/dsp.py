@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SpanSpec, WaveformFrame, _split_step, _step_count
+from .channel import SpanSpec, WaveformFrame, _frame_field, _split_step, _step_count
 from .constellation import Constellation, _auto_noise_variance, bitwise_llrs
 from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
@@ -71,22 +71,17 @@ __all__ = [
 class SymbolFrame:
     """Dual-polarization symbol-rate frame.
 
-    ``symbols`` is a (2, M) complex array at one sample per symbol.
+    ``symbols`` is a (2, M) complex array at one sample per symbol,
+    read-only as a :class:`~shapelink.channel.WaveformFrame`'s samples are.
     """
 
     symbols: np.ndarray
     symbol_rate: float = 35e9
 
     def __post_init__(self):
-        sym = np.ascontiguousarray(self.symbols, dtype=np.complex128)
-        if sym.ndim != 2 or sym.shape[0] != 2 or sym.shape[1] < 1:
-            raise ValueError("symbols must have shape (2, M) with M >= 1")
-        if not np.all(np.isfinite(sym.view(np.float64))):
-            raise ValueError("symbols must be finite")
+        object.__setattr__(self, "symbols", _frame_field(self.symbols, "symbols"))
         if not 0 < self.symbol_rate < math.inf:
             raise ValueError("symbol_rate must be positive and finite")
-        sym.setflags(write=False)
-        object.__setattr__(self, "symbols", sym)
 
     @property
     def n_symbols(self) -> int:
@@ -101,7 +96,7 @@ class LlrFrame:
     """Bitwise LLRs for a dual-polarization symbol frame.
 
     ``llrs`` has shape (2, M, bits_per_symbol); positive values favor
-    bit 0.  ``noise_variance`` records the value the demapper used.
+    bit 0.  ``noise_variance`` records the blind estimate the demapper used.
     """
 
     llrs: np.ndarray
@@ -112,10 +107,6 @@ class LlrFrame:
         if llrs.ndim != 3 or llrs.shape[0] != 2:
             raise ValueError("llrs must have shape (2, M, bits)")
         object.__setattr__(self, "llrs", llrs)
-
-    @property
-    def n_symbols(self) -> int:
-        return self.llrs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -147,8 +138,6 @@ def random_symbols(c: Constellation, count: int, seed: int) -> tuple[SymbolFrame
     Returns the frame and the (2, count) point-index array; transmitted
     bits are ``c.bit_matrix[indices]``.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(c.points), size=(2, count))
     return SymbolFrame(symbols=c.points[idx]), idx
@@ -622,26 +611,20 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
 # demapping and quality metrics
 
 
-def llr_demap(
-    frame: SymbolFrame,
-    c: Constellation,
-    noise_variance: float | None = None,
-) -> LlrFrame:
-    """Bitwise LLRs for both polarizations under a circular Gaussian metric.
-
-    ``noise_variance`` is the total (2D) variance, positive and finite;
-    None estimates it blindly from the marker ring.  Positive LLR favors
-    bit 0.
+def llr_demap(frame: SymbolFrame, c: Constellation) -> LlrFrame:
+    """Blind bitwise LLRs for both polarizations under a circular Gaussian
+    metric.  The total (2D) noise variance is estimated from the frame:
+    radial residuals about the marker ring when ``c`` has one, else
+    nearest-point residuals; :class:`LlrFrame` records it.  An all-zero
+    frame raises :class:`DegenerateInputError`.  Positive LLR favors bit
+    0.  For LLRs at a known variance, call
+    :func:`shapelink.constellation.bitwise_llrs` per polarization.
     """
-    if noise_variance is None:
-        noise_variance = _auto_noise_variance(frame.symbols, c)
-    elif not 0 < noise_variance < math.inf:
-        raise ValueError("noise_variance must be positive and finite")
-    m_bits = c.bit_matrix.shape[1]
-    out = np.empty((2, frame.n_symbols, m_bits))
+    noise_variance = _auto_noise_variance(frame.symbols, c)
+    out = np.empty((2, frame.n_symbols, c.bit_matrix.shape[1]))
     for p in range(2):
         out[p] = bitwise_llrs(c, frame.symbols[p], noise_variance)
-    return LlrFrame(llrs=out, noise_variance=float(noise_variance))
+    return LlrFrame(llrs=out, noise_variance=noise_variance)
 
 
 def _fields(x) -> np.ndarray:

@@ -104,7 +104,8 @@ class ExperimentConfig:
     mc_symbols: int = _ini("sweep", 1_000_000, accepts="[1000, inf)")
     span_count: int = _ini("channel", 9, key="spans", accepts="[1, inf)")
     launch_power_dbm: float = _ini("channel", -0.5)
-    symbol_rate_hz: float = _ini("channel", 35e9, accepts="(0, inf)")
+    # a baseband field about the 193.4 THz carrier
+    symbol_rate_hz: float = _ini("channel", 35e9, accepts="(0, 193.4e12]")
     channel_spacing_hz: float = _ini("channel", 50e9)
     oversampling: int = _ini("channel", 4, accepts="[2, inf)")
     symbols: int = _ini("channel", 16384, accepts="[64, inf)")
@@ -244,14 +245,18 @@ def validate_config(cfg: ExperimentConfig) -> list:
     Each value must be one that its field ``accepts``; a float outside
     them that is NaN or infinite reads "must be finite".  The checks after
     that loop read the file system or a second key, and a key already
-    reported keeps its first diagnostic.  A ``fiber_e2e`` link is planned
-    without running it: split-step work above 1000 x the defaults' plan,
-    or a step count above the engine's limit, is one ``channel.``
-    diagnostic, on ``max_step_m`` when that is set and on
-    ``launch_power_dbm`` otherwise.  Sweep points x samples drawn above
-    1000 x the defaults' is one diagnostic on ``channel.symbols`` for
-    ``awgn_e2e`` and on ``sweep.mc_symbols`` for a Monte Carlo
-    ``gap_sweep``.
+    reported keeps its first diagnostic; the channel grid and band edges
+    are checked in ``linkbudget`` only, the ``[fec] matrix`` file in
+    ``awgn_e2e`` only, the modes that read them.  A ``fiber_e2e`` link is
+    planned without running it.  A forward step count above the engine's
+    limit is a ``channel.`` diagnostic, on ``max_step_m`` when that is set
+    and on ``launch_power_dbm`` otherwise; a DBP step count above it is a
+    ``dsp.dbp_steps_per_span`` one.  Split-step work above 1000 x the
+    defaults' plan is one diagnostic, on the DBP key when DBP steps are
+    the larger share and on the forward key otherwise.  Sweep points x
+    samples drawn above 1000 x the defaults' is one diagnostic on
+    ``channel.symbols`` for ``awgn_e2e`` and on ``sweep.mc_symbols`` for a
+    Monte Carlo ``gap_sweep``.
     """
     d = {}
     for (section, key), (name, _) in _INI_KEYS.items():
@@ -265,7 +270,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
             d[section, key] = _outside(value, accepts)
     if not _is_builtin(cfg.source) and not os.path.isfile(cfg.source):
         d["constellation", "source"] = f"not a builtin name and file does not exist: {cfg.source}"
-    if cfg.fec_matrix and not os.path.isfile(cfg.fec_matrix):
+    if cfg.mode == "awgn_e2e" and cfg.fec_matrix and not os.path.isfile(cfg.fec_matrix):
         d["fec", "matrix"] = f"file does not exist: {cfg.fec_matrix}"
     try:
         rates = [Fraction(r) for r in cfg.fec_rates]
@@ -280,10 +285,13 @@ def validate_config(cfg: ExperimentConfig) -> list:
     sweep = [("sweep", key) for key in ("snr_start_db", "snr_stop_db", "snr_step_db")]
     if not any(key in d for key in sweep) and _sweep_span(cfg) >= _MAX_SWEEP_POINTS:
         d["sweep", "snr_step_db"] = f"over {_MAX_SWEEP_POINTS} sweep points from start to stop"
-    if cfg.channel_spacing_hz < cfg.symbol_rate_hz:
-        d.setdefault(("channel", "channel_spacing_hz"), "below the symbol rate (grid violation)")
-    if cfg.band_stop_nm <= cfg.band_start_nm and cfg.band_channels > 1:
-        d.setdefault(("band", "stop_nm"), "must exceed start_nm")
+    if cfg.mode == "linkbudget":
+        if cfg.channel_spacing_hz < cfg.symbol_rate_hz:
+            d.setdefault(
+                ("channel", "channel_spacing_hz"), "below the symbol rate (grid violation)"
+            )
+        if cfg.band_stop_nm <= cfg.band_start_nm and cfg.band_channels > 1:
+            d.setdefault(("band", "stop_nm"), "must exceed start_nm")
     # the samples each sweep point draws, if the run draws any
     draw_key = None
     if cfg.mode == "awgn_e2e":
@@ -302,16 +310,24 @@ def validate_config(cfg: ExperimentConfig) -> list:
     plan_keys = ("spans", "launch_power_dbm", "oversampling", "symbols", "max_step_m")
     link = [("channel", key) for key in plan_keys] + [("dsp", "dbp_steps_per_span")]
     if cfg.mode == "fiber_e2e" and not any(key in d for key in link):
-        key = "launch_power_dbm" if cfg.max_step_m is None else "max_step_m"
+        fwd_key = ("channel", "launch_power_dbm" if cfg.max_step_m is None else "max_step_m")
+        dbp_key = ("dsp", "dbp_steps_per_span")
+        fwd = back = None
         try:
-            fwd, back, work = _split_step_work(cfg)
+            fwd = _forward_steps(cfg)
         except OverflowError:
             d["channel", "launch_power_dbm"] = "too large to express in watts"
         except ConfigurationError as exc:
-            d["channel", key] = f"split-step plan fails: {exc}"
-        else:
+            d[fwd_key] = f"split-step plan fails: {exc}"
+        try:
+            back = _dbp_steps(cfg)
+        except ConfigurationError as exc:
+            d[dbp_key] = f"DBP plan fails: {exc}"
+        if fwd is not None and back is not None:
+            work = _split_step_work(cfg, fwd, back)
             if work > _MAX_WORK_FACTOR * _DEFAULT_WORK:
-                d["channel", key] = (
+                # on the key that sets the larger share of the steps
+                d[dbp_key if back > fwd else fwd_key] = (
                     f"{cfg.span_count} spans of {fwd} split steps and {back} DBP steps on "
                     f"{cfg.symbols * cfg.oversampling} samples are "
                     f"{work / _DEFAULT_WORK:.3g} x the defaults' work, "
@@ -367,15 +383,21 @@ def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
     return cfg.snr_start_db + cfg.snr_step_db * np.arange(count)
 
 
-def _split_step_work(cfg: ExperimentConfig) -> tuple:
-    """(forward, DBP) split steps per span of a ``fiber_e2e`` link, the
-    forward ones planned at the launch power, and the work they ask for:
-    span count x (forward + DBP steps) x samples."""
-    span = ch.hybrid_span()
+def _forward_steps(cfg: ExperimentConfig) -> int:
+    """Split steps per span of a ``fiber_e2e`` link, planned at the launch power."""
     launch_w = 10.0 ** (cfg.launch_power_dbm / 10.0) * 1e-3
-    fwd = sum(ch.split_steps(span.segments, launch_w, cfg.max_step_m))
-    back = sum(dsp.dbp_steps(span, cfg.dbp_steps_per_span))
-    return fwd, back, cfg.span_count * (fwd + back) * cfg.symbols * cfg.oversampling
+    return sum(ch.split_steps(ch.hybrid_span().segments, launch_w, cfg.max_step_m))
+
+
+def _dbp_steps(cfg: ExperimentConfig) -> int:
+    """DBP steps per span of a ``fiber_e2e`` link."""
+    return sum(dsp.dbp_steps(ch.hybrid_span(), cfg.dbp_steps_per_span))
+
+
+def _split_step_work(cfg: ExperimentConfig, fwd: int, back: int) -> int:
+    """The work of ``fwd`` forward and ``back`` DBP steps per span:
+    span count x (forward + DBP steps) x samples."""
+    return cfg.span_count * (fwd + back) * cfg.symbols * cfg.oversampling
 
 
 #: the most work a run may ask for, as a multiple of the defaults': the
@@ -383,7 +405,9 @@ def _split_step_work(cfg: ExperimentConfig) -> tuple:
 #: 100 m steps), or the samples a sweep draws
 _MAX_WORK_FACTOR = 1000
 _DEFAULT_CONFIG = ExperimentConfig()
-_DEFAULT_WORK = _split_step_work(_DEFAULT_CONFIG)[2]
+_DEFAULT_WORK = _split_step_work(
+    _DEFAULT_CONFIG, _forward_steps(_DEFAULT_CONFIG), _dbp_steps(_DEFAULT_CONFIG)
+)
 _DEFAULT_POINTS = len(_sweep_points(_DEFAULT_CONFIG))
 
 

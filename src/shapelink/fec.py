@@ -284,9 +284,9 @@ class SystematicEncoder:
 
     ``info_positions`` are the codeword columns that carry information
     bits (the non-pivot columns of the row-reduced matrix); the
-    remaining ``parity_positions`` are solved from the checks.  ``rank``
-    may be below the row count for redundant matrices, in which case the
-    information length exceeds cols - rows.
+    remaining ``parity_positions`` are solved from the checks.  Their
+    count, the matrix rank, may be below the row count for redundant
+    matrices, in which case the information length exceeds cols - rows.
 
     Parity bits come from one float32 (BLAS) product of the information
     bits with the 0/1 solver; its parity is the low bit of the integer
@@ -302,10 +302,6 @@ class SystematicEncoder:
     @property
     def k(self) -> int:
         return self.info_positions.size
-
-    @property
-    def rank(self) -> int:
-        return self.parity_positions.size
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """(batch, k) information bits -> (batch, cols) codewords."""

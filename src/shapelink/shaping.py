@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, _gh_gmi, _gh_gmi_and_gradient, _noise_variance, normalized
+from .errors import DegenerateInputError
 
 __all__ = [
     "ShapingConfig",
@@ -108,14 +109,17 @@ class ShapingResult:
     the improvement tolerance; a line-search failure or hitting
     max_iterations returns the best-so-far with ``converged`` False.
     ``history`` holds the objective after the initial point and each
-    accepted step (strictly increasing by construction), so
-    ``iterations == len(history) - 1``.
+    accepted step (strictly increasing by construction).
     """
 
     constellation: Constellation
     converged: bool
-    iterations: int
     history: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """Accepted steps: ``len(history) - 1``."""
+        return len(self.history) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +210,23 @@ def _make_objective(bits, noise_var, cfg: ShapingConfig):
     """
     weight = cfg.papr_penalty_weight
 
+    def penalty(pts):
+        # the weighted smooth PAPR and its gradient; a weight so large that
+        # either overflows leaves no objective to climb
+        pv, pg = papr_smooth(pts)
+        if not weight * max(pv, float(np.abs(pg).max())) < math.inf:
+            raise DegenerateInputError(f"papr_penalty_weight {weight:g} overflows the penalty")
+        return weight * pv, weight * pg
+
     def value(pts):
         v = gh_gmi_value(pts, bits, noise_var)
-        if weight:
-            v -= weight * papr_smooth(pts)[0]
-        return v
+        return v - penalty(pts)[0] if weight else v
 
     def trial(pts):
         v, g = gh_gmi_value_and_gradient(pts, bits, noise_var)
         if weight:
-            pv, pg = papr_smooth(pts)
-            v -= weight * pv
-            g = g - weight * pg
+            pv, pg = penalty(pts)
+            v, g = v - pv, g - pg
         return v, g
 
     return value, trial
@@ -350,6 +359,5 @@ def optimize(initial: Constellation, cfg: ShapingConfig = ShapingConfig()) -> Sh
             design_snr_db=cfg.target_snr_db,
         ),
         converged=converged,
-        iterations=len(history) - 1,
         history=history,
     )

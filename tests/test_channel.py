@@ -529,6 +529,12 @@ def test_wiener_walk_variance_scales():
     assert track[0] == 0.0
 
 
+def test_wiener_walk_variance_that_overflows_is_degenerate():
+    # 2 pi x the largest float gave inf increments and a NaN walk
+    with pytest.raises(DegenerateInputError, match="linewidth"):
+        wiener_phase_walk(16, 1.7976931348623157e308, 70e9, seed=0)
+
+
 def test_frequency_shift_and_jones_rotation():
     f = _noise_frame(17, n=1024)
     shifted = apply_frequency_shift(f, 500e6)

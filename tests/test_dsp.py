@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from point_sets import natural_constellation
 
 import shapelink.channel as ch
@@ -84,6 +84,39 @@ def test_symbol_frame_validation():
     bad[1, 2] = np.nan
     with pytest.raises(ValueError):
         dsp.SymbolFrame(symbols=bad)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda a: ch.WaveformFrame(a, sample_rate=70e9), "samples"),
+        (lambda a: dsp.SymbolFrame(a), "symbols"),
+    ],
+    ids=["WaveformFrame", "SymbolFrame"],
+)
+def test_frames_check_and_freeze_their_field(make, name):
+    for shape in ((2, 0), (3, 8), (8,)):
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            make(np.ones(shape, complex))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        values = np.ones((2, 8), complex)
+        values[1, 3] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(values)
+    values = np.ones((2, 8), complex)
+    field = getattr(make(values), name)
+    assert field.dtype == np.complex128 and field.flags.c_contiguous
+    assert np.shares_memory(field, values)  # frozen, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        field[0, 0] = 5.0
+    # a WaveformFrame kept the caller's array writable: this write moved
+    # the frame's samples[0, 0] to 5
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 5.0
+    owner = np.ones((4, 8), complex)
+    field = getattr(make(owner[:2]), name)
+    owner[0, 0] = 5.0  # a view into a writable array is copied
+    assert field[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("rate", [0.0, -35e9, math.inf, math.nan])
@@ -689,11 +722,16 @@ def test_llr_two_point_closed_form():
     np.testing.assert_allclose(llr[:, 0], 4.0 * y / nv, rtol=1e-12)
 
 
+def _llrs_at(frame, c, noise_variance):
+    """(2, M, m) LLRs of a symbol frame at a known noise variance: the
+    per-polarization call that replaces a known-variance llr_demap."""
+    return np.stack([cn.bitwise_llrs(c, y, noise_variance) for y in frame.symbols])
+
+
 def test_llr_demap_noiseless_signs(square):
     frame, idx = dsp.random_symbols(square, 512, seed=19)
-    out = dsp.llr_demap(frame, square, noise_variance=1e-4)
     bits = square.bit_matrix[idx]  # (2, M, 6)
-    hard = (out.llrs < 0).astype(np.uint8)
+    hard = (_llrs_at(frame, square, 1e-4) < 0).astype(np.uint8)
     assert np.array_equal(hard, bits)
 
 
@@ -709,11 +747,12 @@ def test_llr_demap_is_bitwise_llrs_per_polarization(name, data):
         st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
         min_size=2 * m, max_size=2 * m,
     ))
-    nv = data.draw(st.floats(1e-4, 10.0))
+    assume(any(values))  # an all-zero frame has no blind estimate
     frame = dsp.SymbolFrame(symbols=np.array(values).reshape(2, m))
-    out = dsp.llr_demap(frame, c, nv)
+    out = dsp.llr_demap(frame, c)
     for p in range(2):
-        assert np.array_equal(out.llrs[p], cn.bitwise_llrs(c, frame.symbols[p], nv))
+        want = cn.bitwise_llrs(c, frame.symbols[p], out.noise_variance)
+        assert np.array_equal(out.llrs[p], want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -726,17 +765,9 @@ def test_noiseless_llr_sign_is_one_minus_twice_the_bit(name, snr_db):
     # ~10 dB (system12 does at 9.5 dB)
     c = cn.load_builtin(name)
     frame = dsp.SymbolFrame(symbols=np.stack([c.points, c.points[::-1]]))
-    out = dsp.llr_demap(frame, c, 10.0 ** (-snr_db / 10.0))
+    llrs = _llrs_at(frame, c, 10.0 ** (-snr_db / 10.0))
     bits = np.stack([c.bit_matrix, c.bit_matrix[::-1]]).astype(int)
-    assert np.array_equal(np.sign(out.llrs), 1 - 2 * bits)
-
-
-def test_llr_demap_explicit_vs_invalid(square):
-    frame, _ = dsp.random_symbols(square, 16, seed=1)
-    # NaN gave all-NaN LLRs and inf all-zero ones
-    for nu in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="noise_variance"):
-            dsp.llr_demap(frame, square, noise_variance=nu)
+    assert np.array_equal(np.sign(llrs), 1 - 2 * bits)
 
 
 @pytest.mark.parametrize("name", ["square64", "system12"])
@@ -817,9 +848,8 @@ def test_llr_demap_gmi_cross_validation(square):
         nv / 2.0
     )
     rx = frame.with_symbols(frame.symbols + noise)
-    out = dsp.llr_demap(rx, square, noise_variance=nv)
     bits = square.bit_matrix[idx].reshape(-1, 6)
-    gmi = cn.gmi_from_llrs(out.llrs.reshape(-1, 6), bits)
+    gmi = cn.gmi_from_llrs(_llrs_at(rx, square, nv).reshape(-1, 6), bits)
     ref = cn.gmi_estimate(square, snr_db, estimator="gh")
     assert abs(gmi - ref) < 1e-2
 
@@ -835,9 +865,8 @@ def test_demapper_consistency_invariant(square):
         nv / 2.0
     )
     rx = frame.with_symbols(frame.symbols + noise)
-    out = dsp.llr_demap(rx, square, noise_variance=nv)
     bits = square.bit_matrix[idx].reshape(-1, 6)
-    llrs = out.llrs.reshape(-1, 6)
+    llrs = _llrs_at(rx, square, nv).reshape(-1, 6)
     gmi = cn.gmi_from_llrs(llrs, bits)
     hard = (llrs < 0).astype(np.uint8)
     pe = np.mean(hard != bits, axis=0)
@@ -942,8 +971,7 @@ def test_chain_transparent_at_30db(square):
     wf = dsp.rrc_shape(frame, 2, 0.01)
     wf = ch.add_transmitter_noise(wf, 30.0, seed=73)
     rx = dsp.decimate(dsp.matched_filter(wf, 0.01))
-    out = dsp.llr_demap(rx, square, noise_variance=1e-3)
-    hard = (out.llrs < 0).astype(np.uint8)
+    hard = (_llrs_at(rx, square, 1e-3) < 0).astype(np.uint8)
     bits = square.bit_matrix[idx]
     assert np.array_equal(hard, bits)
 
@@ -963,7 +991,7 @@ def _blind_rx(square, s, rotation_rad):
     wf = ch.apply_frequency_shift(wf, 200e6)
     wf = ch.add_transmitter_noise(wf, 26.0, seed=2000 + s)
     _, llrs, offset_hz = dsp.blind_receive(wf, square, tx)
-    bits = square.bit_matrix[idx][:, : llrs.n_symbols]
+    bits = square.bit_matrix[idx][:, : llrs.llrs.shape[1]]
     return float(np.mean((llrs.llrs < 0) != bits)), offset_hz
 
 

@@ -21,7 +21,7 @@ from point_sets import natural_constellation
 import shapelink
 from shapelink import channel as ch
 from shapelink import cli, constellation as cst, dsp, experiments as ex, fec, linkbudget
-from shapelink.errors import ConfigurationError, DegenerateInputError
+from shapelink.errors import ConfigurationError, DegenerateInputError, ShapelinkError
 
 
 FULL_INI = """\
@@ -220,7 +220,7 @@ def test_validate_missing_constellation_file_names_the_field(tmp_path):
 
 
 def test_validate_spacing_below_symbol_rate_is_grid_violation():
-    cfg = ex.ExperimentConfig(channel_spacing_hz=30e9, symbol_rate_hz=35e9)
+    cfg = ex.ExperimentConfig(mode="linkbudget", channel_spacing_hz=30e9, symbol_rate_hz=35e9)
     diags = ex.validate_config(cfg)
     assert len(diags) == 1
     assert diags[0].startswith("channel.channel_spacing_hz:")
@@ -325,7 +325,7 @@ _FLOAT_KEYS = [key for key, (_, kind) in ex._INI_KEYS.items() if kind is float]
 # every mode at a size that runs in well under a second
 _SMALL_RUNS = {
     "shape": dict(source="square64", shape_iterations=3),
-    "gap_sweep": dict(snr_start_db=10.0, snr_stop_db=11.0),
+    "gap_sweep": dict(snr_start_db=10.0, snr_stop_db=11.0, mc_symbols=1000),
     "awgn_e2e": dict(source="square64", snr_start_db=10.0, snr_stop_db=11.0, symbols=512),
     "fiber_e2e": dict(source="square64", span_count=1, symbols=256, oversampling=2),
     "linkbudget": dict(band_channels=3),
@@ -352,6 +352,103 @@ def test_non_finite_float_is_named_or_runs(key, value, mode):
             return
         rep = ex.run_experiment(cfg)
     if mode == "shape":  # a design is never worse than its input
+        row = dict(zip(rep.columns, rep.rows[0]))
+        assert row["gmi_shaped_2d"] >= row["gmi_initial_2d"]
+
+
+def _accepted_edges(name, kind):
+    """The values at the edges of what a field accepts: every choice, each
+    closed end, and the nearest value inside each open end (the largest
+    finite float inside an infinite one; an int has none there)."""
+    accepts = ex._ACCEPTS[name]
+    if isinstance(accepts, tuple):
+        return list(accepts)
+    low, high = (float(end) for end in accepts[1:-1].split(","))
+    edges = []
+    for end, closed, inward in ((low, accepts[0] == "[", 1), (high, accepts[-1] == "]", -1)):
+        if closed:
+            edges.append(kind(end))
+        elif kind is float:
+            edges.append(math.nextafter(end, inward * math.inf))
+        elif math.isfinite(end):
+            edges.append(int(end) + inward)
+    return edges
+
+
+_SWEEPS = {"gap_sweep": {}, "awgn_e2e": {}}
+_CODED = {"awgn_e2e": {}, "fiber_e2e": {}}
+_FIBER = {"fiber_e2e": {}}
+_BUDGET = {"linkbudget": {}}
+# the modes that read each field with declared values (``mode`` itself
+# aside), with what a reduced run of that mode needs set to read it
+_READERS = {
+    "seed": {"shape": {}, "gap_sweep": dict(estimator="mc"), **_CODED},
+    "design_snr_db": {"shape": {}},
+    "snr_start_db": _SWEEPS,
+    "snr_stop_db": _SWEEPS,
+    "snr_step_db": _SWEEPS,
+    "estimator": {"gap_sweep": {}},
+    "mc_symbols": {"gap_sweep": dict(estimator="mc")},
+    "span_count": {**_FIBER, **_BUDGET},
+    "launch_power_dbm": {**_FIBER, **_BUDGET},
+    "symbol_rate_hz": {**_CODED, **_BUDGET},
+    "channel_spacing_hz": _BUDGET,
+    "oversampling": _FIBER,
+    "symbols": _CODED,
+    "transmitter_snr_db": {**_FIBER, **_BUDGET},
+    "linewidth_hz": _FIBER,
+    "max_step_m": _FIBER,
+    "rrc_rolloff": _FIBER,
+    "cpe_block_length": {"fiber_e2e": dict(linewidth_hz=100e3)},
+    "dbp_steps_per_span": _FIBER,
+    "bch_overhead": _CODED,
+    "ber_threshold": _CODED,
+    "band_channels": _BUDGET,
+    "mean_nf_db": _BUDGET,
+    "nf_tilt_db": _BUDGET,
+    "signal_tilt_db": _BUDGET,
+    "band_start_nm": _BUDGET,
+    "band_stop_nm": _BUDGET,
+    "shape_iterations": {"shape": {}},
+    "papr_weight": {"shape": {}},
+    "ring_gain": {"shape": dict(add_markers=True)},
+}
+
+# (INI key, edge value, mode, what else the run sets) for every declared edge
+_EDGE_RUNS = [
+    (key, value, mode, extra)
+    for key, (name, kind) in ex._INI_KEYS.items()
+    if ex._ACCEPTS[name] is not None
+    for value in _accepted_edges(name, kind)
+    for mode, extra in ({value: {}} if name == "mode" else _READERS[name]).items()
+]
+
+
+def test_every_field_with_declared_values_names_its_readers():
+    declared = {name for name, accepts in ex._ACCEPTS.items() if accepts is not None}
+    assert set(_READERS) == declared - {"mode"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=st.sampled_from(_EDGE_RUNS))
+@example(run=(("channel", "symbol_rate_hz"), 193.4e12, "fiber_e2e", {}))
+@example(run=(("channel", "linewidth_hz"), sys.float_info.max, "fiber_e2e", {}))
+@example(run=(("shape", "papr_weight"), sys.float_info.max, "shape", {}))
+def test_declared_edge_runs_or_fails_loudly(run):
+    # an fftfreq ZeroDivisionError, a NaN phase walk and a design worse than
+    # its input ran at the last three before they were mended
+    key, value, mode, extra = run
+    name = ex._INI_KEYS[key][0]
+    with tempfile.TemporaryDirectory() as out:
+        values = {"mode": mode, "output_dir": out, **_SMALL_RUNS[mode], **extra, name: value}
+        cfg = ex.ExperimentConfig(**values)
+        if ex.validate_config(cfg):
+            return
+        try:
+            rep = ex.run_experiment(cfg)
+        except ShapelinkError:
+            return
+    if mode == "shape" and not cfg.add_markers:  # an ascent never ends below its start
         row = dict(zip(rep.columns, rep.rows[0]))
         assert row["gmi_shaped_2d"] >= row["gmi_initial_2d"]
 
@@ -488,6 +585,36 @@ def test_oversized_split_step_plan_is_rejected_before_anything_runs(tmp_path, mo
     with pytest.raises(ConfigurationError):
         ex.run_experiment(cfg)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [(100_000_000, "DBP plan fails: 5.714e+07 split steps exceed"), (100_000, "x cap")],
+    ids=["over_the_step_limit", "over_the_work_cap"],
+)
+def test_oversized_dbp_plan_is_reported_on_the_dbp_key(steps, message):
+    # both read as channel.launch_power_dbm diagnostics, the first without
+    # saying the steps were DBP's
+    cfg = ex.ExperimentConfig(mode="fiber_e2e", dbp_steps_per_span=steps)
+    diags = ex.validate_config(cfg)
+    assert len(diags) == 1 and diags[0].startswith("dsp.dbp_steps_per_span: "), diags
+    assert message in diags[0]
+
+
+@pytest.mark.parametrize(
+    "values, key, readers",
+    [
+        (dict(symbol_rate_hz=64e9), "channel.channel_spacing_hz", {"linkbudget"}),
+        (dict(band_start_nm=1700.0), "band.stop_nm", {"linkbudget"}),
+        (dict(fec_matrix="no-such.alist"), "fec.matrix", {"awgn_e2e"}),
+    ],
+    ids=["spacing", "band_edges", "matrix"],
+)
+def test_checks_run_only_in_the_modes_that_read_their_keys(values, key, readers):
+    # each rejected every mode, though only the readers read the key
+    for mode in ex.MODES:
+        diags = ex.validate_config(ex.ExperimentConfig(mode=mode, **values))
+        assert [d.split(":", 1)[0] for d in diags] == ([key] if mode in readers else []), mode
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ SRC = Path(shapelink.__file__).parent
 #: declares, such as the split-step plan of `channel`; a kernel read from
 #: outside its module belongs beside the blocks it iterates instead.
 ALLOWED = {
+    ("dsp", "channel", "_frame_field"),
     ("dsp", "channel", "_split_step"),
     ("dsp", "channel", "_step_count"),
     ("dsp", "constellation", "_auto_noise_variance"),

@@ -28,6 +28,7 @@ from shapelink.constellation import (
     papr,
     square64,
 )
+from shapelink.errors import DegenerateInputError
 from shapelink.shaping import (
     ShapingConfig,
     gh_gmi_value,
@@ -321,6 +322,13 @@ def test_config_rejects_nan_and_inf(field, value):
     # jittered start it returns can score below the input
     with pytest.raises(ValueError, match=field):
         ShapingConfig(**{field: value})
+
+
+def test_penalty_weight_that_overflows_is_degenerate():
+    # at the largest float the gradient overflowed with a RuntimeWarning and
+    # the jittered start, below the input, came back as the design
+    with pytest.raises(DegenerateInputError, match="papr_penalty_weight"):
+        optimize(square64(), ShapingConfig(papr_penalty_weight=sys.float_info.max))
 
 
 # ---------------------------------------------------------------------------
