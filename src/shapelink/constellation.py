@@ -273,11 +273,13 @@ def gmi_estimate(
 
 
 #: received samples per distance block.  One block's (64, rows) float64
-#: distances take 8 MB.  Keep it at least this large: numpy's large
-#: temporaries are mmapped by glibc, whose mmap and trim thresholds rise
-#: to the largest mmapped chunk freed, and these blocks are what raise
-#: them above a (2, 65536) complex FFT.  With 2048-row blocks every later
-#: FFT of that size page-faults afresh and a link pass takes ~45% longer.
+#: distances take 8 MB.  Keep it at least this large for library callers:
+#: numpy's large temporaries are mmapped by glibc, whose mmap and trim
+#: thresholds rise to the largest mmapped chunk freed, and these blocks
+#: are what raise them above a (2, 65536) complex FFT.  With 2048-row
+#: blocks every later FFT of that size page-faults afresh and a link pass
+#: takes ~45% longer.  The CLI fixes both thresholds at entry
+#: (``cli._settle_allocator``), so its runs do not depend on this.
 _ROW_BLOCK = 1 << 14
 
 
@@ -328,15 +330,18 @@ def _shifted_metrics(d2, noise_var, floor):
     return np.exp(d2, out=d2), shift
 
 
-def _row_loss(s_all, s_same):
-    """Sum over bits of ln(S_all) - ln(S_same), per row.
+def _row_loss(s):
+    """Sum over bits of ln(S_all) - ln(S_same), per row, from one log of
+    the (n, m + 1) coset sums ``s`` = [S_same | S_all].
 
-    S_all (n,) sums a row's Gaussian metrics over every point and S_same
-    (n, m) over the points that share the transmitted label's bit k.  The
-    metrics may carry any positive factor per row (a row shift), which
-    cancels here.
+    S_all sums a row's Gaussian metrics over every point and S_same[:, k]
+    over the points that share the transmitted label's bit k.  The metrics
+    may carry any positive factor per row (a row shift), which cancels
+    here.
     """
-    return s_same.shape[1] * np.log(s_all) - np.log(s_same).sum(axis=1)
+    m = s.shape[1] - 1
+    log_s = np.log(s)
+    return m * log_s[:, m] - log_s[:, :m].sum(axis=1)
 
 
 #: Gauss-Hermite order per real dimension of every quadrature GMI
@@ -358,28 +363,31 @@ def _gh_nodes(noise_var: float) -> np.ndarray:
 
 
 #: transmitted points per Gauss-Hermite block: at order 10 a block's
-#: (800, 64) metrics take 400 kB and stay in cache.  The coset sums and
-#: the gradient's G fill are one matrix product per transmitted point, of
-#: the same shape whatever the block size, so the size changes no bit.
+#: (800, 64) metrics, and the gradient's (800, 64) softmax ratios G, take
+#: 400 kB each and stay in cache.  The coset sums, the G fill and both
+#: contractions of G are one matrix product per transmitted point, of the
+#: same shape whatever the block size, so the size changes no bit.
 _GH_BLOCK = 8
 
 
-def _axis_metrics(coord, st, noise_var):
-    # (M, Q1, M) exp(-(d - min_j d) / noise_var) of the one-axis squared
-    # distances d = (coord_i + st_a - coord_j)^2, built candidates first
-    # as (M, M * Q1) and returned contiguous with the candidate j last.
+def _axis_metrics(points, st, noise_var):
+    # (2, M, Q1, M) exp(-(d - min_j d) / noise_var) of the one-axis
+    # squared distances d = (coord_i + st_a - coord_j)^2, real axis then
+    # imaginary, built with the candidate j last and shifted in place.
     # Each axis is clamped at half the floor, so that no product of two
     # axes is subnormal: at 30 dB, subnormal products made a system12
     # gmi_estimate take 6.5 ms against 2.8 ms
-    d = (coord[:, None] + st).ravel() - coord[:, None]
+    coords = np.stack([points.real, points.imag])
+    d = (coords[:, :, None] + st)[..., None] - coords[:, None, None, :]
     np.square(d, out=d)
-    p, _ = _shifted_metrics(d, noise_var, _EXP_FLOOR / 2)
-    return np.ascontiguousarray(p.T).reshape(coord.size, st.size, coord.size)
+    _shifted_metrics(np.moveaxis(d, -1, 0), noise_var, _EXP_FLOOR / 2)
+    return d
 
 
-def _gh_blocks(points, bits, noise_var):
+def _gh_blocks(points, bits, noise_var, agree=None):
     """Gauss-Hermite rows of raw points at total noise variance
-    ``noise_var``, ``_GH_BLOCK`` transmitted points at a time.
+    ``noise_var``, ``_GH_BLOCK`` transmitted points at a time; ``agree``
+    is :func:`_label_agreement` of ``bits``, built here if not given.
 
     Rows pair transmitted point i with quadrature node q = a * _GH_ORDER
     + b, i-major, so the received sample is y = c_i + s (t_a + j t_b) with
@@ -388,9 +396,9 @@ def _gh_blocks(points, bits, noise_var):
     dy = (Im c_i + s t_b - Im c_j)^2, so the Gaussian metric is the
     product exp(-dx / noise_var) exp(-dy / noise_var).  Each axis is
     shifted by its minimum over the candidates j and exponentiated once
-    per call, (M, _GH_ORDER, M) values each with exponents clamped at
-    ``_EXP_FLOOR / 2``, and one broadcast multiply gives a block's
-    metrics, none of them subnormal.
+    per call, both in one (2, M, _GH_ORDER, M) table with exponents
+    clamped at ``_EXP_FLOOR / 2``, and one broadcast multiply gives a
+    block's metrics, none of them subnormal.
 
     Every row of point i has the same transmitted label, so the points
     that agree with it on bit k are fixed: the coset sums of a block are
@@ -414,21 +422,19 @@ def _gh_blocks(points, bits, noise_var):
     so use ``p`` before asking for the next block.
     """
     big_m, m = bits.shape
-    st = math.sqrt(noise_var) * _GH_T
-    ex = _axis_metrics(points.real, st, noise_var)
-    ey = _axis_metrics(points.imag, st, noise_var)
-    agree_all = _label_agreement(bits)
+    ex, ey = _axis_metrics(points, math.sqrt(noise_var) * _GH_T, noise_var)
+    if agree is None:
+        agree = _label_agreement(bits)
     q = _GH_ORDER * _GH_ORDER
     buf = np.empty((min(big_m, _GH_BLOCK), _GH_ORDER, _GH_ORDER, big_m))
     for i in range(0, big_m, _GH_BLOCK):
         blk = slice(i, i + _GH_BLOCK)
-        agree = agree_all[blk]
-        p = np.multiply(ex[blk, :, None, :], ey[blk, None, :, :], out=buf[: agree.shape[0]])
+        a = agree[blk]
+        p = np.multiply(ex[blk, :, None, :], ey[blk, None, :, :], out=buf[: a.shape[0]])
         p = p.reshape(-1, q, big_m)
-        s = (p @ agree).reshape(-1, m + 1)
-        s_same, s_all = s[:, :m], s[:, m]
+        s = (p @ a).reshape(-1, m + 1)
         rows = slice(i * q, i * q + s.shape[0])
-        yield rows, agree, p.reshape(-1, big_m), s_all, s_same, _row_loss(s_all, s_same)
+        yield rows, a, p.reshape(-1, big_m), s[:, m], s[:, :m], _row_loss(s)
 
 
 def _gh_value(losses, weights, m: int) -> float:
@@ -463,35 +469,41 @@ def _gh_gmi_and_gradient(points, bits, noise_var):
     coef = [-1/S_same | m/S_all].  A block's G is then one batched
     product, coef @ A[blk]^T, times q.
     The metrics q carry the row shift of :func:`_gh_blocks`, which
-    cancels in every ratio.  Each block fills its rows of G; the two
-    contractions over all rows then run once on the full G, so the sums
-    keep one order.
+    cancels in every ratio.
+
+    No full G is stored.  Each point's (Q, M) rows of G are contracted
+    while they are in cache, by two products per point: the weighted
+    [Re y; Im y; 1] rows times G(i), kept per point in an (M, 3, M)
+    array and summed over the points once at the end, and G(i) times
+    [Re c, Im c].  Every product has the same shape whatever the block
+    size, so the result is exact to the bit for any ``_GH_BLOCK``.
     """
     big_m, m = bits.shape
     nodes, weights = _gh_nodes(noise_var), _GH_WEIGHTS
     q = weights.size
-    g = np.empty((big_m * q, big_m))  # G(i,n,j), rows (i, n)
+    agree = _label_agreement(bits)
+    agree_t = np.ascontiguousarray(agree.transpose(0, 2, 1))
+    wy = weights * (points[:, None] + nodes)
+    lhs = np.stack([wy.real, wy.imag, np.broadcast_to(weights, wy.shape)], axis=1)
+    coords = np.stack([points.real, points.imag], axis=1)
+    per_point = np.empty((big_m, 3, big_m))  # lhs(i) @ G(i)
+    gc = np.empty((big_m, q, 2))  # G(i) @ [Re c, Im c]
+    g = np.empty((min(big_m, _GH_BLOCK), q, big_m))  # G(i,n,j) of a block
     losses = []
-    for rows, agree, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var):
+    for rows, _, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var, agree):
+        pts = slice(rows.start // q, rows.stop // q)
         coef = np.empty((p.shape[0], m + 1))
         np.divide(-1.0, s_same, out=coef[:, :m])
         np.divide(m, s_all, out=coef[:, m])
-        gb = g[rows]
-        np.matmul(
-            coef.reshape(-1, q, m + 1),
-            np.ascontiguousarray(agree.transpose(0, 2, 1)),
-            out=gb.reshape(-1, q, big_m),
-        )
-        gb *= p
+        gb = np.matmul(coef.reshape(-1, q, m + 1), agree_t[pts], out=g[: pts.stop - pts.start])
+        gb *= p.reshape(gb.shape)
+        np.matmul(lhs[pts], gb, out=per_point[pts])
+        np.matmul(gb, coords, out=gc[pts])
         losses.append(loss)
     value = _gh_value(losses, weights, m)
 
-    y = (points[:, None] + nodes[None, :]).ravel()
-    w_rows = np.tile(weights, big_m)
-    wy = w_rows * y
-    a1_re, a1_im, sg = np.stack([wy.real, wy.imag, w_rows]) @ g
-    gc = g @ np.stack([points.real, points.imag], axis=1)
-    b2 = weights @ gc.reshape(big_m, weights.size, 2)
+    a1_re, a1_im, sg = per_point.sum(axis=0)
+    b2 = weights @ gc
     d_loss = (2.0 / noise_var) * (
         a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
     )

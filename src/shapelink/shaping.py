@@ -127,10 +127,27 @@ class ShapingResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_noise_var(noise_var: float) -> None:
+def _check_inputs(points, bits, noise_var: float):
+    """``points`` and ``bits`` as arrays, or ValueError naming what is
+    malformed: 1-D finite points, an (M, m) 0/1 bit matrix of M = 2^m
+    distinct rows, M the point count, and a positive finite noise_var."""
     # written so that NaN fails the check
     if not 0 < noise_var < math.inf:
         raise ValueError("noise_var must be positive and finite")
+    points, bits = np.asarray(points), np.asarray(bits)
+    if points.ndim != 1 or not np.isfinite(points).all():
+        raise ValueError("points must be a 1-D array of finite values")
+    if bits.ndim != 2 or bits.shape[1] < 1 or bits.shape[0] != 1 << bits.shape[1]:
+        raise ValueError(f"bits must be (2^m, m) with m >= 1, got shape {bits.shape}")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must hold only 0 and 1")
+    # M codes in [0, M) are distinct when each value occurs
+    codes = bits.astype(np.int64) @ (1 << np.arange(bits.shape[1]))
+    if not np.bincount(codes, minlength=codes.size).all():
+        raise ValueError("bits must label every point with a distinct row")
+    if points.size != bits.shape[0]:
+        raise ValueError(f"{points.size} points for {bits.shape[0]} label rows")
+    return points, bits
 
 
 def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float) -> float:
@@ -139,19 +156,18 @@ def gh_gmi_value(points: np.ndarray, bits: np.ndarray, noise_var: float) -> floa
     Unlike :func:`constellation.gmi_estimate` this does not renormalize and
     takes the noise variance directly, so it is a plain smooth function of
     the coordinates, suitable for gradient checks.  ``noise_var`` must be
-    positive and finite.
+    positive and finite, ``points`` 1-D and finite, and ``bits`` an
+    (M, m) 0/1 matrix of M = 2^m distinct rows, one per point.
     """
-    _check_noise_var(noise_var)
-    return _gh_gmi(points, bits, noise_var)
+    return _gh_gmi(*_check_inputs(points, bits, noise_var), noise_var)
 
 
 def gh_gmi_value_and_gradient(points: np.ndarray, bits: np.ndarray, noise_var: float):
     """GMI and its analytic gradient, from one pass over the Gauss-Hermite
     blocks; gradient entry r is d GMI / d Re(c_r) + 1j d GMI / d Im(c_r).
-    ``noise_var`` must be positive and finite.
+    The inputs are checked as in :func:`gh_gmi_value`.
     """
-    _check_noise_var(noise_var)
-    return _gh_gmi_and_gradient(points, bits, noise_var)
+    return _gh_gmi_and_gradient(*_check_inputs(points, bits, noise_var), noise_var)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -1192,6 +1193,68 @@ def test_cli_run_bad_config_exits_one(tmp_path, capsys):
     path = _write(tmp_path, "[channel]\nspans = many\n")
     assert cli.main(["run", "--config", path]) == 1
     assert "channel.spans" in capsys.readouterr().err
+
+
+_LINK_PASS_FAULTS = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "cli":
+    from shapelink import cli
+    cli.main(["validate", "--config", sys.argv[2]])
+else:
+    import shapelink
+from shapelink import channel as ch, dsp
+rng = np.random.default_rng(0)
+x = rng.standard_normal((2, 65536)) + 1j * rng.standard_normal((2, 65536))
+frame = ch.with_power(ch.WaveformFrame(x, 4 * 35e9), -0.5)
+spans = [ch.hybrid_span()] * 2
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    dsp.dbp(ch.propagate_link(frame, spans, seed=None), spans, 4)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_cli_entry_settles_glibc_thresholds_and_import_does_not(tmp_path):
+    # a fresh process page-faults on every split-step FFT buffer until
+    # glibc's thresholds rise; cli.main fixes them at entry, so a second
+    # link pass after it takes almost no faults.  A bare import leaves
+    # the allocator alone, so that pass still faults afresh
+    empty = _write(tmp_path, "")
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
+    }
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(shapelink.__file__))
+
+    def second_pass_faults(entry):
+        out = subprocess.run(
+            [sys.executable, "-c", _LINK_PASS_FAULTS, entry, empty],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        return int(out.stdout.split()[-1])
+
+    settled, bare = second_pass_faults("cli"), second_pass_faults("import")
+    assert settled < 10_000, settled
+    assert bare >= 10 * max(settled, 1_000), (settled, bare)
+
+
+@pytest.mark.parametrize("libc", [None, ValueError("unrecognized configuration name")])
+def test_cli_allocator_settle_is_a_no_op_off_glibc(monkeypatch, libc):
+    # musl and macOS have no glibc version string; mallopt is not looked up
+    def confstr(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    def no_libc(*args):
+        raise AssertionError("libc was loaded off glibc")
+
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert cli._settle_allocator.__wrapped__() is None
 
 
 def test_cli_run_runtime_failure_exits_two(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def _full_grid_gh_forward(points, bits, noise_var):
     agree = _label_agreement(bits)
     s = (p @ agree).reshape(-1, m + 1)
     s_same, s_all = s[:, :m], s[:, m]
-    loss = _row_loss(s_all, s_same).reshape(big_m, nodes.size) @ weights
+    loss = _row_loss(s).reshape(big_m, nodes.size) @ weights
     value = m - float(loss.mean()) / math.log(2.0)
     return value, (y, weights, agree, p, s_all, s_same)
 
@@ -152,6 +153,9 @@ def _gradient_from_g(points, y, weights, g, noise_var):
 
 
 def _full_grid_value_and_gradient(points, bits, noise_var):
+    # the full (M, Q, M) ratios G(i,n,j), contracted per transmitted
+    # point i as the kernel does: [w Re y; w Im y; w] @ G(i) summed over
+    # the points once, and G(i) @ [Re c, Im c]
     value, (y, weights, agree, p, s_all, s_same) = _full_grid_gh_forward(
         points, bits, noise_var
     )
@@ -159,9 +163,15 @@ def _full_grid_value_and_gradient(points, bits, noise_var):
     coef = np.hstack([-1.0 / s_same, (m / s_all)[:, None]])
     agree_t = np.ascontiguousarray(agree.transpose(0, 2, 1))
     g = coef.reshape(big_m, weights.size, m + 1) @ agree_t
-    g *= p
-    g = g.reshape(-1, big_m)  # G(i,n,j), rows (i, n)
-    return value, _gradient_from_g(points, y, weights, g, noise_var)
+    g *= p.reshape(g.shape)
+    wy = weights * y.reshape(big_m, weights.size)
+    lhs = np.stack([wy.real, wy.imag, np.broadcast_to(weights, wy.shape)], axis=1)
+    a1_re, a1_im, sg = (lhs @ g).sum(axis=0)
+    b2 = weights @ (g @ np.stack([points.real, points.imag], axis=1))
+    d_loss = (2.0 / noise_var) * (
+        a1_re + 1j * a1_im - points * sg + b2[:, 0] + 1j * b2[:, 1]
+    )
+    return value, -d_loss / (big_m * math.log(2.0))
 
 
 def _per_candidate_value_and_gradient(points, bits, noise_var):
@@ -213,6 +223,46 @@ def test_blocked_kernel_is_bit_identical_to_full_grid():
             nu_est = 10.0 ** (-snr_db / 10.0) * float(np.mean(np.abs(pts) ** 2))
             want_est = _full_grid_gh_forward(pts, bits, nu_est)[0]
             assert gmi_estimate(c, snr_db) == want_est, case
+
+
+def test_gh_kernels_hold_no_full_ratio_matrix():
+    # traced peaks at M = 64 and 11 dB: a stored (M*Q, M) softmax-ratio
+    # matrix G alone takes 3.3 MB and would lift the gradient to 4.62 MB.
+    # The value path stays at 1.45 MB: agreement matrices kept between
+    # calls would raise it
+    c = load_builtin("system12")
+    nu = 10 ** (-11.0 / 10)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for fun in (gh_gmi_value_and_gradient, gh_gmi_value):
+            tracemalloc.reset_peak()
+            fun(c.points, c.bit_matrix, nu)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 3 * 2**20, peaks
+    assert peaks[1] <= 1.45 * 2**20, peaks
+
+
+def _bad_inputs():
+    c = square64()
+    points, bits = c.points, c.bit_matrix
+    yield pytest.param("finite", np.where(np.arange(64) == 5, np.nan, points), bits, id="nan")
+    yield pytest.param("distinct", points, np.zeros_like(bits), id="all-zero")
+    yield pytest.param("only 0 and 1", points, np.where(bits == 1, 2, 0), id="twos")
+    yield pytest.param(r"\(2\^m, m\)", points, bits[:32], id="32-of-64-rows")
+    yield pytest.param("64 points for 32 label rows", points, bits[:32, 1:], id="32-labels")
+    yield pytest.param("1-D", points.reshape(8, 8), bits, id="2-d-points")
+
+
+@pytest.mark.parametrize("fun", [gh_gmi_value, gh_gmi_value_and_gradient])
+@pytest.mark.parametrize("problem, points, bits", list(_bad_inputs()))
+def test_gh_objective_rejects_malformed_points_and_labels(fun, problem, points, bits):
+    # unchecked, these return plausible numbers: NaN for a NaN point,
+    # 6.0 bit for all-zero labels, 3.17 bit for labels holding 2s
+    with pytest.raises(ValueError, match=problem):
+        fun(points, bits, 0.1)
 
 
 def test_separable_metrics_match_per_candidate_exponential():
