@@ -35,8 +35,9 @@ for power in POWERS_DBM:
     report = experiments.run_experiment(cfg)
     row = dict(zip(report.columns, report.rows[0]))
     predicted = linkbudget.combine_snr([
-        linkbudget.ase_snr(9, span.loss_db, 1.4, power, 35e9, 193.4e12),
-        linkbudget.gn_nli_estimate(span, power, span_count=9),
+        linkbudget.ase_snr(cfg.span_count, span.loss_db, span.amp_noise_figure_db, power,
+                           cfg.symbol_rate_hz, 193.4e12),
+        linkbudget.gn_nli_estimate(span, power, span_count=cfg.span_count),
         cfg.transmitter_snr_db,
     ])
     print(f"{power:8.1f} {predicted:8.2f} {row['snr_pre_dbp']:8.2f} "

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constellation import _from_db
 from .errors import ConfigurationError, DegenerateInputError
 
 _C0 = 299_792_458.0  # speed of light in vacuum, m/s; exact by the 2019 SI definition
@@ -115,13 +116,13 @@ class WaveformFrame:
 def with_power(frame: WaveformFrame, power_dbm: float) -> WaveformFrame:
     """Rescale the field to the requested total power.
 
-    An all-zero frame has no power to rescale and raises
-    :class:`DegenerateInputError`.
+    An all-zero frame, or a ``power_dbm`` that is 0 W or not finite in
+    watts, raises :class:`DegenerateInputError`.
     """
     power = frame.power
     if power == 0.0:
         raise DegenerateInputError("cannot rescale an all-zero frame")
-    target = 10.0 ** (power_dbm / 10.0) * 1e-3
+    target = _from_db(power_dbm - 30.0, f"a launch power of {power_dbm!r} dBm")
     scale = math.sqrt(target / power)
     return frame.with_samples(frame.samples * scale)
 
@@ -405,18 +406,20 @@ def amplify(
     The field is scaled by 10^(gain/20); each polarization then receives
     circular complex Gaussian noise of PSD (F G - 1) h nu / 2 over the
     simulation bandwidth (= sample_rate), nu being the optical carrier.
-    ``seed`` None skips the noise entirely (noiseless instrument).
+    ``seed`` None skips the noise entirely (noiseless instrument).  A gain
+    or (seeded) noise figure that is 0 or not finite on the linear scale,
+    or F G < 1, a negative ASE power, raises :class:`DegenerateInputError`.
     """
     if gain_db < 0:
         raise ValueError("gain must be >= 0 dB")
-    a = frame.samples * 10.0 ** (gain_db / 20.0)
+    a = frame.samples * _from_db(gain_db / 2.0, f"an amplitude gain of {gain_db!r} dB")
     if seed is not None:
-        f_lin = 10.0 ** (noise_figure_db / 10.0)
-        g_lin = 10.0 ** (gain_db / 10.0)
+        f_lin = _from_db(noise_figure_db, f"a noise figure of {noise_figure_db!r} dB")
+        g_lin = _from_db(gain_db, f"a gain of {gain_db!r} dB")
+        if f_lin * g_lin < 1.0:
+            raise DegenerateInputError(f"F G < 1 at NF {noise_figure_db!r} dB, G {gain_db!r} dB")
         psd = (f_lin * g_lin - 1.0) * _PLANCK * _CARRIER_HZ / 2.0
         var = psd * frame.sample_rate  # per polarization
-        if var < 0:
-            var = 0.0
         rng = np.random.default_rng(seed)
         noise = np.empty(a.shape, dtype=np.complex128)
         draw = np.empty(a.shape)
@@ -476,10 +479,11 @@ def add_transmitter_noise(frame: WaveformFrame, snr_db: float, seed: int) -> Wav
     so after :func:`shapelink.dsp.matched_filter` and
     :func:`shapelink.dsp.decimate` the symbol SNR is ``snr_db`` +
     10 log10(samples per symbol): 3.01 dB more at 2, 6.02 dB more at 4.
+    A linear SNR of 0 or not finite raises :class:`DegenerateInputError`.
     """
     rng = np.random.default_rng(seed)
     p_pol = np.mean(np.abs(frame.samples) ** 2, axis=1)
-    var = p_pol / 10.0 ** (snr_db / 10.0)
+    var = p_pol / _from_db(snr_db, f"a transmitter SNR of {snr_db!r} dB")
     noise = rng.standard_normal(frame.samples.shape) + 1j * rng.standard_normal(frame.samples.shape)
     return frame.with_samples(frame.samples + noise * np.sqrt(var / 2.0)[:, None])
 

@@ -91,7 +91,7 @@ def _noise_variance(snr_db: float) -> float:
             f"an SNR of {snr_db!r} dB is beyond ±{_SNR_LIMIT_DB:g} dB, where its noise "
             "variance or that variance's reciprocal exceeds 1e300"
         )
-    return 10.0 ** (-snr_db / 10.0)
+    return _from_db(-snr_db, f"an SNR of {snr_db!r} dB")
 
 
 def normalized(points: np.ndarray) -> np.ndarray:
@@ -260,8 +260,6 @@ def gmi_estimate(
     float
         GMI in [0, m] bit per 2D symbol (m = log2(point count)).
     """
-    if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
     noise_var = _noise_variance(snr_db) * float(np.mean(np.abs(c.points) ** 2))
     if estimator == "gh":
         return _gh_gmi(c.points, c.bit_matrix, noise_var)

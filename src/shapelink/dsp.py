@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SpanSpec, WaveformFrame, _frame_field, _split_step, _step_count
-from .constellation import Constellation, _auto_noise_variance, bitwise_llrs
+from .constellation import Constellation, _auto_noise_variance, _from_db, bitwise_llrs
 from .errors import AlignmentError, DegenerateInputError, EstimationFailure
 
 __all__ = [
@@ -598,7 +598,7 @@ def dbp(frame: WaveformFrame, spans: list[SpanSpec], steps_per_span: int) -> Wav
     """
     plan = []
     for span in reversed(spans):
-        gain = 10.0 ** (-span.loss_db / 20.0)
+        gain = _from_db(-span.loss_db / 2.0, f"the field scale of a {span.loss_db!r} dB span loss")
         for seg, n in reversed(list(zip(span.segments, dbp_steps(span, steps_per_span)))):
             plan.append((seg, n, gain))
             gain = 1.0

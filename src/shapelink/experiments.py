@@ -46,7 +46,7 @@ from . import __version__
 from . import channel as ch
 from . import constellation as cst
 from . import dsp, fec, linkbudget, shaping
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInputError
 
 __all__ = [
     "ExperimentConfig",
@@ -248,9 +248,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
     reported keeps its first diagnostic; the channel grid and band edges
     are checked in ``linkbudget`` only, the ``[fec] matrix`` file in
     ``awgn_e2e`` only, the modes that read them.  A ``fiber_e2e`` link is
-    planned without running it.  A forward step count above the engine's
-    limit is a ``channel.`` diagnostic, on ``max_step_m`` when that is set
-    and on ``launch_power_dbm`` otherwise; a DBP step count above it is a
+    planned without running it, at a launch power that must be nonzero and
+    finite in watts.  A forward step count above the engine's limit is a
+    ``channel.`` diagnostic, on ``max_step_m`` when that is set and on
+    ``launch_power_dbm`` otherwise; a DBP step count above it is a
     ``dsp.dbp_steps_per_span`` one.  Split-step work above 1000 x the
     defaults' plan is one diagnostic, on the DBP key when DBP steps are
     the larger share and on the forward key otherwise.  Sweep points x
@@ -315,8 +316,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
         fwd = back = None
         try:
             fwd = _forward_steps(cfg)
-        except OverflowError:
-            d["channel", "launch_power_dbm"] = "too large to express in watts"
+        except DegenerateInputError as exc:
+            d["channel", "launch_power_dbm"] = f"not expressible in watts: {exc}"
         except ConfigurationError as exc:
             d[fwd_key] = f"split-step plan fails: {exc}"
         try:
@@ -385,7 +386,7 @@ def _sweep_points(cfg: ExperimentConfig) -> np.ndarray:
 
 def _forward_steps(cfg: ExperimentConfig) -> int:
     """Split steps per span of a ``fiber_e2e`` link, planned at the launch power."""
-    launch_w = 10.0 ** (cfg.launch_power_dbm / 10.0) * 1e-3
+    launch_w = cst._from_db(cfg.launch_power_dbm - 30.0, f"{cfg.launch_power_dbm!r} dBm")
     return sum(ch.split_steps(ch.hybrid_span().segments, launch_w, cfg.max_step_m))
 
 

@@ -233,7 +233,6 @@ def ldpc_decode(
     c2v = np.zeros((b,) + row_ix.shape)
     done = np.zeros(b, dtype=bool)
     iters = np.full(b, max_iters, dtype=np.int64)
-    final_bits = np.zeros((b, h.cols), dtype=np.uint8)
     scale, clip = 0.75, 1e3
 
     for it in range(1, max_iters + 1):
@@ -241,10 +240,8 @@ def ldpc_decode(
         bits = (total[act, :-1] < 0).astype(np.uint8)
         ok = ~h.syndrome(bits).any(axis=1)
         hit = act[ok]
-        if hit.size:
-            final_bits[hit] = bits[ok]
-            iters[hit] = it
-            done[hit] = True
+        iters[hit] = it
+        done[hit] = True
         if done.all() or it == max_iters:
             break
         act = np.flatnonzero(~done)
@@ -268,10 +265,9 @@ def ldpc_decode(
             acc += slot_msg[:, slot]
         total[act, :-1] = llrs[act] + acc
 
-    undone = ~done
-    if undone.any():
-        final_bits[undone] = (total[undone, :-1] < 0).astype(np.uint8)
-    return DecodeResult(bits=final_bits, iterations=iters, syndrome_ok=done)
+    # a frozen word's total no longer changes: its bits are the ones that passed
+    bits = (total[:, :-1] < 0).astype(np.uint8)
+    return DecodeResult(bits=bits, iterations=iters, syndrome_ok=done)
 
 
 # ---------------------------------------------------------------------------

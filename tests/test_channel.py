@@ -86,6 +86,13 @@ def test_with_power_rejects_silent_frame():
         with_power(silent, 0.0)
 
 
+@pytest.mark.parametrize("power_dbm, linear", [(-4000.0, "0.0"), (4000.0, "inf")])
+def test_with_power_rejects_a_power_that_is_no_watts(power_dbm, linear):
+    # unchecked, -4000 dBm would scale the field to all zeros
+    with pytest.raises(DegenerateInputError, match=f"launch power of {power_dbm} dBm is {linear}"):
+        with_power(_noise_frame(2, n=64), power_dbm)
+
+
 # ---------------------------------------------------------------------------
 # split-step propagation
 # ---------------------------------------------------------------------------
@@ -401,6 +408,20 @@ def test_transparent_amplifier_adds_nothing():
     np.testing.assert_allclose(out.samples, f.samples, rtol=0, atol=1e-18)
 
 
+@pytest.mark.parametrize(
+    "gain_db, nf_db, message",
+    [
+        (4000.0, 1.4, "a gain of 4000.0 dB is inf"),
+        # F G < 1 would be a negative ASE power, not a noiseless amplifier
+        (0.0, -0.1, "F G < 1 at NF -0.1 dB, G 0.0 dB"),
+        (10.72, -10.73, "F G < 1 at NF -10.73 dB, G 10.72 dB"),
+    ],
+)
+def test_amplifier_rejects_a_degenerate_gain_or_noise_figure(gain_db, nf_db, message):
+    with pytest.raises(DegenerateInputError, match=message):
+        amplify(_noise_frame(4, n=64), gain_db, nf_db, seed=9)
+
+
 def test_ase_power_matches_hand_calculation():
     # (F G - 1) h nu B with F = 1.4 dB, G = 10.72 dB, B = 35 GHz at
     # 193.4 THz: 15.2936 x 4.48512e-9 W x 1e-9 = 6.859e-8 W (-41.64 dBm)
@@ -509,6 +530,11 @@ def test_transmitter_noise_sets_snr():
     delta = noisy.samples - f.samples
     snr = f.power / (np.mean(np.abs(delta) ** 2) * 2)
     assert 10 * math.log10(snr) == pytest.approx(20.0, abs=0.1)
+
+
+def test_transmitter_noise_rejects_an_snr_of_zero_on_the_linear_scale():
+    with pytest.raises(DegenerateInputError, match="transmitter SNR of -4000.0 dB is 0.0"):
+        add_transmitter_noise(_noise_frame(16, n=64), -4000.0, seed=3)
 
 
 @pytest.mark.parametrize("oversampling", [2, 4])

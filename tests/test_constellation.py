@@ -179,9 +179,9 @@ def test_gmi_monotone_in_snr():
 @pytest.mark.parametrize("estimator", ["gh", "mc"])
 def test_gmi_beyond_the_snr_limit_fails_loudly(estimator):
     # the noise variance or its reciprocal would pass 1e300; at -3080 and
-    # +3100 dB the metrics overflow to NaN
+    # +3100 dB the metrics overflow to NaN.  The same bound rejects NaN and inf
     c = load_builtin("system12")
-    for snr_db in (-3080.0, -3000.5, 3000.5, 3100.0):
+    for snr_db in (-3080.0, -3000.5, 3000.5, 3100.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DegenerateInputError, match=f"SNR of {snr_db!r} dB"):
             gmi_estimate(c, snr_db, estimator=estimator, samples=1000)
     low, high = (gmi_estimate(c, s, estimator=estimator, samples=1000) for s in (-3000.0, 3000.0))

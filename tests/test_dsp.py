@@ -671,6 +671,15 @@ def test_dbp_shares_the_split_step_limit(square):
         dsp.dbp(wf, [span], steps_per_span=ch._MAX_STEPS + 1)
 
 
+def test_dbp_rejects_a_span_loss_whose_field_scale_is_zero(square):
+    frame, _ = dsp.random_symbols(square, 64, seed=16)
+    wf = dsp.rrc_shape(frame, 2, 0.01)
+    # 10^(-7000/20) underflows to 0, which would null the field
+    span = ch.SpanSpec(segments=(ch.FiberSegment(10e3, 700.0, 17.0, 80.0),))
+    with pytest.raises(DegenerateInputError, match="7000.0 dB span loss is 0.0"):
+        dsp.dbp(wf, [span], steps_per_span=1)
+
+
 def test_dbp_rejects_zero_steps_and_no_spans(square):
     frame, _ = dsp.random_symbols(square, 64, seed=16)
     wf = dsp.rrc_shape(frame, 2, 0.01)

@@ -588,6 +588,16 @@ def test_oversized_split_step_plan_is_rejected_before_anything_runs(tmp_path, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("power_dbm, linear", [(-4000.0, "0.0"), (4000.0, "inf")])
+def test_launch_power_that_is_no_watts_is_reported_on_its_key(power_dbm, linear):
+    # unchecked, -4000 dBm would plan a link and launch an all-zero field
+    cfg = ex.ExperimentConfig(mode="fiber_e2e", launch_power_dbm=power_dbm)
+    assert ex.validate_config(cfg) == [
+        f"channel.launch_power_dbm: not expressible in watts: {power_dbm} dBm is {linear} "
+        "on the linear scale"
+    ]
+
+
 @pytest.mark.parametrize(
     "steps, message",
     [(100_000_000, "DBP plan fails: 5.714e+07 split steps exceed"), (100_000, "x cap")],

@@ -12,10 +12,13 @@ SRC = Path(shapelink.__file__).parent
 #: declares, such as the split-step plan of `channel`; a kernel read from
 #: outside its module belongs beside the blocks it iterates instead.
 ALLOWED = {
+    ("channel", "constellation", "_from_db"),
     ("dsp", "channel", "_frame_field"),
     ("dsp", "channel", "_split_step"),
     ("dsp", "channel", "_step_count"),
     ("dsp", "constellation", "_auto_noise_variance"),
+    ("dsp", "constellation", "_from_db"),
+    ("experiments", "constellation", "_from_db"),
     ("experiments", "constellation", "_noise_variance"),
     ("experiments", "constellation", "_SNR_LIMIT_DB"),
     ("linkbudget", "channel", "_C0"),

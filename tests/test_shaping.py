@@ -405,6 +405,43 @@ def test_jitter_fallback_never_regresses():
     assert gmi_estimate(res.constellation, 12.0) >= gmi_estimate(square64(), 12.0)
 
 
+def test_climb_stops_at_once_on_a_zero_gradient():
+    calls = []
+
+    def flat(points):
+        calls.append(points)
+        return 0.5, np.zeros_like(points)
+
+    start = square64().points * 3.0
+    pts, history, converged = shaping._climb(start, flat, ShapingConfig())
+    assert converged and history.tolist() == [0.5] and len(calls) == 1
+    np.testing.assert_array_equal(pts, normalized(start))
+
+
+def test_climb_ends_on_a_fixed_point_after_both_failed_line_searches():
+    # a concave quadratic about a unit-power optimum, with unequal
+    # curvatures so that L-BFGS does not land on it exactly; with no
+    # improvement tolerance the ascent runs until no step improves
+    rng = np.random.default_rng(0)
+    best = normalized(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    weights = np.linspace(1.0, 7.0, 8)
+    values = []
+
+    def bowl(points):
+        values.append(-float(np.sum(weights * np.abs(points - best) ** 2)))
+        return values[-1], -2.0 * weights * (points - best)
+
+    start = normalized(best + 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+    pts, history, converged = shaping._climb(start, bowl, ShapingConfig(improvement_tol=0.0))
+    assert np.all(np.diff(history) > 0)
+    # the failed L-BFGS line search, then the failed retry along the
+    # gradient: two full backtracks after the last accepted step
+    assert len(values) - 1 - values.index(history[-1]) == 2 * shaping._MAX_BACKTRACKS
+    # a stop at a point whose gradient is below 1e-7 counts as converged
+    assert converged
+    np.testing.assert_allclose(pts, best, atol=1e-12)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs tens of MB and a sizeable import time; the
     # package must not pull it in
