@@ -196,7 +196,9 @@ class SpanSpec:
     """Fiber segments followed by one transparent lumped amplifier.
 
     The amplifier gain exactly offsets the summed segment loss
-    (:attr:`loss_db`); ``amp_noise_figure_db`` sets its ASE.
+    (:attr:`loss_db`); ``amp_noise_figure_db`` sets its ASE.  A noise
+    figure F with F G < 1 at that gain G, a negative ASE power, raises
+    :class:`DegenerateInputError` here, as :func:`amplify` would.
     """
 
     segments: tuple
@@ -208,6 +210,10 @@ class SpanSpec:
             raise ValueError("span needs at least one segment")
         if not math.isfinite(self.amp_noise_figure_db):
             raise ValueError("amplifier noise figure must be finite")
+        # G >= 1, so only a noise figure below 0 dB can make F G < 1;
+        # caught here, a link fails before its first split-step, not after
+        if self.amp_noise_figure_db < 0:
+            _ase_factor(self.amp_noise_figure_db, self.loss_db)
 
     @property
     def loss_db(self) -> float:
@@ -395,6 +401,19 @@ def ssfm_propagate(
 # ---------------------------------------------------------------------------
 
 
+def _ase_factor(noise_figure_db: float, gain_db: float) -> float:
+    """F G - 1, the ASE power of an amplifier per unit of h nu and bandwidth.
+
+    A noise figure or gain that is 0 or not finite on the linear scale, or
+    F G < 1 (a negative ASE power), raises :class:`DegenerateInputError`.
+    """
+    f_lin = _from_db(noise_figure_db, f"a noise figure of {noise_figure_db!r} dB")
+    g_lin = _from_db(gain_db, f"a gain of {gain_db!r} dB")
+    if f_lin * g_lin < 1.0:
+        raise DegenerateInputError(f"F G < 1 at NF {noise_figure_db!r} dB, G {gain_db!r} dB")
+    return f_lin * g_lin - 1.0
+
+
 def amplify(
     frame: WaveformFrame,
     gain_db: float,
@@ -414,11 +433,7 @@ def amplify(
         raise ValueError("gain must be >= 0 dB")
     a = frame.samples * _from_db(gain_db / 2.0, f"an amplitude gain of {gain_db!r} dB")
     if seed is not None:
-        f_lin = _from_db(noise_figure_db, f"a noise figure of {noise_figure_db!r} dB")
-        g_lin = _from_db(gain_db, f"a gain of {gain_db!r} dB")
-        if f_lin * g_lin < 1.0:
-            raise DegenerateInputError(f"F G < 1 at NF {noise_figure_db!r} dB, G {gain_db!r} dB")
-        psd = (f_lin * g_lin - 1.0) * _PLANCK * _CARRIER_HZ / 2.0
+        psd = _ase_factor(noise_figure_db, gain_db) * _PLANCK * _CARRIER_HZ / 2.0
         var = psd * frame.sample_rate  # per polarization
         rng = np.random.default_rng(seed)
         noise = np.empty(a.shape, dtype=np.complex128)

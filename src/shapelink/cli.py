@@ -12,45 +12,19 @@ Three verbs share the flags ``--config``, ``--seed`` and ``--out``:
 Exit status: 0 success, 1 config or diagnostic problem, 2 runtime
 failure (a manifest describing the failure is still written).
 
-On glibc, :func:`main` first fixes malloc's mmap and trim thresholds, so
-a run's speed does not depend on which arrays it happened to free first;
-importing the package leaves the allocator alone.
+``run`` and ``shape`` go through :func:`shapelink.experiments.run_experiment`,
+which also settles glibc's allocator thresholds; ``validate`` runs nothing
+and leaves the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
-import functools
-import os
 import sys
 
 from .errors import ConfigurationError
 from .experiments import parse_config, run_experiment, validate_config
-
-
-# glibc mallopt parameters (malloc.h) and the values main sets.  Left to
-# itself, glibc raises both thresholds only after a large block is freed;
-# until then each FFT buffer or GH table above 128 kB is faulted in afresh.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64-bit
-_TRIM_THRESHOLD_BYTES = 64 << 20
-
-
-@functools.cache
-def _settle_allocator() -> None:
-    """Set glibc's mmap and trim thresholds once; a no-op off glibc."""
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _settle_allocator()
     args = _build_parser().parse_args(argv)
     cfg, diags = parse_config(args.config)
     if cfg is not None:

@@ -270,15 +270,13 @@ def gmi_estimate(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-#: received samples per distance block.  One block's (64, rows) float64
-#: distances take 8 MB.  Keep it at least this large for library callers:
-#: numpy's large temporaries are mmapped by glibc, whose mmap and trim
-#: thresholds rise to the largest mmapped chunk freed, and these blocks
-#: are what raise them above a (2, 65536) complex FFT.  With 2048-row
-#: blocks every later FFT of that size page-faults afresh and a link pass
-#: takes ~45% longer.  The CLI fixes both thresholds at entry
-#: (``cli._settle_allocator``), so its runs do not depend on this.
-_ROW_BLOCK = 1 << 14
+#: received samples per distance block, sized to cache: one block's
+#: (64, rows) float64 distances take 2 MB, one core's L2 on current x86
+#: servers.  16384 rows leave it (~15% slower at 10 dB); 1024 rows run
+#: ``_relog_low_sums`` too often (~10% slower at 30 dB).  The size steers
+#: no allocator: on glibc, ``experiments.run_experiment`` fixes the mmap
+#: and trim thresholds.
+_ROW_BLOCK = 1 << 12
 
 
 def _point_rows(points):
@@ -550,13 +548,12 @@ def _auto_noise_variance(symbols: np.ndarray, c: Constellation) -> float:
         sel = mags[mags >= r]
         if sel.size >= 8:
             return float(max(2.0 * np.mean((sel - r) ** 2), 1e-12))
-    acc = 0.0
+    # one sum over every sample's nearest distance, whatever the blocks
+    nearest = np.empty(flat.size)
     for rows, e in _distance_blocks(flat, c.points):
-        y = flat[rows]
-        nearest = e.min(axis=0)
-        nearest += y.real * y.real + y.imag * y.imag
-        acc += float(nearest.sum())
-    return float(max(acc / flat.size, 1e-12))
+        e.min(axis=0, out=nearest[rows])
+    nearest += flat.real * flat.real + flat.imag * flat.imag
+    return float(max(nearest.sum() / flat.size, 1e-12))
 
 
 def bitwise_llrs(c: Constellation, symbols: np.ndarray, noise_variance: float) -> np.ndarray:

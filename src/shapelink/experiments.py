@@ -31,7 +31,9 @@ Five modes:
 from __future__ import annotations
 
 import configparser
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -583,6 +585,7 @@ def _run_fiber_e2e(cfg: ExperimentConfig):
         wave = ch.apply_phase(wave, walk)
     spans = [ch.hybrid_span()] * cfg.span_count
     link = ch.propagate_link(wave, spans, seed=cfg.seed + 3, max_step_m=cfg.max_step_m)
+    del wave  # the receivers need only the received field
 
     sym_cdc = _receiver_chain(dsp.cd_compensate(link, spans), c, cfg)
     sym_dbp = _receiver_chain(
@@ -627,6 +630,31 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# glibc mallopt parameters (malloc.h) and the values run_experiment sets.
+# Left to itself, glibc raises both thresholds only after a large block is
+# freed; until then each FFT buffer or GH table above 128 kB is faulted in
+# afresh.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64-bit
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def _settle_allocator() -> None:
+    """Set glibc's mmap and trim thresholds once; a no-op off glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | None = None, workers: int = 1
 ) -> MetricsReport:
@@ -637,7 +665,14 @@ def run_experiment(
     it.  Raises :class:`ConfigurationError` on diagnostics (before anything
     is written) and re-raises runtime failures after writing a failed
     manifest and removing partial tables.
+
+    Side effect: on glibc, the first call fixes malloc's mmap and trim
+    thresholds (32 and 64 MiB) for the rest of the process, so a run's
+    speed does not depend on which arrays the process happened to free
+    first.  Results do not change, and importing the package leaves the
+    allocator alone.
     """
+    _settle_allocator()
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=out_dir)
     if workers != 1:

@@ -505,6 +505,21 @@ def test_span_rejects_non_finite_noise_figure(nf_db):
         SpanSpec(hybrid_span().segments, amp_noise_figure_db=nf_db)
 
 
+def test_span_rejects_an_amplifier_with_f_g_below_one():
+    # amplify would raise only at the first span's output, after its
+    # split-step; F G = 1 exactly (a zero ASE power) stays legal
+    with pytest.raises(DegenerateInputError, match="F G < 1"):
+        SpanSpec(hybrid_span().segments, amp_noise_figure_db=-20)
+    ten_db = (FiberSegment(50e3, 0.2, 17.0, 80.0),)
+    with pytest.raises(DegenerateInputError, match="F G < 1"):
+        SpanSpec(ten_db, amp_noise_figure_db=-10.000001)
+    span = SpanSpec(ten_db, amp_noise_figure_db=-10.0)
+    f = _noise_frame(6)
+    noisy = amplify(f, span.loss_db, span.amp_noise_figure_db, seed=1)
+    noiseless = amplify(f, span.loss_db, span.amp_noise_figure_db, seed=None)
+    np.testing.assert_array_equal(noisy.samples, noiseless.samples)
+
+
 def test_hybrid_span_has_paper_loss():
     span = hybrid_span()
     assert span.loss_db == pytest.approx(10.72, abs=1e-12)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -998,6 +999,18 @@ def test_cdc_receiver_compensates_heterogeneous_spans():
     assert rel < 1e-9
 
 
+def test_default_fiber_e2e_holds_no_launch_field_or_large_llr_block(tmp_path):
+    # traced peak 21.0 MB while DBP ran beside the launch waveform and
+    # the demapper worked on 8 MB distance blocks; 15.5 MB without both
+    tracemalloc.start()
+    try:
+        ex.run_experiment(ex.ExperimentConfig(mode="fiber_e2e", output_dir=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17e6, peak
+
+
 def test_fiber_e2e_transmits_at_the_configured_symbol_rate(tmp_path, monkeypatch):
     launched = []
     propagate = ch.propagate_link
@@ -1205,54 +1218,79 @@ def test_cli_run_bad_config_exits_one(tmp_path, capsys):
     assert "channel.spans" in capsys.readouterr().err
 
 
-_LINK_PASS_FAULTS = """
+# a fresh process, entered through a linkbudget run (argv[1] "runner", in
+# the directory argv[2]) or through a bare import
+_FRESH_PROCESS = """
 import resource, sys
 import numpy as np
-if sys.argv[1] == "cli":
-    from shapelink import cli
-    cli.main(["validate", "--config", sys.argv[2]])
+if sys.argv[1] == "runner":
+    from shapelink import experiments
+    experiments.run_experiment(experiments.ExperimentConfig(mode="linkbudget"), sys.argv[2])
 else:
     import shapelink
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+"""
+
+_LINK_PASS_FAULTS = _FRESH_PROCESS + """
 from shapelink import channel as ch, dsp
 rng = np.random.default_rng(0)
 x = rng.standard_normal((2, 65536)) + 1j * rng.standard_normal((2, 65536))
 frame = ch.with_power(ch.WaveformFrame(x, 4 * 35e9), -0.5)
 spans = [ch.hybrid_span()] * 2
 for _ in range(2):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = faults()
     dsp.dbp(ch.propagate_link(frame, spans, seed=None), spans, 4)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults() - before)
+"""
+
+_FFT_FAULTS = _FRESH_PROCESS + """
+rng = np.random.default_rng(0)
+x = rng.standard_normal((2, 65536)) + 1j * rng.standard_normal((2, 65536))
+x = np.fft.ifft(np.fft.fft(x, axis=1), axis=1)  # first touch of the heap
+before = faults()
+for _ in range(10):
+    x = np.fft.ifft(np.fft.fft(x, axis=1), axis=1)
+print(faults() - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
-def test_cli_entry_settles_glibc_thresholds_and_import_does_not(tmp_path):
-    # a fresh process page-faults on every split-step FFT buffer until
-    # glibc's thresholds rise; cli.main fixes them at entry, so a second
-    # link pass after it takes almost no faults.  A bare import leaves
-    # the allocator alone, so that pass still faults afresh
-    empty = _write(tmp_path, "")
+def _fresh_process_output(script, entry, out_dir):
     env = {
         key: value
         for key, value in os.environ.items()
         if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
     }
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(shapelink.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script, entry, str(out_dir)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return int(out.stdout.split()[-1])
 
-    def second_pass_faults(entry):
-        out = subprocess.run(
-            [sys.executable, "-c", _LINK_PASS_FAULTS, entry, empty],
-            capture_output=True, text=True, check=True, env=env,
-        )
-        return int(out.stdout.split()[-1])
 
-    settled, bare = second_pass_faults("cli"), second_pass_faults("import")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_runner_settles_glibc_thresholds_and_import_does_not(tmp_path):
+    # a fresh process page-faults on every split-step FFT buffer until
+    # glibc's thresholds rise; run_experiment fixes them on entry, so a
+    # second link pass after it takes almost no faults.  A bare import
+    # leaves the allocator alone, so that pass still faults afresh
+    settled = _fresh_process_output(_LINK_PASS_FAULTS, "runner", tmp_path)
+    bare = _fresh_process_output(_LINK_PASS_FAULTS, "import", tmp_path)
     assert settled < 10_000, settled
     assert bare >= 10 * max(settled, 1_000), (settled, bare)
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_runner_settles_glibc_thresholds_above_a_link_fft(tmp_path):
+    # after a run that frees no large block, the 2 MB arrays of a
+    # (2, 65536) complex FFT still come from the heap and stop
+    # page-faulting; unsettled, each round trip takes ~2,000 minor faults
+    assert _fresh_process_output(_FFT_FAULTS, "runner", tmp_path) < 2000
+
+
 @pytest.mark.parametrize("libc", [None, ValueError("unrecognized configuration name")])
-def test_cli_allocator_settle_is_a_no_op_off_glibc(monkeypatch, libc):
+def test_allocator_settle_is_a_no_op_off_glibc(monkeypatch, libc):
     # musl and macOS have no glibc version string; mallopt is not looked up
     def confstr(name):
         if isinstance(libc, Exception):
@@ -1262,9 +1300,9 @@ def test_cli_allocator_settle_is_a_no_op_off_glibc(monkeypatch, libc):
     def no_libc(*args):
         raise AssertionError("libc was loaded off glibc")
 
-    monkeypatch.setattr(cli.os, "confstr", confstr)
-    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
-    assert cli._settle_allocator.__wrapped__() is None
+    monkeypatch.setattr(ex.os, "confstr", confstr)
+    monkeypatch.setattr(ex.ctypes, "CDLL", no_libc)
+    assert ex._settle_allocator.__wrapped__() is None
 
 
 def test_cli_run_runtime_failure_exits_two(tmp_path, capsys):
