@@ -272,11 +272,16 @@ def _split_step(
     the step.  The field stays in the frequency domain between Kerr
     rotations: the two linear halves that meet between steps multiply it
     back to back, and at a segment boundary the exit half of one segment,
-    the next one's gain and its entry half are a single multiply.  The field is transformed once on entry and once
-    on exit, and each step costs one inverse and one forward FFT:
+    the next one's gain and its entry half are a single multiply.  The
+    field is transformed once on entry and once on exit, and each step
+    costs one inverse and one forward FFT:
 
         fft, gain * half, [ifft, Kerr, fft, half, half] x (steps - 1),
         ifft, Kerr, fft, half * next gain * next half, ..., half, ifft
+
+    The entry FFT reads ``samples`` into the one spectrum buffer of the
+    call, and every later transform and multiply works in that buffer in
+    place; it is returned as the output field.
 
     Each distinct half-step operator is built once per call.  Within a
     segment the sequence is palindromic and h_nl is even in alpha, so run
@@ -312,8 +317,7 @@ def _split_step(
                 spec *= half
                 spec *= half
             if kerr:
-                a = np.fft.ifft(spec, axis=1)
-                del spec
+                a = np.fft.ifft(spec, axis=1, out=spec)
                 # Kerr rotation exp(i gamma h_nl (|Ax|^2 + |Ay|^2)) as cos + i sin
                 np.abs(a, out=mag)
                 np.square(mag, out=mag)
@@ -322,11 +326,10 @@ def _split_step(
                 np.cos(phi, out=rot.real)
                 np.sin(phi, out=rot.imag)
                 a *= rot
-                spec = np.fft.fft(a, axis=1)
-                del a
+                np.fft.fft(a, axis=1, out=spec)
         exit_half = half
     spec *= exit_half
-    return np.fft.ifft(spec, axis=1)
+    return np.fft.ifft(spec, axis=1, out=spec)
 
 
 _MAX_STEPS = 10**7
@@ -435,13 +438,13 @@ def amplify(
     if seed is not None:
         psd = _ase_factor(noise_figure_db, gain_db) * _PLANCK * _CARRIER_HZ / 2.0
         var = psd * frame.sample_rate  # per polarization
+        sigma = math.sqrt(var / 2.0)  # per quadrature
         rng = np.random.default_rng(seed)
-        noise = np.empty(a.shape, dtype=np.complex128)
         draw = np.empty(a.shape)
-        for part in (noise.real, noise.imag):  # all real parts are drawn first
-            part[...] = rng.standard_normal(out=draw)
-        noise *= math.sqrt(var / 2.0)
-        a += noise
+        for part in (a.real, a.imag):  # all real parts are drawn first
+            rng.standard_normal(out=draw)
+            draw *= sigma
+            part += draw
     return frame.with_samples(a)
 
 

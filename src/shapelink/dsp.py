@@ -168,6 +168,13 @@ def _rrc_filter(
     return np.sqrt(gain * _rc_spectrum(f, symbol_rate, rolloff))
 
 
+def _filter_in_place(spec: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Multiply the spectra ``spec`` (one per row) by ``response`` and
+    inverse-transform them, both in ``spec``'s own buffer, which is returned."""
+    spec *= response
+    return np.fft.ifft(spec, axis=1, out=spec)
+
+
 def rrc_shape(frame: SymbolFrame, oversampling: int, rolloff: float = 0.01) -> WaveformFrame:
     """Upsample and root-raised-cosine shape a symbol frame.
 
@@ -186,9 +193,10 @@ def rrc_shape(frame: SymbolFrame, oversampling: int, rolloff: float = 0.01) -> W
     h = _rrc_filter(
         up.shape[1], yield_rate, frame.symbol_rate, rolloff, gain=float(oversampling)
     )
-    shaped = np.fft.ifft(np.fft.fft(up, axis=1) * h, axis=1)
     return WaveformFrame(
-        samples=shaped, sample_rate=yield_rate, symbol_rate=frame.symbol_rate
+        samples=_filter_in_place(np.fft.fft(up, axis=1, out=up), h),
+        sample_rate=yield_rate,
+        symbol_rate=frame.symbol_rate,
     )
 
 
@@ -200,8 +208,7 @@ def matched_filter(frame: WaveformFrame, rolloff: float = 0.01) -> WaveformFrame
     energy.  The rate-conversion gain lives in :func:`decimate`.
     """
     h = _rrc_filter(frame.n_samples, frame.sample_rate, frame.symbol_rate, rolloff)
-    out = np.fft.ifft(np.fft.fft(frame.samples, axis=1) * h, axis=1)
-    return frame.with_samples(out)
+    return frame.with_samples(_filter_in_place(np.fft.fft(frame.samples, axis=1), h))
 
 
 def decimate(frame: WaveformFrame) -> SymbolFrame:
@@ -242,8 +249,7 @@ def cd_compensate(frame: WaveformFrame, spans: list[SpanSpec]) -> WaveformFrame:
     beta2_l = sum(seg.beta2_s2_m * seg.length_m for span in spans for seg in span.segments)
     f = np.fft.fftfreq(frame.n_samples, d=1.0 / frame.sample_rate)
     op = np.exp(-2j * math.pi**2 * beta2_l * f**2)
-    out = np.fft.ifft(np.fft.fft(frame.samples, axis=1) * op, axis=1)
-    return frame.with_samples(out)
+    return frame.with_samples(_filter_in_place(np.fft.fft(frame.samples, axis=1), op))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,20 @@ def test_amplifier_deterministic_given_seed():
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
+def test_amplifier_adds_the_ase_into_its_output_in_place():
+    # the scaled field (2 MiB) and one real draw (1 MiB); a separate
+    # complex noise array took the traced peak to 5.25 MiB
+    f = _noise_frame(5, n=65536)
+    amplify(f, 10.72, 1.4, seed=7)
+    tracemalloc.start()
+    try:
+        amplify(f, 10.72, 1.4, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # link
 # ---------------------------------------------------------------------------
@@ -532,6 +547,48 @@ def test_link_noise_reproducible():
     a = propagate_link(f, spans, seed=42, max_step_m=7e3)
     b = propagate_link(f, spans, seed=42, max_step_m=7e3)
     np.testing.assert_array_equal(a.samples, b.samples)
+
+
+_SPANS = [hybrid_span()] * 2
+
+
+def _symbol_frame(seed):
+    return dsp.random_symbols(square64(), 2048, seed)[0]
+
+
+@pytest.mark.parametrize(
+    "make, kernel",
+    [
+        (_noise_frame, lambda f: ssfm_propagate(f, _SPANS[0].segments, max_step_m=7e3)),
+        (_noise_frame, lambda f: propagate_link(f, _SPANS, seed=3, max_step_m=7e3)),
+        (_noise_frame, lambda f: amplify(f, 10.72, 1.4, seed=3)),
+        (_noise_frame, lambda f: amplify(f, 0.0, 1.4, seed=None)),
+        (_noise_frame, lambda f: dsp.dbp(f, _SPANS, 4)),
+        (_noise_frame, lambda f: dsp.cd_compensate(f, _SPANS)),
+        (_noise_frame, dsp.matched_filter),
+        (_symbol_frame, lambda s: dsp.rrc_shape(s, 4)),
+    ],
+    ids=[
+        "ssfm_propagate",
+        "propagate_link",
+        "amplify",
+        "amplify_noiseless",
+        "dbp",
+        "cd_compensate",
+        "matched_filter",
+        "rrc_shape",
+    ],
+)
+def test_kernels_return_a_fresh_frozen_field_and_leave_their_input_alone(make, kernel):
+    # the spectral kernels transform one buffer of their own in place;
+    # the input field must come through untouched and unshared
+    frame = make(9)
+    field = frame.symbols if hasattr(frame, "symbols") else frame.samples
+    before = field.tobytes()
+    out = kernel(frame).samples
+    assert field.tobytes() == before
+    assert not out.flags.writeable
+    assert not np.shares_memory(out, field)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,40 @@ def test_decimate_phase_and_rate(square):
         dsp.decimate(odd)  # 2.5 samples per symbol
 
 
+def _wide_field():
+    rng = np.random.default_rng(6)
+    noise = rng.standard_normal((2, 65536)) + 1j * rng.standard_normal((2, 65536))
+    return ch.WaveformFrame(samples=noise, sample_rate=140e9, symbol_rate=35e9)
+
+
+def _wide_symbols():
+    return dsp.random_symbols(cn.square64(), 16384, seed=6)[0]
+
+
+@pytest.mark.parametrize(
+    "make, kernel, bound_mib",
+    [
+        (_wide_field, lambda f: dsp.matched_filter(f, 0.01), 3.75),
+        (_wide_field, lambda f: dsp.cd_compensate(f, [ch.hybrid_span()]), 4.6),
+        (_wide_symbols, lambda s: dsp.rrc_shape(s, 4), 5.5),  # 4 sps: a (2, 65536) field
+    ],
+    ids=["matched_filter", "cd_compensate", "rrc_shape"],
+)
+def test_filters_transform_one_buffer_in_place(make, kernel, bound_mib):
+    # a (2, 65536) output field is 2 MiB: fft -> multiply -> ifft in one
+    # buffer keeps the filter's response and frequency grid beside it,
+    # where three field copies at once took 4.63, 5.50 and 6.63 MiB
+    frame = make()
+    kernel(frame)  # warm-up
+    tracemalloc.start()
+    try:
+        kernel(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
 # ---------------------------------------------------------------------------
 # chromatic dispersion
 
