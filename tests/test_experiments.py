@@ -1305,7 +1305,8 @@ def test_allocator_settle_is_a_no_op_off_glibc(monkeypatch, libc):
     assert ex._settle_allocator.__wrapped__() is None
 
 
-def test_cli_run_runtime_failure_exits_two(tmp_path, capsys):
+def _unreadable_source_ini(tmp_path):
+    # a shape run that validates but cannot parse its constellation file
     bad = tmp_path / "broken.txt"
     bad.write_text("not numbers\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -1314,7 +1315,11 @@ def test_cli_run_runtime_failure_exits_two(tmp_path, capsys):
         f"output = {out}\n\n"
         f"[constellation]\nsource = {bad}\n"
     )
-    path = _write(tmp_path, text)
+    return _write(tmp_path, text), out
+
+
+def test_cli_run_runtime_failure_exits_two(tmp_path, capsys):
+    path, out = _unreadable_source_ini(tmp_path)
     assert cli.main(["run", "--config", path]) == 2
     assert capsys.readouterr().err
     assert _manifest(out / "manifest.json")["status"] == "failed"
@@ -1387,14 +1392,32 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, flags, key, ver
     assert not os.path.exists(out)
 
 
-def test_module_entry_point_runs(tmp_path):
-    path, _ = _valid_ini(tmp_path)
+@pytest.mark.parametrize(
+    "ini, argv, status, holds",
+    [
+        (_valid_ini, ["validate"], 0, lambda proc, out: proc.stdout == ""),
+        (_valid_ini, ["validate", "--seed", "-1"], 1, lambda proc, out: "seed" in proc.stdout),
+        (
+            _unreadable_source_ini,
+            ["run"],
+            2,
+            lambda proc, out: _manifest(os.path.join(out, "manifest.json"))["status"] == "failed",
+        ),
+    ],
+    ids=["validate_ok", "bad_seed", "runtime_failure"],
+)
+def test_module_entry_point_runs(tmp_path, ini, argv, status, holds):
+    # each exit status of the CLI, across a process boundary
+    path, out = ini(tmp_path)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shapelink.__file__))}
     proc = subprocess.run(
-        [sys.executable, "-m", "shapelink", "validate", "--config", path],
+        [sys.executable, "-m", "shapelink", *argv, "--config", path],
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == status, proc.stderr
+    assert holds(proc, out), (proc.stdout, proc.stderr)
 
 
 _NUMPY_ONLY_RUN = """

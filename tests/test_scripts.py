@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import shapelink
 from shapelink.shaping import ShapingConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,7 +70,8 @@ def test_printing_demo_runs(tmp_path, demo, closing):
 
 
 def _run_demo(cwd, demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # the demos import the package this suite imported
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shapelink.__file__))}
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=cwd,
@@ -81,15 +83,12 @@ def _run_demo(cwd, demo):
 
 def test_seeded_output_hasher_prints_one_line_per_file(tmp_path):
     # the two cheapest runs; each output file gives "<run>/<file> <sha256>"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-
     def hasher(*args):
         return subprocess.run(
             [sys.executable, str(ROOT / "tools" / "seeded_outputs.py"), *args],
             cwd=tmp_path,
             capture_output=True,
             text=True,
-            env=env,
         )
 
     proc = hasher("linkbudget", "gap_sweep_gh")
