@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import DegenerateInputError
 
@@ -342,8 +341,24 @@ def _row_loss(s):
 
 #: Gauss-Hermite order per real dimension of every quadrature GMI
 _GH_ORDER = 10
-# its 1-D nodes and weights, built once and shared read-only
-_GH_T, _GH_W = hermgauss(_GH_ORDER)
+# its 1-D nodes and weights (weight function e^-t^2), shared read-only:
+# the values numpy.polynomial.hermite.hermgauss(_GH_ORDER) returns, to the
+# bit, written out because importing numpy.polynomial (eight submodules)
+# adds ~1.4 MB to the memory of every process that imports the package,
+# and because recomputing the rule runs LAPACK, whose last bits may differ
+# between BLAS builds
+_GH_T = np.array([
+    -3.4361591188377374, -2.5327316742327897, -1.7566836492998816,
+    -1.0366108297895136, -0.3429013272237046, 0.3429013272237046,
+    1.0366108297895136, 1.7566836492998816, 2.5327316742327897,
+    3.4361591188377374,
+])
+_GH_W = np.array([
+    7.640432855232641e-06, 0.0013436457467812324, 0.033874394455481106,
+    0.2401386110823147, 0.6108626337353258, 0.6108626337353258,
+    0.2401386110823147, 0.033874394455481106, 0.0013436457467812324,
+    7.640432855232641e-06,
+])
 _GH_T.setflags(write=False)
 _GH_W.setflags(write=False)
 

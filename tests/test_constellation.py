@@ -129,6 +129,20 @@ def test_marker_radius_must_dominate():
 # ---------------------------------------------------------------------------
 
 
+def test_gh_table_is_the_hermite_rule():
+    from numpy.polynomial.hermite import hermgauss
+
+    t, w = cn._GH_T, cn._GH_W
+    assert t.shape == w.shape == (cn._GH_ORDER,)
+    assert not t.flags.writeable and not w.flags.writeable
+    assert np.array_equal(t, -t[::-1])
+    assert np.array_equal(w, w[::-1])
+    # hermgauss runs LAPACK, whose last bits may differ between BLAS builds
+    want_t, want_w = hermgauss(cn._GH_ORDER)
+    np.testing.assert_array_max_ulp(t, want_t, maxulp=2)
+    np.testing.assert_array_max_ulp(w, want_w, maxulp=2)
+
+
 def test_square64_gap_at_11db_gauss_hermite():
     # frozen oracle: Gauss-Hermite order 10, BICM GMI of Gray square 64QAM
     gap = gap_to_capacity(square64(), 11.0)

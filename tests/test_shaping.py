@@ -2,8 +2,6 @@
 
 import itertools
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 
@@ -440,17 +438,6 @@ def test_climb_ends_on_a_fixed_point_after_both_failed_line_searches():
     # a stop at a point whose gradient is below 1e-7 counts as converged
     assert converged
     np.testing.assert_allclose(pts, best, atol=1e-12)
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs tens of MB and a sizeable import time; the
-    # package must not pull it in
-    code = "import sys, shapelink; print('scipy.optimize' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shaping.__file__))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_huge_weight_drives_papr_to_one():
