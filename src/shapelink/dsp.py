@@ -1,13 +1,13 @@
 """Transmitter pulse shaping and the coherent receiver chain.
 
 The receiver stages mirror a conventional dual-polarization coherent DSP
-stack: matched filtering, chromatic dispersion compensation or digital
-back-propagation (both undo a span list, reading each fiber segment's
-parameters from :mod:`shapelink.channel`), a radius-directed 2x2
-butterfly equalizer at two samples per symbol, blind frequency offset
-estimation from the 4th-power spectrum, block-wise 4th-power carrier
-phase estimation keyed to the constellation's marker ring, and bitwise
-LLR demapping.
+stack: matched filtering, spectral resampling, chromatic dispersion
+compensation or digital back-propagation (both undo a span list, reading
+each fiber segment's parameters from :mod:`shapelink.channel`), a
+radius-directed 2x2 butterfly equalizer at two samples per symbol, blind
+frequency offset estimation from the 4th-power spectrum, block-wise
+4th-power carrier phase estimation keyed to the constellation's marker
+ring, and bitwise LLR demapping.
 
 All operations are pure functions of their inputs; the adaptive equalizer
 is sequential over samples by definition but deterministic for a fixed
@@ -50,6 +50,7 @@ __all__ = [
     "rrc_shape",
     "matched_filter",
     "decimate",
+    "resample",
     "cd_compensate",
     "rde_equalize",
     "frequency_offset_compensate",
@@ -227,6 +228,42 @@ def decimate(frame: WaveformFrame) -> SymbolFrame:
         raise ValueError("sample rate must be an integer multiple of the symbol rate")
     return SymbolFrame(
         symbols=math.sqrt(step) * frame.samples[:, ::step],
+        symbol_rate=frame.symbol_rate,
+    )
+
+
+def resample(frame: WaveformFrame, samples_per_symbol: int) -> WaveformFrame:
+    """Resample a waveform down to ``samples_per_symbol`` samples per symbol.
+
+    One FFT, the bins inside +-samples_per_symbol * Rs / 2 kept (at an
+    even output length its Nyquist bin is the input's bin at
+    -samples_per_symbol * Rs / 2), and one inverse FFT at the lower rate,
+    scaled by n_out / n_in so that sample values in sqrt(W) are
+    preserved: content inside the kept band passes untouched, and with it
+    the field a nonlinear stage such as :func:`dbp` works on.  A frame
+    already at that rate is returned as is; a higher rate raises
+    ``ValueError``, as does a rate below 2 samples per symbol, which
+    :class:`~shapelink.channel.WaveformFrame` rejects.
+    """
+    n_in = frame.n_samples
+    n_out = n_in * samples_per_symbol * frame.symbol_rate / frame.sample_rate
+    if abs(n_out - n_in) <= 1e-9 * n_in:
+        return frame
+    if n_out > n_in:
+        raise ValueError(
+            f"cannot resample {frame.sample_rate / frame.symbol_rate:g} samples per "
+            f"symbol up to {samples_per_symbol}"
+        )
+    if abs(n_out - round(n_out)) > 1e-6:
+        raise ValueError("the frame must resample to a whole number of samples")
+    n_out = round(n_out)
+    pos = (n_out + 1) // 2  # bins 0 .. pos - 1, then -(n_out - pos) .. -1
+    spec = np.fft.fft(frame.samples, axis=1)
+    out = np.concatenate((spec[:, :pos], spec[:, n_in - n_out + pos :]), axis=1)
+    out *= n_out / n_in
+    return WaveformFrame(
+        samples=np.fft.ifft(out, axis=1, out=out),
+        sample_rate=frame.symbol_rate * samples_per_symbol,
         symbol_rate=frame.symbol_rate,
     )
 
@@ -457,6 +494,15 @@ def rde_equalize(
 # carrier recovery
 
 
+def _even_median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array of even length, bit for bit, without
+    the ``numpy.ma`` import ``np.median`` brings: the mean of the two
+    middle elements."""
+    half = values.size // 2
+    lo, hi = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+    return 0.5 * (lo + hi)
+
+
 def frequency_offset_compensate(
     frame: SymbolFrame, c: Constellation
 ) -> tuple[SymbolFrame, float]:
@@ -479,7 +525,7 @@ def frequency_offset_compensate(
     nfft = 1 << max(10, int(math.ceil(math.log2(4 * m))))
     mag = (np.abs(np.fft.fft(s**4, nfft, axis=1)) ** 2).sum(axis=0)
     peak = int(np.argmax(mag))
-    floor = np.median(mag)
+    floor = _even_median(mag)
     if not mag[peak] > 8.0 * floor:
         raise EstimationFailure("no 4th-power spectral line above threshold")
     # parabolic refinement on the log-magnitude of the three bins at the peak

@@ -338,7 +338,7 @@ def systematic_encoder(h: ParityCheckMatrix) -> SystematicEncoder:
         pivot_cols.append(c)
         r += 1
     pivots = np.array(pivot_cols, dtype=np.int64)
-    info = np.setdiff1d(np.arange(cols), pivots)
+    info = np.delete(np.arange(cols), pivots)  # np.setdiff1d would import numpy.ma
     if info.size >= _MAX_FLOAT32_EXACT_K:
         raise ConfigurationError(
             f"{info.size} information bits reach the float32 encoder's exact limit "

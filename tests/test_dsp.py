@@ -207,6 +207,70 @@ def test_decimate_phase_and_rate(square):
         dsp.decimate(odd)  # 2.5 samples per symbol
 
 
+# ---------------------------------------------------------------------------
+# resampling
+
+
+def test_resample_to_its_own_rate_returns_the_frame(square):
+    frame, _ = dsp.random_symbols(square, 64, seed=3)
+    wf = dsp.rrc_shape(frame, 4, 0.01)
+    assert dsp.resample(wf, 4) is wf
+
+
+@pytest.mark.parametrize("n_sym, rate, target", [(1024, 4, 2), (1023, 6, 3)])
+def test_resample_matches_shaping_at_the_lower_rate(system12, n_sym, rate, target):
+    # the rolloff-0.01 spectrum ends inside +-Rs, so no content is dropped
+    # and only the shaping gain sqrt(L) differs: measured 6e-16 and 9e-16 relative
+    frame, _ = dsp.random_symbols(system12, n_sym, seed=4)
+    wf = dsp.rrc_shape(frame, rate, 0.01)
+    got = dsp.resample(wf, target)
+    want = dsp.rrc_shape(frame, target, 0.01).samples * math.sqrt(target / rate)
+    assert (got.sample_rate, got.symbol_rate) == (target * frame.symbol_rate, frame.symbol_rate)
+    assert np.max(np.abs(got.samples - want)) <= 1e-14 * np.max(np.abs(want))
+    assert got.power == pytest.approx(wf.power, rel=1e-12)
+
+
+@pytest.mark.parametrize("target", [5, 8, 1])
+def test_resample_rejects_a_higher_or_sub_nyquist_rate(square, target):
+    frame, _ = dsp.random_symbols(square, 64, seed=3)
+    with pytest.raises(ValueError):
+        dsp.resample(dsp.rrc_shape(frame, 4, 0.01), target)
+
+
+@pytest.mark.parametrize("oversampling", [2, 4])
+def test_fiber_e2e_receivers_run_at_two_samples_per_symbol(tmp_path, monkeypatch, oversampling):
+    # both receivers take one resampled field; at 2 sps it is the very
+    # frame propagate_link returned, so such a run is unchanged by resampling
+    received, compensated = [], []
+    propagate, cdc, dbp = ch.propagate_link, dsp.cd_compensate, dsp.dbp
+
+    def received_field(*args, **kwargs):
+        received.append(propagate(*args, **kwargs))
+        return received[-1]
+
+    def spy(fn):
+        def wrapped(frame, *args, **kwargs):
+            compensated.append(frame)
+            return fn(frame, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ch, "propagate_link", received_field)
+    monkeypatch.setattr(dsp, "cd_compensate", spy(cdc))
+    monkeypatch.setattr(dsp, "dbp", spy(dbp))
+    ex.run_experiment(
+        ex.ExperimentConfig(
+            mode="fiber_e2e", output_dir=str(tmp_path), source="square64",
+            span_count=1, symbols=256, oversampling=oversampling,
+        )
+    )
+    (link,) = received
+    rx_cdc, rx_dbp = compensated
+    assert rx_cdc is rx_dbp
+    assert rx_cdc.sample_rate == ex._RX_SAMPLES_PER_SYMBOL * rx_cdc.symbol_rate == 2 * 35e9
+    assert (rx_cdc is link) == (oversampling == 2)
+
+
 def _wide_field():
     rng = np.random.default_rng(6)
     noise = rng.standard_normal((2, 65536)) + 1j * rng.standard_normal((2, 65536))
@@ -484,6 +548,16 @@ def test_rde_rejects_wrong_rate(square):
 # frequency offset
 
 
+@settings(max_examples=60, deadline=None)
+@given(half=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+def test_even_median_is_np_median_bit_for_bit(half, seed, ties):
+    # the 4th-power spectrum's noise floor: an even-length power spectrum
+    mag = np.abs(np.fft.fft(np.random.default_rng(seed).standard_normal(2 * half))) ** 2
+    if ties:
+        mag = np.round(mag)
+    assert dsp._even_median(mag) == np.median(mag)
+
+
 def test_foc_zero_offset(square):
     frame, _ = dsp.random_symbols(square, 20000, seed=2)
     _, f_hat = dsp.frequency_offset_compensate(frame, square)
@@ -695,6 +769,24 @@ def test_dbp_four_steps_beats_cdc_on_nonlinear_link():
     coarse = dsp.dbp(rx, spans, steps_per_span=4)
     cdc = dsp.cd_compensate(rx, spans)
     assert dsp.evm_db(coarse, wf) < dsp.evm_db(cdc, wf) - 3.0
+
+
+@pytest.mark.parametrize("power_dbm", [-3.0, 0.0, 3.0])
+def test_dbp_at_the_receiver_rate_meets_its_budget(system12, power_dbm):
+    # the budget stated beside experiments._RX_SAMPLES_PER_SYMBOL: DBP on
+    # the resampled field at least 60 dB below signal from DBP on the
+    # 4-sps field it came from; measured 99 / 90 / 78 dB
+    ref, _ = dsp.random_symbols(system12, 4096, seed=5)
+    wave = ch.with_power(dsp.rrc_shape(ref, 4, 0.01), power_dbm)
+    spans = [ch.hybrid_span()] * 2
+    rx = ch.propagate_link(wave, spans, seed=None)
+
+    def receive(field):
+        comp = dsp.dbp(field, spans, steps_per_span=4)
+        return dsp.align(dsp.decimate(dsp.matched_filter(comp, 0.01)), ref)
+
+    at_rx_rate = receive(dsp.resample(rx, ex._RX_SAMPLES_PER_SYMBOL))
+    assert dsp.evm_db(at_rx_rate, receive(rx)) <= -60.0
 
 
 def test_dbp_shares_the_split_step_limit(square):

@@ -1021,6 +1021,32 @@ def test_fiber_e2e_transmits_at_the_configured_symbol_rate(tmp_path, monkeypatch
     assert launched == [(cfg.oversampling * 32e9, 32e9)]
 
 
+def test_fiber_e2e_carrier_recovery_tracks_the_phase(tmp_path, monkeypatch):
+    # vv_cpe reads the marker ring at unit power: fed launch-scale
+    # symbols (rms 0.042) it found no marker in any of 64 blocks and
+    # removed no phase, 12.87 dB post-DBP against 19.98 dB at 0 Hz
+    tracked = []
+    cpe = dsp.vv_cpe
+
+    def spy(*args, **kwargs):
+        tracked.append(cpe(*args, **kwargs))
+        return tracked[-1]
+
+    monkeypatch.setattr(dsp, "vv_cpe", spy)
+    snr = {}
+    for linewidth_hz in (0.0, 100e3):
+        cfg = ex.ExperimentConfig(
+            mode="fiber_e2e", output_dir=str(tmp_path / str(linewidth_hz)),
+            span_count=2, symbols=4096, seed=0, linewidth_hz=linewidth_hz,
+        )
+        rep = ex.run_experiment(cfg)
+        snr[linewidth_hz] = dict(zip(rep.columns, rep.rows[0]))["snr_post_dbp"]
+    blocks = -(-cfg.symbols // cfg.cpe_block_length)
+    assert len(tracked) == 2  # the CDC and the DBP receiver, at 100 kHz only
+    assert all(r.empty_blocks < blocks for r in tracked), [r.empty_blocks for r in tracked]
+    assert abs(snr[100e3] - snr[0.0]) < 0.5, snr
+
+
 def test_fiber_e2e_aligns_each_received_frame_once(tmp_path, monkeypatch):
     # one alignment each for the CDC and the DBP receiver's frame
     calls = []
@@ -1414,11 +1440,12 @@ _NUMPY_ONLY_RUN = """
 import os, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import shapelink
-from shapelink import experiments as ex, fec
+from shapelink import channel as ch, constellation as cst, dsp, experiments as ex, fec
 
 # scipy is optional, numpy.polynomial is not needed (the Gauss-Hermite rule
-# is a constant table) and every run is serial, so no pool is imported
-UNUSED = ("scipy", "numpy.polynomial", "concurrent.futures")
+# is a constant table), every run is serial, so no pool is imported, and no
+# median is taken with np.median, which imports numpy.ma
+UNUSED = ("scipy", "numpy.polynomial", "concurrent.futures", "numpy.ma")
 
 
 def check_unloaded(when):
@@ -1446,6 +1473,11 @@ for i, kw in enumerate(runs):
     rep = ex.run_experiment(ex.ExperimentConfig(output_dir=os.path.join(out, str(i)), **kw))
     assert rep.rows, kw["mode"]
     check_unloaded(kw["mode"])
+square = cst.load_builtin("square64")
+ref, _ = dsp.random_symbols(square, 2048, seed=1)
+rx = ch.add_transmitter_noise(dsp.rrc_shape(ref, 2), 26.0, seed=2)
+dsp.blind_receive(rx, square, ref)
+check_unloaded("dsp.blind_receive")
 print("ok")
 """
 
