@@ -425,9 +425,8 @@ def _gh_blocks(points, bits, noise_var, agree=None):
     contains c_i's own metric, so no coset sum underflows and none needs
     the log-form recomputation of :func:`bitwise_llrs`.
 
-    Yields ``(rows, agree, p, s_all, s_same, loss)`` per block: ``rows``
-    the block's slice of the M*Q rows, ``agree`` its (points, M, m + 1)
-    rows of the agreement matrix, ``p`` its (rows, M) metrics, ``s_all``
+    Yields ``(rows, p, s_all, s_same, loss)`` per block: ``rows`` the
+    block's slice of the M*Q rows, ``p`` its (rows, M) metrics, ``s_all``
     (rows,) and ``s_same`` (rows, m) its coset sums and ``loss`` its
     :func:`_row_loss`.  Every block's metrics are written into one array,
     so use ``p`` before asking for the next block.
@@ -445,7 +444,7 @@ def _gh_blocks(points, bits, noise_var, agree=None):
         p = p.reshape(-1, q, big_m)
         s = (p @ a).reshape(-1, m + 1)
         rows = slice(i * q, i * q + s.shape[0])
-        yield rows, a, p.reshape(-1, big_m), s[:, m], s[:, :m], _row_loss(s)
+        yield rows, p.reshape(-1, big_m), s[:, m], s[:, :m], _row_loss(s)
 
 
 def _gh_value(losses, weights, m: int) -> float:
@@ -501,7 +500,7 @@ def _gh_gmi_and_gradient(points, bits, noise_var):
     gc = np.empty((big_m, q, 2))  # G(i) @ [Re c, Im c]
     g = np.empty((min(big_m, _GH_BLOCK), q, big_m))  # G(i,n,j) of a block
     losses = []
-    for rows, _, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var, agree):
+    for rows, p, s_all, s_same, loss in _gh_blocks(points, bits, noise_var, agree):
         pts = slice(rows.start // q, rows.stop // q)
         coef = np.empty((p.shape[0], m + 1))
         np.divide(-1.0, s_same, out=coef[:, :m])

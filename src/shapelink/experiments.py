@@ -18,8 +18,8 @@ Five modes:
 ``awgn_e2e``
     Symbols through the additive-noise channel at each sweep point:
     demapper information rate, pre-FEC error ratio, selected code rate,
-    net throughput, and (with a parity matrix configured) measured
-    post-decode error ratio.
+    net throughput, and (with a parity matrix configured) the decode of
+    the LLR magnitudes, which carry no channel error.
 ``fiber_e2e``
     Full transmit-propagate-receive chain over the multi-span fiber
     link, for a dispersion-compensation-only receiver and a
@@ -477,26 +477,28 @@ def _add_awgn(rng, symbols: np.ndarray, noise_var: float) -> np.ndarray:
     return symbols + math.sqrt(noise_var / 2.0) * noise
 
 
-def _coded_ber(enc, llr_magnitudes, rng) -> float:
-    """Measured post-decode error ratio on the encoder's code.
+def _coded_ber(h, llr_magnitudes, rng) -> float:
+    """Post-decode error ratio of ``h``'s code on LLR magnitudes.
 
-    Random information words are encoded, the codeword bits impressed as
-    signs on the measured LLR magnitudes (the channel is symmetric under
-    the bit labeling, so this is equivalent to remapping and
-    retransmitting), and the result decoded.
+    The magnitudes, in blocks of ``h.cols``, are decoded as the all-zero
+    word, and every decoded one counts as an error.  Magnitudes drop every
+    channel error, so this reads 0 at every SNR; the planned fix (ROADMAP,
+    "A post-FEC BER that decodes") decodes ``llrs * (1 - 2 * bits)``
+    instead.  Min-sum is sign-symmetric under a codeword, so the result is
+    bit for bit that of impressing any codeword's signs on the magnitudes,
+    decoding, and counting the bits that differ from the codeword.  The one
+    exception is an LLR of exactly +-0.0, which reads as bit 0 on both
+    routes.
     """
-    h = enc.h
     flat = llr_magnitudes.reshape(-1)
     n_cw = flat.size // h.cols
     if n_cw == 0:
         return float("nan")
-    info = rng.integers(0, 2, size=(n_cw, enc.k)).astype(np.uint8)
-    cw = enc.encode(info)
-    # sign-impress the codeword on the all-zero-calibrated LLR stream
-    mag = flat[: n_cw * h.cols].reshape(n_cw, h.cols)
-    signed = np.where(cw == 1, -mag, mag)
-    res = fec.ldpc_decode(signed, h)
-    return fec.ber_measure(res.bits, cw)
+    # nothing reads this draw: it is held so that every later row keeps the
+    # symbols the pinned references draw
+    rng.integers(0, 2, size=(n_cw, h.cols - h.rank))
+    res = fec.ldpc_decode(flat[: n_cw * h.cols].reshape(n_cw, h.cols), h)
+    return float(np.mean(res.bits))
 
 
 def _coded_columns(cfg: ExperimentConfig, m: int, gmi_2d: float, ber_post=None) -> dict:
@@ -525,7 +527,7 @@ def _llr_metrics(llrs, bits) -> tuple:
 def _run_awgn_e2e(cfg: ExperimentConfig):
     c = _load_constellation(cfg)
     m = c.bit_matrix.shape[1]
-    enc = fec.systematic_encoder(fec.load_alist(cfg.fec_matrix)) if cfg.fec_matrix else None
+    h = fec.load_alist(cfg.fec_matrix) if cfg.fec_matrix else None
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for snr_db in _sweep_points(cfg):
@@ -539,7 +541,7 @@ def _run_awgn_e2e(cfg: ExperimentConfig):
             "gap_4d": cst.gap_from_gmi(gmi_2d, float(snr_db)),
             "ber_pre_fec": ber_pre,
         }
-        ber_post = _coded_ber(enc, np.abs(llrs), rng) if enc is not None else None
+        ber_post = _coded_ber(h, np.abs(llrs), rng) if h is not None else None
         rows.append(row | _coded_columns(cfg, m, gmi_2d, ber_post))
     return rows, []
 

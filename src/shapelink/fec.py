@@ -21,20 +21,17 @@ LLR sign convention matches the demapper: positive means bit 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 __all__ = [
     "ParityCheckMatrix",
     "DecodeResult",
-    "SystematicEncoder",
     "ldpc_decode",
-    "systematic_encoder",
     "make_regular_ldpc",
     "hamming74",
     "load_alist",
@@ -58,7 +55,8 @@ class ParityCheckMatrix:
     check r.  Duplicate entries within a row are invalid (they would
     cancel over GF(2)); every check must involve at least one column,
     every column must participate in at least one check, and there must
-    be more columns than rows (a code with nonzero-rate systematic form).
+    be more columns than rows, so the information length ``cols - rank``
+    is positive.
     """
 
     rows: int
@@ -102,6 +100,22 @@ class ParityCheckMatrix:
         row_ix.flags.writeable = col_slot.flags.writeable = False
         object.__setattr__(self, "_row_ix", row_ix)
         object.__setattr__(self, "_col_slot", col_slot)
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """Rank of H over GF(2), the pivot count of its row reduction; it
+        may be below ``rows`` when checks are redundant.  Computed on first
+        read and cached, so building or loading a matrix does not pay for
+        the elimination."""
+        # rows as bit masks: each pivot clears its lowest set bit from the rest
+        rank, rest = 0, [sum(1 << c for c in r) for r in self.row_cols]
+        while rest:
+            pivot = rest.pop()
+            if pivot:
+                low = pivot & -pivot
+                rest = [x ^ pivot if x & low else x for x in rest]
+                rank += 1
+        return rank
 
     @property
     def n_edges(self) -> int:
@@ -268,87 +282,6 @@ def ldpc_decode(
     # a frozen word's total no longer changes: its bits are the ones that passed
     bits = (total[:, :-1] < 0).astype(np.uint8)
     return DecodeResult(bits=bits, iterations=iters, syndrome_ok=done)
-
-
-# ---------------------------------------------------------------------------
-# encoding
-
-
-@dataclass(frozen=True)
-class SystematicEncoder:
-    """GF(2) systematic encoder for a loaded parity-check matrix.
-
-    ``info_positions`` are the codeword columns that carry information
-    bits (the non-pivot columns of the row-reduced matrix); the
-    remaining ``parity_positions`` are solved from the checks.  Their
-    count, the matrix rank, may be below the row count for redundant
-    matrices, in which case the information length exceeds cols - rows.
-
-    Parity bits come from one float32 (BLAS) product of the information
-    bits with the 0/1 solver; its parity is the low bit of the integer
-    sum.  Every partial sum is an integer of at most k, so the product is
-    exact while k < 2**24, which :func:`systematic_encoder` enforces.
-    """
-
-    h: ParityCheckMatrix
-    info_positions: np.ndarray
-    parity_positions: np.ndarray
-    _solver_t: np.ndarray  # (k, n_parity) float32 0/1, GF(2) solver transposed
-
-    @property
-    def k(self) -> int:
-        return self.info_positions.size
-
-    def encode(self, info_bits: np.ndarray) -> np.ndarray:
-        """(batch, k) information bits -> (batch, cols) codewords."""
-        info = np.asarray(info_bits, dtype=np.uint8)
-        if info.ndim != 2 or info.shape[1] != self.k:
-            raise ValueError(f"info bits must have shape (batch, {self.k}), got {info.shape}")
-        out = np.zeros((info.shape[0], self.h.cols), dtype=np.uint8)
-        out[:, self.info_positions] = info
-        out[:, self.parity_positions] = (info.astype(np.float32) @ self._solver_t).astype(np.int64) & 1
-        return out
-
-
-#: information lengths from here on can round the float32 parity product
-_MAX_FLOAT32_EXACT_K = 2**24
-
-
-def systematic_encoder(h: ParityCheckMatrix) -> SystematicEncoder:
-    """Row-reduce H over GF(2) and return the systematic encoder.
-
-    Raises :class:`ConfigurationError` when the information length k
-    reaches 2**24, where the float32 parity product is no longer exact.
-    """
-    m = h.to_dense().astype(np.uint8)
-    rows, cols = m.shape
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hot = np.flatnonzero(m[r:, c]) + r
-        if hot.size == 0:
-            continue
-        if hot[0] != r:
-            m[[r, hot[0]]] = m[[hot[0], r]]
-        elim = np.flatnonzero(m[:, c])
-        elim = elim[elim != r]
-        m[elim] ^= m[r]
-        pivot_cols.append(c)
-        r += 1
-    pivots = np.array(pivot_cols, dtype=np.int64)
-    info = np.delete(np.arange(cols), pivots)  # np.setdiff1d would import numpy.ma
-    if info.size >= _MAX_FLOAT32_EXACT_K:
-        raise ConfigurationError(
-            f"{info.size} information bits reach the float32 encoder's exact limit "
-            f"of {_MAX_FLOAT32_EXACT_K}"
-        )
-    # reduced rows: pivot_bit = sum of that row's info-column bits
-    solver_t = np.ascontiguousarray(m[: pivots.size][:, info].T, dtype=np.float32)
-    return SystematicEncoder(
-        h=h, info_positions=info, parity_positions=pivots, _solver_t=solver_t
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -271,8 +271,8 @@ def test_criterion_09_fec_decoding_and_gate():
 
     # (b) ML agreement on every single-error pattern of the (7,4) code
     h74 = fec.hamming74()
-    enc = fec.systematic_encoder(h74)
-    words = enc.encode(np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.uint8))
+    words = np.array(list(itertools.product([0, 1], repeat=7)), dtype=np.uint8)
+    words = words[~h74.syndrome(words).any(axis=1)]  # the 16 codewords
     signs = 1.0 - 2.0 * words.astype(float)
     for word in words:
         for pos in range(7):

@@ -1,5 +1,6 @@
-"""Decoder, encoder, matrix I/O, and throughput accounting tests."""
+"""Decoder, matrix rank and I/O, and throughput accounting tests."""
 
+import functools
 import itertools
 import math
 import os
@@ -11,16 +12,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapelink import fec
-from shapelink.errors import ConfigurationError
 
 
 def _hamming_codebook():
-    enc = fec.systematic_encoder(fec.hamming74())
-    words = [
-        enc.encode(np.array(bits, dtype=np.uint8)[None])[0]
-        for bits in itertools.product([0, 1], repeat=4)
-    ]
-    return np.array(words)
+    """The (7,4) codewords by brute force: the words of zero syndrome."""
+    h = fec.hamming74()
+    words = np.array(list(itertools.product([0, 1], repeat=7)), dtype=np.uint8)
+    return words[~h.syndrome(words).any(axis=1)]
+
+
+def _gf2_reduce(h):
+    """Reduced row echelon form of H over GF(2) and its pivot columns."""
+    m = h.to_dense()
+    pivots = []
+    for c in range(h.cols):
+        r = len(pivots)
+        if r == h.rows:
+            break
+        hot = r + np.flatnonzero(m[r:, c])
+        if hot.size == 0:
+            continue
+        m[[r, hot[0]]] = m[[hot[0], r]]
+        m[(m[:, c] == 1) & (np.arange(h.rows) != r)] ^= m[r]
+        pivots.append(c)
+    return m[: len(pivots)], np.array(pivots, dtype=np.intp)
+
+
+def _random_codewords(h, count, rng):
+    """Uniform random codewords: free bits drawn, pivot bits solved."""
+    reduced, pivots = _gf2_reduce(h)
+    free = np.delete(np.arange(h.cols), pivots)
+    words = np.zeros((count, h.cols), dtype=np.int64)
+    words[:, free] = rng.integers(0, 2, size=(count, free.size))
+    words[:, pivots] = words[:, free] @ reduced[:, free].T.astype(np.int64) % 2
+    return words.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +79,53 @@ def test_matrix_dense_matches_rows():
     for r, cols in enumerate(h.row_cols):
         assert set(np.flatnonzero(dense[r])) == set(cols)
     assert h.n_edges == dense.sum()
+
+
+def test_hamming_codebook_structure():
+    words = _hamming_codebook()
+    assert len({tuple(w) for w in words}) == 16
+    h = fec.hamming74()
+    assert not h.syndrome(words).any()
+    dmin = min(
+        int(np.sum(a != b)) for i, a in enumerate(words) for b in words[i + 1 :]
+    )
+    assert dmin == 3
+
+
+def test_rank_counts_hammings_redundant_row_once():
+    # the fourth check is the sum of the other three: 16 = 2**(7 - 3) of
+    # the 128 words have zero syndrome, so the rank is 3, not 4
+    h = fec.hamming74()
+    assert h.rows == 4
+    assert len(_hamming_codebook()) == 2 ** (h.cols - 3)
+    assert h.rank == 3
+
+
+def test_rank_matches_a_dense_elimination_on_regular_codes():
+    rng = np.random.default_rng(0)
+    for n, seed in ((120, 5), (240, 3), (1200, 0)):
+        h = fec.make_regular_ldpc(n, 6, 3, seed=seed)
+        assert h.rank == _gf2_reduce(h)[1].size
+        assert not h.syndrome(_random_codewords(h, 16, rng)).any()
+
+
+def test_building_or_loading_a_matrix_leaves_its_rank_uncomputed(tmp_path, monkeypatch):
+    computed = []  # each matrix whose rank is computed
+    real = fec.ParityCheckMatrix.rank.func
+
+    def counted(self):
+        computed.append(self)
+        return real(self)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(fec.ParityCheckMatrix, "rank")
+    monkeypatch.setattr(fec.ParityCheckMatrix, "rank", spy)
+    h = fec.make_regular_ldpc(240, 6, 3, seed=1)
+    fec.save_alist(h, tmp_path / "h.alist")
+    back = fec.load_alist(tmp_path / "h.alist")
+    assert computed == []
+    assert back.rank == back.rank == 120
+    assert computed == [back]  # computed once, then cached
 
 
 def test_syndrome_flags_single_flip():
@@ -127,6 +199,7 @@ def test_alist_round_trip_holds_for_every_valid_matrix(spec):
         path = os.path.join(tmp, "h.alist")
         fec.save_alist(h, path)
         assert fec.load_alist(path) == h
+    assert h.rank == _gf2_reduce(h)[1].size
     # the padded layout against a per-row loop
     dense = np.zeros((rows, cols), dtype=np.uint8)
     for r, entries in enumerate(row_cols):
@@ -207,93 +280,6 @@ def test_alist_column_lines_may_list_rows_in_any_order(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# systematic encoder
-
-
-def test_hamming_codebook_structure():
-    words = _hamming_codebook()
-    assert len({tuple(w) for w in words}) == 16
-    h = fec.hamming74()
-    assert not h.syndrome(words).any()
-    dmin = min(
-        int(np.sum(a != b)) for i, a in enumerate(words) for b in words[i + 1 :]
-    )
-    assert dmin == 3
-
-
-def test_encoder_redundant_row_keeps_k():
-    # the fourth check row is dependent, so rank 3 and four info bits
-    enc = fec.systematic_encoder(fec.hamming74())
-    assert enc.k == 4
-    assert enc.parity_positions.size == 3
-
-
-def test_encoder_batch_and_single_shapes():
-    enc = fec.systematic_encoder(fec.hamming74())
-    one = enc.encode(np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
-    assert one.shape == (7,)
-    many = enc.encode(np.tile([1, 0, 1, 1], (5, 1)))
-    assert many.shape == (5, 7)
-    assert np.array_equal(many[0], one)
-
-
-def test_encoder_rejects_wrong_length():
-    enc = fec.systematic_encoder(fec.hamming74())
-    with pytest.raises(ValueError):
-        enc.encode(np.zeros(5, dtype=np.uint8)[None])
-
-
-def test_encoder_valid_on_random_regular_code():
-    h = fec.make_regular_ldpc(120, 6, 3, seed=5)
-    enc = fec.systematic_encoder(h)
-    assert enc.k == h.cols - enc.parity_positions.size
-    rng = np.random.default_rng(0)
-    cws = enc.encode(rng.integers(0, 2, size=(16, enc.k)).astype(np.uint8))
-    assert not h.syndrome(cws).any()
-
-
-def test_float_encoder_matches_uint8_product():
-    # the float32 BLAS product must reproduce the GF(2) uint8 product
-    # (info @ S.T) % 2 bit for bit (its partial sums are integers <= k = 600,
-    # exact in float32); uint8 sums wrap modulo 256, which keeps their
-    # parity, so the uint8 form is a valid reference at k = 600
-    h = fec.make_regular_ldpc(1200, 6, 3, seed=2)
-    enc = fec.systematic_encoder(h)
-    solver = enc._solver_t.T.astype(np.uint8)
-    assert set(np.unique(enc._solver_t)) <= {0.0, 1.0}
-    info = np.random.default_rng(4).integers(0, 2, size=(81, enc.k)).astype(np.uint8)
-    want = np.zeros((81, h.cols), dtype=np.uint8)
-    want[:, enc.info_positions] = info
-    want[:, enc.parity_positions] = (info @ solver.T) % 2
-    got = enc.encode(info)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, want)
-    assert not h.syndrome(got).any()
-
-
-def test_encoder_parity_matches_fmod_form():
-    # the low bit of the encoder's integer-valued float32 product is its
-    # remainder mod 2, so the parity columns equal the np.fmod(..., 2.0)
-    # form, taken here in float64
-    h = fec.make_regular_ldpc(1200, 6, 3, seed=2)
-    enc = fec.systematic_encoder(h)
-    info = np.random.default_rng(7).integers(0, 2, size=(81, enc.k)).astype(np.uint8)
-    want = np.fmod(info.astype(np.float64) @ enc._solver_t, 2.0).astype(np.uint8)
-    assert np.array_equal(enc.encode(info)[:, enc.parity_positions], want)
-
-
-def test_encoder_rejects_k_at_the_float32_exact_limit(monkeypatch):
-    # the limit is 2**24; lowered here so that no huge code is built
-    h = fec.make_regular_ldpc(120, 6, 3, seed=5)
-    k = fec.systematic_encoder(h).k
-    monkeypatch.setattr(fec, "_MAX_FLOAT32_EXACT_K", k + 1)
-    assert fec.systematic_encoder(h).k == k
-    monkeypatch.setattr(fec, "_MAX_FLOAT32_EXACT_K", k)
-    with pytest.raises(ConfigurationError, match="exact limit"):
-        fec.systematic_encoder(h)
-
-
-# ---------------------------------------------------------------------------
 # decoding
 
 
@@ -318,12 +304,6 @@ def test_decode_input_validation():
 def test_decode_takes_only_batch_by_cols(shape):
     with pytest.raises(ValueError, match=r"shape \(batch, 7\)"):
         fec.ldpc_decode(np.zeros(shape), fec.hamming74())
-
-
-@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1d", "3d"])
-def test_encode_takes_only_batch_by_k(shape):
-    with pytest.raises(ValueError, match=r"shape \(batch, 4\)"):
-        fec.systematic_encoder(fec.hamming74()).encode(np.zeros(shape, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("shape", [(7,), (2, 3, 7)], ids=["1d", "3d"])
@@ -360,12 +340,10 @@ def test_random_llrs_do_not_false_converge():
 
 
 def test_converged_output_is_valid_codeword():
+    # the all-zero word, BPSK +1
     h = fec.make_regular_ldpc(600, 6, 3, seed=2)
-    enc = fec.systematic_encoder(h)
     rng = np.random.default_rng(11)
-    cw = enc.encode(rng.integers(0, 2, size=(40, enc.k)).astype(np.uint8))
-    x = 1.0 - 2.0 * cw.astype(float)
-    y = x + 0.7 * rng.normal(size=x.shape)
+    y = 1.0 + 0.7 * rng.normal(size=(40, h.cols))
     res = fec.ldpc_decode(2.0 * y / 0.49, h)
     ok = np.asarray(res.syndrome_ok)
     assert ok.any()
@@ -382,6 +360,34 @@ def test_batched_decode_matches_single():
         assert np.array_equal(batch.bits[i], one.bits[0])
         assert batch.iterations[i] == one.iterations[0]
         assert batch.syndrome_ok[i] == one.syndrome_ok[0]
+
+
+@pytest.mark.parametrize("code", ["hamming74", "regular240"])
+def test_impressing_a_codeword_commutes_with_decoding(code):
+    # min-sum is sign-symmetric under a codeword c: the LLRs with c's signs
+    # impressed decode to c XOR the decode of the LLRs themselves, after the
+    # same iterations, so a decode of the all-zero word stands for every word
+    rng = np.random.default_rng(5)
+    if code == "hamming74":
+        h, words = fec.hamming74(), _hamming_codebook()
+        noisy = 2.0 + 2.0 * rng.normal(size=(24, h.cols))
+    else:
+        h = fec.make_regular_ldpc(240, 6, 3, seed=3)
+        words = _random_codewords(h, 12, rng)
+        sigma = 0.9
+        noisy = 2.0 * (1.0 + sigma * rng.normal(size=(12, h.cols))) / sigma**2
+    capped = rng.normal(size=(6, h.cols))  # random signs: most words hit the cap
+    for llrs, max_iters in ((noisy, 50), (capped, 8)):
+        base = fec.ldpc_decode(llrs, h, max_iters)
+        for word in words:
+            got = fec.ldpc_decode(llrs * (1.0 - 2.0 * word), h, max_iters)
+            assert np.array_equal(got.bits, base.bits ^ word)
+            assert np.array_equal(got.iterations, base.iterations)
+            assert np.array_equal(got.syndrome_ok, base.syndrome_ok)
+        if llrs is noisy:
+            assert base.iterations.mean() > 1
+        else:
+            assert not base.syndrome_ok.all() and base.iterations.max() == max_iters
 
 
 def _reference_edge_layout(h):
@@ -473,11 +479,9 @@ def test_decoder_matches_per_edge_reference_bit_for_bit():
     codes = {n: fec.make_regular_ldpc(n, 6, 3, seed=seed) for n, seed in ((1200, 0), (240, 3))}
     batches = []
     for n, h in codes.items():
-        enc = fec.systematic_encoder(h)
         rng = np.random.default_rng(n)
         for sigma in (0.5, 0.7, 0.9, 1.1, 1.3):
-            cw = enc.encode(rng.integers(0, 2, size=(12, enc.k)).astype(np.uint8))
-            y = 1.0 - 2.0 * cw + sigma * rng.normal(size=cw.shape)
+            y = 1.0 + sigma * rng.normal(size=(12, n))  # the all-zero word
             batches.append((h, 2.0 * y / sigma**2, 50))
     # hamming74 has column degrees 1 to 4, so its column layout is padded
     rng = np.random.default_rng(1)
@@ -500,15 +504,13 @@ def test_min_sum_beats_hard_decision_at_3db():
     # BPSK, Eb/N0 = 3 dB, rate 1/2: hard-decision BER sits near the
     # Q-function value 0.0789 while the decoded BER collapses
     h = fec.make_regular_ldpc(1000, 6, 3, seed=1)
-    enc = fec.systematic_encoder(h)
-    rate = enc.k / h.cols
+    rate = (h.cols - h.rank) / h.cols
     assert rate == 0.5
     esn0 = 10 ** (3.0 / 10.0) * rate
     sigma2 = 1.0 / (2.0 * esn0)
     rng = np.random.default_rng(42)
-    cw = enc.encode(rng.integers(0, 2, size=(200, enc.k)).astype(np.uint8))
-    x = 1.0 - 2.0 * cw.astype(float)
-    y = x + math.sqrt(sigma2) * rng.normal(size=x.shape)
+    cw = np.zeros((200, h.cols), dtype=np.uint8)  # the all-zero word, BPSK +1
+    y = 1.0 + math.sqrt(sigma2) * rng.normal(size=cw.shape)
     pre = fec.ber_measure((y < 0).astype(np.uint8), cw)
     res = fec.ldpc_decode(2.0 * y / sigma2, h)
     post = fec.ber_measure(res.bits, cw)

@@ -285,7 +285,7 @@ def test_gh_rows_keep_a_metric_above_the_shift_bound():
     for name, c, pts, bits in _bit_identity_cases():
         for snr_db in (-20.0, 0.0, 11.0, 30.0, 60.0):
             nu = 10 ** (-snr_db / 10)
-            for _, _, p, _, s_same, _ in _gh_blocks(pts, bits, nu):
+            for _, p, _, s_same, _ in _gh_blocks(pts, bits, nu):
                 assert np.all(p.max(axis=1) >= bound), (name, snr_db)
                 assert np.all(s_same >= bound), (name, snr_db)
     for name in builtin_names():
@@ -305,7 +305,7 @@ def test_gh_coset_sums_match_extended_precision_direct_sums():
         for snr_db in (-5.0, 0.0, 5.0, 11.0, 20.0, 30.0):
             nu = 10 ** (-snr_db / 10)
             worst = 0.0
-            for rows, _, p, s_all, s_same, _ in _gh_blocks(c.points, bits, nu):
+            for rows, p, s_all, s_same, _ in _gh_blocks(c.points, bits, nu):
                 tx = bits[np.arange(rows.start, rows.stop) // q]
                 p_ld = p.astype(np.longdouble)
                 want_all = p_ld.sum(axis=1)
